@@ -333,13 +333,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _checked_precision(parser, args):
+    # The starting interval precision from --precision, else from
+    # TOTALPARTS_PRECISION; a bad value is a usage error (exit 2).
+    source, precision = "--precision", args.precision
+    env = os.environ.get("TOTALPARTS_PRECISION")
+    if precision is None and env:
+        source = "TOTALPARTS_PRECISION"
+        try:
+            precision = int(env)
+        except ValueError:
+            parser.error(f"{source} must be an integer number of bits, "
+                         f"got {env!r}")
+    cap = exactnum.PRECISION_CAP_BITS
+    if precision is not None and not 32 <= precision <= cap:
+        parser.error(f"{source} must lie in [32, {cap}], got {precision}")
+    return precision
+
+
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    precision = args.precision
-    env = os.environ.get("TOTALPARTS_PRECISION")
-    if precision is None and env:
-        precision = int(env)
+    precision = _checked_precision(parser, args)
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.workers <= cpus:
+        parser.error(f"--workers must lie in [1, {cpus}], got {args.workers}")
     if precision is not None:
         exactnum.set_start_bits(precision)
     try:
@@ -352,3 +370,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -8,14 +8,24 @@ the n-th cyclotomic polynomial and zeta = e^(2*pi*i/n).  Reduction mod Phi_n
 is canonical, so two elements of the same conductor are equal iff their
 coordinates are equal, and the exact-zero test is trivial.
 
+The public coordinates are a tuple of ``Fraction``s, but products,
+reduction mod Phi_n and power-basis folding run on integers: a coordinate
+vector is split into integer numerators over one common positive
+denominator, and since Phi_n is monic with integer coefficients the
+schoolbook product and the reduction of those numerators stay in Z[zeta_n].
+``Fraction``s are built once, for the reduced result; an integer input to
+:meth:`CycElem.from_power_basis` never becomes a ``Fraction`` before that.
+
 Sign determination for real elements (fixed by complex conjugation) first
 tests for exact zero and otherwise evaluates the real embedding with interval
 arithmetic at doubling precision until the interval excludes zero; the result
-is wrapped in a :class:`SignCertificate`.
+is wrapped in a :class:`SignCertificate`.  mpmath's interval precision is
+process-global, so every change to it goes through :func:`iv_precision`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import threading
@@ -29,7 +39,9 @@ PRECISION_CAP_BITS = 8192
 
 _start_bits = DEFAULT_START_BITS
 
-_embed_lock = threading.Lock()
+_iv_lock = threading.Lock()
+
+_ZERO = Fraction(0)
 
 
 def set_start_bits(bits: int) -> None:
@@ -110,17 +122,50 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     return tuple(num)
 
 
-def _reduce_mod_phi(coeffs: list[Fraction], n: int) -> tuple[Fraction, ...]:
-    # Reduce a power-basis coefficient list (exponents already < n) mod Phi_n.
+@functools.lru_cache(maxsize=None)
+def _phi_tail(n: int) -> tuple[tuple[int, int], ...]:
+    # The nonzero (j, c_j) of Phi_n below its leading 1: x^phi(n) is
+    # replaced by -sum c_j x^j.
+    return tuple((j, c) for j, c in enumerate(cyclotomic_poly(n)[:-1]) if c)
+
+
+def _numerators(coeffs) -> tuple[list[int], int]:
+    # Integer numerators over the least common positive denominator; an
+    # int has numerator itself and denominator 1, so no Fraction is built.
+    den = math.lcm(*(c.denominator for c in coeffs))
+    if den == 1:
+        return [c.numerator for c in coeffs], 1
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _fractions(nums, den: int) -> tuple[Fraction, ...]:
+    if den == 1:
+        return tuple(Fraction(a) if a else _ZERO for a in nums)
+    return tuple(Fraction(a, den) if a else _ZERO for a in nums)
+
+
+def _reduce_ints(c: list[int], n: int) -> list[int]:
+    # Reduce an integer power-basis vector mod the monic Phi_n, in place;
+    # the result has length phi(n).
     deg_phi = phi(n)
-    mod = cyclotomic_poly(n)
-    c = list(coeffs) + [Fraction(0)] * max(0, deg_phi - len(coeffs))
+    tail = _phi_tail(n)
     for i in range(len(c) - 1, deg_phi - 1, -1):
         lead = c[i]
         if lead:
-            for j in range(deg_phi + 1):
-                c[i - deg_phi + j] -= lead * mod[j]
-    return tuple(c[:deg_phi])
+            base = i - deg_phi
+            for j, mj in tail:
+                c[base + j] -= lead * mj
+    if len(c) < deg_phi:
+        c.extend([0] * (deg_phi - len(c)))
+    del c[deg_phi:]
+    return c
+
+
+def _reduce_mod_phi(coeffs, n: int) -> tuple[Fraction, ...]:
+    # Reduce a power-basis coefficient list (int or Fraction entries,
+    # exponents already < n) mod Phi_n.
+    nums, den = _numerators(coeffs)
+    return _fractions(_reduce_ints(nums, n), den)
 
 
 @functools.lru_cache(maxsize=None)
@@ -175,6 +220,19 @@ class CycElem:
     def __setattr__(self, *a):
         raise AttributeError("CycElem is immutable")
 
+    @classmethod
+    def _canonical(cls, n: int, coords: tuple) -> "CycElem":
+        # coords: a tuple of phi(n) Fractions, already reduced.
+        self = object.__new__(cls)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "coords", coords)
+        return self
+
+    @classmethod
+    def _from_ints(cls, n: int, nums: list[int], den: int) -> "CycElem":
+        # The element sum nums[i] * zeta_n^i / den, exponents < n.
+        return cls._canonical(n, _fractions(_reduce_ints(nums, n), den))
+
     # -- construction helpers ------------------------------------------------
 
     @staticmethod
@@ -184,18 +242,19 @@ class CycElem:
     @staticmethod
     def zeta(n: int, power: int = 1) -> "CycElem":
         """zeta_n^power as an element of Q(zeta_n)."""
-        power %= n
-        coeffs = [Fraction(0)] * n
-        coeffs[power] = Fraction(1)
-        return CycElem(n, _reduce_mod_phi(coeffs, n))
+        coeffs = [0] * n
+        coeffs[power % n] = 1
+        return CycElem._from_ints(n, coeffs, 1)
 
     @staticmethod
     def from_power_basis(n: int, coeffs) -> "CycElem":
         """Element sum coeffs[i] * zeta_n^i with arbitrary-length coeffs."""
-        folded = [Fraction(0)] * n
-        for i, c in enumerate(coeffs):
-            folded[i % n] += Fraction(c)
-        return CycElem(n, _reduce_mod_phi(folded, n))
+        nums, den = _numerators([c if isinstance(c, (int, Fraction))
+                                 else Fraction(c) for c in coeffs])
+        folded = [0] * n
+        for i, a in enumerate(nums):
+            folded[i % n] += a
+        return CycElem._from_ints(n, folded, den)
 
     # -- promotion and coercion ----------------------------------------------
 
@@ -206,10 +265,11 @@ class CycElem:
         if m % self.n:
             raise ValueError(f"cannot promote conductor {self.n} to {m}")
         step = m // self.n
-        coeffs = [Fraction(0)] * m
-        for i, c in enumerate(self.coords):
-            coeffs[(i * step) % m] += c
-        return CycElem(m, _reduce_mod_phi(coeffs, m))
+        nums, den = _numerators(self.coords)
+        coeffs = [0] * m
+        for i, a in enumerate(nums):
+            coeffs[(i * step) % m] += a
+        return CycElem._from_ints(m, coeffs, den)
 
     @staticmethod
     def _pair(a: "CycElem", b) -> tuple["CycElem", "CycElem"]:
@@ -237,10 +297,11 @@ class CycElem:
 
     def conj(self) -> "CycElem":
         """Complex conjugation, the ring map zeta -> zeta^-1."""
-        coeffs = [Fraction(0)] * self.n
-        for i, c in enumerate(self.coords):
-            coeffs[(-i) % self.n] += c
-        return CycElem(self.n, _reduce_mod_phi(coeffs, self.n))
+        nums, den = _numerators(self.coords)
+        coeffs = [0] * self.n
+        for i, a in enumerate(nums):
+            coeffs[(-i) % self.n] += a
+        return CycElem._from_ints(self.n, coeffs, den)
 
     def is_real(self) -> bool:
         return self == self.conj()
@@ -252,19 +313,21 @@ class CycElem:
             a, b = CycElem._pair(self, other)
         except TypeError:
             return NotImplemented
-        return CycElem(a.n, [x + y for x, y in zip(a.coords, b.coords)])
+        return CycElem._canonical(
+            a.n, tuple(x + y for x, y in zip(a.coords, b.coords)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycElem(self.n, [-c for c in self.coords])
+        return CycElem._canonical(self.n, tuple(-c for c in self.coords))
 
     def __sub__(self, other):
         try:
             a, b = CycElem._pair(self, other)
         except TypeError:
             return NotImplemented
-        return CycElem(a.n, [x - y for x, y in zip(a.coords, b.coords)])
+        return CycElem._canonical(
+            a.n, tuple(x - y for x, y in zip(a.coords, b.coords)))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -277,13 +340,15 @@ class CycElem:
             a, b = CycElem._pair(self, other)
         except TypeError:
             return NotImplemented
-        prod = [Fraction(0)] * (2 * len(a.coords) - 1 or 1)
-        for i, x in enumerate(a.coords):
+        xs, dx = _numerators(a.coords)
+        ys, dy = _numerators(b.coords)
+        ys = [(j, y) for j, y in enumerate(ys) if y]
+        prod = [0] * (2 * len(xs) - 1)
+        for i, x in enumerate(xs):
             if x:
-                for j, y in enumerate(b.coords):
-                    if y:
-                        prod[i + j] += x * y
-        return CycElem(a.n, _reduce_mod_phi(prod, a.n))
+                for j, y in ys:
+                    prod[i + j] += x * y
+        return CycElem._from_ints(a.n, prod, dx * dy)
 
     __rmul__ = __mul__
 
@@ -306,7 +371,7 @@ class CycElem:
         if g is None:
             raise ArithmeticError("gcd with Phi_n not constant")
         inv = [c / g for c in s0]
-        return CycElem(self.n, _reduce_mod_phi(inv, self.n))
+        return CycElem._canonical(self.n, _reduce_mod_phi(inv, self.n))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -441,6 +506,23 @@ def _fraction_from_mpf(x) -> Fraction:
     return _fraction_from_raw(mpmath.mpf(x)._mpf_)
 
 
+@contextlib.contextmanager
+def iv_precision(bits: int):
+    """Hold mpmath's interval precision at ``bits`` inside the block.
+
+    ``mpmath.iv.prec`` is shared by the whole process, so the block runs
+    under one lock and the previous precision is restored on exit.  Yields
+    the ``mpmath.iv`` context.
+    """
+    with _iv_lock:
+        old = mpmath.iv.prec
+        mpmath.iv.prec = bits
+        try:
+            yield mpmath.iv
+        finally:
+            mpmath.iv.prec = old
+
+
 def cyc_embed(e, bits: int = 64) -> tuple[Fraction, Fraction]:
     """Certified enclosure of the real part of e under zeta_n -> e^(2*pi*i/n).
 
@@ -452,25 +534,20 @@ def cyc_embed(e, bits: int = 64) -> tuple[Fraction, Fraction]:
     if isinstance(e, (int, Fraction)):
         q = Fraction(e)
         return q, q
-    with _embed_lock:
-        old = mpmath.iv.prec
-        mpmath.iv.prec = bits
-        try:
-            total = mpmath.iv.mpf(0)
-            twopi = 2 * mpmath.iv.pi
-            n = e.n
-            for i, c in enumerate(e.coords):
-                if c:
-                    ci = mpmath.iv.mpf(c.numerator) / c.denominator
-                    total += ci * (mpmath.iv.cos(twopi * i / n) if i else mpmath.iv.mpf(1))
-            # total.a/total.b would re-round the endpoints to the global
-            # mp.prec (inward rounding would break the enclosure); read the
-            # raw endpoint tuples instead.
-            raw_lo, raw_hi = total._mpi_
-            lo = _fraction_from_raw(raw_lo)
-            hi = _fraction_from_raw(raw_hi)
-        finally:
-            mpmath.iv.prec = old
+    with iv_precision(bits) as iv:
+        total = iv.mpf(0)
+        twopi = 2 * iv.pi
+        n = e.n
+        for i, c in enumerate(e.coords):
+            if c:
+                ci = iv.mpf(c.numerator) / c.denominator
+                total += ci * (iv.cos(twopi * i / n) if i else iv.mpf(1))
+        # total.a/total.b would re-round the endpoints to the global
+        # mp.prec (inward rounding would break the enclosure); read the
+        # raw endpoint tuples instead.
+        raw_lo, raw_hi = total._mpi_
+        lo = _fraction_from_raw(raw_lo)
+        hi = _fraction_from_raw(raw_hi)
     return lo, hi
 
 

@@ -2,17 +2,31 @@
 and verification harnesses for the tridecahedral example.
 
 Candidate dice are products of the real irreducible factors (x+1) and
-chi_{m,k}(x) = x^2 - 2cos(2*pi*m/k)x + 1.  Strictness is decided in stages:
-a fast outward-rounded float interval pass, an mpmath interval pass at
-escalating precision, and finally exact cyclotomic arithmetic for
-coefficients whose intervals still straddle zero (exact zeros are proven
-zero, never assumed).  No sack is admitted or rejected from an unresolved
-interval.
+chi_{m,k}(x) = x^2 - 2cos(2*pi*m/k)x + 1.  A census (:func:`swap_census`,
+:func:`exotic_search`) runs in stages:
+
+1. enumerate the multiplicity vectors of the candidate pairs, lazily;
+2. stream them in chunks of ``_CHUNK_ROWS`` rows through
+   :func:`_interval_filter`, one numpy outward-rounded float interval
+   product per chunk and die, which gives every coefficient of every
+   candidate die a status: certified positive, certified negative, or
+   unresolved;
+3. drop each pair with a certified negative coefficient;
+4. build the exact products of the remaining dice as integer vectors over
+   Z[zeta_n]/(zeta^n - 1) (:func:`_chi_product_exact`), reduced mod Phi_n
+   once per coefficient;
+5. decide each unresolved coefficient with :func:`cyc_sign` (interval
+   arithmetic at escalating precision with an exact fallback; exact zeros
+   are proven zero, never assumed);
+6. scale the surviving products to dice with ``normalize_to_die``.
+
+No sack is admitted or rejected from an unresolved interval.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,36 +35,21 @@ from multiprocessing import Pool
 import mpmath
 import numpy as np
 
-from .exactnum import CycElem, cyc_embed, cyc_sign, two_cos
+# two_cos is not called here; it stays importable from this module because
+# perfbench/spans.py wraps it under this name for its traced census run.
+from .exactnum import CycElem, cyc_embed, cyc_sign, iv_precision, two_cos
 from .dicecore import Die, Sack, demote, normalize_to_die, poly_mul, psi
 
 M3_RATIO_BOUND = Fraction(60, 143)
 
 _INF = math.inf
 
-
-# -- outward-rounded float intervals ----------------------------------------
-
-def _widen(lo: float, hi: float) -> tuple[float, float]:
-    return math.nextafter(lo, -_INF), math.nextafter(hi, _INF)
+# Rows per call of the interval filter: large enough to amortize numpy's
+# per-call cost, small enough to keep a census's memory flat.
+_CHUNK_ROWS = 128
 
 
-def _iadd(a, b):
-    return _widen(a[0] + b[0], a[1] + b[1])
-
-
-def _imul(a, b):
-    p = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return _widen(min(p), max(p))
-
-
-def _ipoly_mul(a, b):
-    out = [(0.0, 0.0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = _iadd(out[i + j], _imul(x, y))
-    return out
-
+# -- the batched interval filter --------------------------------------------
 
 @functools.lru_cache(maxsize=None)
 def _tau_float_interval(m: int, k: int) -> tuple[float, float]:
@@ -58,47 +57,153 @@ def _tau_float_interval(m: int, k: int) -> tuple[float, float]:
     # margin covers the evaluation error even when the value is near zero.
     with mpmath.workprec(80):
         v = float(2 * mpmath.cos(2 * mpmath.pi * m / k))
-    return _widen(v - 2.0 ** -64, v + 2.0 ** -64)
+    return (math.nextafter(v - 2.0 ** -64, -_INF),
+            math.nextafter(v + 2.0 ** -64, _INF))
 
 
-# -- strictness of factor products ------------------------------------------
+def _chi_interval(m: int, k: int):
+    lo, hi = _tau_float_interval(m, k)
+    return ((1.0, 1.0), (-hi, -lo), (1.0, 1.0))
 
-def _chi_product_signs_float(chis, x1_count):
-    poly = [(1.0, 1.0)]
-    for m, k, mult in chis:
-        lo, hi = _tau_float_interval(m, k)
-        factor = [(1.0, 1.0), (-hi, -lo), (1.0, 1.0)]
-        for _ in range(mult):
-            poly = _ipoly_mul(poly, factor)
-    for _ in range(x1_count):
-        poly = _ipoly_mul(poly, [(1.0, 1.0), (1.0, 1.0)])
-    status = []
-    for lo, hi in poly:
-        status.append(1 if lo > 0 else (-1 if hi < 0 else 0))
+
+_X_PLUS_1 = ((1.0, 1.0), (1.0, 1.0))
+
+
+def _interval_filter(factors, mults) -> np.ndarray:
+    """Certified coefficient signs of many factor products at once.
+
+    ``factors`` are interval polynomials, each a tuple of (lo, hi)
+    coefficient enclosures, constant term first.  ``mults`` is a
+    rows x factors matrix of multiplicities; row r stands for the product
+    of factors[f] ** mults[r][f], taken one factor at a time in column
+    order, and every row must have the same degree D.  Returns a
+    rows x (D+1) int8 array holding +1 where a coefficient's enclosure lies
+    above zero, -1 where it lies below, and 0 where it straddles zero
+    (unresolved).
+
+    Each product and each sum is rounded to nearest and then widened by one
+    ulp outward with ``np.nextafter``, so every enclosure contains the exact
+    coefficient.  Coefficient s of a product a * b is the sum of
+    a[i] * b[s - i] over ascending i, 0 <= i <= deg a, starting from an
+    exact zero.  Rows whose factors have the same sequence of degrees are
+    multiplied together, one numpy operation per step for all of them.
+    """
+    fdeg = [len(f) - 1 for f in factors]
+    groups = {}
+    for r, row in enumerate(mults):
+        seq = tuple(f for f, c in enumerate(row) for _ in range(c))
+        groups.setdefault(tuple(fdeg[f] for f in seq), []).append((r, seq))
+    widths = {sum(degs) + 1 for degs in groups}
+    if len(widths) > 1:
+        raise ValueError("every row must have the same degree")
+    tab_lo = np.zeros((len(factors), max(fdeg, default=0) + 1))
+    tab_hi = np.zeros_like(tab_lo)
+    for f, factor in enumerate(factors):
+        for j, (b_lo, b_hi) in enumerate(factor):
+            tab_lo[f, j], tab_hi[f, j] = b_lo, b_hi
+    unit = (tab_lo == 1.0) & (tab_hi == 1.0)
+    status = np.empty((len(mults), widths.pop() if widths else 1),
+                      dtype=np.int8)
+    for degs, members in groups.items():
+        order = np.array([seq for _, seq in members],
+                         dtype=np.int64).reshape(len(members), len(degs))
+        lo = np.ones((len(members), 1))
+        hi = np.ones((len(members), 1))
+        for step, d in enumerate(degs):
+            f = order[:, step]
+            n = lo.shape[1]
+            acc_lo = np.zeros((len(members), n + d))
+            acc_hi = np.zeros_like(acc_lo)
+            for j in range(d, -1, -1):
+                if unit[f, j].all():
+                    t_lo, t_hi = lo, hi  # times the point 1: exact
+                else:
+                    b_lo, b_hi = tab_lo[f, j, None], tab_hi[f, j, None]
+                    p1, p2, p3, p4 = lo * b_lo, lo * b_hi, hi * b_lo, hi * b_hi
+                    t_lo = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
+                    t_hi = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
+                seg_lo, seg_hi = acc_lo[:, j:j + n], acc_hi[:, j:j + n]
+                seg_lo += np.nextafter(t_lo, -_INF)
+                seg_hi += np.nextafter(t_hi, _INF)
+                np.nextafter(seg_lo, -_INF, out=seg_lo)
+                np.nextafter(seg_hi, _INF, out=seg_hi)
+            lo, hi = acc_lo, acc_hi
+        status[[r for r, _ in members]] = ((lo > 0).view(np.int8)
+                                           - (hi < 0).view(np.int8))
     return status
 
 
+def _screened(candidates, factors):
+    """Pair each candidate with the filter statuses of its dice.
+
+    ``candidates`` yields ``(payload, rows)`` with one multiplicity row per
+    die; the rows of one die position share a degree.  Candidates are
+    filtered ``_CHUNK_ROWS`` at a time, one :func:`_interval_filter` call
+    per die position, and yielded in order as ``(payload, statuses)``.
+    """
+    it = iter(candidates)
+    while chunk := list(itertools.islice(it, _CHUNK_ROWS)):
+        per_die = [_interval_filter(factors, [rows[i] for _, rows in chunk])
+                   for i in range(len(chunk[0][1]))]
+        for r, (payload, _) in enumerate(chunk):
+            yield payload, [status[r] for status in per_die]
+
+
+# -- exact factor products ---------------------------------------------------
+
+def _rotate(v, e):
+    # zeta^e * v for v over Z[zeta]/(zeta^n - 1), 0 <= e < n.
+    return v[len(v) - e:] + v[:len(v) - e]
+
+
 def _chi_product_exact(chis, x1_count, conductor):
-    poly = [Fraction(1)]
+    """Exact coefficients of prod chi_{m,k}^mult * (x+1)^x1_count, as
+    Fractions or elements of Q(zeta_conductor).
+
+    While the product is built each coefficient is an integer vector over
+    Z[zeta]/(zeta^n - 1), n = conductor: chi_{m,k} is x^2 - (zeta^e +
+    zeta^-e)x + 1 with e = m*n/k, so multiplying by it is two rotations,
+    additions and subtractions.  Each coefficient is reduced mod the monic
+    Phi_n once, at the end.
+    """
+    n = conductor
+    zero = [0] * n
+    poly = [[1] + [0] * (n - 1)]
     for m, k, mult in chis:
-        tau = two_cos((m * conductor) // k, conductor)
-        factor = [Fraction(1), -tau, Fraction(1)]
+        e = ((m * n) // k) % n
         for _ in range(mult):
-            poly = poly_mul(poly, factor)
+            padded = [zero, zero] + poly + [zero, zero]
+            poly = [[a + b - c - d for a, b, c, d in zip(
+                        padded[i + 2], padded[i],
+                        _rotate(padded[i + 1], e),
+                        _rotate(padded[i + 1], (n - e) % n))]
+                    for i in range(len(poly) + 2)]
     for _ in range(x1_count):
-        poly = poly_mul(poly, [Fraction(1), Fraction(1)])
-    return [demote(c) for c in poly]
+        padded = [zero] + poly + [zero]
+        poly = [[a + b for a, b in zip(padded[i + 1], padded[i])]
+                for i in range(len(poly) + 1)]
+    return [demote(CycElem.from_power_basis(n, c)) for c in poly]
 
 
-def _factors_strict(chis, x1_count, conductor) -> bool:
-    """Certified: every coefficient of the product has sign in {0, +}."""
-    status = _chi_product_signs_float(chis, x1_count)
-    if any(s < 0 for s in status):
-        return False
-    if all(s > 0 for s in status):
-        return True
-    poly = _chi_product_exact(chis, x1_count, conductor)
-    return all(cyc_sign(c).sign >= 0 for c in poly)
+def _certified_products(statuses, dice, conductor):
+    """The exact products of a candidate's dice if every coefficient of each
+    is certified >= 0, else None.
+
+    ``statuses`` are the interval filter's statuses and ``dice`` the
+    ``(chis, x1_count)`` of each die.  A certified negative status rejects
+    the candidate before any exact work; afterwards only the coefficients
+    the filter left unresolved go to :func:`cyc_sign`.
+    """
+    if any(status.min() < 0 for status in statuses):
+        return None
+    polys = []
+    for status, (chis, x1_count) in zip(statuses, dice):
+        poly = _chi_product_exact(chis, x1_count, conductor)
+        if any(s == 0 and cyc_sign(c).sign < 0
+               for c, s in zip(poly, status.tolist())):
+            return None
+        polys.append(poly)
+    return polys
 
 
 def _die_from_chis(chis, x1_count, conductor, order) -> Die:
@@ -162,19 +267,22 @@ def _diagonal_census(k: int) -> list[tuple[tuple, Sack, SwapSpec]]:
     ms = list(range(1, (k + 1) // 2))
     x1 = 1 if k % 2 == 0 else 0
     target = (k - 2) // 2 if k % 2 == 0 else (k - 1) // 2
+    factors = [_chi_interval(m, k) for m in ms] + [_X_PLUS_1]
+
+    def candidates():
+        for r in _sum_bounded_vectors(len(ms), target):
+            comp = tuple(2 - v for v in r)
+            if r < comp:  # swap symmetry; equality only at the fair vector
+                yield (r, comp), (r + (x1,), comp + (x1,))
+
     found = []
-    for r in _sum_bounded_vectors(len(ms), target):
-        comp = tuple(2 - v for v in r)
-        if r >= comp:
-            continue  # swap symmetry; equality only at the fair vector
-        chis_d = [(m, k, v) for m, v in zip(ms, r) if v]
-        chis_dhat = [(m, k, v) for m, v in zip(ms, comp) if v]
-        if not _factors_strict(chis_d, x1, k):
+    for (r, comp), statuses in _screened(candidates(), factors):
+        dice = [([(m, k, v) for m, v in zip(ms, vec) if v], x1)
+                for vec in (r, comp)]
+        polys = _certified_products(statuses, dice, k)
+        if polys is None:
             continue
-        if not _factors_strict(chis_dhat, x1, k):
-            continue
-        d = _die_from_chis(chis_d, x1, k, k)
-        dhat = _die_from_chis(chis_dhat, x1, k, k)
+        d, dhat = (normalize_to_die(p, order=k) for p in polys)
         spec = SwapSpec(
             give=tuple(m for m, v in zip(ms, r) if v == 0),
             take=tuple(m for m, v in zip(ms, r) if v == 2),
@@ -232,28 +340,32 @@ def exotic_search(k: int, kp: int) -> ExoticCensus:
         for c in range(0, min(chis[key], deg_left // 2) + 1):
             yield from rec(idx + 1, deg_left - 2 * c, partial + [(key, c)])
 
-    for partial, x1_d1 in rec(0, k - 1, []):
-        chis_d1 = [(key.numerator, key.denominator, c)
-                   for key, c in partial if c]
-        chis_d2 = [(key.numerator, key.denominator, chis[key] - c)
-                   for key, c in partial if chis[key] - c]
-        x1_d2 = x1_total - x1_d1
-        assigned_d1 = {key: c for key, c in partial}
-        is_fair = (all(assigned_d1.get(key, 0) == (1 if key in fair_d1 else 0)
-                       for key in keys)
-                   and x1_d1 == (1 if k % 2 == 0 else 0))
-        if is_fair:
+    fair_row = (tuple(1 if key in fair_d1 else 0 for key in keys)
+                + (1 if k % 2 == 0 else 0,))
+
+    def candidates():
+        for partial, x1_d1 in rec(0, k - 1, []):
+            row_d1 = tuple(c for _, c in partial) + (x1_d1,)
+            if row_d1 != fair_row:
+                row_d2 = (tuple(chis[key] - c for key, c in partial)
+                          + (x1_total - x1_d1,))
+                yield (row_d1, row_d2), (row_d1, row_d2)
+
+    factors = ([_chi_interval(key.numerator, key.denominator) for key in keys]
+               + [_X_PLUS_1])
+    for rows, statuses in _screened(candidates(), factors):
+        dice = [([(key.numerator, key.denominator, c)
+                  for key, c in zip(keys, row) if c], row[-1])
+                for row in rows]
+        polys = _certified_products(statuses, dice, conductor)
+        if polys is None:
             continue
-        if not _factors_strict(chis_d1, x1_d1, conductor):
-            continue
-        if not _factors_strict(chis_d2, x1_d2, conductor):
-            continue
-        d1 = _die_from_chis(chis_d1, x1_d1, conductor, k)
-        d2 = _die_from_chis(chis_d2, x1_d2, conductor, kp)
-        give = tuple(key for key in sorted(fair_d1)
-                     if assigned_d1.get(key, 0) < 1)
+        assigned_d1 = dict(zip(keys, rows[0]))
+        d1 = normalize_to_die(polys[0], order=k)
+        d2 = normalize_to_die(polys[1], order=kp)
+        give = tuple(key for key in sorted(fair_d1) if assigned_d1[key] < 1)
         take = tuple(key for key in keys
-                     if assigned_d1.get(key, 0) > (1 if key in fair_d1 else 0))
+                     if assigned_d1[key] > (1 if key in fair_d1 else 0))
         spec = SwapSpec(give, take, (k, kp))
         results.append((Sack((d1, d2)), spec))
     results.sort(key=lambda e: (e[1].give, e[1].take))
@@ -381,22 +493,18 @@ def _scan_iv_coeff_sign(ell: int, k: int, m: int, j: int, bits: int) -> int:
     # The same closed form with mpmath intervals; 0 means unresolved.
     c, a, b = _scan_params(ell)
     n = k - 1 - j
-    old = mpmath.iv.prec
-    mpmath.iv.prec = bits
-    try:
-        pi = mpmath.iv.pi
+    with iv_precision(bits) as iv:
+        pi = iv.pi
         half = pi * m / k
-        v = (c * (mpmath.iv.cos(half)
-                  - mpmath.iv.cos(pi * ((m * (2 * n + 3)) % (2 * k)) / k))
-             / (2 * mpmath.iv.sin(half))
-             - a * mpmath.iv.sin(pi * ((2 * m * n) % (2 * k)) / k)
-             - b * mpmath.iv.sin(pi * ((2 * m * (n + 1)) % (2 * k)) / k))
+        v = (c * (iv.cos(half)
+                  - iv.cos(pi * ((m * (2 * n + 3)) % (2 * k)) / k))
+             / (2 * iv.sin(half))
+             - a * iv.sin(pi * ((2 * m * n) % (2 * k)) / k)
+             - b * iv.sin(pi * ((2 * m * (n + 1)) % (2 * k)) / k))
         if v.a > 0:
             return 1
         if v.b < 0:
             return -1
-    finally:
-        mpmath.iv.prec = old
     return 0
 
 
@@ -425,7 +533,7 @@ def _scan_exact_coeff_sign(ell: int, k: int, m: int, j: int) -> int:
             x[-e % k] += short
     # multiply by -W_0 = zeta^(-m) - zeta^m (two rotations)
     y = [x[(i + m) % k] - x[(i - m) % k] for i in range(k)]
-    elem = CycElem.from_power_basis(k, [Fraction(v) for v in y])
+    elem = CycElem.from_power_basis(k, y)
     return cyc_sign(elem).sign
 
 

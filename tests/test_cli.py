@@ -1,11 +1,16 @@
 """Command-line surface: formats, round-trips, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from totalparts import exactnum
+import totalparts
+from totalparts import exactnum, exotica
 from totalparts.cli import run
 from totalparts.dicecore import Die, DistPoly, Sack, parts_to_total
 
@@ -177,3 +182,54 @@ def test_precision_flag_beats_env(capsys, monkeypatch):
         assert exactnum.get_start_bits() == 512
     finally:
         exactnum.set_start_bits(base)
+
+
+@pytest.mark.parametrize("env, argv", [
+    ("abc", []),
+    ("16", []),
+    ("9000", []),
+    (None, ["--precision", "16"]),
+    (None, ["--precision", "8193"]),
+])
+def test_bad_precision_is_a_usage_error(env, argv, capsys, monkeypatch):
+    if env is None:
+        monkeypatch.delenv("TOTALPARTS_PRECISION", raising=False)
+    else:
+        monkeypatch.setenv("TOTALPARTS_PRECISION", env)
+    base = exactnum.get_start_bits()
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["fair-enum", "--order", "2", "--count-only"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert ("TOTALPARTS_PRECISION" if env else "--precision") in err
+    assert "Traceback" not in err
+    assert exactnum.get_start_bits() == base
+
+
+@pytest.mark.parametrize("workers", [0, -1, (os.cpu_count() or 1) + 1])
+def test_workers_out_of_range_starts_no_pool(workers, capsys, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a Pool was created")
+
+    monkeypatch.setattr(exotica, "Pool", no_pool)
+    for command in (["s3scan", "--kmax", "60"], ["scatter", "--kmax", "60"]):
+        with pytest.raises(SystemExit) as exc:
+            run(["--workers", str(workers)] + command)
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("module", ["totalparts", "totalparts.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    src = str(Path(totalparts.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    env.pop("TOTALPARTS_PRECISION", None)
+    proc = subprocess.run([sys.executable, "-m", module, "selftest"],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 8
+    assert all(line.startswith("PASS") for line in lines)

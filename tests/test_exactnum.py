@@ -1,7 +1,11 @@
 """Cyclotomic arithmetic: canonical reduction, ring laws, certified signs."""
 
 import math
+import sys
+import threading
 from fractions import Fraction
+
+import mpmath
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +17,7 @@ from totalparts.exactnum import (
     cyc_embed,
     cyc_sign,
     cyclotomic_poly,
+    iv_precision,
     phi,
     two_cos,
 )
@@ -147,3 +152,60 @@ def test_render_and_rationality():
     assert not e.is_rational()
     assert (z + z.conj()).is_rational()
     assert (z + z.conj()).rational_value() == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([1, 2, 5, 9, 12, 15, 84]),
+       coeffs=st.lists(st.integers(-60, 60), max_size=120))
+def test_from_power_basis_int_input_equals_fraction_input(n, coeffs):
+    a = CycElem.from_power_basis(n, coeffs)
+    b = CycElem.from_power_basis(n, [Fraction(c) for c in coeffs])
+    assert a.coords == b.coords
+    assert all(type(c) is Fraction for c in a.coords)
+
+
+def test_from_power_basis_mixed_denominators():
+    e = CycElem.from_power_basis(6, [Fraction(1, 2), 3, Fraction(-2, 3)])
+    # 1/2 + 3z - (2/3)z^2 with z^2 = z - 1
+    assert e.coords == (Fraction(7, 6), Fraction(7, 3))
+
+
+def test_iv_precision_sets_and_restores():
+    before = mpmath.iv.prec
+    with pytest.raises(KeyError):
+        with iv_precision(300) as iv:
+            assert iv.prec == 300
+            raise KeyError("inside")
+    assert mpmath.iv.prec == before
+    cyc_embed(two_cos(1, 7), 256)
+    assert mpmath.iv.prec == before
+
+
+def test_iv_precision_holds_under_thread_contention():
+    # More threads than cores switch as often as possible; each checks
+    # that the precision it set is still in force inside its block.
+    errors = []
+
+    def worker(bits):
+        try:
+            for _ in range(200):
+                with iv_precision(bits) as iv:
+                    iv.mpf(1) / 3
+                    if iv.prec != bits:
+                        errors.append((bits, iv.prec))
+        except Exception as exc:  # reported through the list
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(64 + 16 * i,))
+                   for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []

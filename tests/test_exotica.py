@@ -1,16 +1,34 @@
 """Exotic sacks: censuses, published tables, scans, and their oracles."""
 
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from totalparts.dicecore import Die, Sack, parts_to_total, poly_divide_exact, psi
+from totalparts.dicecore import (
+    Die,
+    Sack,
+    demote,
+    parts_to_total,
+    poly_divide_exact,
+    poly_mul,
+    psi,
+)
 from totalparts.exactnum import cyc_sign, two_cos
 from totalparts.exotica import (
+    _CHUNK_ROWS,
+    _X_PLUS_1,
+    _chi_interval,
+    _chi_product_exact,
+    _interval_filter,
     _scan_coeff_sign,
     _scan_exact_coeff_sign,
     _scan_f,
+    _screened,
+    _sum_bounded_vectors,
     exotic_search,
     m3_exception_scan,
     s3_table,
@@ -153,6 +171,87 @@ def test_swap_list_order_21_is_verbatim():
         ((5, 10), (6, 9)), ((6, 10), (7, 9)), ((7, 10), (8, 9)),
         ((3, 8, 9), (4, 7, 10)), ((4, 8, 9), (5, 7, 10)),
     ]
+
+
+# -- census kernels ----------------------------------------------------------
+
+def _poly_mul_chain(chis, x1_count, conductor):
+    # The exact product as a chain of poly_mul over CycElem coefficients:
+    # the reference for the integer rotation product.
+    poly = [F(1)]
+    for m, k, mult in chis:
+        tau = two_cos((m * conductor) // k, conductor)
+        for _ in range(mult):
+            poly = poly_mul(poly, [F(1), -tau, F(1)])
+    for _ in range(x1_count):
+        poly = poly_mul(poly, [F(1), F(1)])
+    return [demote(c) for c in poly]
+
+
+@st.composite
+def _multiplicities(draw):
+    k = draw(st.integers(3, 20))
+    ms = list(range(1, (k + 1) // 2))
+    r = draw(st.lists(st.integers(0, 2), min_size=len(ms), max_size=len(ms)))
+    return k, ms, tuple(r), draw(st.integers(0, 2))
+
+
+def _census_factors(k):
+    return [_chi_interval(m, k) for m in range(1, (k + 1) // 2)] + [_X_PLUS_1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_multiplicities())
+# products with exact zero coefficients: x^2+1, and a die of the order-10
+# exotic pair
+@example((4, [1], (1,), 0))
+@example((10, [1, 2, 3, 4], (1, 1, 0, 2), 1))
+def test_interval_filter_signs_agree_with_exact_signs(case):
+    k, ms, r, x1 = case
+    status = _interval_filter(_census_factors(k), [r + (x1,)])[0]
+    poly = _chi_product_exact([(m, k, v) for m, v in zip(ms, r) if v], x1, k)
+    assert len(status) == len(poly)
+    for s, c in zip(status.tolist(), poly):
+        if s:
+            assert cyc_sign(c).sign == s
+
+
+@settings(max_examples=25, deadline=None)
+@given(_multiplicities(), st.sampled_from([1, 2, 3]))
+def test_rotation_product_equals_poly_mul_chain(case, lift):
+    k, ms, r, x1 = case
+    chis = [(m, k, v) for m, v in zip(ms, r) if v]
+    assert (_chi_product_exact(chis, x1, k * lift)
+            == _poly_mul_chain(chis, x1, k * lift))
+
+
+def test_rotation_product_mixed_orders():
+    # the factor shapes of exotic_search(7, 12), at conductor 84
+    chis = [(1, 7, 1), (1, 12, 2), (2, 7, 1), (5, 12, 1)]
+    assert (_chi_product_exact(chis, 2, 84)
+            == _poly_mul_chain(chis, 2, 84))
+
+
+def test_interval_filter_rejects_rows_of_different_degree():
+    with pytest.raises(ValueError):
+        _interval_filter(_census_factors(7), [(1, 1, 1, 0), (1, 1, 0, 0)])
+
+
+@pytest.mark.parametrize("count", [1, 2 * _CHUNK_ROWS + 5])
+def test_screened_streams_every_candidate_in_order(count):
+    # k = 16: seven chi factors and x+1; 393 vectors in {0,1,2}^7 sum to 7
+    factors = _census_factors(16)
+    vectors = itertools.islice(_sum_bounded_vectors(7, 7), count)
+    candidates = [(i, (r + (1,), tuple(2 - v for v in r) + (1,)))
+                  for i, r in enumerate(vectors)]
+    assert len(candidates) == count
+    out = list(_screened(iter(candidates), factors))
+    assert [payload for payload, _ in out] == list(range(count))
+    for (_, rows), (_, statuses) in zip(candidates, out):
+        assert len(statuses) == 2
+        for row, status in zip(rows, statuses):
+            assert (status.tolist()
+                    == _interval_filter(factors, [row])[0].tolist())
 
 
 # -- scans -------------------------------------------------------------------
