@@ -149,6 +149,7 @@ def _cmd_exotic(args):
 
 
 def _scan_csv(records, ell, path, decimal):
+    # The R decimal column is rounded to ``decimal`` places, 7 if None.
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow([f"k", f"M{ell}", f"R{ell}_num", f"R{ell}_den",
@@ -158,7 +159,8 @@ def _scan_csv(records, ell, path, decimal):
             writer.writerow([r.k, "", "", "", ""])
         else:
             writer.writerow([r.k, r.M, r.R.numerator, r.R.denominator,
-                             round(float(r.R), decimal)])
+                             round(float(r.R),
+                                   7 if decimal is None else decimal)])
     text = out.getvalue()
     if path:
         with open(path, "w") as handle:
@@ -169,13 +171,13 @@ def _scan_csv(records, ell, path, decimal):
 
 def _cmd_s3scan(args):
     records = s3_table(args.kmax, workers=args.workers)
-    _scan_csv(records, 3, args.csv, args.decimal or 7)
+    _scan_csv(records, 3, args.csv, args.decimal)
     return 0
 
 
 def _cmd_s4scan(args):
     records = [s_scan(4, k) for k in range(2, args.kmax + 1)]
-    _scan_csv(records, 4, args.csv, args.decimal or 7)
+    _scan_csv(records, 4, args.csv, args.decimal)
     return 0
 
 
@@ -186,22 +188,8 @@ def _cmd_swaps(args):
 
 
 def _cmd_scatter(args):
-    rows, violations = scatter_emit(args.kmax, workers=args.workers)
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(["k", "M3", "R3_num", "R3_den", "R3_decimal"])
-    for row in rows:
-        if row.M is None:
-            writer.writerow([row.k, "", "", "", ""])
-        else:
-            writer.writerow([row.k, row.M, row.R.numerator, row.R.denominator,
-                             round(row.decimal, args.decimal or 7)])
-    text = out.getvalue()
-    if args.csv:
-        with open(args.csv, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    records, violations = scatter_emit(args.kmax, workers=args.workers)
+    _scan_csv(records, 3, args.csv, args.decimal)
     for row in violations:
         print(f"WARNING: R3({row.k}) = {row.R} exceeds the conjectured "
               f"bound 60/143", file=sys.stderr)
@@ -224,7 +212,8 @@ def _cmd_craps(args):
         for t in t_row))
     _emit("P(t&w)   " + " ".join(f"{str(report.breakdown[t]):>8}" for t in t_row))
     _emit(f"p_win = {report.p_win}"
-          + (f" ~ {_decimal(report.p_win, args.decimal)}" if args.decimal else ""))
+          + (f" ~ {_decimal(report.p_win, args.decimal)}"
+             if args.decimal is not None else ""))
     _emit(f"matches_fair_244_495 = {report.matches_fair}")
     return 0
 
@@ -355,6 +344,8 @@ def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     precision = _checked_precision(parser, args)
+    if args.decimal is not None and args.decimal < 0:
+        parser.error(f"--decimal must be at least 0, got {args.decimal}")
     cpus = os.cpu_count() or 1
     if not 1 <= args.workers <= cpus:
         parser.error(f"--workers must lie in [1, {cpus}], got {args.workers}")

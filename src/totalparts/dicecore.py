@@ -9,11 +9,15 @@ length T+1 where T = sum(k_j - 1).
 Polynomials are plain coefficient lists/tuples, constant term first.  Dice
 may carry trailing zero probabilities: the order is declared, not inferred
 from the degree.
+
+A die built from roots of unity, prod (x - zeta_n^e) * (x+1)^x1, comes from
+:func:`root_product`.  It holds each coefficient as an integer vector over
+Z[zeta_n]/(zeta^n - 1), where multiplying by x - zeta^e is one rotation and
+one subtraction, and reduces each coefficient mod Phi_n once at the end.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -91,6 +95,23 @@ def poly_mul(a, b):
     return out
 
 
+def root_product(n: int, exponents, x1_count: int = 0):
+    """Exact coefficients of prod_e (x - zeta_n^e) * (x+1)^x1_count, constant
+    term first, as Fractions or elements of Q(zeta_n)."""
+    zero = [0] * n
+    poly = [[1] + [0] * (n - 1)]
+    for e in exponents:
+        cut = n - e % n  # zeta^e * v is the rotation v[cut:] + v[:cut]
+        padded = [zero] + poly + [zero]
+        poly = [[a - b for a, b in zip(lower, high[cut:] + high[:cut])]
+                for lower, high in zip(padded, padded[1:])]
+    for _ in range(x1_count):
+        padded = [zero] + poly + [zero]
+        poly = [[a + b for a, b in zip(lower, high)]
+                for lower, high in zip(padded, padded[1:])]
+    return [demote(CycElem.from_power_basis(n, c)) for c in poly]
+
+
 def poly_sum(p) -> Scalar:
     total = Fraction(0)
     for c in p:
@@ -103,11 +124,6 @@ def poly_trim(p):
     while len(p) > 1 and scalar_is_zero(p[-1]):
         p.pop()
     return p
-
-
-def poly_eq(a, b) -> bool:
-    a, b = poly_trim(a), poly_trim(b)
-    return len(a) == len(b) and all(x == y for x, y in zip(a, b))
 
 
 def poly_divide_exact(num, den):
@@ -335,7 +351,3 @@ def normalize_to_die(p, order: int | None = None) -> Die:
 def psi(k: int):
     """The fair-die numerator polynomial 1 + x + ... + x^(k-1)."""
     return [Fraction(1)] * k
-
-
-def sack_to_json_str(sack: Sack) -> str:
-    return json.dumps(sack.to_json())

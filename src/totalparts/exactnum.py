@@ -9,11 +9,16 @@ is canonical, so two elements of the same conductor are equal iff their
 coordinates are equal, and the exact-zero test is trivial.
 
 The public coordinates are a tuple of ``Fraction``s, but products,
-reduction mod Phi_n and power-basis folding run on integers: a coordinate
-vector is split into integer numerators over one common positive
-denominator, and since Phi_n is monic with integer coefficients the
-schoolbook product and the reduction of those numerators stay in Z[zeta_n].
-``Fraction``s are built once, for the reduced result; an integer input to
+reduction mod Phi_n, power-basis folding, conjugation and inversion run on
+integers: a coordinate vector is split into integer numerators over one
+common positive denominator, and since Phi_n is monic with integer
+coefficients the schoolbook product (:func:`_mul_ints`) and the reduction of
+those numerators stay in Z[zeta_n].  The substitution zeta -> zeta^j
+(:func:`_substitute`) gives complex conjugation (j = -1), the Galois
+conjugates (gcd(j, n) = 1) and promotion to a larger conductor.  The inverse
+of xs/d is d * R / N with R the product of the conjugates of xs other than
+xs itself and N = xs * R, the norm, a nonzero integer.  ``Fraction``s are
+built once, for the reduced result; an integer input to
 :meth:`CycElem.from_power_basis` never becomes a ``Fraction`` before that.
 
 Sign determination for real elements (fixed by complex conjugation) first
@@ -161,6 +166,27 @@ def _reduce_ints(c: list[int], n: int) -> list[int]:
     return c
 
 
+def _mul_ints(xs: list[int], ys: list[int], n: int) -> list[int]:
+    # The product of two integer power-basis vectors, reduced mod Phi_n.
+    prod = [0] * (len(xs) + len(ys) - 1)
+    ys = [(j, y) for j, y in enumerate(ys) if y]
+    for i, x in enumerate(xs):
+        if x:
+            for j, y in ys:
+                prod[i + j] += x * y
+    return _reduce_ints(prod, n)
+
+
+def _substitute(nums: list[int], j: int, m: int) -> list[int]:
+    # sum nums[i] * zeta_m^(i*j), reduced mod Phi_m: the Galois map
+    # zeta -> zeta^j of Q(zeta_m) when gcd(j, m) = 1, or the embedding of
+    # Q(zeta_n) in Q(zeta_m) when j = m/n.
+    out = [0] * m
+    for i, a in enumerate(nums):
+        out[(i * j) % m] += a
+    return _reduce_ints(out, m)
+
+
 def _reduce_mod_phi(coeffs, n: int) -> tuple[Fraction, ...]:
     # Reduce a power-basis coefficient list (int or Fraction entries,
     # exponents already < n) mod Phi_n.
@@ -264,12 +290,9 @@ class CycElem:
             return self
         if m % self.n:
             raise ValueError(f"cannot promote conductor {self.n} to {m}")
-        step = m // self.n
         nums, den = _numerators(self.coords)
-        coeffs = [0] * m
-        for i, a in enumerate(nums):
-            coeffs[(i * step) % m] += a
-        return CycElem._from_ints(m, coeffs, den)
+        return CycElem._canonical(
+            m, _fractions(_substitute(nums, m // self.n, m), den))
 
     @staticmethod
     def _pair(a: "CycElem", b) -> tuple["CycElem", "CycElem"]:
@@ -298,10 +321,8 @@ class CycElem:
     def conj(self) -> "CycElem":
         """Complex conjugation, the ring map zeta -> zeta^-1."""
         nums, den = _numerators(self.coords)
-        coeffs = [0] * self.n
-        for i, a in enumerate(nums):
-            coeffs[(-i) % self.n] += a
-        return CycElem._from_ints(self.n, coeffs, den)
+        return CycElem._canonical(
+            self.n, _fractions(_substitute(nums, -1, self.n), den))
 
     def is_real(self) -> bool:
         return self == self.conj()
@@ -342,36 +363,30 @@ class CycElem:
             return NotImplemented
         xs, dx = _numerators(a.coords)
         ys, dy = _numerators(b.coords)
-        ys = [(j, y) for j, y in enumerate(ys) if y]
-        prod = [0] * (2 * len(xs) - 1)
-        for i, x in enumerate(xs):
-            if x:
-                for j, y in ys:
-                    prod[i + j] += x * y
-        return CycElem._from_ints(a.n, prod, dx * dy)
+        return CycElem._canonical(
+            a.n, _fractions(_mul_ints(xs, ys, a.n), dx * dy))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycElem":
-        """Multiplicative inverse via the extended Euclidean algorithm mod Phi_n."""
+        """Multiplicative inverse as a Galois norm, on integer numerators.
+
+        Write self = xs/d with integer numerators xs.  The product R of
+        the conjugates sigma_j(xs), 1 < j < n with gcd(j, n) = 1, times xs
+        is the norm N of xs, a nonzero integer, so the inverse is d * R / N.
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic element")
         if self.is_rational():
             return CycElem.from_rational(1 / self.coords[0], self.n)
-        mod = [Fraction(c) for c in cyclotomic_poly(self.n)]
-        a = list(self.coords)
-        # extended gcd of a and mod over Q; Phi_n irreducible so gcd is a unit
-        r0, r1 = mod, _trim(a)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while len(r1) > 1 or r1[0] != 0:
-            q, r = _frac_poly_divmod(r0, r1)
-            r0, r1 = r1, _trim(r)
-            s0, s1 = s1, _trim(_poly_sub(s0, _poly_mul(q, s1)))
-        g = r0[0] if len(r0) == 1 else None
-        if g is None:
-            raise ArithmeticError("gcd with Phi_n not constant")
-        inv = [c / g for c in s0]
-        return CycElem._canonical(self.n, _reduce_mod_phi(inv, self.n))
+        n = self.n
+        xs, den = _numerators(self.coords)
+        rest = [1] + [0] * (len(xs) - 1)
+        for j in range(2, n):
+            if math.gcd(j, n) == 1:
+                rest = _mul_ints(rest, _substitute(xs, j, n), n)
+        norm = _mul_ints(xs, rest, n)[0]
+        return CycElem._canonical(n, _fractions([den * r for r in rest], norm))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -450,43 +465,6 @@ class CycElem:
         return f"CycElem({self.n}, {self.render()!r})"
 
 
-def _trim(p):
-    p = list(p)
-    while len(p) > 1 and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _frac_poly_divmod(num, den):
-    num = list(num)
-    dd = len(den) - 1
-    lead = den[-1]
-    q = [Fraction(0)] * max(1, len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i] / lead
-        q[i - dd] = c
-        if c:
-            for j, dj in enumerate(den):
-                num[i - dd + j] -= c * dj
-    return q, num[:dd] if dd else [Fraction(0)]
-
-
 def two_cos(m: int, k: int) -> CycElem:
     """2*cos(2*pi*m/k) as the real cyclotomic element zeta_k^m + zeta_k^-m."""
     return CycElem.zeta(k, m) + CycElem.zeta(k, -m)
@@ -500,10 +478,6 @@ def _fraction_from_raw(t) -> Fraction:
     if sign:
         man = -man
     return Fraction(man * 2 ** exp) if exp >= 0 else Fraction(man, 2 ** -exp)
-
-
-def _fraction_from_mpf(x) -> Fraction:
-    return _fraction_from_raw(mpmath.mpf(x)._mpf_)
 
 
 @contextlib.contextmanager

@@ -12,9 +12,9 @@ chi_{m,k}(x) = x^2 - 2cos(2*pi*m/k)x + 1.  A census (:func:`swap_census`,
    candidate die a status: certified positive, certified negative, or
    unresolved;
 3. drop each pair with a certified negative coefficient;
-4. build the exact products of the remaining dice as integer vectors over
-   Z[zeta_n]/(zeta^n - 1) (:func:`_chi_product_exact`), reduced mod Phi_n
-   once per coefficient;
+4. build the exact products of the remaining dice from their roots
+   zeta_n^(+-e) with :func:`dicecore.root_product`
+   (:func:`_chi_product_exact`);
 5. decide each unresolved coefficient with :func:`cyc_sign` (interval
    arithmetic at escalating precision with an exact fallback; exact zeros
    are proven zero, never assumed);
@@ -38,7 +38,8 @@ import numpy as np
 # two_cos is not called here; it stays importable from this module because
 # perfbench/spans.py wraps it under this name for its traced census run.
 from .exactnum import CycElem, cyc_embed, cyc_sign, iv_precision, two_cos
-from .dicecore import Die, Sack, demote, normalize_to_die, poly_mul, psi
+from .dicecore import (Die, Sack, demote, normalize_to_die, poly_mul, psi,
+                       root_product)
 
 M3_RATIO_BOUND = Fraction(60, 143)
 
@@ -151,38 +152,13 @@ def _screened(candidates, factors):
 
 # -- exact factor products ---------------------------------------------------
 
-def _rotate(v, e):
-    # zeta^e * v for v over Z[zeta]/(zeta^n - 1), 0 <= e < n.
-    return v[len(v) - e:] + v[:len(v) - e]
-
-
 def _chi_product_exact(chis, x1_count, conductor):
     """Exact coefficients of prod chi_{m,k}^mult * (x+1)^x1_count, as
-    Fractions or elements of Q(zeta_conductor).
-
-    While the product is built each coefficient is an integer vector over
-    Z[zeta]/(zeta^n - 1), n = conductor: chi_{m,k} is x^2 - (zeta^e +
-    zeta^-e)x + 1 with e = m*n/k, so multiplying by it is two rotations,
-    additions and subtractions.  Each coefficient is reduced mod the monic
-    Phi_n once, at the end.
-    """
-    n = conductor
-    zero = [0] * n
-    poly = [[1] + [0] * (n - 1)]
-    for m, k, mult in chis:
-        e = ((m * n) // k) % n
-        for _ in range(mult):
-            padded = [zero, zero] + poly + [zero, zero]
-            poly = [[a + b - c - d for a, b, c, d in zip(
-                        padded[i + 2], padded[i],
-                        _rotate(padded[i + 1], e),
-                        _rotate(padded[i + 1], (n - e) % n))]
-                    for i in range(len(poly) + 2)]
-    for _ in range(x1_count):
-        padded = [zero] + poly + [zero]
-        poly = [[a + b for a, b in zip(padded[i + 1], padded[i])]
-                for i in range(len(poly) + 1)]
-    return [demote(CycElem.from_power_basis(n, c)) for c in poly]
+    Fractions or elements of Q(zeta_conductor): chi_{m,k} is
+    (x - zeta^e)(x - zeta^-e) with e = m*conductor/k."""
+    exponents = [sign * (m * conductor // k) for m, k, mult in chis
+                 for _ in range(mult) for sign in (1, -1)]
+    return root_product(conductor, exponents, x1_count)
 
 
 def _certified_products(statuses, dice, conductor):
@@ -204,11 +180,6 @@ def _certified_products(statuses, dice, conductor):
             return None
         polys.append(poly)
     return polys
-
-
-def _die_from_chis(chis, x1_count, conductor, order) -> Die:
-    return normalize_to_die(_chi_product_exact(chis, x1_count, conductor),
-                            order=order)
 
 
 # -- swap specifications and censuses ---------------------------------------
@@ -405,10 +376,10 @@ def verify_tridecahedral() -> TridecahedralReport:
     chi_4 and chi_5 factors of a fair pair; the published 7-place table
     values must match to within 5e-8."""
     k = 13
-    d = _die_from_chis([(1, k, 1), (2, k, 1), (3, k, 1), (4, k, 2), (6, k, 1)],
-                       0, k, k)
-    dhat = _die_from_chis([(1, k, 1), (2, k, 1), (3, k, 1), (5, k, 2), (6, k, 1)],
-                          0, k, k)
+    d = normalize_to_die(_chi_product_exact(
+        [(1, k, 1), (2, k, 1), (3, k, 1), (4, k, 2), (6, k, 1)], 0, k), order=k)
+    dhat = normalize_to_die(_chi_product_exact(
+        [(1, k, 1), (2, k, 1), (3, k, 1), (5, k, 2), (6, k, 1)], 0, k), order=k)
     strict = d.is_strict() and dhat.is_strict()
     palindromic = d.is_palindromic() and dhat.is_palindromic()
     total = poly_mul(d.poly(), dhat.poly())
@@ -633,22 +604,10 @@ def m3_exception_scan(k_max: int, workers: int = 1) -> M3ExceptionReport:
     return M3ExceptionReport(k_max, tuple(exceptions), tuple(bs))
 
 
-@dataclass(frozen=True)
-class ScatterRow:
-    k: int
-    M: int | None
-    R: Fraction | None
-
-    @property
-    def decimal(self) -> float | None:
-        return None if self.R is None else float(self.R)
-
-
 def scatter_emit(k_max: int, workers: int = 1):
-    """Rows (k, M3(k), M3(k)/k) for k up to k_max, plus any violations of
-    the conjectured bound R3(k) <= 60/143 (reported, not asserted)."""
+    """The ell=3 scan records for k up to k_max, plus those violating the
+    conjectured bound R3(k) <= 60/143 (reported, not asserted)."""
     records = s3_table(k_max, workers=workers)
-    rows = [ScatterRow(r.k, r.M, r.R) for r in records]
-    violations = [row for row in rows
-                  if row.R is not None and row.R > M3_RATIO_BOUND]
-    return rows, violations
+    violations = [r for r in records
+                  if r.R is not None and r.R > M3_RATIO_BOUND]
+    return records, violations

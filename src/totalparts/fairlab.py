@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import CycElem, cyclotomic_poly
+from .exactnum import cyclotomic_poly
 from .dicecore import (
     Die,
     Sack,
@@ -24,6 +24,7 @@ from .dicecore import (
     poly_mul,
     poly_trim,
     psi,
+    root_product,
 )
 from .fibers import ChiFactor, FactorMultiset, LinearFactor, enumerate_fiber, fiber_degree
 
@@ -85,12 +86,8 @@ def multiplicity_vectors(k: int):
 
 
 def _die_from_multiplicities(k: int, r) -> Die:
-    poly = [CycElem.from_rational(1, k)]
-    for m, rm in enumerate(r, start=1):
-        root = CycElem.zeta(k, m)
-        for _ in range(rm):
-            poly = poly_mul(poly, [-root, Fraction(1)])
-    return normalize_to_die(poly, order=k)
+    exponents = [m for m, rm in enumerate(r, start=1) for _ in range(rm)]
+    return normalize_to_die(root_product(k, exponents), order=k)
 
 
 def enumerate_fair_pairs(k: int):
@@ -182,7 +179,6 @@ def coin_die_fair_check(k: int) -> CoinDieFairReport:
 def _integer_factors_of_psi(k: int):
     # psi_k = prod over divisors d > 1 of k of Phi_d, all with integer coeffs
     out = []
-    d = 2
     for d in range(2, k + 1):
         if k % d == 0:
             out.append([Fraction(c) for c in cyclotomic_poly(d)])

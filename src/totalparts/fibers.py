@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import CycElem, two_cos
+from .exactnum import CycElem, divisors, two_cos
 from .dicecore import (
     Die,
     DistPoly,
@@ -25,6 +25,7 @@ from .dicecore import (
     as_scalar,
     demote,
     normalize_to_die,
+    poly_divide_exact,
     poly_gcd,
     poly_mul,
     poly_trim,
@@ -304,25 +305,11 @@ def _rational_roots(poly):
         if found is None:
             break
         roots.append(found)
-        p = _deflate(p, found)
+        p = poly_divide_exact(p, [-found, 1])
     residual = None
     if len(p) > 1:
         residual = tuple(c / p[-1] for c in p)
     return sorted(roots), residual
-
-
-def divisors(n: int):
-    if n == 0:
-        return [1]
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
 
 
 def _horner(p, x):
@@ -330,15 +317,6 @@ def _horner(p, x):
     for c in reversed(p):
         acc = acc * x + c
     return acc
-
-
-def _deflate(p, root):
-    out = [Fraction(0)] * (len(p) - 1)
-    acc = Fraction(0)
-    for i in range(len(p) - 1, 0, -1):
-        acc = acc * root + p[i]
-        out[i - 1] = acc
-    return out
 
 
 @dataclass(frozen=True)

@@ -130,6 +130,28 @@ def test_craps_from_sack(capsys):
     assert "p_win = 244/495" in out
 
 
+@pytest.mark.parametrize("command", [
+    ["s3scan", "--kmax", "20"],
+    ["s4scan", "--kmax", "20"],
+    ["scatter", "--kmax", "20"],
+    ["craps", "--sack", FAIR_66],
+])
+def test_decimal_zero_is_honoured_and_negative_is_a_usage_error(command,
+                                                                capsys):
+    code, out, _ = _run(capsys, "--decimal", "0", *command)
+    assert code == 0
+    if command[0] == "craps":
+        assert "p_win = 244/495 ~ 0.0\n" in out
+    else:
+        assert {line.split(",")[4] for line in out.splitlines()[1:]} == {
+            "", "0.0"}
+    with pytest.raises(SystemExit) as exc:
+        run(["--decimal", "-2"] + command)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--decimal" in err and "Traceback" not in err
+
+
 def test_sicherman_output(capsys):
     code, out, _ = _run(capsys, "sicherman", "--order", "6")
     assert code == 0

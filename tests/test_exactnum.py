@@ -94,12 +94,18 @@ def test_ring_laws_conductor_12(a, b, c):
     assert a - a == CycElem.from_rational(0, 12)
 
 
+def some_elems(n):
+    # elements of every kind, rational-valued ones included
+    return st.one_of(elems(n), simple_rationals.map(
+        lambda q: CycElem.from_rational(q, n)))
+
+
 @settings(max_examples=40, deadline=None)
-@given(a=elems(9))
+@given(a=st.sampled_from([9, 12, 23, 25, 84]).flatmap(some_elems))
 def test_inverse_of_nonzero(a):
     if a.is_zero():
         return
-    assert a * a.inverse() == CycElem.from_rational(1, 9)
+    assert a * a.inverse() == CycElem.from_rational(1, a.n)
 
 
 @settings(max_examples=40, deadline=None)

@@ -16,8 +16,9 @@ from totalparts.dicecore import (
     poly_divide_exact,
     poly_mul,
     psi,
+    root_product,
 )
-from totalparts.exactnum import cyc_sign, two_cos
+from totalparts.exactnum import CycElem, cyc_sign, two_cos
 from totalparts.exotica import (
     _CHUNK_ROWS,
     _X_PLUS_1,
@@ -175,10 +176,12 @@ def test_swap_list_order_21_is_verbatim():
 
 # -- census kernels ----------------------------------------------------------
 
-def _poly_mul_chain(chis, x1_count, conductor):
+def _poly_mul_chain(chis, x1_count, conductor, exponents=()):
     # The exact product as a chain of poly_mul over CycElem coefficients:
     # the reference for the integer rotation product.
     poly = [F(1)]
+    for e in exponents:
+        poly = poly_mul(poly, [-CycElem.zeta(conductor, e), F(1)])
     for m, k, mult in chis:
         tau = two_cos((m * conductor) // k, conductor)
         for _ in range(mult):
@@ -217,12 +220,20 @@ def test_interval_filter_signs_agree_with_exact_signs(case):
 
 
 @settings(max_examples=25, deadline=None)
-@given(_multiplicities(), st.sampled_from([1, 2, 3]))
-def test_rotation_product_equals_poly_mul_chain(case, lift):
+@given(_multiplicities(), st.sampled_from([1, 2, 3]),
+       st.lists(st.integers(0, 2), min_size=1, max_size=11))
+def test_rotation_product_equals_poly_mul_chain(case, lift, fair_r):
     k, ms, r, x1 = case
     chis = [(m, k, v) for m, v in zip(ms, r) if v]
     assert (_chi_product_exact(chis, x1, k * lift)
             == _poly_mul_chain(chis, x1, k * lift))
+    # the linear roots zeta^m, with multiplicity fair_r[m-1], of a (complex)
+    # die of a totally fair pair of order len(fair_r) + 1
+    n = (len(fair_r) + 1) * lift
+    exponents = [m * lift for m, rm in enumerate(fair_r, start=1)
+                 for _ in range(rm)]
+    assert (root_product(n, exponents, x1)
+            == _poly_mul_chain([], x1, n, exponents))
 
 
 def test_rotation_product_mixed_orders():

@@ -1,7 +1,9 @@
 """Golden CLI transcript: stdout of fixed commands, compared byte for byte.
 
-The files under ``tests/golden/`` were recorded before the census moved to
-integer cyclotomic products and the batched interval filter; any change to
+Each file under ``tests/golden/`` was recorded before the code change it
+guards: the census files before the move to integer cyclotomic products and
+the batched interval filter, the scan, scatter, craps, coin-die and
+Sicherman files before the polynomial helpers were merged.  Any change to
 what these commands print fails here.
 """
 
@@ -22,6 +24,12 @@ COMMANDS = {
     "fair_enum_6": ["fair-enum", "--order", "6"],
     "s4scan_120": ["s4scan", "--kmax", "120"],
     "selftest": ["selftest"],
+    "s3scan_200": ["s3scan", "--kmax", "200"],
+    "scatter_200": ["scatter", "--kmax", "200"],
+    "craps_symmetric": ["craps", "--totals", "1/36,2/36,3/36,4/36,5/36,6/36,"
+                                             "5/36,4/36,3/36,2/36,1/36"],
+    "coin_die_6": ["coin-die", "--order", "6"],
+    "sicherman_6": ["sicherman", "--order", "6"],
 }
 
 
