@@ -18,14 +18,7 @@ from fractions import Fraction
 
 from . import exactnum
 from .exactnum import cyc_embed
-from .dicecore import (
-    Die,
-    DistPoly,
-    Sack,
-    parts_to_total,
-    render_scalar,
-    scalar_to_json,
-)
+from .dicecore import DistPoly, Sack, parts_to_total, render_scalar
 from .fibers import FactorMultiset, enumerate_fiber, fiber_degree
 from .fairlab import (
     coin_die_fair_check,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dicecore import Die, Sack, parts_to_total, scalar_sign
+from .dicecore import Sack, parts_to_total, scalar_sign
 
 WIN_TOTALS = (7, 11)
 LOSE_TOTALS = (2, 3, 12)

@@ -430,6 +430,12 @@ def _scan_params(ell: int):
     return (3, 1, 2) if ell == 3 else (2, 1, 1)
 
 
+def _scan_ms(ell: int, k: int) -> range:
+    """The m for which the swapped small die is strict: m/k >= 1/4 (ell=3)
+    or >= 1/6 (ell=4), and m/k < 1/2, as integer bounds."""
+    return range(-(-k // (4 if ell == 3 else 6)), (k + 1) // 2)
+
+
 def _scan_float_pass(ell: int, k: int, ms):
     """Closed-form evaluation of every swap quotient coefficient at once.
 
@@ -440,20 +446,39 @@ def _scan_float_pass(ell: int, k: int, ms):
       q_j sin(t) = c (cos(t/2) - cos((N+3/2)t)) / (2 sin(t/2))
                    - a sin(Nt) - b sin((N+1)t).
 
-    sin(t) > 0, so this has the sign of q_j.  All angles are reduced
-    exactly as integer multiples of pi/k before any float trig, so the
-    absolute error is a few ulps; MARGIN covers it conservatively and
-    everything inside the margin is escalated, never guessed.
+    sin(t) > 0, so this has the sign of q_j.  Every angle is an integer
+    multiple of pi/k, reduced exactly mod 2k, so the pass reads cos and sin
+    from two tables of cos(pi*i/k), sin(pi*i/k) for i < 2k, tiled to 4k:
+    with r = 2mN mod 2k, the other residues are r + 3m and r + 2m (below
+    4k because m < k/2) and need no further reduction.
+
+    Float error (u = 2^-53).  A table angle fl(fl(pi*i)/k) is within
+    3u * 2pi of pi*i/k for i < 2k, and sin and cos are 1-Lipschitz; taking
+    the library's sin and cos to be within 4 ulp (8u on [-1, 1]), every
+    table entry is within e = 6*pi*u + 8u < 27u of its exact value.  Here
+    t/2 = pi*m/k >= pi/6 > pi/12, because m/k >= 1/4 (ell=3) or 1/6
+    (ell=4) and m < k/2, so L = 1/(2 sin(t/2)) <= 1/(2 sin(pi/12)) < 2.  To
+    first order, c*(cos - cos) is off by c(2e + 4u) and bounded by 2c,
+    2*sin(t/2) is off by 2e (the doubling is exact), so the quotient is off
+    by cL(2e + 4u) + 2c*2e*L^2 + its own rounding 2cLu; the two sine terms
+    add (a + b)(e + u) and the two subtractions 2u(2cL + a + b).  With
+    c <= 3, a + b <= 3 and L < 2 the total is under 1800u, about 2e-13:
+    more than three orders of magnitude inside _SCAN_MARGIN = 1e-9.  So a
+    coefficient below -_SCAN_MARGIN is certified negative, and every
+    coefficient within _SCAN_MARGIN of zero is escalated, never guessed.
+    The tests check the bound against a 60-digit evaluation.
     """
     c, a, b = _scan_params(ell)
+    i = np.arange(2 * k, dtype=np.int64)
+    cos_t = np.tile(np.cos(np.pi * i / k), 2)
+    sin_t = np.tile(np.sin(np.pi * i / k), 2)
     marr = np.asarray(ms, dtype=np.int64)[:, None]
     n = (k - 1) - np.arange(k, dtype=np.int64)[None, :]  # N as a function of j
-    r1 = (marr * (2 * n + 3)) % (2 * k)
-    r2 = (2 * marr * n) % (2 * k)
-    r3 = (2 * marr * (n + 1)) % (2 * k)
-    half = np.pi * marr / k  # t/2, in (0, pi/2)
-    v = (c * (np.cos(half) - np.cos(np.pi * r1 / k)) / (2 * np.sin(half))
-         - a * np.sin(np.pi * r2 / k) - b * np.sin(np.pi * r3 / k))
+    r = (2 * marr * n) % (2 * k)
+    half = marr[:, 0]  # t/2 = pi*half/k, in [pi/6, pi/2)
+    v = (c * (cos_t[half][:, None] - cos_t[r + 3 * marr])
+         / (2 * sin_t[half][:, None])
+         - a * sin_t[r] - b * sin_t[r + 2 * marr])
     return v
 
 
@@ -522,7 +547,12 @@ def s_scan(ell: int, k: int) -> ScanRecord:
     ell-die and test strictness of both resulting dice.
 
     The small die is strict iff m/k >= 1/4 (ell=3) or m/k >= 1/6 (ell=4),
-    an exact rational test; the k-die is tested by certified division.
+    an exact integer test (:func:`_scan_ms`); the k-die is tested by
+    certified division.  :func:`_scan_float_pass` evaluates every
+    quotient coefficient of every candidate m at once.  A row with a
+    coefficient below -_SCAN_MARGIN is rejected on that certified negative;
+    in every other row, only the coefficients within _SCAN_MARGIN of zero go
+    to :func:`_scan_coeff_sign`, in order, until one is negative.
     """
     if ell not in (3, 4):
         raise ValueError("only the order-3 and order-4 scans are supported")
@@ -531,18 +561,16 @@ def s_scan(ell: int, k: int) -> ScanRecord:
     cached = _SCAN_CACHE.get((ell, k))
     if cached is not None:
         return cached
-    threshold = Fraction(1, 4) if ell == 3 else Fraction(1, 6)
-    ms = [m for m in range(1, (k + 1) // 2)
-          if threshold <= Fraction(m, k) < Fraction(1, 2)]
-    members = []
-    if ms:
-        v = _scan_float_pass(ell, k, ms)
-        for i, m in enumerate(ms):
-            if np.any(v[i] < -_SCAN_MARGIN):
-                continue
-            unclear = np.nonzero(np.abs(v[i]) <= _SCAN_MARGIN)[0]
-            if all(_scan_coeff_sign(ell, k, m, int(j)) >= 0 for j in unclear):
-                members.append(m)
+    ms = _scan_ms(ell, k)
+    v = _scan_float_pass(ell, k, ms)
+    ok = ~(v < -_SCAN_MARGIN).any(axis=1)
+    # in a row with no certified negative every v >= -_SCAN_MARGIN, so there
+    # v <= _SCAN_MARGIN is the mask |v| <= _SCAN_MARGIN
+    unclear = v <= _SCAN_MARGIN
+    for i in np.flatnonzero(ok & unclear.any(axis=1)):
+        ok[i] = all(_scan_coeff_sign(ell, k, ms[i], int(j)) >= 0
+                    for j in np.flatnonzero(unclear[i]))
+    members = [ms[i] for i in np.flatnonzero(ok)]
     record = ScanRecord(
         k, tuple(members),
         max(members) if members else None,

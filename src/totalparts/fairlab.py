@@ -18,12 +18,9 @@ from fractions import Fraction
 from .exactnum import cyclotomic_poly
 from .dicecore import (
     Die,
-    Sack,
-    demote,
     normalize_to_die,
     poly_mul,
     poly_trim,
-    psi,
     root_product,
 )
 from .fibers import ChiFactor, FactorMultiset, LinearFactor, enumerate_fiber, fiber_degree

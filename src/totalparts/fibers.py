@@ -18,7 +18,6 @@ from fractions import Fraction
 
 from .exactnum import CycElem, divisors, two_cos
 from .dicecore import (
-    Die,
     DistPoly,
     Sack,
     ZeroSum,

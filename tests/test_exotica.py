@@ -2,8 +2,11 @@
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -19,8 +22,10 @@ from totalparts.dicecore import (
     root_product,
 )
 from totalparts.exactnum import CycElem, cyc_sign, two_cos
+from totalparts import exotica
 from totalparts.exotica import (
     _CHUNK_ROWS,
+    _SCAN_MARGIN,
     _X_PLUS_1,
     _chi_interval,
     _chi_product_exact,
@@ -28,6 +33,9 @@ from totalparts.exotica import (
     _scan_coeff_sign,
     _scan_exact_coeff_sign,
     _scan_f,
+    _scan_float_pass,
+    _scan_ms,
+    _scan_params,
     _screened,
     _sum_bounded_vectors,
     exotic_search,
@@ -298,6 +306,113 @@ def test_closed_form_coefficient_signs(k):
             for j in range(k):
                 assert _scan_exact_coeff_sign(ell, k, m, j) == oracle[j]
                 assert _scan_coeff_sign(ell, k, m, j) == oracle[j]
+
+
+def _closed_form_pass(ell, k, ms):
+    # reference: every angle reduced mod 2k and evaluated in place
+    c, a, b = _scan_params(ell)
+    marr = np.asarray(ms, dtype=np.int64)[:, None]
+    n = (k - 1) - np.arange(k, dtype=np.int64)[None, :]
+    r1 = (marr * (2 * n + 3)) % (2 * k)
+    r2 = (2 * marr * n) % (2 * k)
+    r3 = (2 * marr * (n + 1)) % (2 * k)
+    half = np.pi * marr / k
+    return (c * (np.cos(half) - np.cos(np.pi * r1 / k)) / (2 * np.sin(half))
+            - a * np.sin(np.pi * r2 / k) - b * np.sin(np.pi * r3 / k))
+
+
+_PRIMES = [k for k in range(2, 951) if all(k % p for p in range(2, k))]
+_PASS_KS = sorted(set(_PRIMES[::6] + _PRIMES[-3:]
+                      + [143 * j for j in range(1, 7)]
+                      + [2, 3, 4, 12, 48, 300, 336, 600, 603, 611, 900, 950]))
+
+
+@pytest.mark.parametrize("k", _PASS_KS)
+def test_table_pass_is_bit_identical_to_closed_form(k):
+    for ell in (3, 4):
+        ms = _scan_ms(ell, k)
+        assert np.array_equal(_scan_float_pass(ell, k, ms),
+                              _closed_form_pass(ell, k, ms))
+
+
+def test_integer_scan_ms_equal_fraction_thresholds():
+    for ell, threshold in ((3, F(1, 4)), (4, F(1, 6))):
+        for k in range(2, 951):
+            assert list(_scan_ms(ell, k)) == [
+                m for m in range(1, (k + 1) // 2)
+                if threshold <= F(m, k) < F(1, 2)]
+
+
+@pytest.mark.parametrize("k", [97, 300, 611, 900, 950])
+def test_float_pass_error_against_60_digits(k):
+    # the docstring of _scan_float_pass derives an error under 2e-13
+    rng = random.Random(k)
+    for ell in (3, 4):
+        c, a, b = _scan_params(ell)
+        ms = _scan_ms(ell, k)
+        v = _scan_float_pass(ell, k, ms)
+        rows = [0, len(ms) - 1] + [rng.randrange(len(ms)) for _ in range(38)]
+        cols = [0, k - 1] + [rng.randrange(k) for _ in range(38)]
+        with mpmath.workdps(60):
+            worst = mpmath.mpf(0)
+            for i, j in zip(rows, cols):
+                t = 2 * mpmath.pi * ms[i] / k
+                n = k - 1 - j
+                exact = (c * (mpmath.cos(t / 2) - mpmath.cos((n + 1.5) * t))
+                         / (2 * mpmath.sin(t / 2))
+                         - a * mpmath.sin(n * t) - b * mpmath.sin((n + 1) * t))
+                worst = max(worst, abs(exact - float(v[i, j])))
+        assert worst <= 1e-12
+
+
+def test_certified_negative_rejects_before_escalation(monkeypatch):
+    k, ell = 30, 4
+    ms = _scan_ms(ell, k)
+    v = _scan_float_pass(ell, k, ms)
+    v[0, 3] = 0.0        # unclear, but row 0 also has a certified negative
+    v[0, 7] = -1.0
+    v[1, 2] = v[1, 5] = 0.0  # two unclear; the first escalates negative
+    unclear_1 = np.flatnonzero(np.abs(v[1]) <= _SCAN_MARGIN)
+    first_negative = (ms[1], int(unclear_1[0]))
+    calls = []
+
+    def sign(ell_, k_, m, j):
+        calls.append((m, j))
+        return -1 if (m, j) == first_negative else 1
+
+    monkeypatch.setattr(exotica, "_SCAN_CACHE", {})
+    monkeypatch.setattr(exotica, "_scan_float_pass", lambda *args: v)
+    monkeypatch.setattr(exotica, "_scan_coeff_sign", sign)
+    record = s_scan(ell, k)
+    assert all(m != ms[0] for m, _ in calls)
+    assert [c for c in calls if c[0] == ms[1]] == [first_negative]
+    ok_rows = ~(v < -_SCAN_MARGIN).any(axis=1)
+    expected = [(ms[i], int(j)) for i in np.flatnonzero(ok_rows)
+                for j in np.flatnonzero(np.abs(v[i]) <= _SCAN_MARGIN)
+                if ms[i] != ms[1]]
+    assert [c for c in calls if c[0] != ms[1]] == expected
+    assert record.S == tuple(ms[i] for i in np.flatnonzero(ok_rows)
+                             if ms[i] != ms[1])
+
+
+def test_s4_300_escalates_one_coefficient_per_third_of_k(monkeypatch):
+    calls = []
+
+    def counted(ell, k, m, j):
+        calls.append((m, j))
+        return _scan_coeff_sign(ell, k, m, j)
+
+    monkeypatch.setattr(exotica, "_SCAN_CACHE", {})
+    monkeypatch.setattr(exotica, "_scan_coeff_sign", counted)
+    record = s_scan(4, 300)
+    assert len(calls) == 100
+    assert record.S == tuple(range(50, 101))
+    ms = _scan_ms(4, 300)
+    v = _scan_float_pass(4, 300, ms)
+    for m, j in calls:
+        row = v[ms.index(m)]
+        assert not (row < -_SCAN_MARGIN).any()
+        assert abs(row[j]) <= _SCAN_MARGIN
 
 
 def test_scan_swap_produces_exotic_sack():
