@@ -126,6 +126,23 @@ def poly_trim(p):
     return p
 
 
+def _poly_divmod(num, den):
+    # Schoolbook long division over the field of the coefficients: (q, r)
+    # with num = q * den + r, r trimmed; den is trimmed and nonzero.
+    num = list(num)
+    dd = len(den) - 1
+    lead = den[-1]
+    lead_inv = lead.inverse() if isinstance(lead, CycElem) else 1 / lead
+    q = [Fraction(0)] * max(len(num) - dd, 1)
+    for i in range(len(num) - 1, dd - 1, -1):
+        c = num[i] * lead_inv
+        q[i - dd] = c
+        if not scalar_is_zero(c):
+            for j, dj in enumerate(den):
+                num[i - dd + j] = num[i - dd + j] - c * dj
+    return q, poly_trim(num[:dd] or [Fraction(0)])
+
+
 def poly_divide_exact(num, den):
     """Quotient of num by den when the division is exact over the field.
 
@@ -135,21 +152,8 @@ def poly_divide_exact(num, den):
     den = [as_scalar(c) for c in poly_trim(den)]
     if len(den) == 1 and scalar_is_zero(den[0]):
         raise ZeroDivisionError("division by the zero polynomial")
-    dd = len(den) - 1
-    lead = den[-1]
-    lead_inv = lead.inverse() if isinstance(lead, CycElem) else 1 / lead
-    if len(num) - 1 < dd:
-        if all(scalar_is_zero(c) for c in num):
-            return [Fraction(0)]
-        raise InexactDivision("divisor degree exceeds dividend degree")
-    q = [Fraction(0)] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i] * lead_inv
-        q[i - dd] = c
-        if not scalar_is_zero(c):
-            for j, dj in enumerate(den):
-                num[i - dd + j] = num[i - dd + j] - c * dj
-    if any(not scalar_is_zero(c) for c in num[:dd]):
+    q, r = _poly_divmod(num, den)
+    if not scalar_is_zero(r[-1]):
         raise InexactDivision("nonzero remainder")
     return [demote(c) for c in q]
 
@@ -159,24 +163,10 @@ def poly_gcd(a, b):
     a = [Fraction(c) for c in poly_trim(a)]
     b = [Fraction(c) for c in poly_trim(b)]
     while not (len(b) == 1 and b[0] == 0):
-        a, b = b, _poly_mod(a, b)
+        a, b = b, _poly_divmod(a, b)[1]
     if a[-1] != 0:
         a = [c / a[-1] for c in a]
     return a
-
-
-def _poly_mod(num, den):
-    num = list(num)
-    dd = len(den) - 1
-    if dd == 0:
-        return [Fraction(0)]
-    lead = den[-1]
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i] / lead
-        if c:
-            for j, dj in enumerate(den):
-                num[i - dd + j] -= c * dj
-    return poly_trim(num[:dd])
 
 
 # -- core types --------------------------------------------------------------

@@ -23,8 +23,9 @@ built once, for the reduced result; an integer input to
 
 Sign determination for real elements (fixed by complex conjugation) first
 tests for exact zero and otherwise evaluates the real embedding with interval
-arithmetic at doubling precision until the interval excludes zero; the result
-is wrapped in a :class:`SignCertificate`.  mpmath's interval precision is
+arithmetic at doubling precision until the interval excludes zero, raising
+:class:`UnresolvedSign` past ``PRECISION_CAP_BITS``; the result is wrapped in
+a :class:`SignCertificate`.  mpmath's interval precision is
 process-global, so every change to it goes through :func:`iv_precision`.
 """
 
@@ -63,6 +64,10 @@ def get_start_bits() -> int:
 
 class NotReal(ValueError):
     """Raised when a sign is requested for an element not fixed by conjugation."""
+
+
+class UnresolvedSign(ArithmeticError):
+    """Raised when no interval up to PRECISION_CAP_BITS excludes zero."""
 
 
 def divisors(n: int) -> list[int]:
@@ -542,9 +547,9 @@ class SignCertificate:
     precision_bits: int
 
 
-def cyc_sign(e, start_bits: int | None = None,
-             cap_bits: int = PRECISION_CAP_BITS) -> SignCertificate:
-    """Certified sign of a real element; raises NotReal if e != conj(e)."""
+def cyc_sign(e) -> SignCertificate:
+    """Certified sign of a real element; raises NotReal if e != conj(e), and
+    UnresolvedSign if e is nonzero and no interval excludes zero."""
     if isinstance(e, (int, Fraction)):
         q = Fraction(e)
         s = (q > 0) - (q < 0)
@@ -556,13 +561,13 @@ def cyc_sign(e, start_bits: int | None = None,
         return SignCertificate(e, (q > 0) - (q < 0), 0)
     if not e.is_real():
         raise NotReal(f"element {e.render()} is not fixed by conjugation")
-    bits = _start_bits if start_bits is None else start_bits
-    while bits <= cap_bits:
+    bits = _start_bits
+    while bits <= PRECISION_CAP_BITS:
         lo, hi = cyc_embed(e, bits)
         if lo > 0:
             return SignCertificate(e, POSITIVE, bits)
         if hi < 0:
             return SignCertificate(e, NEGATIVE, bits)
         bits *= 2
-    raise RuntimeError(
-        f"sign of nonzero element {e.render()} unresolved at {cap_bits} bits")
+    raise UnresolvedSign(f"sign of nonzero element {e.render()} unresolved "
+                         f"at {PRECISION_CAP_BITS} bits")

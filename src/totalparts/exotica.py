@@ -15,9 +15,10 @@ chi_{m,k}(x) = x^2 - 2cos(2*pi*m/k)x + 1.  A census (:func:`swap_census`,
 4. build the exact products of the remaining dice from their roots
    zeta_n^(+-e) with :func:`dicecore.root_product`
    (:func:`_chi_product_exact`);
-5. decide each unresolved coefficient with :func:`cyc_sign` (interval
-   arithmetic at escalating precision with an exact fallback; exact zeros
-   are proven zero, never assumed);
+5. decide each unresolved coefficient with :func:`cyc_sign` (an exact
+   zero is read from the canonical coordinates, never assumed; any other
+   coefficient gets an interval enclosure excluding zero, at escalating
+   precision);
 6. scale the surviving products to dice with ``normalize_to_die``.
 
 No sack is admitted or rejected from an unresolved interval.
@@ -37,7 +38,7 @@ import numpy as np
 
 # two_cos is not called here; it stays importable from this module because
 # perfbench/spans.py wraps it under this name for its traced census run.
-from .exactnum import CycElem, cyc_embed, cyc_sign, iv_precision, two_cos
+from .exactnum import CycElem, cyc_embed, cyc_sign, two_cos
 from .dicecore import (Die, Sack, demote, normalize_to_die, poly_mul, psi,
                        root_product)
 
@@ -485,61 +486,32 @@ def _scan_float_pass(ell: int, k: int, ms):
 _SCAN_MARGIN = 1e-9
 
 
-def _scan_iv_coeff_sign(ell: int, k: int, m: int, j: int, bits: int) -> int:
-    # The same closed form with mpmath intervals; 0 means unresolved.
-    c, a, b = _scan_params(ell)
-    n = k - 1 - j
-    with iv_precision(bits) as iv:
-        pi = iv.pi
-        half = pi * m / k
-        v = (c * (iv.cos(half)
-                  - iv.cos(pi * ((m * (2 * n + 3)) % (2 * k)) / k))
-             / (2 * iv.sin(half))
-             - a * iv.sin(pi * ((2 * m * n) % (2 * k)) / k)
-             - b * iv.sin(pi * ((2 * m * (n + 1)) % (2 * k)) / k))
-        if v.a > 0:
-            return 1
-        if v.b < 0:
-            return -1
-    return 0
-
-
-def _scan_exact_coeff_sign(ell: int, k: int, m: int, j: int) -> int:
-    """Exact sign of coefficient j of the swap quotient.
+def _scan_coeff_sign(ell: int, k: int, m: int, j: int) -> int:
+    """Certified sign of swap-quotient coefficient j, from its exact value.
 
     Solving the division recurrence gives q_j = sum_i f_{j+2+i} U_i with
     U_i = sin((i+1)t)/sin(t), t = 2*pi*m/k.  Writing W_i for the purely
     imaginary zeta^((i+1)m) - zeta^(-(i+1)m) = 2i sin((i+1)t) and using that
     f is constant in the middle, q_j * |W_0|^2 = -W_0 * (c*sum_{i<=N} W_i
-    - corrections), a small-integer vector in the power basis of Q(zeta_k).
+    - corrections), a small-integer vector in the power basis of Q(zeta_k)
+    whose sign :func:`cyc_sign` certifies.
     """
+    c, a, b = _scan_params(ell)
     n = k - 1 - j  # top summation index N
-    c = 3 if ell == 3 else 2
     x = [0] * k  # c * sum_{i=0..N} W_i minus the edge corrections
     for i in range(n + 1):
         e = ((i + 1) * m) % k
         x[e] += c
         x[-e % k] -= c
-    # f_k and f_{k+1} fall short of the middle value c by (1, 2) for ell=3
-    # and (1, 1) for ell=4; they occur at i = N-1 and i = N.
-    for i, short in ((n - 1, 1), (n, 2 if ell == 3 else 1)):
+    # f_k and f_{k+1}, short of c by a and b, occur at i = N-1 and i = N
+    for i, short in ((n - 1, a), (n, b)):
         if i >= 0:
             e = ((i + 1) * m) % k
             x[e] -= short
             x[-e % k] += short
     # multiply by -W_0 = zeta^(-m) - zeta^m (two rotations)
     y = [x[(i + m) % k] - x[(i - m) % k] for i in range(k)]
-    elem = CycElem.from_power_basis(k, y)
-    return cyc_sign(elem).sign
-
-
-def _scan_coeff_sign(ell: int, k: int, m: int, j: int) -> int:
-    """Certified sign of one straddling quotient coefficient."""
-    for bits in (128, 512):
-        s = _scan_iv_coeff_sign(ell, k, m, j, bits)
-        if s:
-            return s
-    return _scan_exact_coeff_sign(ell, k, m, j)
+    return cyc_sign(CycElem.from_power_basis(k, y)).sign
 
 
 def s_scan(ell: int, k: int) -> ScanRecord:
@@ -552,7 +524,9 @@ def s_scan(ell: int, k: int) -> ScanRecord:
     quotient coefficient of every candidate m at once.  A row with a
     coefficient below -_SCAN_MARGIN is rejected on that certified negative;
     in every other row, only the coefficients within _SCAN_MARGIN of zero go
-    to :func:`_scan_coeff_sign`, in order, until one is negative.
+    to :func:`_scan_coeff_sign`, in order, until one is negative; it builds
+    the coefficient exactly in Q(zeta_k) for :func:`cyc_sign`.  For k <= 950
+    every such coefficient is an exact zero of the order-4 scan.
     """
     if ell not in (3, 4):
         raise ValueError("only the order-3 and order-4 scans are supported")

@@ -206,6 +206,16 @@ def test_precision_flag_beats_env(capsys, monkeypatch):
         exactnum.set_start_bits(base)
 
 
+def test_unresolved_sign_exits_1_without_traceback(capsys, monkeypatch):
+    # every enclosure straddles zero, so no nonzero sign is ever decided
+    monkeypatch.setattr(exactnum, "cyc_embed",
+                        lambda e, bits=64: (F(-1), F(1)))
+    code, _, err = _run(capsys, "selftest")
+    assert code == 1
+    assert err.startswith("error: sign of nonzero element ")
+    assert "unresolved at 8192 bits" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("env, argv", [
     ("abc", []),
     ("16", []),

@@ -31,7 +31,6 @@ from totalparts.exotica import (
     _chi_product_exact,
     _interval_filter,
     _scan_coeff_sign,
-    _scan_exact_coeff_sign,
     _scan_f,
     _scan_float_pass,
     _scan_ms,
@@ -304,7 +303,6 @@ def test_closed_form_coefficient_signs(k):
         for ell in (3, 4):
             oracle = _oracle_signs(ell, k, m)
             for j in range(k):
-                assert _scan_exact_coeff_sign(ell, k, m, j) == oracle[j]
                 assert _scan_coeff_sign(ell, k, m, j) == oracle[j]
 
 
@@ -399,8 +397,9 @@ def test_s4_300_escalates_one_coefficient_per_third_of_k(monkeypatch):
     calls = []
 
     def counted(ell, k, m, j):
-        calls.append((m, j))
-        return _scan_coeff_sign(ell, k, m, j)
+        sign = _scan_coeff_sign(ell, k, m, j)
+        calls.append((m, j, sign))
+        return sign
 
     monkeypatch.setattr(exotica, "_SCAN_CACHE", {})
     monkeypatch.setattr(exotica, "_scan_coeff_sign", counted)
@@ -409,10 +408,11 @@ def test_s4_300_escalates_one_coefficient_per_third_of_k(monkeypatch):
     assert record.S == tuple(range(50, 101))
     ms = _scan_ms(4, 300)
     v = _scan_float_pass(4, 300, ms)
-    for m, j in calls:
+    for m, j, sign in calls:
         row = v[ms.index(m)]
         assert not (row < -_SCAN_MARGIN).any()
         assert abs(row[j]) <= _SCAN_MARGIN
+        assert sign == 0  # a certified exact zero
 
 
 def test_scan_swap_produces_exotic_sack():

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from totalparts.dicecore import Die, DistPoly, Sack, parts_to_total
+from totalparts.dicecore import (Die, DistPoly, Sack, parts_to_total,
+                                 poly_gcd)
 from totalparts.fibers import (
     ChiFactor,
     FactorMultiset,
@@ -76,6 +77,10 @@ def test_squarefree_detection():
         Sack((Die((F(1, 3), F(2, 3))), Die((F(1, 4), F(3, 4)))))))
     assert not total_is_squarefree(parts_to_total(
         Sack((Die((F(1, 3), F(2, 3))), Die((F(1, 3), F(2, 3)))))))
+    # (x - 1/2)^2 (x + 3), whose coefficients sum to 1
+    repeated = (F(3, 4), F(-11, 4), F(2), F(1))
+    assert not total_is_squarefree(DistPoly(repeated))
+    assert poly_gcd(repeated, [F(-11, 4), F(4), F(3)]) == [F(-1, 2), F(1)]
 
 
 def test_coin_pair_solve():

@@ -1,12 +1,15 @@
-"""Source hygiene: every name a package module imports is used."""
+"""Source hygiene: every name a package module imports is used, and every
+private module-level function is referenced somewhere."""
 
 import ast
+import collections
 import importlib
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "totalparts"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "totalparts"
 
 # (module, name) pairs imported on purpose without a reference.
 # exotica.two_cos: perfbench/spans.py wraps it under this name for its
@@ -47,3 +50,36 @@ def test_allowlisted_imports_are_still_imported():
     for module, name in ALLOWED:
         tree = ast.parse((SRC / f"{module}.py").read_text())
         assert name in _imported_names(tree), (module, name)
+
+
+def _identifiers(node):
+    # Every name, attribute, imported name and string constant in the
+    # subtree; a string counts because monkeypatch.setattr names its target.
+    out = collections.Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            out[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            out[sub.name] += 1
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            out[sub.value] += 1
+    return out
+
+
+def test_no_dead_private_functions():
+    used = collections.Counter()
+    for top in ("src", "tests", "perfbench"):
+        for path in (ROOT / top).rglob("*.py"):
+            used += _identifiers(ast.parse(path.read_text()))
+    dead = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.name.startswith("_")
+                    and not node.name.startswith("__")
+                    # references inside its own body (recursion) do not count
+                    and used[node.name] == _identifiers(node)[node.name]):
+                dead.append(f"{path.stem}.{node.name}")
+    assert not dead, f"private functions nothing references: {dead}"
