@@ -18,7 +18,8 @@ from fractions import Fraction
 
 from . import exactnum
 from .exactnum import cyc_embed
-from .dicecore import DistPoly, Sack, parts_to_total, render_scalar
+from .dicecore import (DistPoly, Sack, ZeroSum, normalize_poly, parts_to_total,
+                       render_scalar)
 from .fibers import FactorMultiset, enumerate_fiber, fiber_degree
 from .fairlab import (
     coin_die_fair_check,
@@ -82,6 +83,12 @@ def _cmd_solve(args):
     total = DistPoly.from_json(_load_json_arg(args.total))
     if factors.total_degree != len(total.coeffs) - 1:
         raise ValueError("factor multiset degree does not match the total")
+    try:
+        matches = tuple(normalize_poly(factors.product())[0]) == total.coeffs
+    except ZeroSum:
+        matches = False
+    if not matches:
+        raise ValueError("factor multiset product does not match the total")
     sacks = enumerate_fiber(factors, sack_type)
     _emit(json.dumps([s.to_json() for s in sacks]))
     return 0

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dicecore import Sack, parts_to_total, scalar_sign
+from .dicecore import Sack, as_scalar, parts_to_total, poly_sum, scalar_sign
 
 WIN_TOTALS = (7, 11)
 LOSE_TOTALS = (2, 3, 12)
@@ -32,12 +32,14 @@ class CrapsTotals:
     probs: tuple  # f_2 .. f_12
 
     def __post_init__(self):
-        probs = tuple(Fraction(p) for p in self.probs)
+        probs = tuple(map(as_scalar, self.probs))
+        if not all(isinstance(p, Fraction) for p in probs):
+            raise TypeError("craps totals must be rational")
         if len(probs) != 11:
             raise InvalidDistribution("craps needs the 11 totals 2..12")
         if any(p < 0 for p in probs):
             raise InvalidDistribution("total probabilities must be nonnegative")
-        if sum(probs) != 1:
+        if poly_sum(probs) != 1:
             raise InvalidDistribution("total probabilities must sum to 1")
         object.__setattr__(self, "probs", probs)
 

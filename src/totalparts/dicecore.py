@@ -10,6 +10,14 @@ Polynomials are plain coefficient lists/tuples, constant term first.  Dice
 may carry trailing zero probabilities: the order is declared, not inferred
 from the degree.
 
+A rational polynomial is multiplied, summed and normalized as integer
+numerators over one positive denominator, and ``Fraction``s are built only
+for the result.  :func:`poly_mul` keeps lists of ints in Z[x], so a caller
+that normalizes at the end can carry bare integer numerators: normalizing
+divides by the coefficient sum, and the denominator cancels.  A list holding
+a ``CycElem`` goes through the field arithmetic of ``exactnum``.  Any other
+entry, a float included, raises ``TypeError``.
+
 A die built from roots of unity, prod (x - zeta_n^e) * (x+1)^x1, comes from
 :func:`root_product`.  It holds each coefficient as an integer vector over
 Z[zeta_n]/(zeta^n - 1), where multiplying by x - zeta^e is one rotation and
@@ -18,10 +26,12 @@ one subtraction, and reduces each coefficient mod Phi_n once at the end.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import CycElem, SignCertificate, cyc_sign
+from .exactnum import (CycElem, SignCertificate, _conv_ints, _fractions,
+                       _mul_ints, _norm_parts, _numerators, cyc_sign, phi)
 
 Scalar = object  # Fraction | CycElem
 
@@ -62,7 +72,6 @@ def scalar_sign(x) -> SignCertificate:
 def render_scalar(x) -> str:
     if isinstance(x, CycElem):
         return x.render()
-    x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
@@ -85,14 +94,69 @@ def scalar_from_json(obj) -> Scalar:
 
 # -- polynomial helpers ------------------------------------------------------
 
-def poly_mul(a, b):
+def _rational_ints(p):
+    """(nums, den) with p[i] == nums[i] / den and den the least common
+    positive denominator, or None when p holds a CycElem."""
+    for c in p:
+        if not isinstance(c, (int, Fraction)):
+            as_scalar(c)  # anything inexact raises TypeError here
+            return None
+    return _numerators(p)
+
+
+def _cyc_ints(p):
+    """p over one conductor n, the lcm of its CycElem conductors, on integer
+    numerators: (n, ys, xs, den) with p[i] == sum_j ys[i][j] zeta_n^j / den
+    and xs the sum of the ys."""
+    p = [as_scalar(c) for c in p]
+    n = math.lcm(*(c.n for c in p if isinstance(c, CycElem)))
+    width = phi(n)
+    coords = []
+    for c in p:
+        if isinstance(c, CycElem):
+            coords.extend(c.promote(n).coords)
+        else:
+            coords.extend([c] + [0] * (width - 1))
+    nums, den = _numerators(coords)
+    ys = [nums[i:i + width] for i in range(0, len(nums), width)]
+    return n, ys, [sum(col) for col in zip(*ys)], den
+
+
+def _field_mul(a, b):
+    # Schoolbook product over Q(zeta_n), for lists holding a CycElem.
     out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
+    b = [(j, y) for j, y in enumerate(map(as_scalar, b))
+         if not scalar_is_zero(y)]
+    for i, x in enumerate(map(as_scalar, a)):
         if not scalar_is_zero(x):
-            for j, y in enumerate(b):
-                if not scalar_is_zero(y):
-                    out[i + j] = out[i + j] + x * y
+            for j, y in b:
+                out[i + j] = out[i + j] + x * y
     return out
+
+
+def _product(polys):
+    """Product of coefficient lists.  Rational lists multiply as integer
+    numerators over one denominator, with Fractions built once for the
+    result; a CycElem entry sends every list through the field product."""
+    polys = list(polys)
+    parts = [_rational_ints(p) for p in polys]
+    if None in parts:
+        out = [Fraction(1)]
+        for p in polys:
+            out = _field_mul(out, p)
+        return out
+    nums, den = [1], 1
+    for xs, d in parts:
+        nums, den = _conv_ints(nums, xs), den * d
+    return list(_fractions(nums, den))
+
+
+def poly_mul(a, b):
+    """Product of two coefficient lists.  Two lists of ints multiply in Z[x]
+    and give ints; otherwise the result holds Fractions or CycElems."""
+    if all(type(c) is int for c in a) and all(type(c) is int for c in b):
+        return _conv_ints(a, b)
+    return _product((a, b))
 
 
 def root_product(n: int, exponents, x1_count: int = 0):
@@ -113,10 +177,11 @@ def root_product(n: int, exponents, x1_count: int = 0):
 
 
 def poly_sum(p) -> Scalar:
-    total = Fraction(0)
-    for c in p:
-        total = total + c
-    return total
+    ints = _rational_ints(p)
+    if ints is not None:
+        return Fraction(sum(ints[0]), ints[1])
+    n, _, xs, den = _cyc_ints(p)
+    return CycElem._canonical(n, _fractions(xs, den))
 
 
 def poly_trim(p):
@@ -305,22 +370,35 @@ class DistPoly:
 
 def parts_to_total(sack: Sack) -> DistPoly:
     """Total distribution of a sack: the product of its dice polynomials."""
-    prod = [Fraction(1)]
-    for die in sack.dice:
-        prod = poly_mul(prod, die.poly())
+    prod = _product(die.probs for die in sack.dice)
     prod += [Fraction(0)] * (sack.T + 1 - len(prod))
-    return DistPoly(tuple(demote(c) for c in prod))
+    return DistPoly(tuple(prod))
 
 
 def normalize_poly(p):
     """Scale p so its coefficients sum to 1; returns (coeffs, c) with c the
-    scalar by which p was divided.  Raises ZeroSum when the sum is 0."""
-    p = [as_scalar(c) for c in p]
-    total = poly_sum(p)
-    if scalar_is_zero(total):
+    scalar by which p was divided.  Raises ZeroSum when the sum is 0.
+
+    With p = ys/D on integer numerators, p/c = ys/sum(ys): the denominator
+    cancels.  Over Q(zeta_n) the sum xs = sum(ys) is inverted as R/N (the
+    Galois norm, see ``CycElem.inverse``), so each coefficient is ys * R / N,
+    one integer product per coefficient and no CycElem arithmetic.
+    """
+    ints = _rational_ints(p)
+    if ints is not None:
+        nums, den = ints
+        total = sum(nums)
+        if total == 0:
+            raise ZeroSum("coefficient sum is exactly zero")
+        return [Fraction(a, total) for a in nums], Fraction(total, den)
+    n, ys, xs, den = _cyc_ints(p)
+    if not any(xs):
         raise ZeroSum("coefficient sum is exactly zero")
-    inv = total.inverse() if isinstance(total, CycElem) else 1 / total
-    return [demote(c * inv) for c in p], demote(total)
+    rest, norm = _norm_parts(xs, n)
+    coeffs = [demote(CycElem._canonical(n, _fractions(_mul_ints(y, rest, n),
+                                                      norm)))
+              for y in ys]
+    return coeffs, demote(CycElem._canonical(n, _fractions(xs, den)))
 
 
 def normalize_to_die(p, order: int | None = None) -> Die:

@@ -142,10 +142,11 @@ def _phi_tail(n: int) -> tuple[tuple[int, int], ...]:
 def _numerators(coeffs) -> tuple[list[int], int]:
     # Integer numerators over the least common positive denominator; an
     # int has numerator itself and denominator 1, so no Fraction is built.
-    den = math.lcm(*(c.denominator for c in coeffs))
+    dens = [c.denominator for c in coeffs]
+    den = math.lcm(*dens)
     if den == 1:
         return [c.numerator for c in coeffs], 1
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
+    return [c.numerator * (den // d) for c, d in zip(coeffs, dens)], den
 
 
 def _fractions(nums, den: int) -> tuple[Fraction, ...]:
@@ -171,15 +172,34 @@ def _reduce_ints(c: list[int], n: int) -> list[int]:
     return c
 
 
-def _mul_ints(xs: list[int], ys: list[int], n: int) -> list[int]:
-    # The product of two integer power-basis vectors, reduced mod Phi_n.
+def _conv_ints(xs, ys) -> list[int]:
+    # The product of two integer polynomials, constant term first.
     prod = [0] * (len(xs) + len(ys) - 1)
     ys = [(j, y) for j, y in enumerate(ys) if y]
     for i, x in enumerate(xs):
         if x:
             for j, y in ys:
                 prod[i + j] += x * y
-    return _reduce_ints(prod, n)
+    return prod
+
+
+def _mul_ints(xs: list[int], ys: list[int], n: int) -> list[int]:
+    # The product of two integer power-basis vectors, reduced mod Phi_n.
+    return _reduce_ints(_conv_ints(xs, ys), n)
+
+
+def _norm_parts(xs: list[int], n: int) -> tuple[list[int], int]:
+    # (R, N) for a nonzero reduced integer vector xs of Z[zeta_n]: R is the
+    # product of the conjugates sigma_j(xs), 1 < j < n with gcd(j, n) = 1,
+    # and N = xs * R is the norm of xs, a nonzero integer, so 1/xs = R/N.
+    # A rational xs is its own norm over R = 1.
+    rest = [1] + [0] * (len(xs) - 1)
+    if not any(xs[1:]):
+        return rest, xs[0]
+    for j in range(2, n):
+        if math.gcd(j, n) == 1:
+            rest = _mul_ints(rest, _substitute(xs, j, n), n)
+    return rest, _mul_ints(xs, rest, n)[0]
 
 
 def _substitute(nums: list[int], j: int, m: int) -> list[int]:
@@ -382,16 +402,10 @@ class CycElem:
         """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic element")
-        if self.is_rational():
-            return CycElem.from_rational(1 / self.coords[0], self.n)
-        n = self.n
         xs, den = _numerators(self.coords)
-        rest = [1] + [0] * (len(xs) - 1)
-        for j in range(2, n):
-            if math.gcd(j, n) == 1:
-                rest = _mul_ints(rest, _substitute(xs, j, n), n)
-        norm = _mul_ints(xs, rest, n)[0]
-        return CycElem._canonical(n, _fractions([den * r for r in rest], norm))
+        rest, norm = _norm_parts(xs, self.n)
+        return CycElem._canonical(self.n,
+                                  _fractions([den * r for r in rest], norm))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):

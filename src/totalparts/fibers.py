@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import CycElem, divisors, two_cos
+from .exactnum import CycElem, _numerators, divisors, two_cos
 from .dicecore import (
     DistPoly,
     Sack,
@@ -93,7 +93,7 @@ class ChiFactor:
         return two_cos(self.m, self.k)
 
     def coeffs(self):
-        return [Fraction(1), -self.tau, Fraction(1)]
+        return [Fraction(1), -demote(self.tau), Fraction(1)]
 
     def to_json(self):
         return {"type": "chi", "m": self.m, "k": self.k}
@@ -168,31 +168,41 @@ def _compositions(total, caps):
             yield (first,) + rest
 
 
+def _slot_powers(factor, mult):
+    # factor^0 .. factor^mult.  A rational factor is scaled to its integer
+    # numerators first: normalizing a slot cancels the scale, so slots
+    # holding only rational factors stay in Z[x].
+    base = factor.coeffs()
+    if not any(isinstance(c, CycElem) for c in base):
+        base = _numerators(base)[0]
+    powers = [[1]]
+    for _ in range(mult):
+        powers.append(poly_mul(powers[-1], base))
+    return powers
+
+
 def enumerate_fiber(factors: FactorMultiset, sack_type, dedupe: bool = True):
     """All sacks of the given type whose total has the given factor multiset.
 
     Every distribution of the factors among the slots respecting the degree
     bounds k_j - 1 yields one candidate; slots whose polynomial has
     coefficient sum zero do not normalize to a pseudodie and are skipped.
+    Each slot's product is carried down the tree of distributions, one
+    multiply per slot that receives a factor, and normalized at the leaves.
     """
     ks = tuple(sack_type)
     caps = [k - 1 for k in ks]
     if factors.total_degree > sum(caps):
         raise ValueError("factor degree exceeds the capacity of the type")
     entries = factors.entries
+    powers = [_slot_powers(factor, mult) for factor, mult in entries]
     results = []
     seen = set()
 
-    def assign(idx, remaining, slot_factors):
+    def assign(idx, remaining, polys):
         if idx == len(entries):
-            dice = []
             try:
-                for j, k in enumerate(ks):
-                    poly = [Fraction(1)]
-                    for factor, count in slot_factors[j]:
-                        for _ in range(count):
-                            poly = poly_mul(poly, factor.coeffs())
-                    dice.append(normalize_to_die(poly, order=k))
+                dice = [normalize_to_die(p, order=k) for p, k in zip(polys, ks)]
             except ZeroSum:
                 return
             sack = Sack(tuple(dice))
@@ -207,11 +217,11 @@ def enumerate_fiber(factors: FactorMultiset, sack_type, dedupe: bool = True):
         slot_caps = [r // factor.degree for r in remaining]
         for comp in _compositions(mult, slot_caps):
             new_remaining = [r - c * factor.degree for r, c in zip(remaining, comp)]
-            new_slots = [sf + ([(factor, c)] if c else [])
-                         for sf, c in zip(slot_factors, comp)]
-            assign(idx + 1, new_remaining, new_slots)
+            new_polys = [poly_mul(p, powers[idx][c]) if c else p
+                         for p, c in zip(polys, comp)]
+            assign(idx + 1, new_remaining, new_polys)
 
-    assign(0, caps, [[] for _ in ks])
+    assign(0, caps, [[1]] * len(ks))
     results.sort(key=lambda s: tuple(
         tuple(render_scalar(p) for p in d.probs) for d in s.dice))
     return results

@@ -60,6 +60,18 @@ def test_solve_enumerates_the_worked_fiber(capsys):
             (F(1, 9), F(7, 18), F(7, 18), F(1, 9))
 
 
+@pytest.mark.parametrize("roots", [["-3", "-5"], ["1", "1"]])
+def test_solve_rejects_factors_whose_product_is_not_the_total(roots, capsys):
+    # (x+3)(x+5) normalizes to [5/8, 1/3, 1/24], not the total; (x-1)^2 has
+    # coefficient sum 0 and normalizes to nothing.
+    factors = json.dumps([{"type": "linear", "root": r} for r in roots])
+    total = json.dumps(["1/4", "1/2", "1/4"])
+    code, out, err = _run(capsys, "solve", "--type", "2,2",
+                          "--factors", factors, "--total", total)
+    assert code == 1 and out == ""
+    assert err == "error: factor multiset product does not match the total\n"
+
+
 def test_fair_enum_count_only(capsys):
     code, out, _ = _run(capsys, "fair-enum", "--order", "6", "--count-only")
     assert code == 0

@@ -80,6 +80,12 @@ def test_invalid_distributions_rejected():
         craps_from_sack(Sack((Die.fair(5), Die.fair(6))))
 
 
+def test_float_totals_rejected():
+    probs = (0.5, 0.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0)
+    with pytest.raises(TypeError, match="not an exact scalar: 0.5"):
+        CrapsTotals(probs)
+
+
 def test_game_without_sevens_always_makes_its_point():
     # with f_7 = 0 every point converts with probability 1
     probs = [F(0)] * 11

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from totalparts.dicecore import (
@@ -12,14 +12,18 @@ from totalparts.dicecore import (
     InexactDivision,
     Sack,
     ZeroSum,
+    as_scalar,
+    demote,
     normalize_poly,
     normalize_to_die,
     parts_to_total,
     poly_divide_exact,
     poly_mul,
+    poly_sum,
     psi,
+    scalar_is_zero,
 )
-from totalparts.exactnum import CycElem
+from totalparts.exactnum import CycElem, phi
 
 
 F = Fraction
@@ -127,3 +131,141 @@ def test_total_is_order_independent(d1, d2, d3):
 def test_die_json_rejects_mismatched_order():
     with pytest.raises(ValueError):
         Die.from_json({"order": 3, "probs": ["1/2", "1/2"]})
+
+
+def test_float_coefficients_rejected():
+    with pytest.raises(TypeError, match="not an exact scalar: 0.5"):
+        poly_mul([0.5], [F(1, 3)])
+    with pytest.raises(TypeError, match="not an exact scalar: 0.25"):
+        poly_mul([CycElem.zeta(3)], [1, 0.25])
+
+
+# -- the integer kernel against the Fraction schoolbook ----------------------
+#
+# The references below are the Fraction-by-Fraction code that the integer
+# kernel replaced.  Results are compared as exact keys, so a wrong type, a
+# wrong conductor or a Fraction left out of lowest terms fails as surely as
+# a wrong value.
+
+def ref_poly_mul(a, b):
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if not scalar_is_zero(x):
+            for j, y in enumerate(b):
+                if not scalar_is_zero(y):
+                    out[i + j] = out[i + j] + x * y
+    return out
+
+
+def ref_poly_sum(p):
+    total = F(0)
+    for c in p:
+        total = total + c
+    return total
+
+
+def ref_normalize_poly(p):
+    p = [as_scalar(c) for c in p]
+    total = ref_poly_sum(p)
+    if scalar_is_zero(total):
+        raise ZeroSum("coefficient sum is exactly zero")
+    inv = total.inverse() if isinstance(total, CycElem) else 1 / total
+    return [demote(c * inv) for c in p], demote(total)
+
+
+def ref_parts_to_total(sack):
+    prod = [F(1)]
+    for die in sack.dice:
+        prod = ref_poly_mul(prod, die.poly())
+    prod += [F(0)] * (sack.T + 1 - len(prod))
+    return DistPoly(tuple(demote(c) for c in prod))
+
+
+def exact(x):
+    if isinstance(x, CycElem):
+        return ("CycElem", x.n,
+                tuple((c.numerator, c.denominator) for c in x.coords))
+    return (type(x).__name__, x.numerator, x.denominator)
+
+
+def exacts(p):
+    return [exact(c) for c in p]
+
+
+rationals = st.one_of(
+    st.integers(min_value=-30, max_value=30),
+    st.fractions(min_value=-4, max_value=4, max_denominator=9),
+    st.sampled_from([0, F(0)]),
+)
+
+
+@st.composite
+def cyc_scalars(draw):
+    n = draw(st.sampled_from([3, 4, 5, 8, 12]))
+    coords = draw(st.lists(st.fractions(min_value=-3, max_value=3,
+                                        max_denominator=5),
+                           min_size=phi(n), max_size=phi(n)))
+    return CycElem(n, coords)
+
+
+@st.composite
+def polys(draw, scalars=rationals, zero_sum=True):
+    p = draw(st.lists(scalars, min_size=1, max_size=6))
+    p += draw(st.lists(st.sampled_from([0, F(0)]), max_size=2))
+    if zero_sum and draw(st.booleans()):
+        p[-1] = p[-1] - ref_poly_sum(p)
+    return p
+
+
+@st.composite
+def cyc_polys(draw):
+    p = draw(polys(st.one_of(rationals, cyc_scalars())))
+    p.insert(draw(st.integers(min_value=0, max_value=len(p))),
+             draw(cyc_scalars()))
+    return p
+
+
+def check_against_reference(a, b):
+    want = ref_poly_mul(a, b)
+    if all(type(c) is int for c in a + b):
+        want = [int(c) for c in want]  # Z[x] is closed: ints stay ints
+    assert exacts(poly_mul(a, b)) == exacts(want)
+    for p in (a, b):
+        assert exact(poly_sum(p)) == exact(ref_poly_sum(p))
+        try:
+            want = ref_normalize_poly(p)
+        except ZeroSum:
+            with pytest.raises(ZeroSum):
+                normalize_poly(p)
+        else:
+            coeffs, total = normalize_poly(p)
+            assert (exacts(coeffs), exact(total)) == \
+                (exacts(want[0]), exact(want[1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=polys(), b=polys())
+def test_rational_kernel_matches_the_fraction_schoolbook(a, b):
+    check_against_reference(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=cyc_polys(), b=st.one_of(polys(), cyc_polys()))
+def test_cyclotomic_kernel_matches_the_field_schoolbook(a, b):
+    check_against_reference(a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ps=st.lists(st.one_of(polys(zero_sum=False), cyc_polys()),
+                   min_size=1, max_size=3))
+def test_parts_to_total_matches_the_schoolbook(ps):
+    dice = []
+    for p in ps:
+        try:
+            dice.append(normalize_to_die(p, order=len(p) + 1))
+        except ZeroSum:
+            pass
+    assume(dice)
+    sack = Sack(tuple(dice))
+    assert exacts(parts_to_total(sack).coeffs) == \
+        exacts(ref_parts_to_total(sack).coeffs)

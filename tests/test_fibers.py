@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from totalparts.dicecore import (Die, DistPoly, Sack, parts_to_total,
-                                 poly_gcd)
+from totalparts.dicecore import (Die, DistPoly, Sack, ZeroSum,
+                                 normalize_to_die, parts_to_total, poly_gcd,
+                                 render_scalar, scalar_is_zero)
 from totalparts.fibers import (
     ChiFactor,
     FactorMultiset,
@@ -63,6 +64,106 @@ def test_fiber_skips_zero_sum_slots():
         (LinearFactor(F(1)), 1),
     ))
     assert enumerate_fiber(factors, (2, 2)) == []
+
+
+# -- enumerate_fiber against a leaf-rebuild reference -------------------------
+#
+# The reference is the enumeration that rebuilt every slot's product from
+# scratch at each leaf, multiplying with the Fraction schoolbook.
+
+def ref_poly_mul(a, b):
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if not scalar_is_zero(x):
+            for j, y in enumerate(b):
+                if not scalar_is_zero(y):
+                    out[i + j] = out[i + j] + x * y
+    return out
+
+
+def _compositions(total, caps):
+    if len(caps) == 1:
+        if total <= caps[0]:
+            yield (total,)
+        return
+    for first in range(min(total, caps[0]) + 1):
+        for rest in _compositions(total - first, caps[1:]):
+            yield (first,) + rest
+
+
+def ref_enumerate_fiber(factors, sack_type, dedupe=True):
+    ks = tuple(sack_type)
+    caps = [k - 1 for k in ks]
+    entries = factors.entries
+    results = []
+    seen = set()
+
+    def assign(idx, remaining, slot_factors):
+        if idx == len(entries):
+            dice = []
+            try:
+                for j, k in enumerate(ks):
+                    poly = [F(1)]
+                    for factor, count in slot_factors[j]:
+                        for _ in range(count):
+                            poly = ref_poly_mul(poly, factor.coeffs())
+                    dice.append(normalize_to_die(poly, order=k))
+            except ZeroSum:
+                return
+            sack = Sack(tuple(dice))
+            if dedupe:
+                key = sack.canonical_key()
+                if key in seen:
+                    return
+                seen.add(key)
+            results.append(sack)
+            return
+        factor, mult = entries[idx]
+        slot_caps = [r // factor.degree for r in remaining]
+        for comp in _compositions(mult, slot_caps):
+            new_remaining = [r - c * factor.degree
+                             for r, c in zip(remaining, comp)]
+            new_slots = [sf + ([(factor, c)] if c else [])
+                         for sf, c in zip(slot_factors, comp)]
+            assign(idx + 1, new_remaining, new_slots)
+
+    assign(0, caps, [[] for _ in ks])
+    results.sort(key=lambda s: tuple(
+        tuple(render_scalar(p) for p in d.probs) for d in s.dice))
+    return results
+
+
+FIBER_FACTORS = {
+    "repeated_root_and_zero_sum_slot": ((LinearFactor(F(-1, 2)), 2),
+                                        (LinearFactor(F(1)), 1)),
+    "rational_chi": ((ChiFactor(1, 6), 1), (LinearFactor(F(-2)), 1)),
+    "irrational_chi_pair": ((ChiFactor(1, 5), 1), (ChiFactor(2, 5), 1)),
+    "repeated_root_and_chi": ((LinearFactor(F(-1, 2)), 2),
+                              (ChiFactor(1, 6), 1)),
+    "everything": ((LinearFactor(F(-1, 2)), 2), (LinearFactor(F(-2)), 2),
+                   (ChiFactor(1, 6), 1), (ChiFactor(1, 5), 1),
+                   (ChiFactor(2, 5), 1)),
+    "everything_and_zero_sum_slot": ((LinearFactor(F(-1, 2)), 2),
+                                     (LinearFactor(F(1)), 1),
+                                     (ChiFactor(1, 6), 1),
+                                     (ChiFactor(1, 5), 1),
+                                     (ChiFactor(2, 5), 1)),
+}
+
+
+@pytest.mark.parametrize("dedupe", [True, False])
+@pytest.mark.parametrize("name, sack_type", [
+    (name, sack_type)
+    for sack_type in [(2, 3), (3, 3), (2, 2, 3), (6, 6)]
+    for name, entries in sorted(FIBER_FACTORS.items())
+    if FactorMultiset(entries).total_degree <= sum(k - 1 for k in sack_type)
+])
+def test_fiber_matches_the_leaf_rebuild_reference(name, sack_type, dedupe):
+    factors = FactorMultiset(FIBER_FACTORS[name])
+    got = enumerate_fiber(factors, sack_type, dedupe=dedupe)
+    want = ref_enumerate_fiber(factors, sack_type, dedupe=dedupe)
+    assert [s.to_json() for s in got] == [s.to_json() for s in want]
+    assert got == want
 
 
 def test_chi_factor_canonicalization():

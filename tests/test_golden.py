@@ -3,8 +3,9 @@
 Each file under ``tests/golden/`` was recorded before the code change it
 guards: the census files before the move to integer cyclotomic products and
 the batched interval filter, the scan, scatter, craps, coin-die and
-Sicherman files before the polynomial helpers were merged.  Any change to
-what these commands print fails here.
+Sicherman files before the polynomial helpers were merged, and the fiber
+file before rational polynomials moved to integer numerators.  Any change
+to what these commands print fails here.
 """
 
 from pathlib import Path
@@ -30,6 +31,10 @@ COMMANDS = {
                                              "5/36,4/36,3/36,2/36,1/36"],
     "coin_die_6": ["coin-die", "--order", "6"],
     "sicherman_6": ["sicherman", "--order", "6"],
+    "solve_3_3": ["solve", "--total", '["1/9", "1/3", "1/9", "0", "4/9"]',
+                  "--type", "3,3", "--factors",
+                  '[{"type": "linear", "root": "-1/2", "multiplicity": 2},'
+                  ' {"type": "chi", "m": 1, "k": 6}]'],
 }
 
 
