@@ -50,6 +50,7 @@ from .exotica import (
     m3_exception_scan,
     s3_table,
     s_scan,
+    scan_table,
     scatter_emit,
     smallest_exotic_34,
     swap_census,

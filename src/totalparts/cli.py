@@ -30,8 +30,8 @@ from .fairlab import (
 )
 from .exotica import (
     exotic_search,
-    s3_table,
     s_scan,
+    scan_table,
     scatter_emit,
     swap_census,
     verify_tridecahedral,
@@ -170,13 +170,13 @@ def _scan_csv(records, ell, path, decimal):
 
 
 def _cmd_s3scan(args):
-    records = s3_table(args.kmax, workers=args.workers)
+    records = scan_table(3, args.kmax, args.workers)
     _scan_csv(records, 3, args.csv, args.decimal)
     return 0
 
 
 def _cmd_s4scan(args):
-    records = [s_scan(4, k) for k in range(2, args.kmax + 1)]
+    records = scan_table(4, args.kmax, args.workers)
     _scan_csv(records, 4, args.csv, args.decimal)
     return 0
 

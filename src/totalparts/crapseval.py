@@ -121,10 +121,13 @@ def craps_from_sack(sack: Sack) -> CrapsReport:
     total = parts_to_total(sack)
     probs = []
     for c in total.coeffs:
-        cert = scalar_sign(c)
-        if cert.sign < 0:
+        # a Fraction is compared directly; any other coefficient gets a
+        # certified sign
+        sign = ((c > 0) - (c < 0) if isinstance(c, Fraction)
+                else scalar_sign(c).sign)
+        if sign < 0:
             raise InvalidDistribution("total has a negative probability")
-        if cert.sign == 0:
+        if sign == 0:
             probs.append(Fraction(0))
         elif isinstance(c, Fraction):
             probs.append(c)

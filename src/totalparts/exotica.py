@@ -485,33 +485,57 @@ def _scan_float_pass(ell: int, k: int, ms):
 
 _SCAN_MARGIN = 1e-9
 
+# Elements (rows x k) per float-pass chunk in s_scan: every k <= 950 runs as
+# one chunk (at most 300 200 elements), and at larger k the pass's
+# temporaries stay near 30 MB instead of growing as k^2.
+_SCAN_CHUNK_ELEMS = 1 << 19
 
-def _scan_coeff_sign(ell: int, k: int, m: int, j: int) -> int:
-    """Certified sign of swap-quotient coefficient j, from its exact value.
+
+def _scan_coeff_elem(ell: int, k: int, m: int, j: int) -> CycElem:
+    """Swap-quotient coefficient j, times |W_0|^2, as an exact element of
+    the subfield Q(zeta_k') of Q(zeta_k), k' = k/gcd(m, k).
 
     Solving the division recurrence gives q_j = sum_i f_{j+2+i} U_i with
     U_i = sin((i+1)t)/sin(t), t = 2*pi*m/k.  Writing W_i for the purely
-    imaginary zeta^((i+1)m) - zeta^(-(i+1)m) = 2i sin((i+1)t) and using that
-    f is constant in the middle, q_j * |W_0|^2 = -W_0 * (c*sum_{i<=N} W_i
-    - corrections), a small-integer vector in the power basis of Q(zeta_k)
-    whose sign :func:`cyc_sign` certifies.
+    imaginary zeta_k^((i+1)m) - zeta_k^(-(i+1)m) = 2i sin((i+1)t) and using
+    that f is constant in the middle, with N = k-1-j,
+
+      q_j |W_0|^2 = -W_0 (c sum_{i<=N} W_i - a W_{N-1} - b W_N).
+
+    Subfield.  With g = gcd(m, k), k' = k/g and m' = m/g, every power
+    zeta_k^((i+1)m) is zeta_k'^((i+1)m'), so the whole right side lies in
+    Q(zeta_k') and is built there.  Full periods.  m' is prime to k', so
+    over any k' consecutive i the exponent (i+1)m' mod k' meets every
+    residue once: those terms add c to every coordinate and subtract c from
+    every coordinate, the zero vector.  Of the N+1 terms of the sum only the
+    first (N+1) mod k' are left; the two edge corrections are added as
+    they are, and -W_0 = zeta_k'^(-m') - zeta_k'^(m') is two rotations by
+    m'.  The escalated rows of the order-4 scan have m = k/3, so k' = 3.
     """
     c, a, b = _scan_params(ell)
+    g = math.gcd(m, k)
+    kr, mr = k // g, m // g  # k' and m'
     n = k - 1 - j  # top summation index N
-    x = [0] * k  # c * sum_{i=0..N} W_i minus the edge corrections
-    for i in range(n + 1):
-        e = ((i + 1) * m) % k
+    x = [0] * kr  # c * sum_{i=0..N} W_i minus the edge corrections
+    for i in range((n + 1) % kr):
+        e = ((i + 1) * mr) % kr
         x[e] += c
-        x[-e % k] -= c
+        x[-e % kr] -= c
     # f_k and f_{k+1}, short of c by a and b, occur at i = N-1 and i = N
     for i, short in ((n - 1, a), (n, b)):
         if i >= 0:
-            e = ((i + 1) * m) % k
+            e = ((i + 1) * mr) % kr
             x[e] -= short
-            x[-e % k] += short
-    # multiply by -W_0 = zeta^(-m) - zeta^m (two rotations)
-    y = [x[(i + m) % k] - x[(i - m) % k] for i in range(k)]
-    return cyc_sign(CycElem.from_power_basis(k, y)).sign
+            x[-e % kr] += short
+    # multiply by -W_0 = zeta^(-m') - zeta^(m') (two rotations)
+    y = [x[(i + mr) % kr] - x[(i - mr) % kr] for i in range(kr)]
+    return CycElem.from_power_basis(kr, y)
+
+
+def _scan_coeff_sign(ell: int, k: int, m: int, j: int) -> int:
+    """Certified sign of swap-quotient coefficient j: :func:`cyc_sign` of
+    the exact element :func:`_scan_coeff_elem` (|W_0|^2 > 0)."""
+    return cyc_sign(_scan_coeff_elem(ell, k, m, j)).sign
 
 
 def s_scan(ell: int, k: int) -> ScanRecord:
@@ -525,8 +549,11 @@ def s_scan(ell: int, k: int) -> ScanRecord:
     coefficient below -_SCAN_MARGIN is rejected on that certified negative;
     in every other row, only the coefficients within _SCAN_MARGIN of zero go
     to :func:`_scan_coeff_sign`, in order, until one is negative; it builds
-    the coefficient exactly in Q(zeta_k) for :func:`cyc_sign`.  For k <= 950
-    every such coefficient is an exact zero of the order-4 scan.
+    the coefficient exactly in the subfield Q(zeta_(k/gcd(m, k))) for
+    :func:`cyc_sign`.  The pass runs over chunks of rows of at most
+    _SCAN_CHUNK_ELEMS elements; rows are independent, so chunking changes
+    no value.  For k <= 5000 every such coefficient is an exact zero of the
+    order-4 scan, k/3 of them for each k divisible by 3.
     """
     if ell not in (3, 4):
         raise ValueError("only the order-3 and order-4 scans are supported")
@@ -536,15 +563,19 @@ def s_scan(ell: int, k: int) -> ScanRecord:
     if cached is not None:
         return cached
     ms = _scan_ms(ell, k)
-    v = _scan_float_pass(ell, k, ms)
-    ok = ~(v < -_SCAN_MARGIN).any(axis=1)
-    # in a row with no certified negative every v >= -_SCAN_MARGIN, so there
-    # v <= _SCAN_MARGIN is the mask |v| <= _SCAN_MARGIN
-    unclear = v <= _SCAN_MARGIN
-    for i in np.flatnonzero(ok & unclear.any(axis=1)):
-        ok[i] = all(_scan_coeff_sign(ell, k, ms[i], int(j)) >= 0
-                    for j in np.flatnonzero(unclear[i]))
-    members = [ms[i] for i in np.flatnonzero(ok)]
+    rows = max(1, _SCAN_CHUNK_ELEMS // k)
+    members = []
+    for start in range(0, len(ms), rows):
+        chunk = ms[start:start + rows]
+        v = _scan_float_pass(ell, k, chunk)
+        ok = ~(v < -_SCAN_MARGIN).any(axis=1)
+        # in a row with no certified negative every v >= -_SCAN_MARGIN, so
+        # there v <= _SCAN_MARGIN is the mask |v| <= _SCAN_MARGIN
+        unclear = v <= _SCAN_MARGIN
+        for i in np.flatnonzero(ok & unclear.any(axis=1)):
+            ok[i] = all(_scan_coeff_sign(ell, k, chunk[i], int(j)) >= 0
+                        for j in np.flatnonzero(unclear[i]))
+        members += [chunk[i] for i in np.flatnonzero(ok)]
     record = ScanRecord(
         k, tuple(members),
         max(members) if members else None,
@@ -554,22 +585,24 @@ def s_scan(ell: int, k: int) -> ScanRecord:
     return record
 
 
-def _s3_worker(k: int) -> ScanRecord:
-    return s_scan(3, k)
+def scan_table(ell: int, k_max: int, workers: int = 1) -> list[ScanRecord]:
+    """Scan records for one ell and every k from 2 to k_max; deterministic
+    for any worker count."""
+    ks = [k for k in range(2, k_max + 1) if (ell, k) not in _SCAN_CACHE]
+    if workers > 1 and len(ks) > workers:
+        with Pool(workers) as pool:
+            for record in pool.map(functools.partial(s_scan, ell), ks,
+                                   chunksize=8):
+                _SCAN_CACHE[(ell, record.k)] = record
+    else:
+        for k in ks:
+            s_scan(ell, k)
+    return [_SCAN_CACHE[(ell, k)] for k in range(2, k_max + 1)]
 
 
 def s3_table(k_max: int, workers: int = 1) -> list[ScanRecord]:
-    """Scan records for ell=3 and every k from 2 to k_max; deterministic for
-    any worker count."""
-    ks = [k for k in range(2, k_max + 1) if (3, k) not in _SCAN_CACHE]
-    if workers > 1 and len(ks) > workers:
-        with Pool(workers) as pool:
-            for record in pool.map(_s3_worker, ks, chunksize=8):
-                _SCAN_CACHE[(3, record.k)] = record
-    else:
-        for k in ks:
-            s_scan(3, k)
-    return [_SCAN_CACHE[(3, k)] for k in range(2, k_max + 1)]
+    """:func:`scan_table` for ell = 3."""
+    return scan_table(3, k_max, workers)
 
 
 @dataclass(frozen=True)
@@ -590,7 +623,7 @@ def m3_exception_scan(k_max: int, workers: int = 1) -> M3ExceptionReport:
     the empirical reconstruction of the exception sequence b_a."""
     if k_max < 746:
         raise ValueError("k_max must be at least 746 to see the first exception")
-    records = s3_table(k_max, workers=workers)
+    records = scan_table(3, k_max, workers)
     m3 = {r.k: r.M for r in records}
     exceptions = []
     for k in range(2, k_max - 143 + 1):
@@ -609,7 +642,7 @@ def m3_exception_scan(k_max: int, workers: int = 1) -> M3ExceptionReport:
 def scatter_emit(k_max: int, workers: int = 1):
     """The ell=3 scan records for k up to k_max, plus those violating the
     conjectured bound R3(k) <= 60/143 (reported, not asserted)."""
-    records = s3_table(k_max, workers=workers)
+    records = scan_table(3, k_max, workers)
     violations = [r for r in records
                   if r.R is not None and r.R > M3_RATIO_BOUND]
     return records, violations

@@ -30,6 +30,7 @@ from totalparts.exotica import (
     _chi_interval,
     _chi_product_exact,
     _interval_filter,
+    _scan_coeff_elem,
     _scan_coeff_sign,
     _scan_f,
     _scan_float_pass,
@@ -341,26 +342,76 @@ def test_integer_scan_ms_equal_fraction_thresholds():
                 if threshold <= F(m, k) < F(1, 2)]
 
 
-@pytest.mark.parametrize("k", [97, 300, 611, 900, 950])
+@pytest.mark.parametrize("k", [97, 300, 611, 900, 950, 1500, 3000, 4999, 5000])
 def test_float_pass_error_against_60_digits(k):
-    # the docstring of _scan_float_pass derives an error under 2e-13
+    # the docstring of _scan_float_pass derives an error under 2e-13; rows
+    # are independent, so only the sampled rows are evaluated
     rng = random.Random(k)
     for ell in (3, 4):
         c, a, b = _scan_params(ell)
         ms = _scan_ms(ell, k)
-        v = _scan_float_pass(ell, k, ms)
         rows = [0, len(ms) - 1] + [rng.randrange(len(ms)) for _ in range(38)]
         cols = [0, k - 1] + [rng.randrange(k) for _ in range(38)]
+        v = _scan_float_pass(ell, k, [ms[i] for i in rows])
         with mpmath.workdps(60):
             worst = mpmath.mpf(0)
-            for i, j in zip(rows, cols):
+            for r, (i, j) in enumerate(zip(rows, cols)):
                 t = 2 * mpmath.pi * ms[i] / k
                 n = k - 1 - j
                 exact = (c * (mpmath.cos(t / 2) - mpmath.cos((n + 1.5) * t))
                          / (2 * mpmath.sin(t / 2))
                          - a * mpmath.sin(n * t) - b * mpmath.sin((n + 1) * t))
-                worst = max(worst, abs(exact - float(v[i, j])))
+                worst = max(worst, abs(exact - float(v[r, j])))
         assert worst <= 1e-12
+
+
+def _scan_coeff_at_k(ell, k, m, j):
+    # reference: the coefficient built in Q(zeta_k) itself, every one of the
+    # N+1 terms summed and the product reduced mod Phi_k
+    c, a, b = _scan_params(ell)
+    n = k - 1 - j
+    x = [0] * k
+    for i in range(n + 1):
+        e = ((i + 1) * m) % k
+        x[e] += c
+        x[-e % k] -= c
+    for i, short in ((n - 1, a), (n, b)):
+        if i >= 0:
+            e = ((i + 1) * m) % k
+            x[e] -= short
+            x[-e % k] += short
+    y = [x[(i + m) % k] - x[(i - m) % k] for i in range(k)]
+    return CycElem.from_power_basis(k, y)
+
+
+@st.composite
+def _scan_coefficients(draw):
+    ell = draw(st.sampled_from([3, 4]))
+    k = draw(st.integers(3, 400))
+    ms = _scan_ms(ell, k)
+    m = draw(st.sampled_from(ms))
+    j = draw(st.one_of(st.integers(0, 3), st.integers(max(0, k - 4), k - 1),
+                       st.integers(0, k - 1)))
+    return ell, k, m, j
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scan_coefficients())
+@example((4, 300, 100, 0))      # g = k/3: the escalated rows, k' = 3
+@example((4, 300, 100, 299))    # N + 1 = 1 < k'
+@example((4, 300, 100, 298))
+@example((3, 101, 30, 0))       # g = 1, N + 1 = k' exactly
+@example((3, 101, 30, 100))
+@example((3, 360, 90, 358))     # g = 90, k' = 4
+@example((4, 385, 77, 383))     # g = 77, k' = 5
+@example((4, 240, 44, 1))       # g = 4, k' = 60
+@example((3, 200, 62, 197))     # g = 2, k' = 100
+def test_reduced_scan_coefficient_equals_conductor_k_element(case):
+    ell, k, m, j = case
+    g = math.gcd(m, k)
+    elem = _scan_coeff_elem(ell, k, m, j)
+    assert elem.n == k // g
+    assert elem.promote(k).coords == _scan_coeff_at_k(ell, k, m, j).coords
 
 
 def test_certified_negative_rejects_before_escalation(monkeypatch):
@@ -413,6 +464,47 @@ def test_s4_300_escalates_one_coefficient_per_third_of_k(monkeypatch):
         assert not (row < -_SCAN_MARGIN).any()
         assert abs(row[j]) <= _SCAN_MARGIN
         assert sign == 0  # a certified exact zero
+
+
+def test_s4_3000_escalates_a_third_of_k_exact_zeros(monkeypatch):
+    calls = []
+
+    def counted(ell, k, m, j):
+        sign = _scan_coeff_sign(ell, k, m, j)
+        calls.append((m, j, sign))
+        return sign
+
+    monkeypatch.setattr(exotica, "_SCAN_CACHE", {})
+    monkeypatch.setattr(exotica, "_scan_coeff_sign", counted)
+    record = s_scan(4, 3000)
+    assert len(calls) == 1000
+    assert {sign for _, _, sign in calls} == {0}
+    assert {m for m, _, _ in calls} == {1000}
+    assert record.S == tuple(range(500, 1001))
+
+
+@pytest.mark.parametrize("ell, k", [(4, 300), (3, 611), (4, 611), (4, 1500)])
+def test_chunked_float_pass_gives_the_one_chunk_record(ell, k, monkeypatch):
+    ms = _scan_ms(ell, k)
+    monkeypatch.setattr(exotica, "_SCAN_CACHE", {})
+    monkeypatch.setattr(exotica, "_SCAN_CHUNK_ELEMS", len(ms) * k)
+    whole = s_scan(ell, k)
+    rows = 7
+    monkeypatch.setattr(exotica, "_SCAN_CACHE", {})
+    monkeypatch.setattr(exotica, "_SCAN_CHUNK_ELEMS", rows * k + k - 1)
+    chunked = s_scan(ell, k)
+    assert chunked == whole
+    assert len(ms) % rows  # the last chunk is a partial one
+    assert np.array_equal(
+        np.vstack([_scan_float_pass(ell, k, ms[s:s + rows])
+                   for s in range(0, len(ms), rows)]),
+        _scan_float_pass(ell, k, ms))
+
+
+def test_scans_to_950_run_as_one_chunk():
+    for ell in (3, 4):
+        assert max(len(_scan_ms(ell, k)) * k for k in range(2, 951)) \
+            <= exotica._SCAN_CHUNK_ELEMS
 
 
 def test_scan_swap_produces_exotic_sack():

@@ -8,10 +8,12 @@ file before rational polynomials moved to integer numerators.  Any change
 to what these commands print fails here.
 """
 
+import os
 from pathlib import Path
 
 import pytest
 
+from totalparts import exotica
 from totalparts.cli import run
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -48,3 +50,23 @@ def test_cli_stdout_matches_golden_transcript(name, capsys, monkeypatch):
     assert run(COMMANDS[name]) == 0
     out = capsys.readouterr().out.encode("utf-8")
     assert out == (GOLDEN / f"{name}.out").read_bytes()
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs")
+def test_s4scan_with_two_workers_matches_golden_transcript(capsys,
+                                                           monkeypatch):
+    # an empty scan cache makes every k go through the worker pool
+    monkeypatch.delenv("TOTALPARTS_PRECISION", raising=False)
+    monkeypatch.setattr(exotica, "_SCAN_CACHE", {})
+    pools = []
+    real_pool = exotica.Pool
+
+    def pool(workers):
+        pools.append(workers)
+        return real_pool(workers)
+
+    monkeypatch.setattr(exotica, "Pool", pool)
+    assert run(["--workers", "2", "s4scan", "--kmax", "120"]) == 0
+    assert pools == [2]
+    out = capsys.readouterr().out.encode("utf-8")
+    assert out == (GOLDEN / "s4scan_120.out").read_bytes()
