@@ -16,7 +16,6 @@ import os
 import sys
 from fractions import Fraction
 
-from . import exactnum
 from .exactnum import cyc_embed
 from .dicecore import (DistPoly, Sack, ZeroSum, normalize_poly, parts_to_total,
                        render_scalar)
@@ -169,15 +168,9 @@ def _scan_csv(records, ell, path, decimal):
         sys.stdout.write(text)
 
 
-def _cmd_s3scan(args):
-    records = scan_table(3, args.kmax, args.workers)
-    _scan_csv(records, 3, args.csv, args.decimal)
-    return 0
-
-
-def _cmd_s4scan(args):
-    records = scan_table(4, args.kmax, args.workers)
-    _scan_csv(records, 4, args.csv, args.decimal)
+def _cmd_scan(args):
+    records = scan_table(args.ell, args.kmax, args.workers)
+    _scan_csv(records, args.ell, args.csv, args.decimal)
     return 0
 
 
@@ -251,8 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="totalparts",
         description="Exact dice-total arithmetic: the part-to-total map, "
                     "its fibers, fair and exotic sacks, and craps.")
-    parser.add_argument("--precision", type=int, default=None,
-                        help="starting interval precision in bits")
     parser.add_argument("--decimal", type=int, default=None, metavar="N",
                         help="add display-only columns rounded to N places")
     parser.add_argument("--workers", type=int, default=1,
@@ -290,12 +281,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("s3scan", help="order-3 swap scan table")
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--csv", default=None)
-    p.set_defaults(func=_cmd_s3scan)
+    p.set_defaults(func=_cmd_scan, ell=3)
 
     p = sub.add_parser("s4scan", help="order-4 swap scan table")
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--csv", default=None)
-    p.set_defaults(func=_cmd_s4scan)
+    p.set_defaults(func=_cmd_scan, ell=4)
 
     p = sub.add_parser("swaps", help="diagonal swap census of one order")
     p.add_argument("--order", type=int, required=True)
@@ -322,35 +313,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _checked_precision(parser, args):
-    # The starting interval precision from --precision, else from
-    # TOTALPARTS_PRECISION; a bad value is a usage error (exit 2).
-    source, precision = "--precision", args.precision
-    env = os.environ.get("TOTALPARTS_PRECISION")
-    if precision is None and env:
-        source = "TOTALPARTS_PRECISION"
-        try:
-            precision = int(env)
-        except ValueError:
-            parser.error(f"{source} must be an integer number of bits, "
-                         f"got {env!r}")
-    cap = exactnum.PRECISION_CAP_BITS
-    if precision is not None and not 32 <= precision <= cap:
-        parser.error(f"{source} must lie in [32, {cap}], got {precision}")
-    return precision
-
-
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    precision = _checked_precision(parser, args)
     if args.decimal is not None and args.decimal < 0:
         parser.error(f"--decimal must be at least 0, got {args.decimal}")
     cpus = os.cpu_count() or 1
     if not 1 <= args.workers <= cpus:
         parser.error(f"--workers must lie in [1, {cpus}], got {args.workers}")
-    if precision is not None:
-        exactnum.set_start_bits(precision)
     try:
         return args.func(args)
     except (ValueError, ArithmeticError, OSError, KeyError,

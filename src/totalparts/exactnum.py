@@ -22,44 +22,30 @@ built once, for the reduced result; an integer input to
 :meth:`CycElem.from_power_basis` never becomes a ``Fraction`` before that.
 
 Sign determination for real elements (fixed by complex conjugation) first
-tests for exact zero and otherwise evaluates the real embedding with interval
-arithmetic at doubling precision until the interval excludes zero, raising
-:class:`UnresolvedSign` past ``PRECISION_CAP_BITS``; the result is wrapped in
-a :class:`SignCertificate`.  mpmath's interval precision is
-process-global, so every change to it goes through :func:`iv_precision`.
+tests for exact zero.  A nonzero real e = xs/d is then at least
+2^-B away from zero, with B derived in advance from d, the 1-norm of xs and
+phi(n) (a Liouville-type separation bound, :func:`cyc_sign`), and one
+fixed-point integer enclosure of width at most 2^-B (:func:`cyc_embed`)
+decides the sign.  Its cosines come from Taylor series with a proven
+remainder and counted truncation errors (:func:`fixed_cos`), and pi from
+Machin's formula in integers (:func:`fixed_pi`).  The result is wrapped in
+a :class:`SignCertificate`.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath
-
-DEFAULT_START_BITS = 128
-PRECISION_CAP_BITS = 8192
-
-_start_bits = DEFAULT_START_BITS
-
-_iv_lock = threading.Lock()
 
 _ZERO = Fraction(0)
 
 
-def set_start_bits(bits: int) -> None:
-    """Set the starting precision for interval sign determination."""
-    global _start_bits
-    if not 32 <= bits <= PRECISION_CAP_BITS:
-        raise ValueError("start bits must lie in [32, cap]")
-    _start_bits = bits
-
-
 def get_start_bits() -> int:
-    return _start_bits
+    """Always 0.  A leftover of the retired start precision, kept only for
+    callers that still read it: every sign derives its own precision."""
+    return 0
 
 
 class NotReal(ValueError):
@@ -67,7 +53,8 @@ class NotReal(ValueError):
 
 
 class UnresolvedSign(ArithmeticError):
-    """Raised when no interval up to PRECISION_CAP_BITS excludes zero."""
+    """Raised when the enclosure at the separation bound does not exclude
+    zero, which correct code never does."""
 
 
 def divisors(n: int) -> list[int]:
@@ -489,59 +476,107 @@ def two_cos(m: int, k: int) -> CycElem:
     return CycElem.zeta(k, m) + CycElem.zeta(k, -m)
 
 
-def _fraction_from_raw(t) -> Fraction:
-    # A raw mpf tuple (sign, mantissa, exponent, bitcount) is a dyadic
-    # rational, so this conversion is exact at full precision.
-    sign, man, exp, _ = t
-    man = int(man)
-    if sign:
-        man = -man
-    return Fraction(man * 2 ** exp) if exp >= 0 else Fraction(man, 2 ** -exp)
+def _atan_inv(m: int, scale: int) -> tuple[int, int]:
+    # (sum_{j<J} (-1)^j floor(scale / ((2j+1) m^(2j+1))), J), J the first
+    # j with floor(scale / m^(2j+1)) = 0
+    total, j, p = 0, 0, scale // m
+    while p:
+        t = p // (2 * j + 1)
+        total += -t if j & 1 else t
+        p //= m * m
+        j += 1
+    return total, j
 
 
-@contextlib.contextmanager
-def iv_precision(bits: int):
-    """Hold mpmath's interval precision at ``bits`` inside the block.
+@functools.lru_cache(maxsize=None)
+def fixed_pi(w: int) -> tuple[int, int]:
+    """(P, E) with |P - 2^w pi| < E, from Machin's formula in integers.
 
-    ``mpmath.iv.prec`` is shared by the whole process, so the block runs
-    under one lock and the previous precision is restored on exit.  Yields
-    the ``mpmath.iv`` context.
+    pi = 16 atan(1/5) - 4 atan(1/239), atan(1/m) = sum_j (-1)^j /
+    ((2j+1) m^(2j+1)).  For a scale s (16 * 2^w or 4 * 2^w),
+    p_j = floor(s / m^(2j+1)) is carried exactly as p_{j+1} = p_j // m^2
+    (floor(floor(y)/q) = floor(y/q) for an integer q > 0), so each term
+    p_j // (2j+1) is off by less than 1.  The sum stops at the first
+    p_J = 0; the scaled terms decrease, so the alternating tail is below 1.
+    A series of J terms is off by less than J + 1, and E adds the two.
+    A priori, 5 > 2^2 and 239 > 2^7 bound the term counts by (w+5)/4 and
+    (w+8)/14, so E < w/3 + 4.
     """
-    with _iv_lock:
-        old = mpmath.iv.prec
-        mpmath.iv.prec = bits
-        try:
-            yield mpmath.iv
-        finally:
-            mpmath.iv.prec = old
+    a, ja = _atan_inv(5, 16 << w)
+    b, jb = _atan_inv(239, 4 << w)
+    return a - b, ja + jb + 2
+
+
+def fixed_cos(i: int, n: int, w: int) -> tuple[int, int]:
+    """(C, r) with |C - 2^w cos(2 pi i/n)| < r, in integers, for w >= 4.
+
+    Reduction.  Take i mod n, and n - i when 2i > n.  With 8i = q n + t,
+    0 <= t < n, q <= 4, cos(2 pi i/n) is cos(a), sin(b), -sin(a), -cos(b),
+    -cos(a) for q = 0..4, where a = pi t/(4n) and b = pi (n-t)/(4n).
+    Angle.  For the reduced angle pi s/(4n), 0 <= s <= n, and
+    (P, E) = fixed_pi(w), X = floor(P s/(4n)) is off from 2^w pi s/(4n) by
+    less than E/4 + 1 <= E//4 + 2, and so, as cos and sin are
+    1-Lipschitz, is the result from the value at x = X/2^w.
+    Series.  f(x) = sum_j (-1)^j V_j / 2^w with V_j = 2^w x^(2j+e)/(2j+e)!,
+    e = 0 for cos and 1 for sin.  U_0 = V_0 (2^w or X) is exact, and
+    U_{j+1} = floor(U_j X^2 / (2^(2w) k_j)), k_j = (2j+1+e)(2j+2+e),
+    follows V_{j+1} = V_j rho_j with rho_j = x^2/k_j < 1/2, because
+    x < pi/4 + E/2^(w+2) < 1.  By induction 0 <= V_j - U_j < 2 (counted
+    truncation errors).  The sum of U_0 .. U_{J-1}, stopped at the first
+    U_J below 2^g, g = bitlen(w), is off by less than 2J from the first J
+    terms, and the alternating tail of decreasing terms is at most
+    V_J < U_J + 2 (proven remainder).  So r = 2J + U_J + E//4 + 4.
+    A priori, V_j <= 2^w/(2j)! < 1 once 2j >= w + 2, so 2J <= w + 3; with
+    E < w/3 + 4, U_J < 2^g, w < 2^g and 2^g >= 8,
+    r < (13/12) w + 2^g + 8 < 2^(g+2).
+    """
+    P, E = fixed_pi(w)
+    i %= n
+    if 2 * i > n:
+        i = n - i
+    q, t = divmod(8 * i, n)
+    e = 1 if q in (1, 2) else 0
+    x = P * (n - t if q & 1 else t) // (4 * n)
+    term, x2 = (x if e else 1 << w), x * x
+    limit = 1 << w.bit_length()
+    total = j = 0
+    while term >= limit:
+        total += -term if j & 1 else term
+        j += 1
+        term = (term * x2 >> 2 * w) // ((2 * j - 1 + e) * (2 * j + e))
+    return (-total if q >= 2 else total), 2 * j + term + E // 4 + 4
 
 
 def cyc_embed(e, bits: int = 64) -> tuple[Fraction, Fraction]:
-    """Certified enclosure of the real part of e under zeta_n -> e^(2*pi*i/n).
+    """Certified enclosure lo <= Re(e) <= hi under zeta_n -> e^(2 pi i/n),
+    with exact rational endpoints and hi - lo <= 2^-bits.
 
-    Returns exact rational endpoints (lo, hi) with lo <= Re(e) <= hi; the
-    width shrinks as ``bits`` grows.  Accepts Fraction/int as well.
+    Write e = xs/d with integer numerators xs and L = ||xs||_1.  With
+    (C_i, r_i) = fixed_cos(i, n, w) and C_0 = 2^w exact, T = sum_i x_i C_i
+    is off from 2^w d Re(e) by less than R = sum_i |x_i| r_i, and
+    Re(e) lies in [T - R, T + R] / (d 2^w).  Width: r_i < 2^(g+2),
+    g = bitlen(w), so the width 2R/(d 2^w) is below
+    2^(bitlen(L) + g + 3 - w).  With b = bits + bitlen(L) + 3 and
+    w = b + bitlen(b) + 3 < 2^(bitlen(b) + 3), g <= bitlen(b) + 3, so
+    w - g - 3 >= bits + bitlen(L) and the width is below 2^-bits.
+    Accepts Fraction/int as well.
     """
-    if bits < 32:
-        raise ValueError("bits must be at least 32")
+    if bits < 0:
+        raise ValueError("bits must be at least 0")
     if isinstance(e, (int, Fraction)):
         q = Fraction(e)
         return q, q
-    with iv_precision(bits) as iv:
-        total = iv.mpf(0)
-        twopi = 2 * iv.pi
-        n = e.n
-        for i, c in enumerate(e.coords):
-            if c:
-                ci = iv.mpf(c.numerator) / c.denominator
-                total += ci * (iv.cos(twopi * i / n) if i else iv.mpf(1))
-        # total.a/total.b would re-round the endpoints to the global
-        # mp.prec (inward rounding would break the enclosure); read the
-        # raw endpoint tuples instead.
-        raw_lo, raw_hi = total._mpi_
-        lo = _fraction_from_raw(raw_lo)
-        hi = _fraction_from_raw(raw_hi)
-    return lo, hi
+    xs, d = _numerators(e.coords)
+    b = bits + sum(map(abs, xs)).bit_length() + 3
+    w = b + b.bit_length() + 3
+    total, radius = xs[0] << w, 0
+    for i, x in enumerate(xs[1:], start=1):
+        if x:
+            c, r = fixed_cos(i, e.n, w)
+            total += x * c
+            radius += abs(x) * r
+    return (Fraction(total - radius, d << w),
+            Fraction(total + radius, d << w))
 
 
 NEGATIVE, ZERO, POSITIVE = -1, 0, 1
@@ -552,8 +587,9 @@ class SignCertificate:
     """Certified sign of a real cyclotomic (or rational) value.
 
     ``sign`` is -1, 0 or +1.  Zero is decided exactly from canonical
-    coordinates, never by tolerance; a nonzero sign is certified by an
-    interval evaluation at ``precision_bits`` excluding zero.
+    coordinates, never by tolerance; a nonzero sign is certified by one
+    enclosure excluding zero, at the ``precision_bits`` B of the separation
+    bound in :func:`cyc_sign` (0 for a rational value).
     """
 
     value: object
@@ -562,26 +598,34 @@ class SignCertificate:
 
 
 def cyc_sign(e) -> SignCertificate:
-    """Certified sign of a real element; raises NotReal if e != conj(e), and
-    UnresolvedSign if e is nonzero and no interval excludes zero."""
+    """Certified sign of a real element; raises NotReal if e != conj(e).
+
+    Zero is read from the canonical coordinates.  Otherwise write e = xs/d
+    with integer numerators xs in Z[zeta_n] and L = ||xs||_1.  xs is a
+    nonzero real algebraic integer, so its norm from the real subfield, the
+    product of its phi(n)/2 real conjugates sum_i x_i sigma(zeta)^i, is a
+    nonzero integer, and every factor is at most L in absolute value.
+    Hence |e| >= 1/(d L^(phi(n)/2 - 1)) > 2^-B with
+    B = bitlen(d) + (phi(n)/2 - 1) bitlen(L), and one :func:`cyc_embed`
+    enclosure at B bits, narrower than |e|, excludes zero.  If it does not,
+    the code is wrong: UnresolvedSign.
+    """
     if isinstance(e, (int, Fraction)):
         q = Fraction(e)
         s = (q > 0) - (q < 0)
         return SignCertificate(q, s, 0)
-    if e.is_zero():
-        return SignCertificate(e, ZERO, 0)
-    if e.is_rational():
+    if e.is_rational():  # zero included
         q = e.coords[0]
         return SignCertificate(e, (q > 0) - (q < 0), 0)
     if not e.is_real():
         raise NotReal(f"element {e.render()} is not fixed by conjugation")
-    bits = _start_bits
-    while bits <= PRECISION_CAP_BITS:
-        lo, hi = cyc_embed(e, bits)
-        if lo > 0:
-            return SignCertificate(e, POSITIVE, bits)
-        if hi < 0:
-            return SignCertificate(e, NEGATIVE, bits)
-        bits *= 2
+    xs, d = _numerators(e.coords)
+    bits = (d.bit_length()
+            + (phi(e.n) // 2 - 1) * sum(map(abs, xs)).bit_length())
+    lo, hi = cyc_embed(e, bits)
+    if lo > 0:
+        return SignCertificate(e, POSITIVE, bits)
+    if hi < 0:
+        return SignCertificate(e, NEGATIVE, bits)
     raise UnresolvedSign(f"sign of nonzero element {e.render()} unresolved "
-                         f"at {PRECISION_CAP_BITS} bits")
+                         f"at its separation bound of {bits} bits")

@@ -17,8 +17,8 @@ chi_{m,k}(x) = x^2 - 2cos(2*pi*m/k)x + 1.  A census (:func:`swap_census`,
    (:func:`_chi_product_exact`);
 5. decide each unresolved coefficient with :func:`cyc_sign` (an exact
    zero is read from the canonical coordinates, never assumed; any other
-   coefficient gets an interval enclosure excluding zero, at escalating
-   precision);
+   coefficient gets one integer enclosure excluding zero, at a precision
+   derived in advance from a separation bound);
 6. scale the surviving products to dice with ``normalize_to_die``.
 
 No sack is admitted or rejected from an unresolved interval.
@@ -33,12 +33,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from multiprocessing import Pool
 
-import mpmath
 import numpy as np
 
 # two_cos is not called here; it stays importable from this module because
 # perfbench/spans.py wraps it under this name for its traced census run.
-from .exactnum import CycElem, cyc_embed, cyc_sign, two_cos
+from .exactnum import CycElem, cyc_embed, cyc_sign, fixed_cos, two_cos
 from .dicecore import (Die, Sack, demote, normalize_to_die, poly_mul, psi,
                        root_product)
 
@@ -55,12 +54,14 @@ _CHUNK_ROWS = 128
 
 @functools.lru_cache(maxsize=None)
 def _tau_float_interval(m: int, k: int) -> tuple[float, float]:
-    # Enclosure of 2cos(2*pi*m/k) from an 80-bit evaluation; the absolute
-    # margin covers the evaluation error even when the value is near zero.
-    with mpmath.workprec(80):
-        v = float(2 * mpmath.cos(2 * mpmath.pi * m / k))
-    return (math.nextafter(v - 2.0 ** -64, -_INF),
-            math.nextafter(v + 2.0 ** -64, _INF))
+    # Float enclosure of 2cos(2*pi*m/k): the exact endpoints 2(C - r)/2^128
+    # and 2(C + r)/2^128 of the integer cosine, each rounded to the nearest
+    # float and moved one ulp outward if that float lies inside.
+    c, r = fixed_cos(m, k, 128)
+    lo, hi = Fraction(c - r, 1 << 127), Fraction(c + r, 1 << 127)
+    f_lo, f_hi = float(lo), float(hi)
+    return (f_lo if f_lo <= lo else math.nextafter(f_lo, -_INF),
+            f_hi if f_hi >= hi else math.nextafter(f_hi, _INF))
 
 
 def _chi_interval(m: int, k: int):
@@ -278,8 +279,7 @@ def _merged_factor_multiset(k: int, kp: int):
     for order in (k, kp):
         for m in range(1, (order + 1) // 2):
             key = Fraction(m, order)
-            if key < Fraction(1, 2):
-                chis[key] = chis.get(key, 0) + 1
+            chis[key] = chis.get(key, 0) + 1
     x1 = (1 if k % 2 == 0 else 0) + (1 if kp % 2 == 0 else 0)
     return chis, x1
 
@@ -295,18 +295,15 @@ def exotic_search(k: int, kp: int) -> ExoticCensus:
     chis, x1_total = _merged_factor_multiset(k, kp)
     keys = sorted(chis)
     conductor = math.lcm(k, kp)
-    fair_d1 = {Fraction(m, k) for m in range(1, (k + 1) // 2)
-               if Fraction(m, k) < Fraction(1, 2)}
+    fair_d1 = {Fraction(m, k) for m in range(1, (k + 1) // 2)}
     results = []
 
     # Enumerate counts per quadratic factor for die 1, then the (x+1) split;
     # die 1 must reach degree exactly k-1.
     def rec(idx, deg_left, partial):
         if idx == len(keys):
-            for x1_d1 in range(0, x1_total + 1):
-                if x1_d1 > deg_left or deg_left - x1_d1 != 0:
-                    continue
-                yield partial, x1_d1
+            if deg_left <= x1_total:
+                yield partial, deg_left
             return
         key = keys[idx]
         for c in range(0, min(chis[key], deg_left // 2) + 1):
@@ -412,9 +409,6 @@ class ScanRecord:
     S: tuple
     M: int | None
     R: Fraction | None
-
-
-_SCAN_CACHE: dict[tuple[int, int], ScanRecord] = {}
 
 
 def _scan_f(ell: int, k: int):
@@ -559,9 +553,6 @@ def s_scan(ell: int, k: int) -> ScanRecord:
         raise ValueError("only the order-3 and order-4 scans are supported")
     if k < 2:
         raise ValueError("k must be >= 2")
-    cached = _SCAN_CACHE.get((ell, k))
-    if cached is not None:
-        return cached
     ms = _scan_ms(ell, k)
     rows = max(1, _SCAN_CHUNK_ELEMS // k)
     members = []
@@ -576,28 +567,22 @@ def s_scan(ell: int, k: int) -> ScanRecord:
             ok[i] = all(_scan_coeff_sign(ell, k, chunk[i], int(j)) >= 0
                         for j in np.flatnonzero(unclear[i]))
         members += [chunk[i] for i in np.flatnonzero(ok)]
-    record = ScanRecord(
+    return ScanRecord(
         k, tuple(members),
         max(members) if members else None,
         Fraction(max(members), k) if members else None,
     )
-    _SCAN_CACHE[(ell, k)] = record
-    return record
 
 
 def scan_table(ell: int, k_max: int, workers: int = 1) -> list[ScanRecord]:
     """Scan records for one ell and every k from 2 to k_max; deterministic
     for any worker count."""
-    ks = [k for k in range(2, k_max + 1) if (ell, k) not in _SCAN_CACHE]
+    ks = range(2, k_max + 1)
+    scan = functools.partial(s_scan, ell)
     if workers > 1 and len(ks) > workers:
         with Pool(workers) as pool:
-            for record in pool.map(functools.partial(s_scan, ell), ks,
-                                   chunksize=8):
-                _SCAN_CACHE[(ell, record.k)] = record
-    else:
-        for k in ks:
-            s_scan(ell, k)
-    return [_SCAN_CACHE[(ell, k)] for k in range(2, k_max + 1)]
+            return pool.map(scan, ks, chunksize=8)
+    return [scan(k) for k in ks]
 
 
 def s3_table(k_max: int, workers: int = 1) -> list[ScanRecord]:

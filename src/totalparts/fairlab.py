@@ -165,8 +165,7 @@ def coin_die_fair_check(k: int) -> CoinDieFairReport:
     and confirm the only strict outcome is the fair/fair sack."""
     entries = [(LinearFactor(Fraction(-1)), 2 if k % 2 == 0 else 1)]
     for m in range(1, (k + 1) // 2):
-        if Fraction(m, k) < Fraction(1, 2):
-            entries.append((ChiFactor(m, k), 1))
+        entries.append((ChiFactor(m, k), 1))
     sacks = enumerate_fiber(FactorMultiset(tuple(entries)), (2, k))
     strict = tuple(s for s in sacks if s.is_strict())
     only_fair = all(s.is_fair() for s in strict) and len(strict) >= 1

@@ -194,28 +194,11 @@ def test_usage_error_exit_2():
     assert exc.value.code == 2
 
 
-def test_precision_env_honored(capsys, monkeypatch):
-    base = exactnum.get_start_bits()
-    monkeypatch.setenv("TOTALPARTS_PRECISION", "256")
-    try:
-        code, out, _ = _run(capsys, "fair-enum", "--order", "2",
-                            "--count-only")
-        assert code == 0
-        assert exactnum.get_start_bits() == 256
-    finally:
-        exactnum.set_start_bits(base)
-
-
-def test_precision_flag_beats_env(capsys, monkeypatch):
-    base = exactnum.get_start_bits()
-    monkeypatch.setenv("TOTALPARTS_PRECISION", "256")
-    try:
-        code, _, _ = _run(capsys, "--precision", "512", "fair-enum",
-                          "--order", "2", "--count-only")
-        assert code == 0
-        assert exactnum.get_start_bits() == 512
-    finally:
-        exactnum.set_start_bits(base)
+def test_retired_precision_flag_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["--precision", "256", "selftest"])
+    assert exc.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_unresolved_sign_exits_1_without_traceback(capsys, monkeypatch):
@@ -225,29 +208,8 @@ def test_unresolved_sign_exits_1_without_traceback(capsys, monkeypatch):
     code, _, err = _run(capsys, "selftest")
     assert code == 1
     assert err.startswith("error: sign of nonzero element ")
-    assert "unresolved at 8192 bits" in err and "Traceback" not in err
-
-
-@pytest.mark.parametrize("env, argv", [
-    ("abc", []),
-    ("16", []),
-    ("9000", []),
-    (None, ["--precision", "16"]),
-    (None, ["--precision", "8193"]),
-])
-def test_bad_precision_is_a_usage_error(env, argv, capsys, monkeypatch):
-    if env is None:
-        monkeypatch.delenv("TOTALPARTS_PRECISION", raising=False)
-    else:
-        monkeypatch.setenv("TOTALPARTS_PRECISION", env)
-    base = exactnum.get_start_bits()
-    with pytest.raises(SystemExit) as exc:
-        run(argv + ["fair-enum", "--order", "2", "--count-only"])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert ("TOTALPARTS_PRECISION" if env else "--precision") in err
+    assert "unresolved at its separation bound" in err
     assert "Traceback" not in err
-    assert exactnum.get_start_bits() == base
 
 
 @pytest.mark.parametrize("workers", [0, -1, (os.cpu_count() or 1) + 1])
@@ -269,7 +231,6 @@ def test_python_dash_m_runs_the_cli(module):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    env.pop("TOTALPARTS_PRECISION", None)
     proc = subprocess.run([sys.executable, "-m", module, "selftest"],
                           env=env, capture_output=True, text=True,
                           timeout=120)

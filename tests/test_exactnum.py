@@ -1,8 +1,6 @@
 """Cyclotomic arithmetic: canonical reduction, ring laws, certified signs."""
 
 import math
-import sys
-import threading
 from fractions import Fraction
 
 import mpmath
@@ -17,7 +15,8 @@ from totalparts.exactnum import (
     cyc_embed,
     cyc_sign,
     cyclotomic_poly,
-    iv_precision,
+    fixed_cos,
+    fixed_pi,
     phi,
     two_cos,
 )
@@ -176,42 +175,106 @@ def test_from_power_basis_mixed_denominators():
     assert e.coords == (Fraction(7, 6), Fraction(7, 3))
 
 
-def test_iv_precision_sets_and_restores():
-    before = mpmath.iv.prec
-    with pytest.raises(KeyError):
-        with iv_precision(300) as iv:
-            assert iv.prec == 300
-            raise KeyError("inside")
-    assert mpmath.iv.prec == before
-    cyc_embed(two_cos(1, 7), 256)
-    assert mpmath.iv.prec == before
+# -- the sign certificate against a 200-digit oracle ------------------------
+
+def _oracle(e):
+    # Re(e) at 200 digits; call inside mpmath.workdps(200)
+    return mpmath.fsum(mpmath.mpf(c.numerator) / c.denominator
+                       * mpmath.cos(2 * mpmath.pi * i / e.n)
+                       for i, c in enumerate(e.coords) if c)
 
 
-def test_iv_precision_holds_under_thread_contention():
-    # More threads than cores switch as often as possible; each checks
-    # that the precision it set is still in force inside its block.
-    errors = []
+def _mp(q):
+    return mpmath.mpf(q.numerator) / q.denominator
 
-    def worker(bits):
-        try:
-            for _ in range(200):
-                with iv_precision(bits) as iv:
-                    iv.mpf(1) / 3
-                    if iv.prec != bits:
-                        errors.append((bits, iv.prec))
-        except Exception as exc:  # reported through the list
-            errors.append(exc)
 
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(64 + 16 * i,))
-                   for i in range(6)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(t.is_alive() for t in threads)
-    assert errors == []
+def _separation(e):
+    # (B, d, L, h): e = xs/d, L = ||xs||_1, h = phi(n)/2, and the bits
+    # B = bitlen(d) + (h - 1) bitlen(L) of the bound |e| >= 1/(d L^(h-1))
+    d = math.lcm(*(c.denominator for c in e.coords))
+    L = sum(abs(c.numerator) * (d // c.denominator) for c in e.coords)
+    h = phi(e.n) // 2
+    return d.bit_length() + (h - 1) * L.bit_length(), d, L, h
+
+
+def _check_certificate(e):
+    cert = cyc_sign(e)
+    bits, d, L, h = _separation(e)
+    with mpmath.workdps(200):
+        v = _oracle(e)
+        tol = mpmath.mpf(10) ** -120
+        if e.is_zero():
+            assert cert.sign == 0 and cert.precision_bits == 0
+            return
+        assert cert.sign == (1 if v > 0 else -1)
+        assert abs(v) * d * mpmath.mpf(L) ** (h - 1) >= 1
+        if not e.is_rational():
+            assert cert.precision_bits == bits
+        for b in (64, 256):
+            lo, hi = cyc_embed(e, b)
+            assert hi - lo <= Fraction(1, 2 ** b)
+            assert _mp(lo) - tol <= v <= _mp(hi) + tol
+    return v * d * mpmath.mpf(L) ** (h - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(e=st.integers(3, 84).flatmap(elems).flatmap(
+    lambda a: st.integers(1, 10 ** 6).map(lambda s: s * (a + a.conj()))))
+def test_cyc_sign_matches_a_200_digit_oracle(e):
+    _check_certificate(e)
+
+
+def _convergents(x, q_max):
+    # continued-fraction convergents p/q of x with q <= q_max
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while True:
+        a = int(mpmath.floor(x))
+        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+        if q1 > q_max:
+            return
+        yield p1, q1
+        x = 1 / (x - a)
+
+
+@pytest.mark.parametrize("n", [5, 7, 8, 9, 12, 13, 84])
+def test_cyc_sign_near_zero_at_continued_fraction_convergents(n):
+    with mpmath.workdps(300):
+        pairs = list(_convergents(2 * mpmath.cos(2 * mpmath.pi / n),
+                                  2 ** 200))
+    assert len(pairs) > 20
+    ratios = [_check_certificate(q * two_cos(1, n) - p) for p, q in pairs]
+    if n == 5:
+        # the golden ratio's convergents sit within a factor 2 of the bound
+        assert all(r < 2 for r in ratios[-10:])
+
+
+def test_cyc_sign_on_differences_at_close_angles():
+    checked = 0
+    for n in range(5, 85):
+        for n2 in range(n + 1, 85):
+            if math.lcm(n, n2) > 84:
+                continue
+            for m in range(1, (n + 1) // 2):
+                for m2 in range(1, (n2 + 1) // 2):
+                    if abs(m * n2 - m2 * n) == 1:  # Farey neighbours
+                        _check_certificate(two_cos(m, n) - two_cos(m2, n2))
+                        checked += 1
+    assert checked >= 15
+
+
+def test_fixed_pi_encloses_pi():
+    with mpmath.workdps(250):
+        for w in list(range(4, 200)) + [256, 512, 700]:
+            p, err = fixed_pi(w)
+            assert abs(p - mpmath.ldexp(mpmath.pi, w)) < err
+
+
+@pytest.mark.parametrize("w", [4, 64, 256])
+def test_fixed_cos_encloses_every_root_of_unity_to_84(w):
+    bound = 2 ** (w.bit_length() + 2)  # the a-priori bound cyc_embed uses
+    with mpmath.workdps(200):
+        for n in range(1, 85):
+            for i in range(n):
+                c, r = fixed_cos(i, n, w)
+                exact = mpmath.ldexp(mpmath.cos(2 * mpmath.pi * i / n), w)
+                assert abs(c - exact) < r < bound, (i, n)

@@ -38,6 +38,7 @@ from totalparts.exotica import (
     _scan_params,
     _screened,
     _sum_bounded_vectors,
+    _tau_float_interval,
     exotic_search,
     m3_exception_scan,
     s3_table,
@@ -225,6 +226,17 @@ def test_interval_filter_signs_agree_with_exact_signs(case):
     for s, c in zip(status.tolist(), poly):
         if s:
             assert cyc_sign(c).sign == s
+
+
+def test_tau_float_interval_encloses_two_cos_within_one_ulp_a_side():
+    with mpmath.workdps(60):
+        for k in range(1, 85):
+            for m in range(k):
+                lo, hi = _tau_float_interval(m, k)
+                exact = 2 * mpmath.cos(2 * mpmath.pi * m / k)
+                assert lo <= exact <= hi, (m, k)
+                assert math.nextafter(lo, math.inf) >= exact - 2.0 ** -120
+                assert math.nextafter(hi, -math.inf) <= exact + 2.0 ** -120
 
 
 @settings(max_examples=25, deadline=None)
@@ -429,7 +441,6 @@ def test_certified_negative_rejects_before_escalation(monkeypatch):
         calls.append((m, j))
         return -1 if (m, j) == first_negative else 1
 
-    monkeypatch.setattr(exotica, "_SCAN_CACHE", {})
     monkeypatch.setattr(exotica, "_scan_float_pass", lambda *args: v)
     monkeypatch.setattr(exotica, "_scan_coeff_sign", sign)
     record = s_scan(ell, k)
@@ -452,7 +463,6 @@ def test_s4_300_escalates_one_coefficient_per_third_of_k(monkeypatch):
         calls.append((m, j, sign))
         return sign
 
-    monkeypatch.setattr(exotica, "_SCAN_CACHE", {})
     monkeypatch.setattr(exotica, "_scan_coeff_sign", counted)
     record = s_scan(4, 300)
     assert len(calls) == 100
@@ -474,7 +484,6 @@ def test_s4_3000_escalates_a_third_of_k_exact_zeros(monkeypatch):
         calls.append((m, j, sign))
         return sign
 
-    monkeypatch.setattr(exotica, "_SCAN_CACHE", {})
     monkeypatch.setattr(exotica, "_scan_coeff_sign", counted)
     record = s_scan(4, 3000)
     assert len(calls) == 1000
@@ -486,11 +495,9 @@ def test_s4_3000_escalates_a_third_of_k_exact_zeros(monkeypatch):
 @pytest.mark.parametrize("ell, k", [(4, 300), (3, 611), (4, 611), (4, 1500)])
 def test_chunked_float_pass_gives_the_one_chunk_record(ell, k, monkeypatch):
     ms = _scan_ms(ell, k)
-    monkeypatch.setattr(exotica, "_SCAN_CACHE", {})
     monkeypatch.setattr(exotica, "_SCAN_CHUNK_ELEMS", len(ms) * k)
     whole = s_scan(ell, k)
     rows = 7
-    monkeypatch.setattr(exotica, "_SCAN_CACHE", {})
     monkeypatch.setattr(exotica, "_SCAN_CHUNK_ELEMS", rows * k + k - 1)
     chunked = s_scan(ell, k)
     assert chunked == whole

@@ -45,8 +45,7 @@ def test_every_golden_file_has_a_command():
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
-def test_cli_stdout_matches_golden_transcript(name, capsys, monkeypatch):
-    monkeypatch.delenv("TOTALPARTS_PRECISION", raising=False)
+def test_cli_stdout_matches_golden_transcript(name, capsys):
     assert run(COMMANDS[name]) == 0
     out = capsys.readouterr().out.encode("utf-8")
     assert out == (GOLDEN / f"{name}.out").read_bytes()
@@ -55,9 +54,6 @@ def test_cli_stdout_matches_golden_transcript(name, capsys, monkeypatch):
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs")
 def test_s4scan_with_two_workers_matches_golden_transcript(capsys,
                                                            monkeypatch):
-    # an empty scan cache makes every k go through the worker pool
-    monkeypatch.delenv("TOTALPARTS_PRECISION", raising=False)
-    monkeypatch.setattr(exotica, "_SCAN_CACHE", {})
     pools = []
     real_pool = exotica.Pool
 

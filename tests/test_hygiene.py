@@ -1,10 +1,12 @@
-"""Source hygiene: every name a package module imports is used, and every
-private module-level function is referenced somewhere."""
+"""Source hygiene: every name a package module imports is used, every
+private module-level function is referenced somewhere, and the package runs
+without mpmath."""
 
 import ast
 import collections
 import importlib
 import pathlib
+import re
 
 import pytest
 
@@ -83,3 +85,21 @@ def test_no_dead_private_functions():
                     and used[node.name] == _identifiers(node)[node.name]):
                 dead.append(f"{path.stem}.{node.name}")
     assert not dead, f"private functions nothing references: {dead}"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_imports_mpmath(path):
+    modules = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            modules |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            modules.add(node.module.split(".")[0])
+    assert "mpmath" not in modules
+
+
+def test_mpmath_is_not_a_runtime_dependency():
+    text = (ROOT / "pyproject.toml").read_text()
+    deps = re.search(r"^dependencies = \[(.*?)\]", text, re.M | re.S)
+    assert "numpy" in deps.group(1) and "mpmath" not in deps.group(1)
