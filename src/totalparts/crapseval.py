@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dicecore import Sack, as_scalar, parts_to_total, poly_sum, scalar_sign
+from .dicecore import Sack, as_scalar, parts_to_total, poly_sum
+from .exactnum import cyc_sign
 
 WIN_TOTALS = (7, 11)
 LOSE_TOTALS = (2, 3, 12)
@@ -124,7 +125,7 @@ def craps_from_sack(sack: Sack) -> CrapsReport:
         # a Fraction is compared directly; any other coefficient gets a
         # certified sign
         sign = ((c > 0) - (c < 0) if isinstance(c, Fraction)
-                else scalar_sign(c).sign)
+                else cyc_sign(c).sign)
         if sign < 0:
             raise InvalidDistribution("total has a negative probability")
         if sign == 0:

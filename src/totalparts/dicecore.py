@@ -15,8 +15,9 @@ numerators over one positive denominator, and ``Fraction``s are built only
 for the result.  :func:`poly_mul` keeps lists of ints in Z[x], so a caller
 that normalizes at the end can carry bare integer numerators: normalizing
 divides by the coefficient sum, and the denominator cancels.  A list holding
-a ``CycElem`` goes through the field arithmetic of ``exactnum``.  Any other
-entry, a float included, raises ``TypeError``.
+a ``CycElem`` is multiplied, summed and normalized with the ``CycElem``
+operators alone; how a ``CycElem`` stores its coordinates is known only to
+``exactnum``.  Any other entry, a float included, raises ``TypeError``.
 
 A die built from roots of unity, prod (x - zeta_n^e) * (x+1)^x1, comes from
 :func:`root_product`.  It holds each coefficient as an integer vector over
@@ -26,12 +27,10 @@ one subtraction, and reduces each coefficient mod Phi_n once at the end.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import (CycElem, SignCertificate, _conv_ints, _fractions,
-                       _mul_ints, _norm_parts, _numerators, cyc_sign, phi)
+from .exactnum import CycElem, _conv_ints, _fractions, _numerators, cyc_sign
 
 Scalar = object  # Fraction | CycElem
 
@@ -65,10 +64,6 @@ def demote(x) -> Scalar:
     return x
 
 
-def scalar_sign(x) -> SignCertificate:
-    return cyc_sign(x)
-
-
 def render_scalar(x) -> str:
     if isinstance(x, CycElem):
         return x.render()
@@ -82,14 +77,24 @@ def scalar_to_json(x):
     return {"conductor": x.n, "coords": [render_scalar(c) for c in x.coords]}
 
 
+def _rational_from_json(obj) -> Fraction:
+    # a JSON string such as "-1/6" or an integer; floats and booleans are
+    # refused
+    if isinstance(obj, str) or (isinstance(obj, int)
+                                and not isinstance(obj, bool)):
+        return Fraction(obj)
+    raise ValueError(f"cannot parse a rational from {obj!r}")
+
+
 def scalar_from_json(obj) -> Scalar:
-    if isinstance(obj, str):
-        return Fraction(obj)
-    if isinstance(obj, int):
-        return Fraction(obj)
+    """A rational, or {"conductor": n, "coords": [...]} for Q(zeta_n)."""
     if isinstance(obj, dict):
-        return demote(CycElem(obj["conductor"], [Fraction(c) for c in obj["coords"]]))
-    raise ValueError(f"cannot parse scalar from {obj!r}")
+        coords = obj["coords"]
+        if not isinstance(coords, list):
+            raise ValueError(f"coords must be a list, not {coords!r}")
+        return demote(CycElem(obj["conductor"],
+                              [_rational_from_json(c) for c in coords]))
+    return _rational_from_json(obj)
 
 
 # -- polynomial helpers ------------------------------------------------------
@@ -102,24 +107,6 @@ def _rational_ints(p):
             as_scalar(c)  # anything inexact raises TypeError here
             return None
     return _numerators(p)
-
-
-def _cyc_ints(p):
-    """p over one conductor n, the lcm of its CycElem conductors, on integer
-    numerators: (n, ys, xs, den) with p[i] == sum_j ys[i][j] zeta_n^j / den
-    and xs the sum of the ys."""
-    p = [as_scalar(c) for c in p]
-    n = math.lcm(*(c.n for c in p if isinstance(c, CycElem)))
-    width = phi(n)
-    coords = []
-    for c in p:
-        if isinstance(c, CycElem):
-            coords.extend(c.promote(n).coords)
-        else:
-            coords.extend([c] + [0] * (width - 1))
-    nums, den = _numerators(coords)
-    ys = [nums[i:i + width] for i in range(0, len(nums), width)]
-    return n, ys, [sum(col) for col in zip(*ys)], den
 
 
 def _field_mul(a, b):
@@ -180,8 +167,7 @@ def poly_sum(p) -> Scalar:
     ints = _rational_ints(p)
     if ints is not None:
         return Fraction(sum(ints[0]), ints[1])
-    n, _, xs, den = _cyc_ints(p)
-    return CycElem._canonical(n, _fractions(xs, den))
+    return sum(p)
 
 
 def poly_trim(p):
@@ -197,7 +183,7 @@ def _poly_divmod(num, den):
     num = list(num)
     dd = len(den) - 1
     lead = den[-1]
-    lead_inv = lead.inverse() if isinstance(lead, CycElem) else 1 / lead
+    lead_inv = 1 / lead
     q = [Fraction(0)] * max(len(num) - dd, 1)
     for i in range(len(num) - 1, dd - 1, -1):
         c = num[i] * lead_inv
@@ -267,12 +253,12 @@ class Die:
         """Real with every entry certified >= 0."""
         if not self.is_real():
             return False
-        return all(scalar_sign(p).sign >= 0 for p in self.probs)
+        return all(cyc_sign(p).sign >= 0 for p in self.probs)
 
     def is_positive(self) -> bool:
         if not self.is_real():
             return False
-        return all(scalar_sign(p).sign > 0 for p in self.probs)
+        return all(cyc_sign(p).sign > 0 for p in self.probs)
 
     def is_fair(self) -> bool:
         k = self.order
@@ -380,9 +366,9 @@ def normalize_poly(p):
     scalar by which p was divided.  Raises ZeroSum when the sum is 0.
 
     With p = ys/D on integer numerators, p/c = ys/sum(ys): the denominator
-    cancels.  Over Q(zeta_n) the sum xs = sum(ys) is inverted as R/N (the
-    Galois norm, see ``CycElem.inverse``), so each coefficient is ys * R / N,
-    one integer product per coefficient and no CycElem arithmetic.
+    cancels.  Over Q(zeta_n) each coefficient is multiplied by 1/c, the
+    Galois norm quotient of ``CycElem.inverse``, so a die costs one
+    inversion and one integer product per coefficient.
     """
     ints = _rational_ints(p)
     if ints is not None:
@@ -391,14 +377,11 @@ def normalize_poly(p):
         if total == 0:
             raise ZeroSum("coefficient sum is exactly zero")
         return [Fraction(a, total) for a in nums], Fraction(total, den)
-    n, ys, xs, den = _cyc_ints(p)
-    if not any(xs):
+    total = sum(p)
+    if total.is_zero():
         raise ZeroSum("coefficient sum is exactly zero")
-    rest, norm = _norm_parts(xs, n)
-    coeffs = [demote(CycElem._canonical(n, _fractions(_mul_ints(y, rest, n),
-                                                      norm)))
-              for y in ys]
-    return coeffs, demote(CycElem._canonical(n, _fractions(xs, den)))
+    inv = 1 / total
+    return [demote(c * inv) for c in p], demote(total)
 
 
 def normalize_to_die(p, order: int | None = None) -> Die:

@@ -1,25 +1,26 @@
 """Exact scalars: rationals, cyclotomic field elements, and certified signs.
 
 Rationals are plain ``fractions.Fraction`` (always in lowest terms, exact).
-Elements of the cyclotomic field Q(zeta_n) are represented by the class
-:class:`CycElem` as coordinate vectors of length phi(n) with respect to the
-power basis 1, zeta, ..., zeta^(phi(n)-1) of Q[x]/Phi_n(x), where Phi_n is
-the n-th cyclotomic polynomial and zeta = e^(2*pi*i/n).  Reduction mod Phi_n
-is canonical, so two elements of the same conductor are equal iff their
-coordinates are equal, and the exact-zero test is trivial.
+An element of the cyclotomic field Q(zeta_n) is a :class:`CycElem`: integer
+numerators ``nums`` over one positive denominator ``den``, the coordinates
+with respect to the power basis 1, zeta, ..., zeta^(phi(n)-1) of
+Q[x]/Phi_n(x), where Phi_n is the n-th cyclotomic polynomial and
+zeta = e^(2*pi*i/n).  Reduction mod Phi_n and dividing out
+gcd(den, *nums) are canonical, so two elements of the same conductor are
+equal iff their numerators and denominators are, and the exact-zero test is
+trivial.  ``coords``, the same coordinates as ``Fraction``s, is built only
+when asked for.
 
-The public coordinates are a tuple of ``Fraction``s, but products,
-reduction mod Phi_n, power-basis folding, conjugation and inversion run on
-integers: a coordinate vector is split into integer numerators over one
-common positive denominator, and since Phi_n is monic with integer
-coefficients the schoolbook product (:func:`_mul_ints`) and the reduction of
-those numerators stay in Z[zeta_n].  The substitution zeta -> zeta^j
-(:func:`_substitute`) gives complex conjugation (j = -1), the Galois
-conjugates (gcd(j, n) = 1) and promotion to a larger conductor.  The inverse
-of xs/d is d * R / N with R the product of the conjugates of xs other than
-xs itself and N = xs * R, the norm, a nonzero integer.  ``Fraction``s are
-built once, for the reduced result; an integer input to
-:meth:`CycElem.from_power_basis` never becomes a ``Fraction`` before that.
+Since Phi_n is monic with integer coefficients, the schoolbook product
+(:func:`_mul_ints`) and the reduction of numerators stay in Z[zeta_n].  The
+substitution zeta -> zeta^j (:func:`_substitute`) gives complex conjugation
+(j = -1), the Galois conjugates (gcd(j, n) = 1) and promotion to a larger
+conductor.  The inverse of xs/d is d * R / N with R the product of the
+conjugates of xs other than xs itself and N = xs * R, the norm, a nonzero
+integer.  No other module needs to know this format: ``dicecore`` and the
+searches use the operators, and only the helpers on rational coefficient
+lists (:func:`_numerators`, :func:`_conv_ints`, :func:`_fractions`) are
+shared.
 
 Sign determination for real elements (fixed by complex conjugation) first
 tests for exact zero.  A nonzero real e = xs/d is then at least
@@ -199,13 +200,6 @@ def _substitute(nums: list[int], j: int, m: int) -> list[int]:
     return _reduce_ints(out, m)
 
 
-def _reduce_mod_phi(coeffs, n: int) -> tuple[Fraction, ...]:
-    # Reduce a power-basis coefficient list (int or Fraction entries,
-    # exponents already < n) mod Phi_n.
-    nums, den = _numerators(coeffs)
-    return _fractions(_reduce_ints(nums, n), den)
-
-
 @functools.lru_cache(maxsize=None)
 def _mobius(n: int) -> int:
     if n == 1:
@@ -240,49 +234,65 @@ def _basis_traces(n: int) -> tuple[Fraction, ...]:
 class CycElem:
     """An element of Q(zeta_n), immutable, with exact arithmetic.
 
-    Mixed-conductor operations promote both operands to conductor
-    lcm(n1, n2).  Conjugation (zeta -> zeta^-1) and inversion are exact.
+    Stored as ``nums``, phi(n) integers reduced mod Phi_n, over ``den``, a
+    positive integer with gcd(den, *nums) = 1 (den = 1 for zero), so that
+    equal elements of one conductor are stored identically.  Mixed-conductor
+    operations promote both operands to conductor lcm(n1, n2).  Conjugation
+    (zeta -> zeta^-1) and inversion are exact.
     """
 
-    __slots__ = ("n", "coords")
+    __slots__ = ("n", "nums", "den")
 
-    def __init__(self, n: int, coords):
-        coords = [Fraction(c) for c in coords]
-        if len(coords) > phi(n):
-            coords = _reduce_mod_phi(coords, n)
-        else:
-            coords = tuple(coords) + (Fraction(0),) * (phi(n) - len(coords))
+    def __new__(cls, n: int, coords):
+        """The element sum coords[i] * zeta_n^i, coords ints or Fractions."""
+        if type(n) is not int or n < 1:
+            raise ValueError(f"conductor must be an integer >= 1, not {n!r}")
+        if isinstance(coords, (str, bytes)):
+            raise ValueError(f"coordinates must be a sequence, not {coords!r}")
+        coords = list(coords)
+        for c in coords:
+            if type(c) is bool or not isinstance(c, (int, Fraction)):
+                raise ValueError(f"coordinate {c!r} is not an int or Fraction")
+        return cls._make(n, *_numerators(coords))
+
+    @classmethod
+    def _make(cls, n: int, nums: list[int], den: int) -> "CycElem":
+        # The element sum nums[i] * zeta_n^i / den for a fresh list nums
+        # (reduced in place mod Phi_n) and a nonzero den.
+        nums = _reduce_ints(nums, n)
+        g = math.gcd(den, *nums)
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = [a // g for a in nums]
+            den //= g
+        self = object.__new__(cls)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coords", tuple(coords))
+        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "den", den)
+        return self
 
     def __setattr__(self, *a):
         raise AttributeError("CycElem is immutable")
 
-    @classmethod
-    def _canonical(cls, n: int, coords: tuple) -> "CycElem":
-        # coords: a tuple of phi(n) Fractions, already reduced.
-        self = object.__new__(cls)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coords", coords)
-        return self
-
-    @classmethod
-    def _from_ints(cls, n: int, nums: list[int], den: int) -> "CycElem":
-        # The element sum nums[i] * zeta_n^i / den, exponents < n.
-        return cls._canonical(n, _fractions(_reduce_ints(nums, n), den))
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        """The phi(n) power-basis coordinates as Fractions."""
+        return _fractions(self.nums, self.den)
 
     # -- construction helpers ------------------------------------------------
 
     @staticmethod
     def from_rational(x, n: int = 1) -> "CycElem":
-        return CycElem(n, [Fraction(x)])
+        q = Fraction(x)
+        return CycElem._make(n, [q.numerator], q.denominator)
 
     @staticmethod
     def zeta(n: int, power: int = 1) -> "CycElem":
         """zeta_n^power as an element of Q(zeta_n)."""
         coeffs = [0] * n
         coeffs[power % n] = 1
-        return CycElem._from_ints(n, coeffs, 1)
+        return CycElem._make(n, coeffs, 1)
 
     @staticmethod
     def from_power_basis(n: int, coeffs) -> "CycElem":
@@ -292,7 +302,7 @@ class CycElem:
         folded = [0] * n
         for i, a in enumerate(nums):
             folded[i % n] += a
-        return CycElem._from_ints(n, folded, den)
+        return CycElem._make(n, folded, den)
 
     # -- promotion and coercion ----------------------------------------------
 
@@ -302,9 +312,8 @@ class CycElem:
             return self
         if m % self.n:
             raise ValueError(f"cannot promote conductor {self.n} to {m}")
-        nums, den = _numerators(self.coords)
-        return CycElem._canonical(
-            m, _fractions(_substitute(nums, m // self.n, m), den))
+        return CycElem._make(m, _substitute(self.nums, m // self.n, m),
+                             self.den)
 
     @staticmethod
     def _pair(a: "CycElem", b) -> tuple["CycElem", "CycElem"]:
@@ -320,84 +329,84 @@ class CycElem:
     # -- queries -------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
+        return not any(self.nums[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("element is not rational")
-        return self.coords[0]
+        return Fraction(self.nums[0], self.den)
 
     def conj(self) -> "CycElem":
         """Complex conjugation, the ring map zeta -> zeta^-1."""
-        nums, den = _numerators(self.coords)
-        return CycElem._canonical(
-            self.n, _fractions(_substitute(nums, -1, self.n), den))
+        return CycElem._make(self.n, _substitute(self.nums, -1, self.n),
+                             self.den)
 
     def is_real(self) -> bool:
         return self == self.conj()
 
     # -- arithmetic ----------------------------------------------------------
 
-    def __add__(self, other):
+    def _plus(self, other, sign: int):
+        # self + sign * other over the least common denominator
         try:
             a, b = CycElem._pair(self, other)
         except TypeError:
             return NotImplemented
-        return CycElem._canonical(
-            a.n, tuple(x + y for x, y in zip(a.coords, b.coords)))
+        den = math.lcm(a.den, b.den)
+        sa, sb = den // a.den, sign * (den // b.den)
+        return CycElem._make(a.n, [x * sa + y * sb
+                                   for x, y in zip(a.nums, b.nums)], den)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycElem._canonical(self.n, tuple(-c for c in self.coords))
+        return CycElem._make(self.n, [-a for a in self.nums], self.den)
 
     def __sub__(self, other):
-        try:
-            a, b = CycElem._pair(self, other)
-        except TypeError:
-            return NotImplemented
-        return CycElem._canonical(
-            a.n, tuple(x - y for x, y in zip(a.coords, b.coords)))
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return CycElem(self.n, [c * q for c in self.coords])
+            return CycElem._make(self.n,
+                                 [a * other.numerator for a in self.nums],
+                                 self.den * other.denominator)
         try:
             a, b = CycElem._pair(self, other)
         except TypeError:
             return NotImplemented
-        xs, dx = _numerators(a.coords)
-        ys, dy = _numerators(b.coords)
-        return CycElem._canonical(
-            a.n, _fractions(_mul_ints(xs, ys, a.n), dx * dy))
+        return CycElem._make(a.n, _mul_ints(a.nums, b.nums, a.n),
+                             a.den * b.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycElem":
         """Multiplicative inverse as a Galois norm, on integer numerators.
 
-        Write self = xs/d with integer numerators xs.  The product R of
-        the conjugates sigma_j(xs), 1 < j < n with gcd(j, n) = 1, times xs
-        is the norm N of xs, a nonzero integer, so the inverse is d * R / N.
+        Write self = xs/d.  The product R of the conjugates sigma_j(xs),
+        1 < j < n with gcd(j, n) = 1, times xs is the norm N of xs, a
+        nonzero integer, so the inverse is d * R / N.
         """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic element")
-        xs, den = _numerators(self.coords)
-        rest, norm = _norm_parts(xs, self.n)
-        return CycElem._canonical(self.n,
-                                  _fractions([den * r for r in rest], norm))
+        rest, norm = _norm_parts(self.nums, self.n)
+        return CycElem._make(self.n, [self.den * r for r in rest], norm)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return CycElem(self.n, [c / q for c in self.coords])
+            if not other:
+                raise ZeroDivisionError("division of CycElem by zero")
+            return CycElem._make(self.n,
+                                 [a * other.denominator for a in self.nums],
+                                 self.den * other.numerator)
         if isinstance(other, CycElem):
             return self * other.inverse()
         return NotImplemented
@@ -421,36 +430,30 @@ class CycElem:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coords[0] == other
+            return (self.is_rational() and self.nums[0] == other.numerator
+                    and self.den == other.denominator)
         if isinstance(other, CycElem):
             a, b = CycElem._pair(self, other)
-            return a.coords == b.coords
+            return a.nums == b.nums and a.den == b.den
         return NotImplemented
 
     def __hash__(self):
         # Hash must agree for equal elements of different conductors; the
         # normalized traces of x and x^2 are conductor-invariant.
         if self.is_rational():
-            return hash(self.coords[0])
+            return hash(Fraction(self.nums[0], self.den))
         tr = _basis_traces(self.n)
-        t1 = sum(c * t for c, t in zip(self.coords, tr))
         sq = self * self
-        t2 = sum(c * t for c, t in zip(sq.coords, tr))
-        return hash((t1, t2))
+        return hash(tuple(sum(a * t for a, t in zip(x.nums, tr)) / x.den
+                          for x in (self, sq)))
 
     # -- rendering -----------------------------------------------------------
 
     def render(self, symbol: str = "z") -> str:
         """Text form as a polynomial in zeta, e.g. ``(-4*z+1)/6``."""
-        if self.is_rational():
-            q = self.coords[0]
-            return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-        denom = math.lcm(*(c.denominator for c in self.coords))
         terms = []
-        for i in range(len(self.coords) - 1, -1, -1):
-            a = self.coords[i] * denom
-            assert a.denominator == 1
-            a = a.numerator
+        for i in range(len(self.nums) - 1, -1, -1):
+            a = self.nums[i]
             if a == 0:
                 continue
             if i == 0:
@@ -460,12 +463,12 @@ class CycElem:
                 body = var if abs(a) == 1 else f"{abs(a)}*{var}"
             sign = "-" if a < 0 else ("+" if terms else "")
             terms.append(sign + body)
-        poly = "".join(terms)
-        if denom == 1:
+        poly = "".join(terms) or "0"
+        if self.den == 1:
             return poly
         if len(terms) > 1:
             poly = f"({poly})"
-        return f"{poly}/{denom}"
+        return f"{poly}/{self.den}"
 
     def __repr__(self):
         return f"CycElem({self.n}, {self.render()!r})"
@@ -566,7 +569,7 @@ def cyc_embed(e, bits: int = 64) -> tuple[Fraction, Fraction]:
     if isinstance(e, (int, Fraction)):
         q = Fraction(e)
         return q, q
-    xs, d = _numerators(e.coords)
+    xs, d = e.nums, e.den
     b = bits + sum(map(abs, xs)).bit_length() + 3
     w = b + b.bit_length() + 3
     total, radius = xs[0] << w, 0
@@ -614,12 +617,11 @@ def cyc_sign(e) -> SignCertificate:
         q = Fraction(e)
         s = (q > 0) - (q < 0)
         return SignCertificate(q, s, 0)
+    xs, d = e.nums, e.den
     if e.is_rational():  # zero included
-        q = e.coords[0]
-        return SignCertificate(e, (q > 0) - (q < 0), 0)
+        return SignCertificate(e, (xs[0] > 0) - (xs[0] < 0), 0)
     if not e.is_real():
         raise NotReal(f"element {e.render()} is not fixed by conjugation")
-    xs, d = _numerators(e.coords)
     bits = (d.bit_length()
             + (phi(e.n) // 2 - 1) * sum(map(abs, xs)).bit_length())
     lo, hi = cyc_embed(e, bits)

@@ -174,15 +174,19 @@ def test_criterion_06_exception_list():
 def test_criterion_07_s3_scan_to_950():
     start = time.perf_counter()
     records = s3_table(950, workers=2)
+    assert [r.k for r in records] == list(range(2, 951))
     m3 = {r.k: r.M for r in records}
+    # R3 <= 60/143 with equality exactly at multiples of 143
     for r in records:
         if r.R is not None:
             assert r.R <= F(60, 143)
             assert (r.R == F(60, 143)) == (r.k % 143 == 0)
-    for ell in range(1, 29):
-        assert m3[12 * ell] == 5 * ell
+    # M3 = 5k/12 at k = 12l exactly for l <= 28
+    for ell in range(1, 950 // 12 + 1):
+        assert (m3[12 * ell] == 5 * ell) == (ell <= 28)
     rep = m3_exception_scan(950)
     assert [(e.k, e.difference) for e in rep.exceptions] == [(603, 59)]
+    assert rep.b_sequence == (0,)
     _report(7, "scan to 950: bound 60/143, M3(12l) = 5l for l <= 28, "
                "first exception at 603", 1800, start)
 

@@ -188,6 +188,29 @@ def test_domain_error_exit_1(capsys):
     assert err.startswith("error:")
 
 
+# Each sack below is malformed in one scalar.  Every one must end in exit 1
+# with one "error:" line; each of the last four would otherwise be read as a
+# die whose probabilities sum to 1.
+MALFORMED_SCALARS = {
+    "conductor_zero": [{"conductor": 0, "coords": ["1"]}, "0"],
+    "conductor_float": [{"conductor": 2.5, "coords": ["1"]}, "0"],
+    "conductor_string": [{"conductor": "6", "coords": ["1"]}, "0"],
+    "coords_string": [{"conductor": 1, "coords": "12"}, "-2"],
+    "coords_float": [{"conductor": 1, "coords": [0.5]}, "1/2"],
+    "json_true": [True, "0"],
+    "json_false": ["1", False],
+}
+
+
+@pytest.mark.parametrize("probs", MALFORMED_SCALARS.values(),
+                         ids=MALFORMED_SCALARS.keys())
+def test_malformed_scalar_json_exits_1(probs, capsys):
+    sack = json.dumps({"dice": [{"order": 2, "probs": probs}]})
+    code, out, err = _run(capsys, "total", "--sack", sack)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         run(["fair-enum"])  # missing required --order

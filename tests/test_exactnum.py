@@ -115,6 +115,122 @@ def test_conjugation_is_a_ring_map(a, b):
     assert a.conj().conj() == a
 
 
+# -- the integer storage against a Fraction-coordinate reference --------------
+#
+# A reference element is (n, coords) with Fraction coords, reduced by long
+# division by cyclotomic_poly(n); products are schoolbook.
+
+def ref_reduce(n, coeffs):
+    phi_n = cyclotomic_poly(n)
+    deg = len(phi_n) - 1
+    c = [Fraction(x) for x in coeffs] + [Fraction(0)] * deg
+    for i in range(len(c) - 1, deg - 1, -1):
+        lead = c[i]
+        if lead:
+            for j, m in enumerate(phi_n):
+                c[i - deg + j] -= lead * m
+    return n, tuple(c[:deg])
+
+
+def ref_substitute(x, j, m):
+    # sum c_i zeta_m^(i*j): promotion for j = m/n, conjugation for j = -1
+    out = [Fraction(0)] * m
+    for i, c in enumerate(x[1]):
+        out[i * j % m] += c
+    return ref_reduce(m, out)
+
+
+def ref_pair(x, y):
+    m = math.lcm(x[0], y[0])
+    return ref_substitute(x, m // x[0], m), ref_substitute(y, m // y[0], m)
+
+
+def ref_add(x, y, sign=1):
+    (m, a), (_, b) = ref_pair(x, y)
+    return m, tuple(p + sign * q for p, q in zip(a, b))
+
+
+def ref_mul(x, y):
+    (m, a), (_, b) = ref_pair(x, y)
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, p in enumerate(a):
+        for j, q in enumerate(b):
+            out[i + j] += p * q
+    return ref_reduce(m, out)
+
+
+def check_elem(e, want):
+    assert (e.n, e.coords) == want
+    assert len(e.nums) == phi(e.n) and all(type(a) is int for a in e.nums)
+    assert type(e.den) is int and e.den > 0
+    assert math.gcd(e.den, *e.nums) == 1
+
+
+mixed_coords = st.one_of(
+    st.lists(st.one_of(st.integers(-20, 20),
+                       st.fractions(-5, 5, max_denominator=12)),
+             max_size=34),
+    st.lists(st.sampled_from([0, Fraction(0)]), max_size=4))
+
+
+@st.composite
+def operand_pairs(draw):
+    # x at a conductor up to 30; y a rational or an element at a conductor
+    # whose lcm with x's stays at most 60
+    n = draw(st.integers(1, 30))
+    x = (n, draw(mixed_coords))
+    y = draw(st.one_of(
+        st.integers(-9, 9), st.fractions(-5, 5, max_denominator=12),
+        st.tuples(st.sampled_from([m for m in range(1, 61)
+                                   if math.lcm(n, m) <= 60]),
+                  mixed_coords)))
+    return x, y
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=operand_pairs())
+def test_cyc_elem_matches_the_fraction_reference(pair):
+    (n, raw), y = pair
+    x, rx = CycElem(n, raw), ref_reduce(n, raw)
+    check_elem(x, rx)
+    if isinstance(y, tuple):
+        y, ry = CycElem(*y), ref_reduce(*y)
+        check_elem(y, ry)
+    else:
+        ry = ref_reduce(1, [y])
+    check_elem(x + y, ref_add(rx, ry))
+    check_elem(y + x, ref_add(rx, ry))
+    check_elem(x - y, ref_add(rx, ry, -1))
+    check_elem(y - x, ref_add(ry, rx, -1))
+    check_elem(-x, ref_add(ref_reduce(n, []), rx, -1))
+    check_elem(x * y, ref_mul(rx, ry))
+    check_elem(y * x, ref_mul(rx, ry))
+    check_elem(x.conj(), ref_substitute(rx, -1, n))
+    m = n * (60 // n)
+    check_elem(x.promote(m), ref_substitute(rx, m // n, m))
+    if x.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+    else:
+        inv = x.inverse()
+        check_elem(inv, (n, inv.coords))
+        assert ref_mul(rx, (n, inv.coords)) == ref_reduce(n, [1])
+    # equality and hashing across conductors
+    (_, a), (_, b) = ref_pair(rx, ry)
+    assert (x == y) == (a == b) == (y == x)
+    assert x == x.promote(m) and hash(x) == hash(x.promote(m))
+    if a == b:
+        assert hash(x) == hash(y)
+
+
+@given(q=st.one_of(st.integers(-50, 50), st.fractions(max_denominator=50)),
+       n=st.integers(1, 30))
+def test_rational_elements_hash_as_their_fraction(q, n):
+    e = CycElem.from_rational(q, n)
+    check_elem(e, ref_reduce(n, [q]))
+    assert e == q and hash(e) == hash(q) == hash(Fraction(q))
+
+
 def test_two_cos_values():
     assert two_cos(1, 4) == Fraction(0)
     assert two_cos(1, 6) == Fraction(1)

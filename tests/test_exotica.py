@@ -40,8 +40,6 @@ from totalparts.exotica import (
     _sum_bounded_vectors,
     _tau_float_interval,
     exotic_search,
-    m3_exception_scan,
-    s3_table,
     s_scan,
     scatter_emit,
     smallest_exotic_34,
@@ -535,26 +533,6 @@ def test_s4_scan_is_an_interval():
     for k in (7, 12, 18, 25, 30):
         S = s_scan(4, k).S
         assert S == tuple(range(math.ceil(k / 6), k // 3 + 1))
-
-
-def test_s3_table_and_exceptions_to_950():
-    records = s3_table(950, workers=2)
-    assert [r.k for r in records] == list(range(2, 951))
-    m3 = {r.k: r.M for r in records}
-    # R3 <= 60/143 with equality exactly at multiples of 143
-    for r in records:
-        if r.R is not None:
-            assert r.R <= F(60, 143)
-            assert (r.R == F(60, 143)) == (r.k % 143 == 0)
-    # M3 = 5k/12 at k = 12l exactly for l <= 28
-    for ell in range(1, 79):
-        k = 12 * ell
-        if k > 950:
-            break
-        assert (m3[k] == 5 * ell) == (ell <= 28)
-    rep = m3_exception_scan(950)
-    assert [(e.k, e.difference) for e in rep.exceptions] == [(603, 59)]
-    assert rep.b_sequence == (0,)
 
 
 def test_scatter_rows_and_bound():

@@ -1,6 +1,7 @@
 """Source hygiene: every name a package module imports is used, every
-private module-level function is referenced somewhere, and the package runs
-without mpmath."""
+private module-level function is referenced somewhere, no module reaches
+into exactnum's private number format, and the package runs without
+mpmath."""
 
 import ast
 import collections
@@ -85,6 +86,26 @@ def test_no_dead_private_functions():
                     and used[node.name] == _identifiers(node)[node.name]):
                 dead.append(f"{path.stem}.{node.name}")
     assert not dead, f"private functions nothing references: {dead}"
+
+
+# The private exactnum helpers on rational coefficient lists that other
+# modules may still import; everything else private stays behind exactnum.
+EXACTNUM_SHARED = {"_numerators", "_conv_ints", "_fractions"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_private_exactnum_imports(path):
+    if path.stem == "exactnum":
+        return
+    private = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (isinstance(node, ast.ImportFrom)
+                and (node.module or "").split(".")[-1] == "exactnum"):
+            private |= {alias.name for alias in node.names
+                        if alias.name.startswith("_")}
+    leaked = sorted(private - EXACTNUM_SHARED)
+    assert not leaked, f"{path.name} imports {leaked} from exactnum"
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
