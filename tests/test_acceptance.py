@@ -25,8 +25,6 @@ from totalparts.dicecore import (
 from totalparts.exactnum import two_cos
 from totalparts.exotica import (
     exotic_search,
-    m3_exception_scan,
-    s3_table,
     swap_census,
     verify_tridecahedral,
 )
@@ -45,6 +43,7 @@ from totalparts.fibers import (
     total_is_squarefree,
 )
 
+from test_exotica import s3_scan_950
 from test_fairlab import GOLDEN_51_ROWS, _die_from_triples
 
 F = Fraction
@@ -173,7 +172,7 @@ def test_criterion_06_exception_list():
 
 def test_criterion_07_s3_scan_to_950():
     start = time.perf_counter()
-    records = s3_table(950, workers=2)
+    records, rep = s3_scan_950()
     assert [r.k for r in records] == list(range(2, 951))
     m3 = {r.k: r.M for r in records}
     # R3 <= 60/143 with equality exactly at multiples of 143
@@ -184,7 +183,6 @@ def test_criterion_07_s3_scan_to_950():
     # M3 = 5k/12 at k = 12l exactly for l <= 28
     for ell in range(1, 950 // 12 + 1):
         assert (m3[12 * ell] == 5 * ell) == (ell <= 28)
-    rep = m3_exception_scan(950)
     assert [(e.k, e.difference) for e in rep.exceptions] == [(603, 59)]
     assert rep.b_sequence == (0,)
     _report(7, "scan to 950: bound 60/143, M3(12l) = 5l for l <= 28, "

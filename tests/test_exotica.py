@@ -1,5 +1,6 @@
 """Exotic sacks: censuses, published tables, scans, and their oracles."""
 
+import functools
 import itertools
 import math
 import random
@@ -40,6 +41,8 @@ from totalparts.exotica import (
     _sum_bounded_vectors,
     _tau_float_interval,
     exotic_search,
+    m3_exception_scan,
+    s3_table,
     s_scan,
     scatter_emit,
     smallest_exotic_34,
@@ -527,6 +530,29 @@ def test_s3_known_maxima():
     assert s_scan(3, 143).M == 60
     assert s_scan(3, 336).M == 140
     assert s_scan(3, 2).M is None
+
+
+@functools.cache
+def s3_scan_950():
+    """The S_3 scan of k = 2..950 and its M3 exception report, computed once
+    per session; criterion 7 in test_acceptance shares it."""
+    return s3_table(950, workers=2), m3_exception_scan(950)
+
+
+def test_s3_table_and_exceptions_to_950():
+    records, rep = s3_scan_950()
+    assert [r.k for r in records] == list(range(2, 951))
+    m3 = {r.k: r.M for r in records}
+    # R3 <= 60/143 with equality exactly at multiples of 143
+    for r in records:
+        if r.R is not None:
+            assert r.R <= F(60, 143)
+            assert (r.R == F(60, 143)) == (r.k % 143 == 0)
+    # M3 = 5k/12 at k = 12l exactly for l <= 28
+    for ell in range(1, 950 // 12 + 1):
+        assert (m3[12 * ell] == 5 * ell) == (ell <= 28)
+    assert [(e.k, e.difference) for e in rep.exceptions] == [(603, 59)]
+    assert rep.b_sequence == (0,)
 
 
 def test_s4_scan_is_an_interval():
