@@ -86,12 +86,19 @@ def _rational_from_json(obj) -> Fraction:
     raise ValueError(f"cannot parse a rational from {obj!r}")
 
 
+def _json_shaped(obj, kind: type, what: str):
+    """obj if it is a JSON object (kind dict) or list (kind list), else a
+    ValueError naming what it should have been."""
+    if not isinstance(obj, kind):
+        shape = "an object" if kind is dict else "a list"
+        raise ValueError(f"{what} must be {shape}, not {obj!r}")
+    return obj
+
+
 def scalar_from_json(obj) -> Scalar:
     """A rational, or {"conductor": n, "coords": [...]} for Q(zeta_n)."""
     if isinstance(obj, dict):
-        coords = obj["coords"]
-        if not isinstance(coords, list):
-            raise ValueError(f"coords must be a list, not {coords!r}")
+        coords = _json_shaped(obj["coords"], list, "coords")
         return demote(CycElem(obj["conductor"],
                               [_rational_from_json(c) for c in coords]))
     return _rational_from_json(obj)
@@ -276,7 +283,9 @@ class Die:
 
     @staticmethod
     def from_json(obj: dict) -> "Die":
-        probs = [scalar_from_json(p) for p in obj["probs"]]
+        obj = _json_shaped(obj, dict, "a die")
+        probs = [scalar_from_json(p)
+                 for p in _json_shaped(obj["probs"], list, "probs")]
         order = obj.get("order", len(probs))
         if order != len(probs):
             raise ValueError("declared order does not match probability count")
@@ -320,7 +329,9 @@ class Sack:
 
     @staticmethod
     def from_json(obj: dict) -> "Sack":
-        return Sack(tuple(Die.from_json(d) for d in obj["dice"]))
+        obj = _json_shaped(obj, dict, "a sack")
+        return Sack(tuple(Die.from_json(d)
+                          for d in _json_shaped(obj["dice"], list, "dice")))
 
     def canonical_key(self):
         return tuple(tuple(d.probs) for d in self.dice)
@@ -349,7 +360,8 @@ class DistPoly:
 
     @staticmethod
     def from_json(obj) -> "DistPoly":
-        return DistPoly(tuple(scalar_from_json(c) for c in obj))
+        return DistPoly(tuple(scalar_from_json(c)
+                              for c in _json_shaped(obj, list, "a total")))
 
 
 # -- operations --------------------------------------------------------------

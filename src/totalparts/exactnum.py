@@ -231,6 +231,19 @@ def _basis_traces(n: int) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
+def _exact_coords(coords) -> list:
+    # coordinates from a caller: a sequence of ints and Fractions, never a
+    # string, a float or a bool; a plain int passes on one type test
+    if isinstance(coords, (str, bytes)):
+        raise ValueError(f"coordinates must be a sequence, not {coords!r}")
+    coords = list(coords)
+    for c in coords:
+        if type(c) is not int and (type(c) is bool
+                                   or not isinstance(c, (int, Fraction))):
+            raise ValueError(f"coordinate {c!r} is not an int or Fraction")
+    return coords
+
+
 class CycElem:
     """An element of Q(zeta_n), immutable, with exact arithmetic.
 
@@ -247,13 +260,7 @@ class CycElem:
         """The element sum coords[i] * zeta_n^i, coords ints or Fractions."""
         if type(n) is not int or n < 1:
             raise ValueError(f"conductor must be an integer >= 1, not {n!r}")
-        if isinstance(coords, (str, bytes)):
-            raise ValueError(f"coordinates must be a sequence, not {coords!r}")
-        coords = list(coords)
-        for c in coords:
-            if type(c) is bool or not isinstance(c, (int, Fraction)):
-                raise ValueError(f"coordinate {c!r} is not an int or Fraction")
-        return cls._make(n, *_numerators(coords))
+        return cls._make(n, *_numerators(_exact_coords(coords)))
 
     @classmethod
     def _make(cls, n: int, nums: list[int], den: int) -> "CycElem":
@@ -274,6 +281,11 @@ class CycElem:
 
     def __setattr__(self, *a):
         raise AttributeError("CycElem is immutable")
+
+    def __reduce__(self):
+        # pickle and copy rebuild the element from its conductor and
+        # coordinates
+        return CycElem, (self.n, self.coords)
 
     @property
     def coords(self) -> tuple[Fraction, ...]:
@@ -296,9 +308,9 @@ class CycElem:
 
     @staticmethod
     def from_power_basis(n: int, coeffs) -> "CycElem":
-        """Element sum coeffs[i] * zeta_n^i with arbitrary-length coeffs."""
-        nums, den = _numerators([c if isinstance(c, (int, Fraction))
-                                 else Fraction(c) for c in coeffs])
+        """Element sum coeffs[i] * zeta_n^i with arbitrary-length coeffs,
+        ints or Fractions."""
+        nums, den = _numerators(_exact_coords(coeffs))
         folded = [0] * n
         for i, a in enumerate(nums):
             folded[i % n] += a

@@ -7,11 +7,12 @@ chi_{m,k}(x) = x^2 - 2cos(2*pi*m/k)x + 1.  A census (:func:`swap_census`,
 
 1. enumerate the multiplicity vectors of the candidate pairs, lazily;
 2. stream them in chunks of ``_CHUNK_ROWS`` rows through
-   :func:`_interval_filter`, one numpy outward-rounded float interval
-   product per chunk and die, which gives every coefficient of every
-   candidate die a status: certified positive, certified negative, or
-   unresolved;
-3. drop each pair with a certified negative coefficient;
+   :func:`_point_filter`, one numpy float product per chunk and die with
+   an error bound derived in advance, which gives every coefficient of
+   every candidate die a status: certified positive (above its bound),
+   certified negative (below minus its bound), or unresolved;
+3. drop each pair with a certified negative coefficient before any exact
+   work;
 4. build the exact products of the remaining dice from their roots
    zeta_n^(+-e) with :func:`dicecore.root_product`
    (:func:`_chi_product_exact`);
@@ -21,7 +22,7 @@ chi_{m,k}(x) = x^2 - 2cos(2*pi*m/k)x + 1.  A census (:func:`swap_census`,
    derived in advance from a separation bound);
 6. scale the surviving products to dice with ``normalize_to_die``.
 
-No sack is admitted or rejected from an unresolved interval.
+No sack is admitted or rejected from an unresolved float status.
 """
 
 from __future__ import annotations
@@ -35,105 +36,110 @@ from multiprocessing import Pool
 
 import numpy as np
 
-# two_cos is not called here; it stays importable from this module because
-# perfbench/spans.py wraps it under this name for its traced census run.
-from .exactnum import CycElem, cyc_embed, cyc_sign, fixed_cos, two_cos
+from .exactnum import CycElem, cyc_embed, cyc_sign, two_cos
 from .dicecore import (Die, Sack, demote, normalize_to_die, poly_mul, psi,
                        root_product)
 
 M3_RATIO_BOUND = Fraction(60, 143)
 
-_INF = math.inf
-
-# Rows per call of the interval filter: large enough to amortize numpy's
+# Rows per call of the point filter: large enough to amortize numpy's
 # per-call cost, small enough to keep a census's memory flat.
 _CHUNK_ROWS = 128
 
 
-# -- the batched interval filter --------------------------------------------
+# -- the batched point filter -----------------------------------------------
 
 @functools.lru_cache(maxsize=None)
-def _tau_float_interval(m: int, k: int) -> tuple[float, float]:
-    # Float enclosure of 2cos(2*pi*m/k): the exact endpoints 2(C - r)/2^128
-    # and 2(C + r)/2^128 of the integer cosine, each rounded to the nearest
-    # float and moved one ulp outward if that float lies inside.
-    c, r = fixed_cos(m, k, 128)
-    lo, hi = Fraction(c - r, 1 << 127), Fraction(c + r, 1 << 127)
-    f_lo, f_hi = float(lo), float(hi)
-    return (f_lo if f_lo <= lo else math.nextafter(f_lo, -_INF),
-            f_hi if f_hi >= hi else math.nextafter(f_hi, _INF))
+def _chi_factor(m: int, k: int) -> tuple[float, float]:
+    # (-tau~, 1.0) for chi_{m,k}, where tau~ is the float nearest the midpoint
+    # of a 2^-64-wide enclosure of tau = 2cos(2*pi*m/k): within 2^-52 + 2^-65
+    # of tau, and at most 2 in absolute value, because 2 and -2 are floats.
+    lo, hi = cyc_embed(two_cos(m, k), 64)
+    return (-float((lo + hi) / 2), 1.0)
 
 
-def _chi_interval(m: int, k: int):
-    lo, hi = _tau_float_interval(m, k)
-    return ((1.0, 1.0), (-hi, -lo), (1.0, 1.0))
+_X_PLUS_1 = (1.0, 0.0)
 
 
-_X_PLUS_1 = ((1.0, 1.0), (1.0, 1.0))
+@functools.lru_cache(maxsize=None)
+def _error_bounds(degree: int) -> np.ndarray:
+    # b_j = eps_D * C(D, j), derived in _point_filter.  Each is computed in
+    # Fractions and taken 1 + 2u times larger before rounding to nearest
+    # (relative error below u), so the float is not below the exact bound.
+    if degree > 1000:
+        raise ValueError("the point filter's bound holds for degree <= 1000")
+    u = Fraction(1, 2 ** 53)
+    eps = ((1 + 3 * u / (1 - 3 * u) + 3 * u) ** degree - 1 + u) * (1 + 2 * u)
+    out = np.array([float(eps * math.comb(degree, j))
+                    for j in range(degree + 1)])
+    out.setflags(write=False)
+    return out
 
 
-def _interval_filter(factors, mults) -> np.ndarray:
+def _point_product(factors, mults) -> np.ndarray:
+    """Float coefficients of many factor products at once.
+
+    ``factors`` are pairs (a1, a2) standing for 1 + a1*x + a2*x^2: a chi is
+    (-tau~, 1.0) from _chi_factor(m, k), and x+1 is (1.0, 0.0).
+    ``mults`` is a rows x factors matrix of multiplicities; row r stands for
+    the product of factors[f] ** mults[r][f], and every row must have the
+    same degree D.  Returns the rows x (D+1) computed coefficients,
+    constant term first.
+
+    One float array holds every row's partial product.  The columns are
+    taken in order; for factor f and c = 1 .. max mult, the rows with
+    mult >= c are multiplied by f, a shift-and-add: coefficient j becomes
+    (p_j + a1 p_(j-1)) + a2 p_(j-2).  The other rows are left as they are.
+    """
+    mults = np.asarray(mults, dtype=np.int64).reshape(len(mults),
+                                                      len(factors))
+    degrees = {int(d) for d in mults @ [1 + (a2 != 0) for _, a2 in factors]}
+    if len(degrees) > 1:
+        raise ValueError("every row must have the same degree")
+    p = np.zeros((len(mults), (degrees.pop() if degrees else 0) + 1))
+    p[:, 0] = 1.0
+    for (a1, a2), column in zip(factors, mults.T):
+        for c in range(1, column.max(initial=0) + 1):
+            step = p.copy()
+            step[:, 1:] += a1 * p[:, :-1]
+            step[:, 2:] += a2 * p[:, :-2]
+            p = np.where((column >= c)[:, None], step, p)
+    return p
+
+
+def _point_filter(factors, mults) -> np.ndarray:
     """Certified coefficient signs of many factor products at once.
 
-    ``factors`` are interval polynomials, each a tuple of (lo, hi)
-    coefficient enclosures, constant term first.  ``mults`` is a
-    rows x factors matrix of multiplicities; row r stands for the product
-    of factors[f] ** mults[r][f], taken one factor at a time in column
-    order, and every row must have the same degree D.  Returns a
-    rows x (D+1) int8 array holding +1 where a coefficient's enclosure lies
-    above zero, -1 where it lies below, and 0 where it straddles zero
-    (unresolved).
+    Takes the arguments of :func:`_point_product` and returns a rows x (D+1)
+    int8 array holding +1 where a computed coefficient p~_j exceeds its
+    bound b_j = _error_bounds(D)[j], -1 where it lies below -b_j, and 0
+    otherwise (unresolved).
 
-    Each product and each sum is rounded to nearest and then widened by one
-    ulp outward with ``np.nextafter``, so every enclosure contains the exact
-    coefficient.  Coefficient s of a product a * b is the sum of
-    a[i] * b[s - i] over ascending i, 0 <= i <= deg a, starting from an
-    exact zero.  Rows whose factors have the same sequence of degrees are
-    multiplied together, one numpy operation per step for all of them.
+    Error bound (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., ch. 3; Rump, Verification methods, Acta Numerica 2010), with
+    u = 2^-53, gamma_3 = 3u/(1-3u), and |q| <= r meaning coefficientwise.
+    Both |tau| and |tau~| are at most 2, so |1 - tau x + x^2| <= (1+x)^2 and
+    |x + 1| <= 1 + x: the exact partial product of degree d is majorized by
+    (1+x)^d.  Suppose the computed one, q~, is within e_d (1+x)^d of the
+    exact one, q, so |q~| <= (1 + e_d)(1+x)^d.  A step by a factor g of
+    degree delta, computed with g~ (tau~ in place of tau), has three error
+    terms: g (q~ - q), within (1+x)^delta e_d (1+x)^d; (g~ - g) q~, where
+    |tau~ - tau| <= 2^-52 + 2^-65 < 3u gives |g~ - g| <= 3u x <= 3u (1+x)^2;
+    and the rounding of each output coefficient, a dot product of at most 3
+    terms, within gamma_3 |g~| |q~| (Higham (3.4)).  Hence
+    1 + e_(d+delta) <= (1 + e_d)(1 + gamma_3 + 3u).  Only steps that raise
+    the degree round, at most D of them, so the final error is at most
+    ((1 + gamma_3 + 3u)^D - 1) C(D, j) at coefficient j.  Underflow adds an
+    absolute error below 2^-1075 per operation, at most 3 per coefficient
+    and step, amplified by at most 2^D: under 3D 2^(D-1075) < u for
+    D <= 1000, where (1+x)^D also stays clear of overflow.  So
+    b_j = eps_D C(D, j) with eps_D = (1 + gamma_3 + 3u)^D - 1 + u, computed
+    in Fractions and rounded up to a float, bounds |p~_j - p_j|, and a
+    status of +-1 is the sign of p_j.
     """
-    fdeg = [len(f) - 1 for f in factors]
-    groups = {}
-    for r, row in enumerate(mults):
-        seq = tuple(f for f, c in enumerate(row) for _ in range(c))
-        groups.setdefault(tuple(fdeg[f] for f in seq), []).append((r, seq))
-    widths = {sum(degs) + 1 for degs in groups}
-    if len(widths) > 1:
-        raise ValueError("every row must have the same degree")
-    tab_lo = np.zeros((len(factors), max(fdeg, default=0) + 1))
-    tab_hi = np.zeros_like(tab_lo)
-    for f, factor in enumerate(factors):
-        for j, (b_lo, b_hi) in enumerate(factor):
-            tab_lo[f, j], tab_hi[f, j] = b_lo, b_hi
-    unit = (tab_lo == 1.0) & (tab_hi == 1.0)
-    status = np.empty((len(mults), widths.pop() if widths else 1),
-                      dtype=np.int8)
-    for degs, members in groups.items():
-        order = np.array([seq for _, seq in members],
-                         dtype=np.int64).reshape(len(members), len(degs))
-        lo = np.ones((len(members), 1))
-        hi = np.ones((len(members), 1))
-        for step, d in enumerate(degs):
-            f = order[:, step]
-            n = lo.shape[1]
-            acc_lo = np.zeros((len(members), n + d))
-            acc_hi = np.zeros_like(acc_lo)
-            for j in range(d, -1, -1):
-                if unit[f, j].all():
-                    t_lo, t_hi = lo, hi  # times the point 1: exact
-                else:
-                    b_lo, b_hi = tab_lo[f, j, None], tab_hi[f, j, None]
-                    p1, p2, p3, p4 = lo * b_lo, lo * b_hi, hi * b_lo, hi * b_hi
-                    t_lo = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
-                    t_hi = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
-                seg_lo, seg_hi = acc_lo[:, j:j + n], acc_hi[:, j:j + n]
-                seg_lo += np.nextafter(t_lo, -_INF)
-                seg_hi += np.nextafter(t_hi, _INF)
-                np.nextafter(seg_lo, -_INF, out=seg_lo)
-                np.nextafter(seg_hi, _INF, out=seg_hi)
-            lo, hi = acc_lo, acc_hi
-        status[[r for r, _ in members]] = ((lo > 0).view(np.int8)
-                                           - (hi < 0).view(np.int8))
-    return status
+    p = _point_product(factors, mults)
+    bound = _error_bounds(p.shape[1] - 1)
+    return (p > bound).view(np.int8) - (p < -bound).view(np.int8)
 
 
 def _screened(candidates, factors):
@@ -141,12 +147,12 @@ def _screened(candidates, factors):
 
     ``candidates`` yields ``(payload, rows)`` with one multiplicity row per
     die; the rows of one die position share a degree.  Candidates are
-    filtered ``_CHUNK_ROWS`` at a time, one :func:`_interval_filter` call
+    filtered ``_CHUNK_ROWS`` at a time, one :func:`_point_filter` call
     per die position, and yielded in order as ``(payload, statuses)``.
     """
     it = iter(candidates)
     while chunk := list(itertools.islice(it, _CHUNK_ROWS)):
-        per_die = [_interval_filter(factors, [rows[i] for _, rows in chunk])
+        per_die = [_point_filter(factors, [rows[i] for _, rows in chunk])
                    for i in range(len(chunk[0][1]))]
         for r, (payload, _) in enumerate(chunk):
             yield payload, [status[r] for status in per_die]
@@ -167,7 +173,7 @@ def _certified_products(statuses, dice, conductor):
     """The exact products of a candidate's dice if every coefficient of each
     is certified >= 0, else None.
 
-    ``statuses`` are the interval filter's statuses and ``dice`` the
+    ``statuses`` are the point filter's statuses and ``dice`` the
     ``(chis, x1_count)`` of each die.  A certified negative status rejects
     the candidate before any exact work; afterwards only the coefficients
     the filter left unresolved go to :func:`cyc_sign`.
@@ -240,7 +246,7 @@ def _diagonal_census(k: int) -> list[tuple[tuple, Sack, SwapSpec]]:
     ms = list(range(1, (k + 1) // 2))
     x1 = 1 if k % 2 == 0 else 0
     target = (k - 2) // 2 if k % 2 == 0 else (k - 1) // 2
-    factors = [_chi_interval(m, k) for m in ms] + [_X_PLUS_1]
+    factors = [_chi_factor(m, k) for m in ms] + [_X_PLUS_1]
 
     def candidates():
         for r in _sum_bounded_vectors(len(ms), target):
@@ -269,6 +275,8 @@ def _diagonal_census(k: int) -> list[tuple[tuple, Sack, SwapSpec]]:
 def swap_census(k: int) -> list[SwapSpec]:
     """Strict exotic pairs of k-dice as give/take swap lists, ordered first
     by the number of factors swapped and then lexicographically."""
+    if k < 2:
+        raise ValueError("order must satisfy k >= 2")
     return [spec for _, _, spec in _diagonal_census(k)]
 
 
@@ -320,7 +328,7 @@ def exotic_search(k: int, kp: int) -> ExoticCensus:
                           + (x1_total - x1_d1,))
                 yield (row_d1, row_d2), (row_d1, row_d2)
 
-    factors = ([_chi_interval(key.numerator, key.denominator) for key in keys]
+    factors = ([_chi_factor(key.numerator, key.denominator) for key in keys]
                + [_X_PLUS_1])
     for rows, statuses in _screened(candidates(), factors):
         dice = [([(key.numerator, key.denominator, c)

@@ -21,6 +21,7 @@ from .dicecore import (
     DistPoly,
     Sack,
     ZeroSum,
+    _json_shaped,
     as_scalar,
     demote,
     normalize_to_die,
@@ -100,7 +101,7 @@ class ChiFactor:
 
 
 def factor_from_json(obj):
-    if obj["type"] == "linear":
+    if _json_shaped(obj, dict, "a factor")["type"] == "linear":
         return LinearFactor(scalar_from_json(obj["root"]))
     if obj["type"] == "chi":
         return ChiFactor(obj["m"], obj["k"])
@@ -140,7 +141,8 @@ class FactorMultiset:
     @staticmethod
     def from_json(obj) -> "FactorMultiset":
         return FactorMultiset(tuple(
-            (factor_from_json(e), e.get("multiplicity", 1)) for e in obj))
+            (factor_from_json(e), e.get("multiplicity", 1))
+            for e in _json_shaped(obj, list, "a factor multiset")))
 
 
 # -- operations --------------------------------------------------------------
@@ -181,7 +183,7 @@ def _slot_powers(factor, mult):
     return powers
 
 
-def enumerate_fiber(factors: FactorMultiset, sack_type, dedupe: bool = True):
+def enumerate_fiber(factors: FactorMultiset, sack_type):
     """All sacks of the given type whose total has the given factor multiset.
 
     Every distribution of the factors among the slots respecting the degree
@@ -189,6 +191,7 @@ def enumerate_fiber(factors: FactorMultiset, sack_type, dedupe: bool = True):
     coefficient sum zero do not normalize to a pseudodie and are skipped.
     Each slot's product is carried down the tree of distributions, one
     multiply per slot that receives a factor, and normalized at the leaves.
+    Leaves that give the same dice are listed once.
     """
     ks = tuple(sack_type)
     caps = [k - 1 for k in ks]
@@ -206,11 +209,10 @@ def enumerate_fiber(factors: FactorMultiset, sack_type, dedupe: bool = True):
             except ZeroSum:
                 return
             sack = Sack(tuple(dice))
-            if dedupe:
-                key = sack.canonical_key()
-                if key in seen:
-                    return
-                seen.add(key)
+            key = sack.canonical_key()
+            if key in seen:
+                return
+            seen.add(key)
             results.append(sack)
             return
         factor, mult = entries[idx]

@@ -211,6 +211,40 @@ def test_malformed_scalar_json_exits_1(probs, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+# Each argument below has a JSON value of the wrong shape where an object or
+# a list belongs.  Every one must end in exit 1 with one "error:" line, not
+# a traceback; the first would otherwise be read digit by digit.
+MALFORMED_SHAPES = {
+    "probs_string": ("total", "--sack",
+                     '{"dice":[{"probs":"01"},{"probs":"01"}]}'),
+    "sack_list": ("total", "--sack", "[]"),
+    "die_number": ("total", "--sack", '{"dice":[5]}'),
+    "dice_object": ("total", "--sack", '{"dice":{"a":1}}'),
+    "factors_object": ("solve", "--type", "2,3", "--factors", '{"a":1}',
+                       "--total", '["1/6","1/3","1/3","1/6"]'),
+    "factor_number": ("solve", "--type", "2,3", "--factors", "[5]",
+                      "--total", '["1/6","1/3","1/3","1/6"]'),
+    "total_object": ("solve", "--type", "2,3", "--factors", "[]",
+                     "--total", '{"a":1}'),
+    "craps_sack_list": ("craps", "--sack", "[1]"),
+}
+
+
+@pytest.mark.parametrize("argv", MALFORMED_SHAPES.values(),
+                         ids=MALFORMED_SHAPES.keys())
+def test_malformed_json_shape_exits_1(argv, capsys):
+    code, out, err = _run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_swaps_below_order_2_exits_1(order, capsys):
+    code, out, err = _run(capsys, "swaps", "--order", str(order))
+    assert code == 1 and out == ""
+    assert err == "error: order must satisfy k >= 2\n"
+
+
 def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         run(["fair-enum"])  # missing required --order

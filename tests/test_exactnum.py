@@ -1,6 +1,8 @@
 """Cyclotomic arithmetic: canonical reduction, ring laws, certified signs."""
 
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import mpmath
@@ -289,6 +291,32 @@ def test_from_power_basis_mixed_denominators():
     e = CycElem.from_power_basis(6, [Fraction(1, 2), 3, Fraction(-2, 3)])
     # 1/2 + 3z - (2/3)z^2 with z^2 = z - 1
     assert e.coords == (Fraction(7, 6), Fraction(7, 3))
+
+
+@pytest.mark.parametrize("bad", [0.5, "1/3", True, False],
+                         ids=["float", "string", "true", "false"])
+def test_inexact_coordinates_are_refused_by_both_constructors(bad):
+    for make in (CycElem, CycElem.from_power_basis):
+        with pytest.raises(ValueError, match="is not an int or Fraction"):
+            make(5, [1, bad])
+        with pytest.raises(ValueError, match="must be a sequence"):
+            make(5, "12")
+
+
+@pytest.mark.parametrize("e", [
+    CycElem(1, [Fraction(-3, 7)]),
+    CycElem.from_rational(0, 1),
+    CycElem(5, [1, Fraction(-2, 3), 0, 4]),
+    CycElem.from_rational(0, 5),
+    two_cos(5, 84) / 3 - CycElem.zeta(84, 7),
+    CycElem.from_rational(0, 84),
+], ids=["n1", "n1_zero", "n5", "n5_zero", "n84", "n84_zero"])
+def test_cyc_elem_pickles_and_copies(e):
+    for twin in (pickle.loads(pickle.dumps(e)), copy.copy(e),
+                 copy.deepcopy(e)):
+        assert type(twin) is CycElem
+        assert (twin.n, twin.nums, twin.den) == (e.n, e.nums, e.den)
+        assert twin == e and hash(twin) == hash(e)
 
 
 # -- the sign certificate against a 200-digit oracle ------------------------

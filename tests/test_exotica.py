@@ -28,9 +28,12 @@ from totalparts.exotica import (
     _CHUNK_ROWS,
     _SCAN_MARGIN,
     _X_PLUS_1,
-    _chi_interval,
+    _chi_factor,
     _chi_product_exact,
-    _interval_filter,
+    _error_bounds,
+    _merged_factor_multiset,
+    _point_filter,
+    _point_product,
     _scan_coeff_elem,
     _scan_coeff_sign,
     _scan_f,
@@ -39,7 +42,6 @@ from totalparts.exotica import (
     _scan_params,
     _screened,
     _sum_bounded_vectors,
-    _tau_float_interval,
     exotic_search,
     m3_exception_scan,
     s3_table,
@@ -210,7 +212,22 @@ def _multiplicities(draw):
 
 
 def _census_factors(k):
-    return [_chi_interval(m, k) for m in range(1, (k + 1) // 2)] + [_X_PLUS_1]
+    return [_chi_factor(m, k) for m in range(1, (k + 1) // 2)] + [_X_PLUS_1]
+
+
+def _mixed_candidates(k, kp):
+    # The factors of exotic_search(k, kp) and every split of them into a
+    # (k-1)-die and a (kp-1)-die, as (row_d1, row_d2) multiplicity rows.
+    chis, x1 = _merged_factor_multiset(k, kp)
+    keys = sorted(chis)
+    factors = ([_chi_factor(q.numerator, q.denominator) for q in keys]
+               + [_X_PLUS_1])
+    caps = [chis[q] for q in keys] + [x1]
+    rows = []
+    for row in itertools.product(*(range(c + 1) for c in caps)):
+        if 2 * sum(row[:-1]) + row[-1] == k - 1:
+            rows.append((row, tuple(c - v for c, v in zip(caps, row))))
+    return factors, rows
 
 
 @settings(max_examples=40, deadline=None)
@@ -219,9 +236,9 @@ def _census_factors(k):
 # exotic pair
 @example((4, [1], (1,), 0))
 @example((10, [1, 2, 3, 4], (1, 1, 0, 2), 1))
-def test_interval_filter_signs_agree_with_exact_signs(case):
+def test_point_filter_signs_agree_with_exact_signs(case):
     k, ms, r, x1 = case
-    status = _interval_filter(_census_factors(k), [r + (x1,)])[0]
+    status = _point_filter(_census_factors(k), [r + (x1,)])[0]
     poly = _chi_product_exact([(m, k, v) for m, v in zip(ms, r) if v], x1, k)
     assert len(status) == len(poly)
     for s, c in zip(status.tolist(), poly):
@@ -229,15 +246,97 @@ def test_interval_filter_signs_agree_with_exact_signs(case):
             assert cyc_sign(c).sign == s
 
 
-def test_tau_float_interval_encloses_two_cos_within_one_ulp_a_side():
+def test_chi_factor_tau_is_within_3u_of_two_cos():
     with mpmath.workdps(60):
         for k in range(1, 85):
             for m in range(k):
-                lo, hi = _tau_float_interval(m, k)
+                neg_tau, one = _chi_factor(m, k)
                 exact = 2 * mpmath.cos(2 * mpmath.pi * m / k)
-                assert lo <= exact <= hi, (m, k)
-                assert math.nextafter(lo, math.inf) >= exact - 2.0 ** -120
-                assert math.nextafter(hi, -math.inf) <= exact + 2.0 ** -120
+                assert one == 1.0 and abs(neg_tau) <= 2, (m, k)
+                assert abs(-neg_tau - exact) <= 3 * 2.0 ** -53, (m, k)
+
+
+def _candidate_rows(k):
+    # every die row of the diagonal census of order k
+    ms = range(1, (k + 1) // 2)
+    x1 = 1 if k % 2 == 0 else 0
+    for r in _sum_bounded_vectors(len(ms), (k - 1) // 2):
+        comp = tuple(2 - v for v in r)
+        if r < comp:
+            yield r + (x1,)
+            yield comp + (x1,)
+
+
+def _mp_poly_mul(a, b):
+    out = [mpmath.mpf(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_point_product_error_is_within_the_bound():
+    # |p~_j - p_j| <= b_j on every candidate row of k <= 14, p_j taken to
+    # 60 digits
+    with mpmath.workdps(60):
+        for k in range(3, 15):
+            factors = _census_factors(k)
+            rows = list(_candidate_rows(k))
+            got = _point_product(factors, rows)
+            bound = _error_bounds(got.shape[1] - 1)
+            for row, coeffs in zip(rows, got):
+                exact = [mpmath.mpf(1)]
+                for m, mult in enumerate(row[:-1], start=1):
+                    tau = 2 * mpmath.cos(2 * mpmath.pi * m / k)
+                    for _ in range(mult):
+                        exact = _mp_poly_mul(exact, [1, -tau, 1])
+                for _ in range(row[-1]):
+                    exact = _mp_poly_mul(exact, [1, 1])
+                assert len(exact) == len(coeffs)
+                for j, (c, e) in enumerate(zip(coeffs, exact)):
+                    assert abs(mpmath.mpf(c) - e) <= bound[j], (k, row, j)
+
+
+def test_error_bounds_are_eps_times_binomials_rounded_up():
+    u = F(1, 2 ** 53)
+    for degree in (0, 1, 12, 27, 1000):
+        eps = (1 + 3 * u / (1 - 3 * u) + 3 * u) ** degree - 1 + u
+        bound = _error_bounds(degree)
+        assert len(bound) == degree + 1
+        for j in (0, degree // 2, degree):
+            exact = eps * math.comb(degree, j)
+            assert exact <= F(bound[j]) <= exact * (1 + 4 * u)
+    with pytest.raises(ValueError):
+        _error_bounds(1001)
+
+
+# Unresolved filter statuses over every candidate row of both dice, read
+# from the outward-rounded interval filter this filter replaced.
+UNRESOLVED = {**{k: 0 for k in range(10, 26)},
+              10: 8, 12: 16, 15: 4, 18: 60, 20: 120, 21: 36, 24: 640,
+              (7, 12): 20, (9, 15): 4, (10, 14): 52}
+
+
+def test_unresolved_counts_match_the_interval_filter(monkeypatch):
+    seen = []
+
+    def counting(factors, mults):
+        status = _point_filter(factors, mults)
+        seen.append(int((status == 0).sum()))
+        return status
+
+    monkeypatch.setattr(exotica, "_point_filter", counting)
+    # no exact stage: only the filter's statuses are counted
+    monkeypatch.setattr(exotica, "_certified_products", lambda *a: None)
+    got = {}
+    for key in UNRESOLVED:
+        seen.clear()
+        if isinstance(key, int):
+            swap_census(key)
+        else:
+            exotic_search(*key)
+        got[key] = sum(seen)
+    assert got == UNRESOLVED
 
 
 @settings(max_examples=25, deadline=None)
@@ -264,26 +363,29 @@ def test_rotation_product_mixed_orders():
             == _poly_mul_chain(chis, 2, 84))
 
 
-def test_interval_filter_rejects_rows_of_different_degree():
+def test_point_filter_rejects_rows_of_different_degree():
     with pytest.raises(ValueError):
-        _interval_filter(_census_factors(7), [(1, 1, 1, 0), (1, 1, 0, 0)])
+        _point_filter(_census_factors(7), [(1, 1, 1, 0), (1, 1, 0, 0)])
 
 
 @pytest.mark.parametrize("count", [1, 2 * _CHUNK_ROWS + 5])
 def test_screened_streams_every_candidate_in_order(count):
-    # k = 16: seven chi factors and x+1; 393 vectors in {0,1,2}^7 sum to 7
-    factors = _census_factors(16)
+    # k = 16: seven chi factors and x+1; 393 vectors in {0,1,2}^7 sum to 7.
+    # (9, 16): an 8-die and a 15-die from 11 chi factors and x+1, 330 splits.
     vectors = itertools.islice(_sum_bounded_vectors(7, 7), count)
-    candidates = [(i, (r + (1,), tuple(2 - v for v in r) + (1,)))
-                  for i, r in enumerate(vectors)]
-    assert len(candidates) == count
-    out = list(_screened(iter(candidates), factors))
-    assert [payload for payload, _ in out] == list(range(count))
-    for (_, rows), (_, statuses) in zip(candidates, out):
-        assert len(statuses) == 2
-        for row, status in zip(rows, statuses):
-            assert (status.tolist()
-                    == _interval_filter(factors, [row])[0].tolist())
+    diagonal = [(r + (1,), tuple(2 - v for v in r) + (1,)) for r in vectors]
+    mixed_factors, mixed = _mixed_candidates(9, 16)
+    for factors, rows in ((_census_factors(16), diagonal),
+                          (mixed_factors, mixed[:count])):
+        candidates = list(enumerate(rows))
+        assert len(candidates) == count
+        out = list(_screened(iter(candidates), factors))
+        assert [payload for payload, _ in out] == list(range(count))
+        for (_, rows), (_, statuses) in zip(candidates, out):
+            assert len(statuses) == 2
+            for row, status in zip(rows, statuses):
+                assert (status.tolist()
+                        == _point_filter(factors, [row])[0].tolist())
 
 
 # -- scans -------------------------------------------------------------------

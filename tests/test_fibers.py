@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from totalparts import fibers
 from totalparts.dicecore import (Die, DistPoly, Sack, ZeroSum,
                                  normalize_to_die, parts_to_total, poly_gcd,
                                  render_scalar, scalar_is_zero)
@@ -128,9 +129,12 @@ def ref_enumerate_fiber(factors, sack_type, dedupe=True):
             assign(idx + 1, new_remaining, new_slots)
 
     assign(0, caps, [[] for _ in ks])
-    results.sort(key=lambda s: tuple(
-        tuple(render_scalar(p) for p in d.probs) for d in s.dice))
+    results.sort(key=_render_key)
     return results
+
+
+def _render_key(sack):
+    return tuple(tuple(render_scalar(p) for p in d.probs) for d in sack.dice)
 
 
 FIBER_FACTORS = {
@@ -158,9 +162,21 @@ FIBER_FACTORS = {
     for name, entries in sorted(FIBER_FACTORS.items())
     if FactorMultiset(entries).total_degree <= sum(k - 1 for k in sack_type)
 ])
-def test_fiber_matches_the_leaf_rebuild_reference(name, sack_type, dedupe):
+def test_fiber_matches_the_leaf_rebuild_reference(name, sack_type, dedupe,
+                                                 monkeypatch):
+    # dedupe=False compares the tree's leaves, duplicates included, as
+    # recorded where enumerate_fiber builds each leaf's sack
+    leaves = []
+
+    def record(dice):
+        leaves.append(Sack(dice))
+        return leaves[-1]
+
+    monkeypatch.setattr(fibers, "Sack", record)
     factors = FactorMultiset(FIBER_FACTORS[name])
-    got = enumerate_fiber(factors, sack_type, dedupe=dedupe)
+    got = enumerate_fiber(factors, sack_type)
+    if not dedupe:
+        got = sorted(leaves, key=_render_key)
     want = ref_enumerate_fiber(factors, sack_type, dedupe=dedupe)
     assert [s.to_json() for s in got] == [s.to_json() for s in want]
     assert got == want

@@ -14,12 +14,6 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "totalparts"
 
-# (module, name) pairs imported on purpose without a reference.
-# exotica.two_cos: perfbench/spans.py wraps it under this name for its
-# traced census run.
-ALLOWED = {("exotica", "two_cos")}
-
-
 def _imported_names(tree):
     names = set()
     for node in ast.walk(tree):
@@ -44,15 +38,8 @@ def _unused_imports(path):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
-    unused = {name for name in _unused_imports(path)
-              if (path.stem, name) not in ALLOWED}
+    unused = _unused_imports(path)
     assert not unused, f"{path.name} imports but never uses {sorted(unused)}"
-
-
-def test_allowlisted_imports_are_still_imported():
-    for module, name in ALLOWED:
-        tree = ast.parse((SRC / f"{module}.py").read_text())
-        assert name in _imported_names(tree), (module, name)
 
 
 def _identifiers(node):
