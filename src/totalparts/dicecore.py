@@ -87,10 +87,11 @@ def _rational_from_json(obj) -> Fraction:
 
 
 def _json_shaped(obj, kind: type, what: str):
-    """obj if it is a JSON object (kind dict) or list (kind list), else a
-    ValueError naming what it should have been."""
-    if not isinstance(obj, kind):
-        shape = "an object" if kind is dict else "a list"
+    """obj if it is a JSON object (kind dict), list (kind list) or integer
+    (kind int, booleans refused), else a ValueError naming what it should
+    have been."""
+    if not isinstance(obj, kind) or isinstance(obj, bool):
+        shape = {dict: "an object", list: "a list", int: "an integer"}[kind]
         raise ValueError(f"{what} must be {shape}, not {obj!r}")
     return obj
 

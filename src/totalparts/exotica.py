@@ -439,58 +439,104 @@ def _scan_ms(ell: int, k: int) -> range:
     return range(-(-k // (4 if ell == 3 else 6)), (k + 1) // 2)
 
 
-def _scan_float_pass(ell: int, k: int, ms):
-    """Closed-form evaluation of every swap quotient coefficient at once.
+def _scan_row_pass(ell: int, k: int, ms):
+    """The float values that decide each candidate row m of a scan.
 
-    Solving the division recurrence gives q_j = sum_i f_{j+2+i} U_i with
-    U_i = sin((i+1)t)/sin(t) and t = 2*pi*m/k; summing the sines in closed
-    form (f is constant except at the top) yields, with N = k-1-j,
+    Returns ``(lattice, v)``, rows x 2 arrays: the two lattice indices i
+    and i+1 (mod k') that bracket -arg W, and the closed form below at
+    those two indices.
 
-      q_j sin(t) = c (cos(t/2) - cos((N+3/2)t)) / (2 sin(t/2))
-                   - a sin(Nt) - b sin((N+1)t).
+    Closed form.  Solving the division recurrence gives
+    q_j = sum_i f_{j+2+i} U_i with U_i = sin((i+1)t)/sin(t) and
+    t = 2*pi*m/k; summing the sines in closed form (f is constant except
+    at the top) yields, with N = k-1-j and theta = N t,
 
-    sin(t) > 0, so this has the sign of q_j.  Every angle is an integer
-    multiple of pi/k, reduced exactly mod 2k, so the pass reads cos and sin
-    from two tables of cos(pi*i/k), sin(pi*i/k) for i < 2k, tiled to 4k:
-    with r = 2mN mod 2k, the other residues are r + 3m and r + 2m (below
-    4k because m < k/2) and need no further reduction.
+      q_j sin(t) = c (cos(t/2) - cos(theta + 3t/2)) L
+                   - a sin(theta) - b sin(theta + t)
+                 = alpha - |W| cos(theta + arg W),
 
-    Float error (u = 2^-53).  A table angle fl(fl(pi*i)/k) is within
-    3u * 2pi of pi*i/k for i < 2k, and sin and cos are 1-Lipschitz; taking
-    the library's sin and cos to be within 4 ulp (8u on [-1, 1]), every
-    table entry is within e = 6*pi*u + 8u < 27u of its exact value.  Here
+      L = 1/(2 sin(t/2)),  alpha = c L cos(t/2),
+      W = c L e^(3it/2) - i a - i b e^(it).
+
+    sin(t) > 0, so this has the sign of q_j.
+
+    (a) The lattice.  With g = gcd(m, k), k' = k/g and m' = m/g,
+    theta = 2*pi*N*m'/k' mod 2*pi, and m' is prime to k': as N runs over
+    0..k-1, N m' mod k' meets every residue i, g times.  So theta takes
+    exactly the angles 2*pi*i/k', and each lattice value
+    alpha - |W| cos(2*pi*i/k' + arg W) is q_j sin(t) for the N with
+    N m' = i (mod k'), N = i m'^-1 mod k'.  cos falls with the circular
+    distance from 0, so the least q_j of the row is at the lattice point
+    nearest -arg W.  Every angle is an integer multiple of pi/k reduced
+    exactly mod 2k: t/2 is the residue m, and at index i, 2mN = 2gi
+    (mod 2k), so the closed form reads the residues r = 2gi, r + 3m and
+    r + 2m.
+
+    (b) Float error (u = 2^-53).  An angle fl(fl(pi*r)/k) is within
+    3u * 2pi of pi*r/k for r < 2k; sin and cos are 1-Lipschitz and, taking
+    the library's to be within 4 ulp (8u on [-1, 1]), every cos and sin is
+    within e = 6*pi*u + 8u < 27u of its exact value.  Here
     t/2 = pi*m/k >= pi/6 > pi/12, because m/k >= 1/4 (ell=3) or 1/6
-    (ell=4) and m < k/2, so L = 1/(2 sin(t/2)) <= 1/(2 sin(pi/12)) < 2.  To
-    first order, c*(cos - cos) is off by c(2e + 4u) and bounded by 2c,
-    2*sin(t/2) is off by 2e (the doubling is exact), so the quotient is off
-    by cL(2e + 4u) + 2c*2e*L^2 + its own rounding 2cLu; the two sine terms
+    (ell=4) and m < k/2, so L <= 1/(2 sin(pi/12)) < 2.  To first order,
+    c*(cos - cos) is off by c(2e + 4u) and bounded by 2c, 2*sin(t/2) is
+    off by 2e (the doubling is exact), so the quotient is off by
+    cL(2e + 4u) + 2c*2e*L^2 + its own rounding 2cLu; the two sine terms
     add (a + b)(e + u) and the two subtractions 2u(2cL + a + b).  With
-    c <= 3, a + b <= 3 and L < 2 the total is under 1800u, about 2e-13:
-    more than three orders of magnitude inside _SCAN_MARGIN = 1e-9.  So a
-    coefficient below -_SCAN_MARGIN is certified negative, and every
-    coefficient within _SCAN_MARGIN of zero is escalated, never guessed.
-    The tests check the bound against a 60-digit evaluation.
+    c <= 3, a + b <= 3 and L < 2 the total is under 1800u, about 2e-13,
+    more than three orders of magnitude inside _SCAN_MARGIN = 1e-9: each
+    v is within 1800u of its q_j sin(t).  In the same way
+    c*x/(2 sin(t/2)) for one cos or sin x is off by
+    cL(e + u) + 2ceL^2 + cLu < 822u; the exact products by b <= 2 add 2e,
+    and each of the at most two further roundings in a component of W at
+    most u(2c + a + b) < 10u.  So each component of the computed W~ is
+    within 900u, and W~ within 900u*sqrt(2) < 1300u of W.
+
+    (c) The bracket.  If alpha - |W| > 0, every q_j of the row is
+    positive, so whichever indices are returned no value is below -1800u
+    and the row is accepted, directly or through the exact stage.  That
+    covers the rows with W = 0 (m/k = 1/3 for ell=3, 1/4 for ell=4),
+    where arg W means nothing.  Otherwise, since m <= (k-1)/2,
+    |W| >= alpha = (c/2) cot(pi*m/k) >= (c/2) tan(pi/(2k)) >= c*pi/(4k),
+    and c >= 2 gives |W| >= w = pi/(2k), far above 1300u.  The angle
+    between W~ and W is then at most arcsin(1300u/w) <= (pi/2)(1300u/w),
+    and arctan2 within 4 ulp of a value in [-pi, pi] adds 16u.  The
+    position p = -k' arg(W)/(2pi), |p| <= k'/2, is computed with three
+    roundings (fl(2pi) included), under 2uk' more.  So p~ is within
+    k'(325u/w + 5u) of p, circularly mod k'.  While that is below 1/2,
+    the lattice index nearest p is within 1 of p~, so it is floor(p~) or
+    floor(p~) + 1 (mod k'): the two indices returned.
+
+    (d) The limit.  With k' <= k, w = pi/(2k) and pi bounded below by
+    3.14159, k(650uk/pi + 5u) < 1/2 holds exactly for
+    k <= _SCAN_K_MAX = 4 665 497; :func:`s_scan` and :func:`scan_table`
+    refuse larger k.
+
+    The tests check (b) and (c) against a 60-digit evaluation.
     """
     c, a, b = _scan_params(ell)
-    i = np.arange(2 * k, dtype=np.int64)
-    cos_t = np.tile(np.cos(np.pi * i / k), 2)
-    sin_t = np.tile(np.sin(np.pi * i / k), 2)
-    marr = np.asarray(ms, dtype=np.int64)[:, None]
-    n = (k - 1) - np.arange(k, dtype=np.int64)[None, :]  # N as a function of j
-    r = (2 * marr * n) % (2 * k)
-    half = marr[:, 0]  # t/2 = pi*half/k, in [pi/6, pi/2)
-    v = (c * (cos_t[half][:, None] - cos_t[r + 3 * marr])
-         / (2 * sin_t[half][:, None])
-         - a * sin_t[r] - b * sin_t[r + 2 * marr])
-    return v
+    m = np.asarray(ms, dtype=np.int64)[:, None]  # one row per m
+    g = np.gcd(m, k)
+
+    def cos_sin(r):  # of pi*r/k, for integer residues r
+        angle = np.pi * (r % (2 * k)) / k
+        return np.cos(angle), np.sin(angle)
+
+    # cos and sin of t/2, t and 3t/2
+    (ch, sh), (c2, s2), (c3, s3) = map(cos_sin, (m, 2 * m, 3 * m))
+    w_re = c * c3 / (2 * sh) + b * s2
+    w_im = c * s3 / (2 * sh) - a - b * c2
+    p = k // g * -np.arctan2(w_im, w_re) / (2 * np.pi)
+    lattice = (np.floor(p).astype(np.int64) + [0, 1]) % (k // g)
+    r = 2 * g * lattice
+    v = (c * (ch - cos_sin(r + 3 * m)[0]) / (2 * sh)
+         - a * cos_sin(r)[1] - b * cos_sin(r + 2 * m)[1])
+    return lattice, v
 
 
 _SCAN_MARGIN = 1e-9
 
-# Elements (rows x k) per float-pass chunk in s_scan: every k <= 950 runs as
-# one chunk (at most 300 200 elements), and at larger k the pass's
-# temporaries stay near 30 MB instead of growing as k^2.
-_SCAN_CHUNK_ELEMS = 1 << 19
+# The largest k for which _scan_row_pass's bracket is proven.
+_SCAN_K_MAX = 4_665_497
 
 
 def _scan_coeff_elem(ell: int, k: int, m: int, j: int) -> CycElem:
@@ -546,45 +592,44 @@ def s_scan(ell: int, k: int) -> ScanRecord:
 
     The small die is strict iff m/k >= 1/4 (ell=3) or m/k >= 1/6 (ell=4),
     an exact integer test (:func:`_scan_ms`); the k-die is tested by
-    certified division.  :func:`_scan_float_pass` evaluates every
-    quotient coefficient of every candidate m at once.  A row with a
-    coefficient below -_SCAN_MARGIN is rejected on that certified negative;
-    in every other row, only the coefficients within _SCAN_MARGIN of zero go
-    to :func:`_scan_coeff_sign`, in order, until one is negative; it builds
-    the coefficient exactly in the subfield Q(zeta_(k/gcd(m, k))) for
-    :func:`cyc_sign`.  The pass runs over chunks of rows of at most
-    _SCAN_CHUNK_ELEMS elements; rows are independent, so chunking changes
-    no value.  For k <= 5000 every such coefficient is an exact zero of the
-    order-4 scan, k/3 of them for each k divisible by 3.
+    certified division, one row per m.  :func:`_scan_row_pass` writes
+    every quotient coefficient of the row as alpha - |W| cos(theta + arg W)
+    over the lattice theta = 2*pi*i/k', so the row's least coefficient
+    sits at one of the two lattice indices next to -arg W (or the row is
+    positive throughout).  The closed form at those two indices decides
+    the row: a value below -_SCAN_MARGIN is a certified negative and
+    rejects it, two values above _SCAN_MARGIN accept it, and each value
+    within _SCAN_MARGIN of zero goes, in order and until one is negative,
+    to :func:`_scan_coeff_sign`, which builds that coefficient exactly in
+    the subfield Q(zeta_k') for :func:`cyc_sign`.  For k <= 5000 that
+    happens once for each k divisible by 3, in the order-4 row m = k/3,
+    and the coefficient is an exact zero.  k is at most _SCAN_K_MAX, where
+    the bracket is proven.
     """
     if ell not in (3, 4):
         raise ValueError("only the order-3 and order-4 scans are supported")
-    if k < 2:
-        raise ValueError("k must be >= 2")
+    if not 2 <= k <= _SCAN_K_MAX:
+        raise ValueError(f"k must satisfy 2 <= k <= {_SCAN_K_MAX}")
     ms = _scan_ms(ell, k)
-    rows = max(1, _SCAN_CHUNK_ELEMS // k)
-    members = []
-    for start in range(0, len(ms), rows):
-        chunk = ms[start:start + rows]
-        v = _scan_float_pass(ell, k, chunk)
-        ok = ~(v < -_SCAN_MARGIN).any(axis=1)
-        # in a row with no certified negative every v >= -_SCAN_MARGIN, so
-        # there v <= _SCAN_MARGIN is the mask |v| <= _SCAN_MARGIN
-        unclear = v <= _SCAN_MARGIN
-        for i in np.flatnonzero(ok & unclear.any(axis=1)):
-            ok[i] = all(_scan_coeff_sign(ell, k, chunk[i], int(j)) >= 0
-                        for j in np.flatnonzero(unclear[i]))
-        members += [chunk[i] for i in np.flatnonzero(ok)]
-    return ScanRecord(
-        k, tuple(members),
-        max(members) if members else None,
-        Fraction(max(members), k) if members else None,
-    )
+    lattice, v = _scan_row_pass(ell, k, ms)
+    ok = (v >= -_SCAN_MARGIN).all(axis=1)
+    unclear = v <= _SCAN_MARGIN
+    for row in np.flatnonzero(ok & unclear.any(axis=1)):
+        m, kr = ms[row], k // math.gcd(ms[row], k)
+        # j = k-1-N, N = i / m' mod k' for each unclear index i, m' = m/g
+        js = k - 1 - lattice[row][unclear[row]] * pow(m * kr // k, -1, kr) % kr
+        ok[row] = all(_scan_coeff_sign(ell, k, m, j) >= 0 for j in js.tolist())
+    members = tuple(itertools.compress(ms, ok))
+    return ScanRecord(k, members, max(members, default=None),
+                      Fraction(members[-1], k) if members else None)
 
 
 def scan_table(ell: int, k_max: int, workers: int = 1) -> list[ScanRecord]:
     """Scan records for one ell and every k from 2 to k_max; deterministic
-    for any worker count."""
+    for any worker count.  A k_max above _SCAN_K_MAX is refused before any
+    scan starts."""
+    if k_max > _SCAN_K_MAX:
+        raise ValueError(f"k must satisfy 2 <= k <= {_SCAN_K_MAX}")
     ks = range(2, k_max + 1)
     scan = functools.partial(s_scan, ell)
     if workers > 1 and len(ks) > workers:

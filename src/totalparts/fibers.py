@@ -104,7 +104,7 @@ def factor_from_json(obj):
     if _json_shaped(obj, dict, "a factor")["type"] == "linear":
         return LinearFactor(scalar_from_json(obj["root"]))
     if obj["type"] == "chi":
-        return ChiFactor(obj["m"], obj["k"])
+        return ChiFactor(*(_json_shaped(obj[f], int, f) for f in ("m", "k")))
     raise ValueError(f"unknown factor type {obj['type']!r}")
 
 
@@ -117,7 +117,7 @@ class FactorMultiset:
     def __post_init__(self):
         merged: dict = {}
         for factor, mult in self.entries:
-            if mult < 0:
+            if _json_shaped(mult, int, "multiplicity") < 0:
                 raise ValueError("negative multiplicity")
             if mult:
                 merged[factor] = merged.get(factor, 0) + mult

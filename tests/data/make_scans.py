@@ -7,8 +7,8 @@ Usage (from the repository root):
 
 Each S is stored as runs of consecutive members, ``[[first, last], ...]``,
 under ``table[str(ell)][str(k)]``: the format of
-``perfbench/reference_scans.json``.  Serially the two tables take a few
-minutes on one core.
+``perfbench/reference_scans.json``.  Serially the two tables take about
+ten seconds on one core.
 """
 
 import argparse

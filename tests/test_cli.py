@@ -238,6 +238,45 @@ def test_malformed_json_shape_exits_1(argv, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+# A factor field that must be an integer holding a string, a float or a
+# boolean; each factor multiset matches the total but for that field.
+_X1 = '{"type":"linear","root":-1}'
+MALFORMED_FACTOR_FIELDS = {
+    "m_string": ("m", '[{"type":"chi","m":"a","k":5}]'),
+    "m_bool": ("m", f'[{_X1},{{"type":"chi","m":true,"k":3}}]'),
+    "multiplicity_string": (
+        "multiplicity",
+        f'[{_X1},{{"type":"chi","m":1,"k":3,"multiplicity":"x"}}]'),
+    "multiplicity_float": (
+        "multiplicity",
+        f'[{_X1},{{"type":"chi","m":1,"k":3,"multiplicity":1.5}}]'),
+}
+
+
+@pytest.mark.parametrize("field, factors", MALFORMED_FACTOR_FIELDS.values(),
+                         ids=MALFORMED_FACTOR_FIELDS.keys())
+def test_non_integer_factor_field_exits_1(field, factors, capsys):
+    code, out, err = _run(capsys, "solve", "--type", "2,3", "--factors",
+                          factors, "--total", '["1/6","1/3","1/3","1/6"]')
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {field} must be an integer")
+    assert err.count("\n") == 1
+
+
+def test_scan_kmax_above_the_proven_limit_exits_1(capsys, monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("a scan was started")
+
+    monkeypatch.setattr(exotica, "s_scan", no_scan)
+    monkeypatch.setattr(exotica, "Pool", no_scan)
+    for command in ("s3scan", "s4scan"):
+        code, out, err = _run(capsys, command, "--kmax",
+                              str(exotica._SCAN_K_MAX + 1))
+        assert code == 1 and out == ""
+        assert err == ("error: k must satisfy 2 <= k <= "
+                       f"{exotica._SCAN_K_MAX}\n")
+
+
 @pytest.mark.parametrize("order", [0, 1])
 def test_swaps_below_order_2_exits_1(order, capsys):
     code, out, err = _run(capsys, "swaps", "--order", str(order))

@@ -26,6 +26,7 @@ from totalparts.exactnum import CycElem, cyc_sign, two_cos
 from totalparts import exotica
 from totalparts.exotica import (
     _CHUNK_ROWS,
+    _SCAN_K_MAX,
     _SCAN_MARGIN,
     _X_PLUS_1,
     _chi_factor,
@@ -37,9 +38,9 @@ from totalparts.exotica import (
     _scan_coeff_elem,
     _scan_coeff_sign,
     _scan_f,
-    _scan_float_pass,
     _scan_ms,
     _scan_params,
+    _scan_row_pass,
     _screened,
     _sum_bounded_vectors,
     exotic_search,
@@ -435,6 +436,16 @@ def _closed_form_pass(ell, k, ms):
             - a * np.sin(np.pi * r2 / k) - b * np.sin(np.pi * r3 / k))
 
 
+def _lattice_columns(k, ms, lattice):
+    # column j = k-1-N of each lattice index i, N = i * (m/g)^-1 mod k/g
+    cols = []
+    for m, row in zip(ms, lattice.tolist()):
+        g = math.gcd(m, k)
+        inverse = pow(m // g, -1, k // g)
+        cols.append([k - 1 - i * inverse % (k // g) for i in row])
+    return np.array(cols, dtype=np.int64).reshape(len(ms), 2)
+
+
 _PRIMES = [k for k in range(2, 951) if all(k % p for p in range(2, k))]
 _PASS_KS = sorted(set(_PRIMES[::6] + _PRIMES[-3:]
                       + [143 * j for j in range(1, 7)]
@@ -443,10 +454,28 @@ _PASS_KS = sorted(set(_PRIMES[::6] + _PRIMES[-3:]
 
 @pytest.mark.parametrize("k", _PASS_KS)
 def test_table_pass_is_bit_identical_to_closed_form(k):
+    # the row pass's two values are the full pass's at the lattice columns
     for ell in (3, 4):
         ms = _scan_ms(ell, k)
-        assert np.array_equal(_scan_float_pass(ell, k, ms),
-                              _closed_form_pass(ell, k, ms))
+        lattice, v = _scan_row_pass(ell, k, ms)
+        full = _closed_form_pass(ell, k, ms)
+        cols = _lattice_columns(k, ms, lattice)
+        assert np.array_equal(v, np.take_along_axis(full, cols, axis=1))
+
+
+@pytest.mark.parametrize("k", _PASS_KS)
+def test_row_decisions_equal_the_full_column_pass(k):
+    # reference: every column of every row, a certified negative rejects,
+    # and each column within the margin is decided exactly
+    for ell in (3, 4):
+        ms = _scan_ms(ell, k)
+        full = _closed_form_pass(ell, k, ms)
+        expected = tuple(
+            m for m, row in zip(ms, full)
+            if not (row < -_SCAN_MARGIN).any()
+            and all(_scan_coeff_sign(ell, k, m, int(j)) >= 0
+                    for j in np.flatnonzero(row <= _SCAN_MARGIN)))
+        assert s_scan(ell, k).S == expected
 
 
 def test_integer_scan_ms_equal_fraction_thresholds():
@@ -457,27 +486,99 @@ def test_integer_scan_ms_equal_fraction_thresholds():
                 if threshold <= F(m, k) < F(1, 2)]
 
 
+def _exact_alpha_w(ell, k, m):
+    # alpha, Re W and Im W of the row m at the working precision, where
+    # q_j sin(t) = alpha - Re(W e^(i N t)), t = 2 pi m/k and N = k-1-j
+    c, a, b = _scan_params(ell)
+    (cos_h, sin_h), (cos_2, sin_2), (cos_3, sin_3) = (
+        mpmath.cos_sin(mpmath.pi * i * m / k) for i in (1, 2, 3))
+    scale = c / (2 * sin_h)
+    return (scale * cos_h, scale * cos_3 + b * sin_2,
+            scale * sin_3 - a - b * cos_2)
+
+
+def _assert_values_within_1800u(ell, k, m, cols, v):
+    # the docstring of _scan_row_pass derives an error under 1800u for
+    # each value; returns alpha, Re W and Im W
+    alpha, w_re, w_im = _exact_alpha_w(ell, k, m)
+    for j, value in zip(cols, v):
+        cos_n, sin_n = mpmath.cos_sin(2 * mpmath.pi * (k - 1 - j) * m / k)
+        exact = alpha - (w_re * cos_n - w_im * sin_n)
+        assert abs(exact - float(value)) <= 1800 * 2.0 ** -53
+    return alpha, w_re, w_im
+
+
 @pytest.mark.parametrize("k", [97, 300, 611, 900, 950, 1500, 3000, 4999, 5000])
 def test_float_pass_error_against_60_digits(k):
-    # the docstring of _scan_float_pass derives an error under 2e-13; rows
-    # are independent, so only the sampled rows are evaluated
     rng = random.Random(k)
     for ell in (3, 4):
-        c, a, b = _scan_params(ell)
         ms = _scan_ms(ell, k)
-        rows = [0, len(ms) - 1] + [rng.randrange(len(ms)) for _ in range(38)]
-        cols = [0, k - 1] + [rng.randrange(k) for _ in range(38)]
-        v = _scan_float_pass(ell, k, [ms[i] for i in rows])
+        sample = [ms[i] for i in sorted(
+            {0, len(ms) - 1} | {rng.randrange(len(ms)) for _ in range(38)})]
+        lattice, v = _scan_row_pass(ell, k, sample)
+        cols = _lattice_columns(k, sample, lattice)
         with mpmath.workdps(60):
-            worst = mpmath.mpf(0)
-            for r, (i, j) in enumerate(zip(rows, cols)):
-                t = 2 * mpmath.pi * ms[i] / k
-                n = k - 1 - j
-                exact = (c * (mpmath.cos(t / 2) - mpmath.cos((n + 1.5) * t))
-                         / (2 * mpmath.sin(t / 2))
-                         - a * mpmath.sin(n * t) - b * mpmath.sin((n + 1) * t))
-                worst = max(worst, abs(exact - float(v[r, j])))
-        assert worst <= 1e-12
+            for r, m in enumerate(sample):
+                _assert_values_within_1800u(ell, k, m, cols[r], v[r])
+
+
+def _alpha_minus_abs_w(ell, k, ms):
+    # alpha - |W| of every row, in complex floats
+    c, a, b = _scan_params(ell)
+    t = 2 * np.pi * np.asarray(ms) / k
+    scale = c / (2 * np.sin(t / 2))
+    return scale * np.cos(t / 2) - np.abs(
+        scale * np.exp(1.5j * t) - 1j * a - 1j * b * np.exp(1j * t))
+
+
+def test_row_bracket_holds_at_the_rows_nearest_the_boundary():
+    # every k <= 2000: the two rows with the least |alpha - |W|| and the
+    # rows with W = 0, against 60 digits
+    with mpmath.workdps(60):
+        for k, ell in itertools.product(range(3, 2001), (3, 4)):
+            ms = _scan_ms(ell, k)
+            if not ms:
+                continue
+            lattice, v = _scan_row_pass(ell, k, ms)
+            # W = 0 at m/k = 1/3 for ell=3 and 1/4 for ell=4
+            w_zero = {ms.index(k // ell)} if k % ell == 0 else set()
+            nearest_zero = np.argsort(np.abs(_alpha_minus_abs_w(ell, k, ms)))
+            for r in set(nearest_zero[:2].tolist()) | w_zero:
+                [cols] = _lattice_columns(k, [ms[r]], lattice[r:r + 1])
+                alpha, w_re, w_im = _assert_values_within_1800u(
+                    ell, k, ms[r], cols, v[r])
+                abs_w = mpmath.hypot(w_re, w_im)
+                if r in w_zero:
+                    # arg W means nothing; both values certify the row
+                    assert abs_w < 1e-50 and (v[r] > _SCAN_MARGIN).all()
+                    continue
+                if alpha <= abs_w:  # the premise of the bracket
+                    assert abs_w >= mpmath.pi / (2 * k)
+                kr = k // math.gcd(ms[r], k)
+                p = -kr * mpmath.atan2(w_im, w_re) / (2 * mpmath.pi)
+                nearest = int(mpmath.nint(p)) % kr
+                assert nearest in lattice[r].tolist(), (ell, k, ms[r])
+
+
+def test_scan_k_limit_is_the_largest_k_of_the_derivation(monkeypatch):
+    u = F(1, 2 ** 53)
+
+    def bracket_holds(k):
+        return k * (650 * u * k / F(314159, 100000) + 5 * u) < F(1, 2)
+
+    assert bracket_holds(_SCAN_K_MAX) and not bracket_holds(_SCAN_K_MAX + 1)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a scan was started")
+
+    # a larger k is refused before any work
+    monkeypatch.setattr(exotica, "_scan_ms", no_work)
+    with pytest.raises(ValueError, match=f"k <= {_SCAN_K_MAX}$"):
+        s_scan(3, _SCAN_K_MAX + 1)
+    monkeypatch.setattr(exotica, "s_scan", no_work)
+    monkeypatch.setattr(exotica, "Pool", no_work)
+    with pytest.raises(ValueError, match=f"k <= {_SCAN_K_MAX}$"):
+        exotica.scan_table(4, _SCAN_K_MAX + 1, workers=2)
 
 
 def _scan_coeff_at_k(ell, k, m, j):
@@ -532,89 +633,50 @@ def test_reduced_scan_coefficient_equals_conductor_k_element(case):
 def test_certified_negative_rejects_before_escalation(monkeypatch):
     k, ell = 30, 4
     ms = _scan_ms(ell, k)
-    v = _scan_float_pass(ell, k, ms)
-    v[0, 3] = 0.0        # unclear, but row 0 also has a certified negative
-    v[0, 7] = -1.0
-    v[1, 2] = v[1, 5] = 0.0  # two unclear; the first escalates negative
-    unclear_1 = np.flatnonzero(np.abs(v[1]) <= _SCAN_MARGIN)
-    first_negative = (ms[1], int(unclear_1[0]))
+    lattice, v = _scan_row_pass(ell, k, ms)
+    v[0] = [0.0, -1.0]  # one unclear, but the other a certified negative
+    v[1] = [0.0, 0.0]   # two unclear; the first escalates negative
+    v[2] = [0.0, 1.0]   # one unclear, escalated nonnegative
+    v[3] = [1.0, 1.0]   # two certified positives
+    cols = _lattice_columns(k, ms, lattice)
+    first_negative = (ms[1], int(cols[1, 0]))
     calls = []
 
     def sign(ell_, k_, m, j):
         calls.append((m, j))
         return -1 if (m, j) == first_negative else 1
 
-    monkeypatch.setattr(exotica, "_scan_float_pass", lambda *args: v)
+    monkeypatch.setattr(exotica, "_scan_row_pass", lambda *args: (lattice, v))
     monkeypatch.setattr(exotica, "_scan_coeff_sign", sign)
     record = s_scan(ell, k)
-    assert all(m != ms[0] for m, _ in calls)
-    assert [c for c in calls if c[0] == ms[1]] == [first_negative]
-    ok_rows = ~(v < -_SCAN_MARGIN).any(axis=1)
-    expected = [(ms[i], int(j)) for i in np.flatnonzero(ok_rows)
-                for j in np.flatnonzero(np.abs(v[i]) <= _SCAN_MARGIN)
-                if ms[i] != ms[1]]
-    assert [c for c in calls if c[0] != ms[1]] == expected
-    assert record.S == tuple(ms[i] for i in np.flatnonzero(ok_rows)
-                             if ms[i] != ms[1])
+    assert [c for c in calls if c[0] in ms[:4]] == [first_negative,
+                                                    (ms[2], int(cols[2, 0]))]
+    ok = (v >= -_SCAN_MARGIN).all(axis=1)
+    expected = [(ms[r], int(cols[r, x])) for r in range(4, len(ms)) if ok[r]
+                for x in (0, 1) if v[r, x] <= _SCAN_MARGIN]
+    assert [c for c in calls if c[0] not in ms[:4]] == expected
+    assert record.S == tuple(m for m, keep in zip(ms, ok) if keep
+                             and m != ms[1])
+    assert ms[0] not in record.S and {ms[2], ms[3]} <= set(record.S)
 
 
-def test_s4_300_escalates_one_coefficient_per_third_of_k(monkeypatch):
+@pytest.mark.parametrize("k", [300, 3000])
+def test_s4_escalates_one_exact_zero_in_row_k_over_3(k, monkeypatch):
     calls = []
 
-    def counted(ell, k, m, j):
-        sign = _scan_coeff_sign(ell, k, m, j)
+    def counted(ell, k_, m, j):
+        sign = _scan_coeff_sign(ell, k_, m, j)
         calls.append((m, j, sign))
         return sign
 
     monkeypatch.setattr(exotica, "_scan_coeff_sign", counted)
-    record = s_scan(4, 300)
-    assert len(calls) == 100
-    assert record.S == tuple(range(50, 101))
-    ms = _scan_ms(4, 300)
-    v = _scan_float_pass(4, 300, ms)
-    for m, j, sign in calls:
-        row = v[ms.index(m)]
-        assert not (row < -_SCAN_MARGIN).any()
-        assert abs(row[j]) <= _SCAN_MARGIN
-        assert sign == 0  # a certified exact zero
-
-
-def test_s4_3000_escalates_a_third_of_k_exact_zeros(monkeypatch):
-    calls = []
-
-    def counted(ell, k, m, j):
-        sign = _scan_coeff_sign(ell, k, m, j)
-        calls.append((m, j, sign))
-        return sign
-
-    monkeypatch.setattr(exotica, "_scan_coeff_sign", counted)
-    record = s_scan(4, 3000)
-    assert len(calls) == 1000
-    assert {sign for _, _, sign in calls} == {0}
-    assert {m for m, _, _ in calls} == {1000}
-    assert record.S == tuple(range(500, 1001))
-
-
-@pytest.mark.parametrize("ell, k", [(4, 300), (3, 611), (4, 611), (4, 1500)])
-def test_chunked_float_pass_gives_the_one_chunk_record(ell, k, monkeypatch):
-    ms = _scan_ms(ell, k)
-    monkeypatch.setattr(exotica, "_SCAN_CHUNK_ELEMS", len(ms) * k)
-    whole = s_scan(ell, k)
-    rows = 7
-    monkeypatch.setattr(exotica, "_SCAN_CHUNK_ELEMS", rows * k + k - 1)
-    chunked = s_scan(ell, k)
-    assert chunked == whole
-    assert len(ms) % rows  # the last chunk is a partial one
-    assert np.array_equal(
-        np.vstack([_scan_float_pass(ell, k, ms[s:s + rows])
-                   for s in range(0, len(ms), rows)]),
-        _scan_float_pass(ell, k, ms))
-
-
-def test_scans_to_950_run_as_one_chunk():
-    for ell in (3, 4):
-        assert max(len(_scan_ms(ell, k)) * k for k in range(2, 951)) \
-            <= exotica._SCAN_CHUNK_ELEMS
+    record = s_scan(4, k)
+    assert record.S == tuple(range(k // 6, k // 3 + 1))
+    [(m, j, sign)] = calls
+    assert (m, sign) == (k // 3, 0)  # a certified exact zero
+    row = _closed_form_pass(4, k, [m])[0]
+    assert not (row < -_SCAN_MARGIN).any()
+    assert abs(row[j]) <= _SCAN_MARGIN
 
 
 def test_scan_swap_produces_exotic_sack():

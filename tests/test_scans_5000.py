@@ -4,7 +4,9 @@
 written by ``tests/data/make_scans.py`` in the runs format of
 ``perfbench/reference_scans.json``.  These are outputs of this code past
 the published range, not published values.  The tests pin the facts the
-README reports from the file and recompute a sample of it.
+README reports from the file, recompute every k of it with
+``scan_table(ell, 5000, workers=2)``, and rerun the k where a reported law
+breaks, and a few others, through ``s_scan`` in this process.
 """
 
 import json
@@ -15,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from totalparts.exotica import M3_RATIO_BOUND, s_scan
+from totalparts.exotica import M3_RATIO_BOUND, s_scan, scan_table
 
 HERE = Path(__file__).parent
 K_MAX = 5000
@@ -82,6 +84,14 @@ def test_reported_facts_to_5000():
     assert [Fraction(k - 603 * a, 143)
             for a, (k, _) in enumerate(exceptions, start=1)] == EXPECTED_B
     assert _s4_law_breaks() == []
+
+
+def test_every_k_recomputes_to_the_file():
+    for ell in (3, 4):
+        records = scan_table(ell, K_MAX, workers=2)
+        assert [r.k for r in records] == list(range(2, K_MAX + 1))
+        for r in records:
+            assert r.S == SCANS[ell][r.k], (ell, r.k)
 
 
 def _sampled_ks():
