@@ -412,6 +412,21 @@ def normalize_to_die(p, order: int | None = None) -> Die:
     return Die(tuple(coeffs))
 
 
+def normalize_pair(p, q) -> tuple[Die, Die]:
+    """The dice p/p(1) and q/q(1) of two products with p*q = psi_k * psi_k',
+    where k = len(p) and k' = len(q), with no inverse taken.
+
+    p(1) q(1) = psi_k(1) psi_k'(1) = k k', so 1/p(1) = q(1)/(k k'): each
+    die is its product times the other's coefficient sum over k k', one
+    product per coefficient.  Die's exact check that the probabilities sum
+    to 1 certifies the premise.
+    """
+    kk = len(p) * len(q)
+    return tuple(Die(tuple(demote(c * scale) for c in poly))
+                 for poly, scale in ((p, poly_sum(q) / kk),
+                                     (q, poly_sum(p) / kk)))
+
+
 def psi(k: int):
     """The fair-die numerator polynomial 1 + x + ... + x^(k-1)."""
     return [Fraction(1)] * k

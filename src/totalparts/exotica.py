@@ -5,14 +5,19 @@ Candidate dice are products of the real irreducible factors (x+1) and
 chi_{m,k}(x) = x^2 - 2cos(2*pi*m/k)x + 1.  A census (:func:`swap_census`,
 :func:`exotic_search`) runs in stages:
 
-1. enumerate the multiplicity vectors of the candidate pairs, lazily;
-2. stream them in chunks of ``_CHUNK_ROWS`` rows through
+1. search the splits of the factor multiset between the two dice, one
+   factor column at a time (:func:`_split_search`).  A die with
+   nonnegative coefficients has |p(e^(i phi))| <= p(1); a branch is pruned
+   when, at some angle of a half-lattice, even its least completion breaks
+   this for either die by more than a tolerance derived in advance
+   (:func:`_prune_tolerance`).  The surviving leaves stream on;
+2. pass them in chunks of ``_CHUNK_ROWS`` rows through
    :func:`_point_filter`, one numpy float product per chunk and die with
    an error bound derived in advance, which gives every coefficient of
    every candidate die a status: certified positive (above its bound),
    certified negative (below minus its bound), or unresolved;
-3. drop each pair with a certified negative coefficient before any exact
-   work;
+3. drop each pair with a certified negative coefficient for the whole
+   chunk at once (:func:`_screened`), before any per-candidate work;
 4. build the exact products of the remaining dice from their roots
    zeta_n^(+-e) with :func:`dicecore.root_product`
    (:func:`_chi_product_exact`);
@@ -20,9 +25,13 @@ chi_{m,k}(x) = x^2 - 2cos(2*pi*m/k)x + 1.  A census (:func:`swap_census`,
    zero is read from the canonical coordinates, never assumed; any other
    coefficient gets one integer enclosure excluding zero, at a precision
    derived in advance from a separation bound);
-6. scale the surviving products to dice with ``normalize_to_die``.
+6. scale each surviving pair to dice with :func:`dicecore.normalize_pair`:
+   the two products multiply to psi_k * psi_k', so each die's coefficient
+   sum is k*k' over its partner's, and no inverse is taken.
 
-No sack is admitted or rejected from an unresolved float status.
+A prune rejects only what the derived bound excludes, so every die that
+the point filter and the exact stage would accept reaches them.  No sack
+is admitted or rejected from an unresolved float status.
 """
 
 from __future__ import annotations
@@ -37,8 +46,8 @@ from multiprocessing import Pool
 import numpy as np
 
 from .exactnum import CycElem, cyc_embed, cyc_sign, two_cos
-from .dicecore import (Die, Sack, demote, normalize_to_die, poly_mul, psi,
-                       root_product)
+from .dicecore import (Die, Sack, demote, normalize_pair, normalize_to_die,
+                       poly_mul, psi, root_product)
 
 M3_RATIO_BOUND = Fraction(60, 143)
 
@@ -143,19 +152,217 @@ def _point_filter(factors, mults) -> np.ndarray:
 
 
 def _screened(candidates, factors):
-    """Pair each candidate with the filter statuses of its dice.
+    """Pair each candidate with the filter statuses of its dice, dropping
+    every candidate with a certified negative coefficient.
 
     ``candidates`` yields ``(payload, rows)`` with one multiplicity row per
     die; the rows of one die position share a degree.  Candidates are
     filtered ``_CHUNK_ROWS`` at a time, one :func:`_point_filter` call
-    per die position, and yielded in order as ``(payload, statuses)``.
+    per die position.  A candidate with a -1 status in any die is dropped
+    for the whole chunk at once, before any per-candidate work; the others
+    are yielded in order as ``(payload, statuses)``.
     """
     it = iter(candidates)
     while chunk := list(itertools.islice(it, _CHUNK_ROWS)):
         per_die = [_point_filter(factors, [rows[i] for _, rows in chunk])
                    for i in range(len(chunk[0][1]))]
-        for r, (payload, _) in enumerate(chunk):
-            yield payload, [status[r] for status in per_die]
+        negative = np.any([(status < 0).any(axis=1) for status in per_die],
+                          axis=0)
+        for r in np.flatnonzero(~negative).tolist():
+            yield chunk[r][0], [status[r] for status in per_die]
+
+
+# -- the pruned split search --------------------------------------------------
+
+# Rows per chunk of the split search's depth-first stack: large enough to
+# amortize numpy's per-call cost, small enough to keep deep searches flat.
+_SEARCH_ROWS = 4096
+
+
+def _log_ratios(factors, n: int) -> np.ndarray:
+    """The n x factors table ell~[i, f] of the census prune.
+
+    Row i is the float c_i = cos(pi*(2i+1)/(2n)), the half-lattice at
+    conductor n.  For a chi with tau~ from _chi_factor, gamma~ = tau~/2 is
+    cos(theta) and ell~ = log|c_i - gamma~| - log(1 - gamma~); x+1 takes
+    gamma = -1 and half that value.  :func:`_prune_error` bounds the error.
+    """
+    c = np.cos(np.pi * (2 * np.arange(n) + 1) / (2 * n))[:, None]
+    gamma = np.array([-a1 / 2 if a2 else -1.0 for a1, a2 in factors])
+    half = np.array([1.0 if a2 else 0.5 for _, a2 in factors])
+    return (np.log(np.abs(c - gamma)) - np.log(1 - gamma)) * half
+
+
+@functools.lru_cache(maxsize=None)
+def _prune_error(n: int) -> tuple[Fraction, Fraction]:
+    """(e, lam): every entry of _log_ratios(factors, n) is within e of its
+    exact value, and every exact value is at most lam in absolute value.
+
+    The condition.  A die p with nonnegative coefficients has
+    |p(z)| <= p(1) for |z| = 1.  Take z = e^(i phi) with cos(phi) = c:
+    |chi_m(z)| = 2|c - cos(theta_m)| and chi_m(1) = 2(1 - cos(theta_m));
+    |z + 1| = sqrt(2(1 + c)), so log(|z + 1|/2) is half the chi expression
+    at cos(theta) = -1.  For p = prod chi_m^(r_m) (x+1)^(x1) the condition
+    is sum_m r_m ell_m + x1 ell_x <= 0, with ell_m = log|c - cos(theta_m)|
+    - log(1 - cos(theta_m)) and ell_x = (log(1 + c) - log 2)/2.  It holds
+    for every c in [-1, 1], so the float c_i itself is taken as exact.
+
+    Separation (u = 2^-53, s = sin(pi/(4n))).  With phi_i = pi(2i+1)/(2n)
+    and theta = 2*pi*m'/n, 0 < m' < n, cos(phi_i) - cos(theta) =
+    -2 sin((phi_i + theta)/2) sin((phi_i - theta)/2), and both half-angles
+    are odd multiples of pi/(4n), at least pi/(4n) from any multiple of pi:
+    |cos(phi_i) - cos(theta)| >= 2s^2.  Also 1 + cos(phi_i) =
+    2cos^2(phi_i/2) >= 2s^2, as phi_i/2 <= pi/2 - pi/(4n), and
+    1 - cos(theta) = 2 sin^2(pi m'/n) >= 2s^2.  The angle
+    fl(fl(pi (2i+1))/(2n)) is within 3.01u*pi < 10u of phi_i and, taking
+    the library's cos within 4 ulp (8u on [-1, 1]), |c_i - cos(phi_i)| <=
+    18u.  So |c_i - gamma| >= g = 2s^2 - 18u and 1 - gamma >= g for the
+    exact gamma of every column.
+
+    One entry.  gamma~ = tau~/2 is within 2^-53 + 2^-66 of cos(theta) (the
+    halving is exact), and gamma = -1 is exact.  Each of fl(c_i - gamma~)
+    and fl(1 - gamma~) is then its exact counterpart times 1 + rho with
+    |rho| <= rho1 = (2^-53 + 2^-66)(1 + u)/g + u, which moves its log by
+    at most 2 rho1 (rho1 <= 1/4).  Every exact and computed argument lies
+    in [g(1 - rho1), 2(1 + rho1)], so every log is at most
+    lam = log(2/g) in absolute value (g <= 1/2), and so is every exact
+    entry, a difference of two logs in [log g, log 2].  The library's log,
+    taken within 4 ulp, adds 8u*lam + 2^-1072 (ulp(z) <= 2u|z|, or 2^-1074
+    below the normal range), so each computed log is within
+    d = 2 rho1 + 8u lam + 2^-1072 of its exact counterpart and at most
+    lam + d in absolute value.  The subtraction adds u * 2(lam + d), and
+    the halving of the x+1 entry is exact.  So each entry is within
+    e = 2d(1 + u) + 2u lam of its exact value.
+
+    s is bounded below by x - x^3/6 at x = 3.14159/(4n) <= pi/(4n), and lam
+    above by ln 2 < 0.6932 times the bit length of ceil(2/g); all in
+    Fractions.  A conductor too large for g > 0 and rho1 <= 1/4 (above
+    22 474 148) is refused.
+    """
+    u = Fraction(1, 2 ** 53)
+    x = Fraction(314159, 400000 * n)
+    g = 2 * (x - x ** 3 / 6) ** 2 - 18 * u
+    rho1 = (u + Fraction(1, 2 ** 66)) * (1 + u) / g + u if g > 0 else 1
+    if rho1 > Fraction(1, 4):
+        raise ValueError("the census prune's bound holds for conductors "
+                         "up to 22474148")
+    lam = math.ceil(2 / g).bit_length() * Fraction(6932, 10000)
+    d = 2 * rho1 + 8 * u * lam + Fraction(1, 2 ** 1072)
+    return 2 * d * (1 + u) + 2 * u * lam, lam
+
+
+@functools.lru_cache(maxsize=None)
+def _prune_tolerance(n: int, degree: int, terms: int) -> float:
+    """The float tol such that a split search node whose computed bound
+    exceeds tol has no completion to a die with nonnegative coefficients.
+
+    A computed bound is the float sum, in some order, of at most ``terms``
+    values: v * ell~ for each fixed column (v <= 2, an exact product) and
+    the slot values of the greedy completion.  Those come from the at most
+    ``degree`` slots of one die.  With e and lam from :func:`_prune_error`,
+    the exact sum of the same values is within degree * e of the exact
+    value of that completion, and the rounding of any summation order adds
+    at most gamma_terms * degree * (lam + e) (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., (4.4)), gamma_j = ju/(1-ju).
+    The greedy completion of the computed values has a sum no larger than
+    that of any other completion, so if a completion to a die exists, its
+    exact value is <= 0 and the computed bound is at most
+    tol = degree (e + gamma_terms (lam + e)), computed in Fractions and
+    rounded up as in _error_bounds.
+    """
+    u = Fraction(1, 2 ** 53)
+    e, lam = _prune_error(n)
+    gamma = terms * u / (1 - terms * u)
+    return float(degree * (e + gamma * (lam + e)) * (1 + 2 * u))
+
+
+def _split_search(ell, factors, caps, degree, tol, symmetric=False):
+    """Branch and bound over the splits of a factor multiset into two dice.
+
+    ``factors`` are as for :func:`_point_product`, at most one of them the
+    linear x+1, with multiplicities ``caps``, each at most 2; ``ell`` is
+    their :func:`_log_ratios` table.  A split gives die 1 r_f <= caps[f]
+    copies of factor f and die 2 the other caps[f] - r_f, and die 1 must
+    have degree ``degree``.  With ``symmetric`` only the splits whose row
+    is below its complement, lexicographically in the order the columns are
+    fixed, are searched, and the self-complementary one is dropped.
+
+    Columns are fixed one at a time, the linear one first, in depth-first
+    chunks of at most _SEARCH_ROWS nodes.  At every node and angle, each
+    die's bound is its fixed part sum r_f ell~_f plus the least value any
+    completion can reach: all remaining columns are chis, a die still needs
+    R of their slots (a column has caps[f] slots of value ell~_f), and with
+    every cap and the slot count fixed that least value is the sum of the R
+    smallest remaining slot values, read from their cumulative sums.  A
+    node survives when both dice's bounds are at most ``tol`` at every
+    angle (:func:`_prune_tolerance`).
+
+    Yields ``(depth, rows, bounds, keep)`` for every chunk of nodes it
+    evaluates: die-1 rows with the first ``depth`` columns fixed (the rest
+    0), each die's largest bound over the angles, and the survivors; at
+    depth ``len(factors)`` the survivors are the splits that remain.
+    """
+    widths = [2 if a2 else 1 for _, a2 in factors]
+    order = sorted(range(len(factors)), key=widths.__getitem__)
+    caps = np.asarray(caps, dtype=np.int64)
+    if 1 in [widths[f] for f in order[1:]] or caps.max(initial=0) > 2:
+        raise ValueError("one linear factor at most, and caps at most 2")
+    # slots[j] remaining chi slots and floors[j][i, R] the least sum of R
+    # of them at angle i, once the columns order[:j] are fixed (j >= 1)
+    slots, floors = [None], [None]
+    for j in range(1, len(order) + 1):
+        values = np.repeat(ell[:, order[j:]], caps[order[j:]], axis=1)
+        slots.append(values.shape[1])
+        floors.append(np.cumsum(np.hstack([np.zeros((len(ell), 1)),
+                                           np.sort(values, axis=1)]), axis=1))
+    # a node: rows, die-1 and die-2 part sums, die-1 degree left, and
+    # whether the row still equals its complement
+    stack = [(0, (np.zeros((1, len(factors)), dtype=np.int64),
+                  np.zeros((1, len(ell))), np.zeros((1, len(ell))),
+                  np.array([degree]), np.array([True])))]
+    while stack:
+        j, (rows, p1, p2, left, tied) = stack.pop()
+        f, cap, width = order[j], caps[order[j]], widths[order[j]]
+        kids = []
+        for v in range(cap + 1):
+            rest = left - width * v
+            ok = (rest >= 0) & (rest <= 2 * slots[j + 1]) & (rest % 2 == 0)
+            if symmetric:
+                ok &= ~tied | (2 * v <= cap)
+            i = np.flatnonzero(ok)
+            r = rows[i]
+            r[:, f] = v
+            kids.append((r, p1[i] + v * ell[:, f],
+                         p2[i] + (cap - v) * ell[:, f], rest[i],
+                         tied[i] & (2 * v == cap)))
+        rows, p1, p2, left, tied = (np.concatenate(a) for a in zip(*kids))
+        need = left // 2
+        bounds = np.stack(
+            [(p + floors[j + 1][:, r].T).max(axis=1)
+             for p, r in ((p1, need), (p2, slots[j + 1] - need))], axis=1)
+        keep = (bounds <= tol).all(axis=1)
+        if symmetric and j + 1 == len(order):
+            keep &= ~tied
+        yield j + 1, rows, bounds, keep
+        i = np.flatnonzero(keep)
+        if j + 1 < len(order) and len(i):
+            stack.extend((j + 1, (rows[c], p1[c], p2[c], left[c], tied[c]))
+                         for c in reversed(np.array_split(
+                             i, -(-len(i) // _SEARCH_ROWS))))
+
+
+def _pruned_splits(factors, caps, degree, conductor, symmetric=False):
+    """The die-1 rows of :func:`_split_search` that survive to the end, as
+    tuples; the prune's table and tolerance are taken at ``conductor``,
+    where every factor's root lies."""
+    total = sum(c * (2 if a2 else 1) for c, (_, a2) in zip(caps, factors))
+    tol = _prune_tolerance(conductor, max(degree, total - degree),
+                           len(factors) + sum(caps))
+    for depth, rows, _, keep in _split_search(
+            _log_ratios(factors, conductor), factors, caps, degree, tol,
+            symmetric):
+        if depth == len(factors):
+            yield from map(tuple, rows[keep].tolist())
 
 
 # -- exact factor products ---------------------------------------------------
@@ -173,13 +380,11 @@ def _certified_products(statuses, dice, conductor):
     """The exact products of a candidate's dice if every coefficient of each
     is certified >= 0, else None.
 
-    ``statuses`` are the point filter's statuses and ``dice`` the
-    ``(chis, x1_count)`` of each die.  A certified negative status rejects
-    the candidate before any exact work; afterwards only the coefficients
-    the filter left unresolved go to :func:`cyc_sign`.
+    ``statuses`` are the point filter's statuses, none of them -1 (those
+    candidates were dropped by :func:`_screened`), and ``dice`` the
+    ``(chis, x1_count)`` of each die.  Only the coefficients the filter
+    left unresolved go to :func:`cyc_sign`.
     """
-    if any(status.min() < 0 for status in statuses):
-        return None
     polys = []
     for status, (chis, x1_count) in zip(statuses, dice):
         poly = _chi_product_exact(chis, x1_count, conductor)
@@ -224,50 +429,33 @@ class NotFound(LookupError):
     pass
 
 
-def _sum_bounded_vectors(n, total):
-    # Vectors in {0,1,2}^n with the given sum.
-    def rec(i, remaining):
-        if i == n:
-            if remaining == 0:
-                yield ()
-            return
-        slots_left = n - i - 1
-        for v in (0, 1, 2):
-            rest = remaining - v
-            if 0 <= rest <= 2 * slots_left:
-                for tail in rec(i + 1, rest):
-                    yield (v,) + tail
-    yield from rec(0, total)
-
-
 def _diagonal_census(k: int) -> list[tuple[tuple, Sack, SwapSpec]]:
     """Strict exotic pairs of order k, one per unordered multiplicity
     vector pair {r, 2-r}."""
     ms = list(range(1, (k + 1) // 2))
     x1 = 1 if k % 2 == 0 else 0
-    target = (k - 2) // 2 if k % 2 == 0 else (k - 1) // 2
     factors = [_chi_factor(m, k) for m in ms] + [_X_PLUS_1]
+    caps = [2] * len(ms) + [2 * x1]
 
     def candidates():
-        for r in _sum_bounded_vectors(len(ms), target):
-            comp = tuple(2 - v for v in r)
-            if r < comp:  # swap symmetry; equality only at the fair vector
-                yield (r, comp), (r + (x1,), comp + (x1,))
+        # swap symmetry: r below 2 - r, the fair vector excluded
+        for row in _pruned_splits(factors, caps, k - 1, k, symmetric=True):
+            comp = tuple(c - v for c, v in zip(caps, row))
+            yield row[:-1], (row, comp)
 
     found = []
-    for (r, comp), statuses in _screened(candidates(), factors):
+    for r, statuses in _screened(candidates(), factors):
         dice = [([(m, k, v) for m, v in zip(ms, vec) if v], x1)
-                for vec in (r, comp)]
+                for vec in (r, tuple(2 - v for v in r))]
         polys = _certified_products(statuses, dice, k)
         if polys is None:
             continue
-        d, dhat = (normalize_to_die(p, order=k) for p in polys)
         spec = SwapSpec(
             give=tuple(m for m, v in zip(ms, r) if v == 0),
             take=tuple(m for m, v in zip(ms, r) if v == 2),
             orders=(k, k),
         ).canonical()
-        found.append((r, Sack((d, dhat)), spec))
+        found.append((r, Sack(normalize_pair(*polys)), spec))
     found.sort(key=lambda e: (len(e[2].give), e[2].give, e[2].take))
     return found
 
@@ -304,32 +492,20 @@ def exotic_search(k: int, kp: int) -> ExoticCensus:
     keys = sorted(chis)
     conductor = math.lcm(k, kp)
     fair_d1 = {Fraction(m, k) for m in range(1, (k + 1) // 2)}
-    results = []
-
-    # Enumerate counts per quadratic factor for die 1, then the (x+1) split;
-    # die 1 must reach degree exactly k-1.
-    def rec(idx, deg_left, partial):
-        if idx == len(keys):
-            if deg_left <= x1_total:
-                yield partial, deg_left
-            return
-        key = keys[idx]
-        for c in range(0, min(chis[key], deg_left // 2) + 1):
-            yield from rec(idx + 1, deg_left - 2 * c, partial + [(key, c)])
-
+    factors = ([_chi_factor(key.numerator, key.denominator) for key in keys]
+               + [_X_PLUS_1])
+    caps = [chis[key] for key in keys] + [x1_total]
     fair_row = (tuple(1 if key in fair_d1 else 0 for key in keys)
                 + (1 if k % 2 == 0 else 0,))
 
     def candidates():
-        for partial, x1_d1 in rec(0, k - 1, []):
-            row_d1 = tuple(c for _, c in partial) + (x1_d1,)
-            if row_d1 != fair_row:
-                row_d2 = (tuple(chis[key] - c for key, c in partial)
-                          + (x1_total - x1_d1,))
-                yield (row_d1, row_d2), (row_d1, row_d2)
+        # die 1 of degree exactly k-1, the fair split excluded
+        for row in _pruned_splits(factors, caps, k - 1, conductor):
+            if row != fair_row:
+                rows = (row, tuple(c - v for c, v in zip(caps, row)))
+                yield rows, rows
 
-    factors = ([_chi_factor(key.numerator, key.denominator) for key in keys]
-               + [_X_PLUS_1])
+    results = []
     for rows, statuses in _screened(candidates(), factors):
         dice = [([(key.numerator, key.denominator, c)
                   for key, c in zip(keys, row) if c], row[-1])
@@ -338,13 +514,11 @@ def exotic_search(k: int, kp: int) -> ExoticCensus:
         if polys is None:
             continue
         assigned_d1 = dict(zip(keys, rows[0]))
-        d1 = normalize_to_die(polys[0], order=k)
-        d2 = normalize_to_die(polys[1], order=kp)
         give = tuple(key for key in sorted(fair_d1) if assigned_d1[key] < 1)
         take = tuple(key for key in keys
                      if assigned_d1[key] > (1 if key in fair_d1 else 0))
-        spec = SwapSpec(give, take, (k, kp))
-        results.append((Sack((d1, d2)), spec))
+        results.append((Sack(normalize_pair(*polys)),
+                        SwapSpec(give, take, (k, kp))))
     results.sort(key=lambda e: (e[1].give, e[1].take))
     return ExoticCensus((k, kp), tuple(results))
 
@@ -417,14 +591,6 @@ class ScanRecord:
     S: tuple
     M: int | None
     R: Fraction | None
-
-
-def _scan_f(ell: int, k: int):
-    # Coefficients of psi_k * psi_3 (ell=3) or psi_k * (x^2+1) (ell=4).
-    if ell == 3:
-        return [min(i + 1, 3, k + 2 - i) for i in range(k + 2)]
-    return [(1 if i <= k - 1 else 0) + (1 if 2 <= i <= k + 1 else 0)
-            for i in range(k + 2)]
 
 
 def _scan_params(ell: int):

@@ -18,6 +18,7 @@ from fractions import Fraction
 from .exactnum import cyclotomic_poly
 from .dicecore import (
     Die,
+    normalize_pair,
     normalize_to_die,
     poly_mul,
     poly_trim,
@@ -82,21 +83,24 @@ def multiplicity_vectors(k: int):
                 yield tuple(r)
 
 
-def _die_from_multiplicities(k: int, r) -> Die:
-    exponents = [m for m, rm in enumerate(r, start=1) for _ in range(rm)]
-    return normalize_to_die(root_product(k, exponents), order=k)
-
-
 def enumerate_fair_pairs(k: int):
     """All fair pairs of order k, one per multiplicity vector, in the
-    canonical order: by ell, then lexicographically on r."""
+    canonical order: by ell, then lexicographically on r.
+
+    The root products of r and 2 - r multiply to psi_k^2, so each pair is
+    normalized by :func:`dicecore.normalize_pair` and serves r and 2 - r.
+    """
     rs = sorted(multiplicity_vectors(k),
                 key=lambda r: (sum(1 for x in r if x == 2), r))
-    pairs = []
+    pairs, dice = [], {}
     for r in rs:
-        d = _die_from_multiplicities(k, r)
-        dhat = _die_from_multiplicities(k, tuple(2 - rm for rm in r))
-        pairs.append(FairPair(d, dhat, r))
+        comp = tuple(2 - rm for rm in r)
+        if r not in dice:
+            dice[r], dice[comp] = normalize_pair(*(
+                root_product(k, [m for m, rm in enumerate(v, start=1)
+                                 for _ in range(rm)])
+                for v in (r, comp)))
+        pairs.append(FairPair(dice[r], dice[comp], r))
     return pairs
 
 

@@ -14,6 +14,7 @@ from totalparts.dicecore import (
     ZeroSum,
     as_scalar,
     demote,
+    normalize_pair,
     normalize_poly,
     normalize_to_die,
     parts_to_total,
@@ -21,9 +22,11 @@ from totalparts.dicecore import (
     poly_mul,
     poly_sum,
     psi,
+    root_product,
     scalar_is_zero,
 )
 from totalparts.exactnum import CycElem, phi
+from totalparts.fairlab import multiplicity_vectors
 
 
 F = Fraction
@@ -82,6 +85,29 @@ def test_normalize_poly():
     assert coeffs == [F(1, 4), F(1, 2), F(1, 4)] and c == 8
     with pytest.raises(ZeroSum):
         normalize_poly([F(1), F(-1)])
+
+
+@given(st.integers(3, 9), st.data())
+@settings(max_examples=25, deadline=None)
+def test_normalize_pair_equals_normalize_to_die(k, data):
+    # a pair of totally fair k-dice: roots zeta_k^m with multiplicities r_m
+    # and 2 - r_m, so the raw products multiply to psi_k^2
+    r = data.draw(st.sampled_from(list(multiplicity_vectors(k))))
+    p, q = (root_product(k, [m for m, rm in enumerate(v, start=1)
+                             for _ in range(rm)])
+            for v in (r, [2 - rm for rm in r]))
+    assert normalize_pair(p, q) == (normalize_to_die(p), normalize_to_die(q))
+
+
+def test_normalize_pair_of_mixed_orders_and_a_false_premise():
+    # psi_3 * psi_4 at conductor 12: x^2 + 1 (roots zeta^3, zeta^9) and
+    # (x^2 + x + 1)(x + 1) (roots zeta^4, zeta^8, zeta^6)
+    p, q = root_product(12, [3, 9]), root_product(12, [4, 8, 6])
+    assert normalize_pair(p, q) == (Die((F(1, 2), F(0), F(1, 2))),
+                                    Die((F(1, 6), F(1, 3), F(1, 3), F(1, 6))))
+    # (1 + 2x)(1 + x + x^2) is not psi_2 * psi_3: no die sums to 1
+    with pytest.raises(ValueError):
+        normalize_pair([F(1), F(2)], [F(1), F(1), F(1)])
 
 
 def test_poly_divide_exact():

@@ -29,20 +29,24 @@ from totalparts.exotica import (
     _SCAN_K_MAX,
     _SCAN_MARGIN,
     _X_PLUS_1,
+    _certified_products,
     _chi_factor,
     _chi_product_exact,
     _error_bounds,
+    _log_ratios,
     _merged_factor_multiset,
     _point_filter,
     _point_product,
+    _prune_error,
+    _prune_tolerance,
+    _pruned_splits,
     _scan_coeff_elem,
     _scan_coeff_sign,
-    _scan_f,
     _scan_ms,
     _scan_params,
     _scan_row_pass,
     _screened,
-    _sum_bounded_vectors,
+    _split_search,
     exotic_search,
     m3_exception_scan,
     s3_table,
@@ -216,6 +220,13 @@ def _census_factors(k):
     return [_chi_factor(m, k) for m in range(1, (k + 1) // 2)] + [_X_PLUS_1]
 
 
+def _sum_bounded_vectors(n, total):
+    # every vector in {0,1,2}^n with the given sum, in lexicographic order:
+    # the full enumeration the pruned search replaced
+    return [r for r in itertools.product((0, 1, 2), repeat=n)
+            if sum(r) == total]
+
+
 def _mixed_candidates(k, kp):
     # The factors of exotic_search(k, kp) and every split of them into a
     # (k-1)-die and a (kp-1)-die, as (row_d1, row_d2) multiplicity rows.
@@ -318,25 +329,36 @@ UNRESOLVED = {**{k: 0 for k in range(10, 26)},
               (7, 12): 20, (9, 15): 4, (10, 14): 52}
 
 
-def test_unresolved_counts_match_the_interval_filter(monkeypatch):
-    seen = []
+def _mixed_fair_row(k, kp):
+    # die 1 of the fair split: the chis of psi_k, and x+1 when k is even
+    fair_d1 = {F(m, k) for m in range(1, (k + 1) // 2)}
+    keys = sorted(_merged_factor_multiset(k, kp)[0])
+    return (tuple(1 if q in fair_d1 else 0 for q in keys)
+            + (1 if k % 2 == 0 else 0,))
 
-    def counting(factors, mults):
-        status = _point_filter(factors, mults)
-        seen.append(int((status == 0).sum()))
-        return status
 
-    monkeypatch.setattr(exotica, "_point_filter", counting)
-    # no exact stage: only the filter's statuses are counted
-    monkeypatch.setattr(exotica, "_certified_products", lambda *a: None)
+def _full_candidates(key):
+    # (factors, pairs of die rows) of every candidate of the census without
+    # the prune: the diagonal r < 2 - r with the fair vector excluded, or
+    # every split of a mixed type but the fair one
+    if isinstance(key, int):
+        rows = list(_candidate_rows(key))
+        return _census_factors(key), list(zip(rows[::2], rows[1::2]))
+    factors, pairs = _mixed_candidates(*key)
+    fair = _mixed_fair_row(*key)
+    return factors, [p for p in pairs if p[0] != fair]
+
+
+def test_unresolved_counts_match_the_interval_filter():
     got = {}
     for key in UNRESOLVED:
-        seen.clear()
-        if isinstance(key, int):
-            swap_census(key)
-        else:
-            exotic_search(*key)
-        got[key] = sum(seen)
+        factors, pairs = _full_candidates(key)
+        got[key] = 0
+        for start in range(0, len(pairs), 4096):
+            for die in (0, 1):
+                status = _point_filter(
+                    factors, [p[die] for p in pairs[start:start + 4096]])
+                got[key] += int((status == 0).sum())
     assert got == UNRESOLVED
 
 
@@ -373,23 +395,235 @@ def test_point_filter_rejects_rows_of_different_degree():
 def test_screened_streams_every_candidate_in_order(count):
     # k = 16: seven chi factors and x+1; 393 vectors in {0,1,2}^7 sum to 7.
     # (9, 16): an 8-die and a 15-die from 11 chi factors and x+1, 330 splits.
-    vectors = itertools.islice(_sum_bounded_vectors(7, 7), count)
+    # Exactly the candidates with no -1 status in either die come out, in
+    # order, with their statuses.
+    vectors = _sum_bounded_vectors(7, 7)[:count]
     diagonal = [(r + (1,), tuple(2 - v for v in r) + (1,)) for r in vectors]
     mixed_factors, mixed = _mixed_candidates(9, 16)
     for factors, rows in ((_census_factors(16), diagonal),
                           (mixed_factors, mixed[:count])):
         candidates = list(enumerate(rows))
         assert len(candidates) == count
+        statuses = [[_point_filter(factors, [row])[0].tolist() for row in pair]
+                    for pair in rows]
+        want = [(i, st) for i, st in enumerate(statuses)
+                if -1 not in st[0] + st[1]]
+        if count > _CHUNK_ROWS:
+            assert 0 < len(want) < count  # both outcomes occur
         out = list(_screened(iter(candidates), factors))
-        assert [payload for payload, _ in out] == list(range(count))
-        for (_, rows), (_, statuses) in zip(candidates, out):
-            assert len(statuses) == 2
-            for row, status in zip(rows, statuses):
-                assert (status.tolist()
-                        == _point_filter(factors, [row])[0].tolist())
+        assert [(payload, [s.tolist() for s in got]) for payload, got in out
+                ] == want
+
+
+def _prune_case(key):
+    # (chi angle fractions, factors, caps, conductor, die-1 degree,
+    # symmetric) of the diagonal census of order key or the mixed type key
+    if isinstance(key, int):
+        angles = [F(m, key) for m in range(1, (key + 1) // 2)]
+        caps = [2] * len(angles) + [2 * (1 - key % 2)]
+        return angles, _census_factors(key), caps, key, key - 1, True
+    chis, x1 = _merged_factor_multiset(*key)
+    angles = sorted(chis)
+    factors = ([_chi_factor(q.numerator, q.denominator) for q in angles]
+               + [_X_PLUS_1])
+    return (angles, factors, [chis[q] for q in angles] + [x1],
+            math.lcm(*key), key[0] - 1, False)
+
+
+def _leaves(key):
+    _, factors, caps, n, degree, symmetric = _prune_case(key)
+    return list(_pruned_splits(factors, caps, degree, n, symmetric))
+
+
+# Leaves of the pruned search, the pairs that reach the point filter (with
+# the fair split still among the mixed ones).
+LEAVES = {12: 3, 13: 6, 14: 6, 15: 13, 16: 17, 17: 30, 18: 36, 19: 66,
+          20: 77, 21: 157, 22: 182, 23: 359, 24: 418, 25: 823,
+          (3, 4): 2, (7, 12): 16, (9, 15): 46, (10, 14): 68}
+
+
+def test_pruned_search_leaf_counts():
+    got = {key: len(_leaves(key)) for key in LEAVES}
+    assert got == LEAVES
+
+
+def _accepted_by_full_pipeline(key):
+    # the census without the prune: every candidate through the point
+    # filter and the exact stage; returns the accepted die-1 rows
+    factors, pairs = _full_candidates(key)
+    keys, _, _, conductor, _, _ = _prune_case(key)
+    accepted = []
+    for pair, statuses in _screened(((p, p) for p in pairs), factors):
+        dice = [([(q.numerator, q.denominator, c)
+                  for q, c in zip(keys, row) if c], row[-1]) for row in pair]
+        if _certified_products(statuses, dice, conductor) is not None:
+            accepted.append(pair[0])
+    return accepted
+
+
+@pytest.mark.parametrize("key", list(range(3, 23)) + [(3, 4), (4, 6)] + [
+    key for key in UNRESOLVED if not isinstance(key, int)])
+def test_every_accepted_vector_is_a_leaf(key):
+    accepted = _accepted_by_full_pipeline(key)
+    assert set(accepted) <= set(_leaves(key))
+    if isinstance(key, int) and key >= 12:
+        assert len(accepted) == EKTAB[key]
+
+
+def _mp(q):
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+def _exact_log_ratios(angles, n):
+    # the library's floats c_i, taken as exact, and the table of exact ell
+    # at the working precision: a row per c_i, x+1 last
+    c = np.cos(np.pi * (2 * np.arange(n) + 1) / (2 * n)).tolist()
+    cos_theta = [mpmath.cos(2 * mpmath.pi * _mp(q)) for q in angles]
+    table = []
+    for ci in map(mpmath.mpf, c):
+        table.append([mpmath.log(abs(ci - ct)) - mpmath.log(1 - ct)
+                      for ct in cos_theta]
+                     + [(mpmath.log(1 + ci) - mpmath.log(2)) / 2])
+    return c, cos_theta, table
+
+
+@pytest.mark.parametrize("key", [3, 4, 12, 13, 25, 29, 40,
+                                 (3, 4), (7, 12), (9, 15), (10, 14)])
+def test_log_ratios_are_within_the_derived_error(key):
+    angles, factors, _, n, _, _ = _prune_case(key)
+    e, lam = map(_mp, _prune_error(n))
+    got = _log_ratios(factors, n)
+    u = mpmath.mpf(2) ** -53
+    with mpmath.workdps(60):
+        c, cos_theta, exact = _exact_log_ratios(angles, n)
+        gap = 2 * mpmath.sin(mpmath.pi / (4 * n)) ** 2 - 18 * u
+        for i, ci in enumerate(c):
+            phi = mpmath.pi * (2 * i + 1) / (2 * n)
+            assert abs(ci - mpmath.cos(phi)) <= 18 * u
+            assert 1 + ci >= gap
+            assert all(abs(ci - ct) >= gap and 1 - ct >= gap
+                       for ct in cos_theta)
+            for f, value in enumerate(exact[i]):
+                assert abs(value) <= lam
+                assert abs(got[i, f] - value) <= e, (key, i, f)
+
+
+def _exact_bound(exact, row, fixed, caps, widths, degree):
+    # the least exact value of a die over every completion of its fixed
+    # columns: the fixed part plus the smallest remaining slot values
+    free = [f for f in range(len(caps)) if f not in fixed]
+    need = (degree - sum(widths[f] * row[f] for f in fixed)) // 2
+    return max(sum(row[f] * e[f] for f in fixed)
+               + sum(sorted(e[f] for f in free for _ in range(caps[f]))[:need])
+               for e in exact)
+
+
+@pytest.mark.parametrize("key", [8, 11, 12, 16, 19, 20, (3, 4), (4, 6),
+                                 (7, 12), (9, 15), (10, 14)])
+def test_prefix_bounds_are_within_the_tolerance(key):
+    # every node the search evaluates, against its exact bound at 60 digits;
+    # a pruned node has no completion satisfying the condition
+    angles, factors, caps, n, degree, symmetric = _prune_case(key)
+    widths = [2] * len(angles) + [1]
+    total = sum(w * c for w, c in zip(widths, caps))
+    tol = _prune_tolerance(n, max(degree, total - degree),
+                           len(factors) + sum(caps))
+    order = [len(factors) - 1] + list(range(len(angles)))  # x+1 first
+    nodes = 0
+    with mpmath.workdps(60):
+        _, _, exact = _exact_log_ratios(angles, n)
+        for depth, rows, bounds, keep in _split_search(
+                _log_ratios(factors, n), factors, caps, degree, tol,
+                symmetric):
+            fixed = order[:depth]
+            for row, bound in zip(rows.tolist(), bounds.tolist()):
+                comp = [c - v for c, v in zip(caps, row)]
+                want = [_exact_bound(exact, r, fixed, caps, widths, d)
+                        for r, d in ((row, degree), (comp, total - degree))]
+                assert all(abs(b - w) <= tol for b, w in zip(bound, want))
+                if max(bound) > tol:
+                    assert max(want) > 0
+                nodes += 1
+            assert keep.tolist() == [max(b) <= tol and not (
+                symmetric and depth == len(factors)
+                and all(2 * v == c for v, c in zip(row, caps)))
+                for row, b in zip(rows.tolist(), bounds.tolist())]
+    assert nodes > 0
+
+
+def test_prune_tolerance_is_the_derived_bound():
+    u = F(1, 2 ** 53)
+    for n in (3, 12, 29, 84, 1000, 10 ** 6):
+        x = F(314159, 400000 * n)
+        g = 2 * (x - x ** 3 / 6) ** 2 - 18 * u
+        with mpmath.workdps(60):
+            assert _mp(x) <= mpmath.pi / (4 * n)
+            assert _mp(g) <= 2 * mpmath.sin(mpmath.pi / (4 * n)) ** 2 - 18 * u
+            lam = math.ceil(2 / g).bit_length() * F(6932, 10000)
+            assert _mp(lam) >= mpmath.log(2 / _mp(g))
+        rho = (u + F(1, 2 ** 66)) * (1 + u) / g + u
+        assert rho <= F(1, 4) and g <= F(1, 2)
+        d = 2 * rho + 8 * u * lam + F(1, 2 ** 1072)
+        e = 2 * d * (1 + u) + 2 * u * lam
+        assert _prune_error(n) == (e, lam)
+        for degree, terms in ((n - 1, n + 3), (2 * n, 3 * n + 1)):
+            exact = degree * (e + terms * u / (1 - terms * u) * (lam + e))
+            tol = F(_prune_tolerance(n, degree, terms))
+            assert exact <= tol <= exact * (1 + 4 * u)
+    _prune_error(22_474_148)
+    with pytest.raises(ValueError, match="up to 22474148$"):
+        _prune_error(22_474_149)
+
+
+def test_prune_keeps_exactly_the_splits_within_the_tolerance(monkeypatch):
+    # k = 5: chi_1 and chi_2 twice each and no x+1; die 1 takes two of the
+    # four.  With ell = (a, -1, 0) at every angle the split (2, 0) has the
+    # value 2a for die 1, and (0, 2) the same for die 2.
+    factors, caps = _census_factors(5), [2, 2, 0]
+    tol = _prune_tolerance(5, 4, len(factors) + sum(caps))
+    every = {(2, 0, 0), (1, 1, 0), (0, 2, 0)}
+    for a, want in ((tol / 4, every), (tol / 2, every),
+                    (tol, {(1, 1, 0)}), (1.0, {(1, 1, 0)})):
+        monkeypatch.setattr(exotica, "_log_ratios",
+                            lambda factors, n: np.tile([a, -1.0, 0.0], (n, 1)))
+        assert set(_pruned_splits(factors, caps, 4, 5)) == want, a
+
+
+def test_census_takes_no_inverse(monkeypatch):
+    # each pair is normalized by its partner's coefficient sum
+    from totalparts.fairlab import enumerate_fair_pairs
+
+    def inverse(self):
+        raise AssertionError("a Galois inverse was taken")
+
+    monkeypatch.setattr(CycElem, "inverse", inverse)
+    assert len(swap_census(13)) == 2
+    assert exotic_search(7, 12).count == 14
+    assert len(enumerate_fair_pairs(6)) == 51
+
+
+# E(26) and E(27): outputs of this library past the published range
+# (k <= 25), not published values.
+@pytest.mark.parametrize("k, count", [(26, 72), (27, 91)])
+def test_census_past_the_published_range(k, count):
+    census = exotic_search(k, k)
+    assert census.count == count
+    fair = tuple(fair_total((k, k)))
+    for sack, _ in census.sacks:
+        assert parts_to_total(sack).coeffs == fair
+        assert all(die.is_strict() for die in sack.dice)
+        assert not sack.is_fair()
 
 
 # -- scans -------------------------------------------------------------------
+
+def _scan_f(ell, k):
+    # coefficients of psi_k * psi_3 (ell=3) or psi_k * (x^2+1) (ell=4)
+    if ell == 3:
+        return [min(i + 1, 3, k + 2 - i) for i in range(k + 2)]
+    return [(1 if i <= k - 1 else 0) + (1 if 2 <= i <= k + 1 else 0)
+            for i in range(k + 2)]
+
 
 def _oracle_signs(ell, k, m):
     # certificate-exact division in Q(zeta_k), independent of the scan path
