@@ -12,7 +12,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -28,6 +27,7 @@ from .fairlab import (
     sicherman_search,
 )
 from .exotica import (
+    check_workers,
     exotic_search,
     s_scan,
     scan_table,
@@ -318,9 +318,10 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.decimal is not None and args.decimal < 0:
         parser.error(f"--decimal must be at least 0, got {args.decimal}")
-    cpus = os.cpu_count() or 1
-    if not 1 <= args.workers <= cpus:
-        parser.error(f"--workers must lie in [1, {cpus}], got {args.workers}")
+    try:
+        check_workers(args.workers)
+    except ValueError as exc:
+        parser.error(f"--{exc}")
     try:
         return args.func(args)
     except (ValueError, ArithmeticError, OSError, KeyError,

@@ -5,6 +5,20 @@ other total t becomes the point, which wins when t is rolled again before a
 7.  With i.i.d. rolls the point-conversion probability is the closed form
 f_t/(f_t + f_7) obtained by summing the geometric series over the rolls
 that are neither t nor 7.
+
+A rational total is played on integers.  Its 11 probabilities become
+numerators n_2..n_12 over one positive denominator D once; the checks that
+they are nonnegative and sum to 1 read n_t >= 0 and sum n_t = D, and the
+game is P(win | point t) = n_t/(n_t + n_7), P(come-out t and win) =
+n_t^2/(D (n_t + n_7)), and p_win is one integer numerator over
+D prod (n_t + n_7).  ``Fraction``s are built only for the values a
+:class:`CrapsReport` returns.  A cyclotomic total gets a certified sign per
+coefficient from ``cyc_sign``.
+
+The members of a rational fiber come from ``fibers.enumerate_fiber``, which
+keys each leaf on integers too: per slot, the coefficients divided by their
+gcd, with the sign that makes their sum positive.  A duplicate leaf is
+skipped before any die is built.
 """
 
 from __future__ import annotations
@@ -12,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dicecore import Sack, as_scalar, parts_to_total, poly_sum
-from .exactnum import cyc_sign
+from .dicecore import Sack, as_scalar, parts_to_total
+from .exactnum import _numerators, cyc_sign
 
 WIN_TOTALS = (7, 11)
 LOSE_TOTALS = (2, 3, 12)
@@ -21,9 +35,21 @@ POINT_TOTALS = (4, 5, 6, 8, 9, 10)
 
 FAIR_PASS_PROBABILITY = Fraction(244, 495)
 
+_ZERO = Fraction(0)
+
 
 class InvalidDistribution(ValueError):
     """Raised when a craps total is not a genuine distribution on 2..12."""
+
+
+def _check_numerators(nums, den) -> None:
+    # The checks of a total distribution, on numerators over den > 0.
+    if len(nums) != 11:
+        raise InvalidDistribution("craps needs the 11 totals 2..12")
+    if any(a < 0 for a in nums):
+        raise InvalidDistribution("total probabilities must be nonnegative")
+    if sum(nums) != den:
+        raise InvalidDistribution("total probabilities must sum to 1")
 
 
 @dataclass(frozen=True)
@@ -36,13 +62,17 @@ class CrapsTotals:
         probs = tuple(map(as_scalar, self.probs))
         if not all(isinstance(p, Fraction) for p in probs):
             raise TypeError("craps totals must be rational")
-        if len(probs) != 11:
-            raise InvalidDistribution("craps needs the 11 totals 2..12")
-        if any(p < 0 for p in probs):
-            raise InvalidDistribution("total probabilities must be nonnegative")
-        if poly_sum(probs) != 1:
-            raise InvalidDistribution("total probabilities must sum to 1")
+        _check_numerators(*_numerators(probs))
         object.__setattr__(self, "probs", probs)
+
+    @classmethod
+    def _from_numerators(cls, probs, nums, den) -> "CrapsTotals":
+        # Fractions probs whose numerators over den are nums, checked on
+        # those integers without converting probs again.
+        _check_numerators(nums, den)
+        self = object.__new__(cls)
+        object.__setattr__(self, "probs", probs)
+        return self
 
     def __getitem__(self, total: int) -> Fraction:
         return self.probs[total - 2]
@@ -67,26 +97,33 @@ def craps_evaluate(totals: CrapsTotals) -> CrapsReport:
 
     A point t with f_t = f_7 = 0 can never resolve; such games are rejected.
     """
+    return _evaluate(totals, *_numerators(totals.probs))
+
+
+def _evaluate(totals: CrapsTotals, nums, den: int) -> CrapsReport:
+    # craps_evaluate on the numerators nums over den of totals.probs
+    f = dict(zip(range(2, 13), nums))
     point_win = {}
     breakdown = {}
-    p_win = Fraction(0)
     for t in WIN_TOTALS:
         breakdown[t] = totals[t]
-        p_win += totals[t]
     for t in LOSE_TOTALS:
-        breakdown[t] = Fraction(0)
+        breakdown[t] = _ZERO
+    # p_win = win / (den * scale), scale the product of the point sums so far
+    win, scale = f[7] + f[11], 1
     for t in POINT_TOTALS:
-        denom = totals[t] + totals[7]
-        if denom == 0:
-            if totals[t] != 0:
+        n = f[t]
+        s = n + f[7]
+        if s == 0:
+            if n != 0:
                 raise InvalidDistribution(
                     f"point {t} can be set but never resolves")
-            point_win[t] = Fraction(0)
-            breakdown[t] = Fraction(0)
+            point_win[t] = breakdown[t] = _ZERO
             continue
-        point_win[t] = totals[t] / denom
-        breakdown[t] = totals[t] * point_win[t]
-        p_win += breakdown[t]
+        point_win[t] = Fraction(n, s)
+        breakdown[t] = Fraction(n * n, den * s)
+        win, scale = win * s + n * n * scale, scale * s
+    p_win = Fraction(win, den * scale)
     return CrapsReport(totals, p_win, point_win, breakdown,
                        p_win == FAIR_PASS_PROBABILITY)
 
@@ -120,19 +157,19 @@ def craps_from_sack(sack: Sack) -> CrapsReport:
     if not all(d.is_real() for d in sack.dice):
         raise InvalidDistribution("craps needs real dice")
     total = parts_to_total(sack)
-    probs = []
-    for c in total.coeffs:
-        # a Fraction is compared directly; any other coefficient gets a
-        # certified sign
-        sign = ((c > 0) - (c < 0) if isinstance(c, Fraction)
-                else cyc_sign(c).sign)
-        if sign < 0:
+    coeffs = total.coeffs
+    if all(isinstance(c, Fraction) for c in coeffs):
+        nums, den = _numerators(coeffs)
+        if any(a < 0 for a in nums):
             raise InvalidDistribution("total has a negative probability")
-        if sign == 0:
-            probs.append(Fraction(0))
-        elif isinstance(c, Fraction):
-            probs.append(c)
-        else:
+        return _evaluate(CrapsTotals._from_numerators(coeffs, nums, den),
+                         nums, den)
+    # DistPoly demotes every rational-valued coefficient, so the first
+    # cyclotomic one is irrational and refuses the total; a negative
+    # coefficient before it, or its own certified sign, refuses it as negative
+    for c in coeffs:
+        if c < 0 if isinstance(c, Fraction) else cyc_sign(c).sign < 0:
+            raise InvalidDistribution("total has a negative probability")
+        if not isinstance(c, Fraction):
             raise InvalidDistribution(
                 "craps evaluation needs a rational total distribution")
-    return craps_evaluate(CrapsTotals(tuple(probs)))

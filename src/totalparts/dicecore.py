@@ -48,7 +48,7 @@ class ZeroSum(ArithmeticError):
 def as_scalar(x) -> Scalar:
     if isinstance(x, (Fraction, CycElem)):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError(f"not an exact scalar: {x!r}")
 
@@ -178,6 +178,15 @@ def poly_sum(p) -> Scalar:
     return sum(p)
 
 
+def _sums_to_one(p) -> bool:
+    # the exact test poly_sum(p) == 1, on integer numerators when p is
+    # rational
+    ints = _rational_ints(p)
+    if ints is not None:
+        return sum(ints[0]) == ints[1]
+    return sum(p) == 1
+
+
 def poly_trim(p):
     p = list(p)
     while len(p) > 1 and scalar_is_zero(p[-1]):
@@ -240,7 +249,7 @@ class Die:
         probs = tuple(demote(as_scalar(p)) for p in self.probs)
         if len(probs) < 2:
             raise ValueError("a die needs order at least 2")
-        if poly_sum(probs) != 1:
+        if not _sums_to_one(probs):
             raise ValueError("die probabilities must sum to 1 exactly")
         object.__setattr__(self, "probs", probs)
 
@@ -346,7 +355,7 @@ class DistPoly:
 
     def __post_init__(self):
         coeffs = tuple(demote(as_scalar(c)) for c in self.coeffs)
-        if poly_sum(coeffs) != 1:
+        if not _sums_to_one(coeffs):
             raise ValueError("total distribution must sum to 1 exactly")
         object.__setattr__(self, "coeffs", coeffs)
 

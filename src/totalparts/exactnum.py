@@ -145,7 +145,13 @@ def _fractions(nums, den: int) -> tuple[Fraction, ...]:
 
 def _reduce_ints(c: list[int], n: int) -> list[int]:
     # Reduce an integer power-basis vector mod the monic Phi_n, in place;
-    # the result has length phi(n).
+    # the result has length phi(n).  A vector longer than n is first folded
+    # mod x^n - 1, which Phi_n divides: one addition per coefficient above
+    # degree n - 1, so a prime n costs O(n) and not O(phi(n)^2).
+    if len(c) > n:
+        for i in range(n, len(c)):
+            c[i % n] += c[i]
+        del c[n:]
     deg_phi = phi(n)
     tail = _phi_tail(n)
     for i in range(len(c) - 1, deg_phi - 1, -1):
@@ -310,11 +316,7 @@ class CycElem:
     def from_power_basis(n: int, coeffs) -> "CycElem":
         """Element sum coeffs[i] * zeta_n^i with arbitrary-length coeffs,
         ints or Fractions."""
-        nums, den = _numerators(_exact_coords(coeffs))
-        folded = [0] * n
-        for i, a in enumerate(nums):
-            folded[i % n] += a
-        return CycElem._make(n, folded, den)
+        return CycElem._make(n, *_numerators(_exact_coords(coeffs)))
 
     # -- promotion and coercion ----------------------------------------------
 

@@ -39,6 +39,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from multiprocessing import Pool
@@ -790,12 +791,20 @@ def s_scan(ell: int, k: int) -> ScanRecord:
                       Fraction(members[-1], k) if members else None)
 
 
+def check_workers(workers: int) -> None:
+    """Refuse a worker count outside [1, os.cpu_count()] with ValueError."""
+    cpus = os.cpu_count() or 1
+    if not 1 <= workers <= cpus:
+        raise ValueError(f"workers must lie in [1, {cpus}], got {workers}")
+
+
 def scan_table(ell: int, k_max: int, workers: int = 1) -> list[ScanRecord]:
     """Scan records for one ell and every k from 2 to k_max; deterministic
-    for any worker count.  A k_max above _SCAN_K_MAX is refused before any
-    scan starts."""
+    for any worker count.  A k_max above _SCAN_K_MAX, or a worker count
+    outside [1, os.cpu_count()], is refused before any scan starts."""
     if k_max > _SCAN_K_MAX:
         raise ValueError(f"k must satisfy 2 <= k <= {_SCAN_K_MAX}")
+    check_workers(workers)
     ks = range(2, k_max + 1)
     scan = functools.partial(s_scan, ell)
     if workers > 1 and len(ks) > workers:

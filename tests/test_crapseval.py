@@ -3,16 +3,22 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from totalparts.crapseval import (
     CrapsTotals,
     FAIR_PASS_PROBABILITY,
     InvalidDistribution,
+    LOSE_TOTALS,
+    POINT_TOTALS,
+    WIN_TOTALS,
     craps_evaluate,
     craps_from_sack,
     geometric_tree_check,
 )
 from totalparts.dicecore import Die, Sack
+from totalparts.exactnum import two_cos
 from totalparts.fairlab import enumerate_fair_pairs
 
 F = Fraction
@@ -102,3 +108,105 @@ def test_game_with_unreachable_point_is_fine():
     probs[7 - 2] = F(1)
     rep = craps_evaluate(CrapsTotals(tuple(probs)))
     assert rep.p_win == 1
+
+
+# -- the integer game against the Fraction closed form ------------------------
+
+def ref_craps_evaluate(totals):
+    # the closed form evaluated with Fraction arithmetic throughout
+    point_win = {}
+    breakdown = {}
+    p_win = F(0)
+    for t in WIN_TOTALS:
+        breakdown[t] = totals[t]
+        p_win += totals[t]
+    for t in LOSE_TOTALS:
+        breakdown[t] = F(0)
+    for t in POINT_TOTALS:
+        denom = totals[t] + totals[7]
+        if denom == 0:
+            if totals[t] != 0:
+                raise InvalidDistribution(
+                    f"point {t} can be set but never resolves")
+            point_win[t] = F(0)
+            breakdown[t] = F(0)
+            continue
+        point_win[t] = totals[t] / denom
+        breakdown[t] = totals[t] * point_win[t]
+        p_win += breakdown[t]
+    return p_win, point_win, breakdown
+
+
+@st.composite
+def distributions(draw):
+    # nonnegative rationals with mixed denominators, many of them zero,
+    # scaled to sum 1
+    xs = draw(st.lists(st.one_of(st.just(F(0)),
+                                 st.fractions(0, 5, max_denominator=30)),
+                       min_size=11, max_size=11).filter(any))
+    total = sum(xs)
+    return tuple(x / total for x in xs)
+
+
+def _on(weights):
+    # an 11-vector from {total: weight}
+    return tuple(F(weights.get(t, 0)) for t in range(2, 13))
+
+
+@settings(max_examples=300, deadline=None)
+@given(probs=distributions())
+@example(probs=CrapsTotals.fair().probs)
+# f_7 = 0: every point that is set converts
+@example(probs=_on({3: F(1, 2), 4: F(1, 3), 10: F(1, 6)}))
+# points 4, 5, 9 and 10 unreachable, 6 and 8 reachable
+@example(probs=_on({7: F(1, 2), 6: F(1, 4), 8: F(1, 8), 12: F(1, 8)}))
+# point 4 can be set but never resolves, as f_4 + f_7 = 0
+@example(probs=_on({4: F(1, 2), 7: F(-1, 2), 2: F(1)}))
+def test_integer_craps_matches_the_fraction_reference(probs):
+    if min(probs) >= 0:
+        totals = CrapsTotals(probs)
+    else:
+        # CrapsTotals refuses a negative total, so this game is built
+        # unchecked to reach craps_evaluate's own guard
+        totals = object.__new__(CrapsTotals)
+        object.__setattr__(totals, "probs", probs)
+    try:
+        p_win, point_win, breakdown = ref_craps_evaluate(totals)
+    except InvalidDistribution as exc:
+        with pytest.raises(InvalidDistribution, match=f"^{exc}$"):
+            craps_evaluate(totals)
+        return
+    rep = craps_evaluate(totals)
+    assert rep.totals is totals
+    assert rep.p_win == p_win and type(rep.p_win) is F
+    assert list(rep.point_win.items()) == list(point_win.items())
+    assert list(rep.breakdown.items()) == list(breakdown.items())
+    assert all(type(v) is F for v in [*rep.point_win.values(),
+                                      *rep.breakdown.values()])
+    assert rep.matches_fair == (p_win == F(244, 495))
+
+
+def test_rational_sack_with_a_negative_total_is_refused():
+    # (1 - x + x^2)^2 = 1 - 2x + 3x^2 - 2x^3 + x^4: each die sums to 1 but
+    # the total has negative coefficients
+    d = Die((1, -1, 1, 0, 0, 0))
+    with pytest.raises(InvalidDistribution,
+                       match="^total has a negative probability$"):
+        craps_from_sack(Sack((d, d)))
+
+
+@pytest.mark.parametrize("probs, error, message", [
+    # a float is refused before the length, sign and sum are read
+    ((0.5, F(-1)), TypeError, "not an exact scalar: 0.5"),
+    ((two_cos(1, 5), F(-1)), TypeError, "craps totals must be rational"),
+    # then the length, before the sign and the sum
+    ((F(-1), F(3)), InvalidDistribution, "craps needs the 11 totals 2..12"),
+    # then the sign, before the sum
+    ((F(-1),) + (F(1),) * 10, InvalidDistribution,
+     "total probabilities must be nonnegative"),
+    ((F(1, 2),) * 11, InvalidDistribution,
+     "total probabilities must sum to 1"),
+], ids=["float", "cyclotomic", "length", "negative", "sum"])
+def test_craps_totals_errors_come_in_order(probs, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        CrapsTotals(probs)

@@ -25,6 +25,7 @@ from totalparts.dicecore import (
     root_product,
     scalar_is_zero,
 )
+from totalparts.crapseval import CrapsTotals
 from totalparts.exactnum import CycElem, phi
 from totalparts.fairlab import multiplicity_vectors
 
@@ -164,6 +165,18 @@ def test_float_coefficients_rejected():
         poly_mul([0.5], [F(1, 3)])
     with pytest.raises(TypeError, match="not an exact scalar: 0.25"):
         poly_mul([CycElem.zeta(3)], [1, 0.25])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Die((True, False)),
+    lambda: Die((F(1, 2), F(1, 2), False)),
+    lambda: DistPoly((False, True)),
+    lambda: CrapsTotals((True,) + (F(0),) * 10),
+    lambda: as_scalar(True),
+], ids=["die", "die_with_a_zero", "dist_poly", "craps_totals", "as_scalar"])
+def test_booleans_are_not_scalars(build):
+    with pytest.raises(TypeError, match="not an exact scalar: (True|False)"):
+        build()
 
 
 # -- the integer kernel against the Fraction schoolbook ----------------------

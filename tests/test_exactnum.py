@@ -3,6 +3,7 @@
 import copy
 import math
 import pickle
+import random
 from fractions import Fraction
 
 import mpmath
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from totalparts.exactnum import (
     CycElem,
+    _reduce_ints,
     NotReal,
     cyc_embed,
     cyc_sign,
@@ -223,6 +225,24 @@ def test_cyc_elem_matches_the_fraction_reference(pair):
     assert x == x.promote(m) and hash(x) == hash(x.promote(m))
     if a == b:
         assert hash(x) == hash(y)
+
+
+def test_reduce_ints_matches_long_division_by_phi():
+    # the fold mod x^n - 1 before the reduction by Phi_n, against plain long
+    # division by Phi_n, for every conductor to 120 and lengths up to 2n
+    rng = random.Random(120)
+    for n in range(1, 121):
+        phi_n = cyclotomic_poly(n)
+        deg = len(phi_n) - 1
+        for length in {n - 1, n, n + 1, 2 * n, rng.randint(0, 2 * n)}:
+            c = [rng.randint(-99, 99) for _ in range(length)]
+            want = c + [0] * deg
+            for i in range(len(want) - 1, deg - 1, -1):
+                lead = want[i]
+                for j, m in enumerate(phi_n):
+                    want[i - deg + j] -= lead * m
+            got = _reduce_ints(list(c), n)
+            assert got == want[:deg] and all(type(a) is int for a in got)
 
 
 @given(q=st.one_of(st.integers(-50, 50), st.fractions(max_denominator=50)),

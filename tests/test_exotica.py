@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -813,6 +814,60 @@ def test_scan_k_limit_is_the_largest_k_of_the_derivation(monkeypatch):
     monkeypatch.setattr(exotica, "Pool", no_work)
     with pytest.raises(ValueError, match=f"k <= {_SCAN_K_MAX}$"):
         exotica.scan_table(4, _SCAN_K_MAX + 1, workers=2)
+
+
+class RecordingPool:
+    """Stands in for multiprocessing.Pool: records the worker count and maps
+    in this process, so no process is started."""
+
+    started = []
+
+    def __init__(self, workers):
+        self.started.append(workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return [fn(item) for item in items]
+
+
+SCANS_WITH_WORKERS = {
+    "scan_table": lambda w: exotica.scan_table(3, 5000, workers=w),
+    "s3_table": lambda w: s3_table(20, workers=w),
+    "m3_exception_scan": lambda w: m3_exception_scan(950, workers=w),
+    "scatter_emit": lambda w: scatter_emit(20, workers=w),
+}
+
+
+@pytest.mark.parametrize("workers",
+                         [0, -3, (os.cpu_count() or 1) + 1, 1000])
+@pytest.mark.parametrize("name", sorted(SCANS_WITH_WORKERS))
+def test_worker_count_is_refused_before_any_scan(name, workers, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a scan was started")
+
+    monkeypatch.setattr(RecordingPool, "started", [])
+    monkeypatch.setattr(exotica, "Pool", RecordingPool)
+    monkeypatch.setattr(exotica, "s_scan", no_work)
+    with pytest.raises(ValueError, match=r"workers must lie in \[1, "):
+        SCANS_WITH_WORKERS[name](workers)
+    assert RecordingPool.started == []
+
+
+def test_every_worker_count_in_range_is_passed_to_the_pool(monkeypatch):
+    monkeypatch.setattr(RecordingPool, "started", [])
+    monkeypatch.setattr(exotica, "Pool", RecordingPool)
+    monkeypatch.setattr(exotica, "s_scan", lambda ell, k: k)
+    cpus = os.cpu_count() or 1
+    k_max = cpus + 2  # more k than workers, so every count above 1 pools
+    for workers in range(1, cpus + 1):
+        assert (exotica.scan_table(3, k_max, workers=workers)
+                == list(range(2, k_max + 1)))
+    assert RecordingPool.started == list(range(2, cpus + 1))
 
 
 def _scan_coeff_at_k(ell, k, m, j):

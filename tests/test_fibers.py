@@ -16,6 +16,7 @@ from totalparts.fibers import (
     FactorMultiset,
     IrrationalDiscriminant,
     LinearFactor,
+    _die_key,
     coin_die_elimination,
     coin_pair_solve,
     coins_parts_from_total,
@@ -180,6 +181,29 @@ def test_fiber_matches_the_leaf_rebuild_reference(name, sack_type, dedupe,
     want = ref_enumerate_fiber(factors, sack_type, dedupe=dedupe)
     assert [s.to_json() for s in got] == [s.to_json() for s in want]
     assert got == want
+
+
+slot_products = st.lists(st.integers(-6, 6), min_size=1, max_size=6).filter(
+    lambda p: p[-1] != 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=slot_products, q=slot_products, scale=st.integers(-5, 5))
+def test_die_key_identifies_the_normalized_die(p, q, scale):
+    def die(r):
+        try:
+            return normalize_to_die(r, order=6)
+        except ZeroSum:
+            return None
+
+    key = _die_key(p)
+    assert (key is None) == (die(p) is None)
+    if key is not None:
+        assert sum(key) > 0 and math.gcd(*key) == 1
+        assert die(list(key)) == die(p)
+    if scale:
+        assert _die_key([scale * a for a in p]) == _die_key(p)
+    assert (_die_key(p) == _die_key(q)) == (die(p) == die(q))
 
 
 def test_chi_factor_canonicalization():
