@@ -83,7 +83,7 @@ def _cmd_solve(args):
     if factors.total_degree != len(total.coeffs) - 1:
         raise ValueError("factor multiset degree does not match the total")
     try:
-        matches = tuple(normalize_poly(factors.product())[0]) == total.coeffs
+        matches = tuple(normalize_poly(factors.product())) == total.coeffs
     except ZeroSum:
         matches = False
     if not matches:

@@ -15,10 +15,10 @@ D prod (n_t + n_7).  ``Fraction``s are built only for the values a
 :class:`CrapsReport` returns.  A cyclotomic total gets a certified sign per
 coefficient from ``cyc_sign``.
 
-The members of a rational fiber come from ``fibers.enumerate_fiber``, which
-keys each leaf on integers too: per slot, the coefficients divided by their
-gcd, with the sign that makes their sum positive.  A duplicate leaf is
-skipped before any die is built.
+The members of a rational fiber come from ``fibers.enumerate_fiber``, whose
+slots are integer polynomials too.  By unique factorization over Q its
+leaves are distinct sacks, so it keys no leaf and skips only the zero-sum
+slots.
 """
 
 from __future__ import annotations

@@ -384,26 +384,26 @@ def parts_to_total(sack: Sack) -> DistPoly:
 
 
 def normalize_poly(p):
-    """Scale p so its coefficients sum to 1; returns (coeffs, c) with c the
-    scalar by which p was divided.  Raises ZeroSum when the sum is 0.
+    """The coefficients of p scaled to sum 1.  Raises ZeroSum when the sum
+    is 0.
 
-    With p = ys/D on integer numerators, p/c = ys/sum(ys): the denominator
-    cancels.  Over Q(zeta_n) each coefficient is multiplied by 1/c, the
-    Galois norm quotient of ``CycElem.inverse``, so a die costs one
-    inversion and one integer product per coefficient.
+    With p = ys/D on integer numerators, p/sum(p) = ys/sum(ys): the
+    denominator cancels.  Over Q(zeta_n) each coefficient is multiplied by
+    1/sum(p), the Galois norm quotient of ``CycElem.inverse``, so a die
+    costs one inversion and one integer product per coefficient.
     """
     ints = _rational_ints(p)
     if ints is not None:
-        nums, den = ints
+        nums, _ = ints
         total = sum(nums)
         if total == 0:
             raise ZeroSum("coefficient sum is exactly zero")
-        return [Fraction(a, total) for a in nums], Fraction(total, den)
+        return [Fraction(a, total) for a in nums]
     total = sum(p)
     if total.is_zero():
         raise ZeroSum("coefficient sum is exactly zero")
     inv = 1 / total
-    return [demote(c * inv) for c in p], demote(total)
+    return [demote(c * inv) for c in p]
 
 
 def normalize_to_die(p, order: int | None = None) -> Die:
@@ -411,7 +411,7 @@ def normalize_to_die(p, order: int | None = None) -> Die:
 
     ``order`` pads with trailing zeros; it defaults to max(len(p), 2).
     """
-    coeffs, _ = normalize_poly(p)
+    coeffs = normalize_poly(p)
     k = order if order is not None else max(len(coeffs), 2)
     if len(coeffs) > k:
         coeffs = poly_trim(coeffs)

@@ -87,37 +87,31 @@ def phi(n: int) -> int:
     return result
 
 
-def _int_poly_div_exact(num: list[int], den: list[int]) -> list[int]:
-    # Exact division of integer polynomials with monic divisor.
-    num = list(num)
-    dd = len(den) - 1
-    q = [0] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        q[i - dd] = c
-        if c:
-            for j, dj in enumerate(den):
-                num[i - dd + j] -= c * dj
-    assert all(c == 0 for c in num), "inexact cyclotomic division"
-    return q
-
-
 @functools.lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
     """Coefficients (constant first) of the n-th cyclotomic polynomial Phi_n.
 
-    Computed by the recursive division (x^n - 1) / prod_{d|n, d<n} Phi_d and
-    cached per conductor.  The lru_cache gives safe concurrent read with
-    one-time insertion.
+    Moebius inversion of x^n - 1 = prod_{d|n} Phi_d gives, for n > 1,
+    Phi_n = prod_{d|n} (1 - x^d)^mu(n/d): the signs of x^d - 1 cancel, as
+    sum_{d|n} mu(n/d) = 0.  Phi_n has degree phi(n), so the product is taken
+    as a power series mod x^(phi(n)+1): a factor 1 - x^d is one subtraction
+    per coefficient, and its inverse 1 + x^d + x^2d + ... one running
+    addition.  Cached per conductor; the lru_cache gives safe concurrent
+    read with one-time insertion.
     """
     if n == 1:
         return (-1, 1)
-    num = [0] * (n + 1)
-    num[0], num[n] = -1, 1
+    size = phi(n) + 1
+    c = [1] + [0] * (size - 1)
     for d in divisors(n):
-        if d < n:
-            num = _int_poly_div_exact(num, list(cyclotomic_poly(d)))
-    return tuple(num)
+        mu = _mobius(n // d)
+        if mu == 1:
+            for i in range(size - 1, d - 1, -1):
+                c[i] -= c[i - d]
+        elif mu == -1:
+            for i in range(d, size):
+                c[i] += c[i - d]
+    return tuple(c)
 
 
 @functools.lru_cache(maxsize=None)

@@ -2,8 +2,11 @@
 and verification harnesses for the tridecahedral example.
 
 Candidate dice are products of the real irreducible factors (x+1) and
-chi_{m,k}(x) = x^2 - 2cos(2*pi*m/k)x + 1.  A census (:func:`swap_census`,
-:func:`exotic_search`) runs in stages:
+chi_{m,k}(x) = x^2 - 2cos(2*pi*m/k)x + 1.  One census,
+:func:`exotic_search`, serves every type (k, k'): its factors are those of
+psi_k * psi_k', merged by angle, and the diagonal type k = k' (the count
+E(k), listed by :func:`swap_census`) is the case where a split and its swap
+give the same pair, so its search is symmetric.  The census runs in stages:
 
 1. search the splits of the factor multiset between the two dice, one
    factor column at a time (:func:`_split_search`).  A die with
@@ -430,45 +433,6 @@ class NotFound(LookupError):
     pass
 
 
-def _diagonal_census(k: int) -> list[tuple[tuple, Sack, SwapSpec]]:
-    """Strict exotic pairs of order k, one per unordered multiplicity
-    vector pair {r, 2-r}."""
-    ms = list(range(1, (k + 1) // 2))
-    x1 = 1 if k % 2 == 0 else 0
-    factors = [_chi_factor(m, k) for m in ms] + [_X_PLUS_1]
-    caps = [2] * len(ms) + [2 * x1]
-
-    def candidates():
-        # swap symmetry: r below 2 - r, the fair vector excluded
-        for row in _pruned_splits(factors, caps, k - 1, k, symmetric=True):
-            comp = tuple(c - v for c, v in zip(caps, row))
-            yield row[:-1], (row, comp)
-
-    found = []
-    for r, statuses in _screened(candidates(), factors):
-        dice = [([(m, k, v) for m, v in zip(ms, vec) if v], x1)
-                for vec in (r, tuple(2 - v for v in r))]
-        polys = _certified_products(statuses, dice, k)
-        if polys is None:
-            continue
-        spec = SwapSpec(
-            give=tuple(m for m, v in zip(ms, r) if v == 0),
-            take=tuple(m for m, v in zip(ms, r) if v == 2),
-            orders=(k, k),
-        ).canonical()
-        found.append((r, Sack(normalize_pair(*polys)), spec))
-    found.sort(key=lambda e: (len(e[2].give), e[2].give, e[2].take))
-    return found
-
-
-def swap_census(k: int) -> list[SwapSpec]:
-    """Strict exotic pairs of k-dice as give/take swap lists, ordered first
-    by the number of factors swapped and then lexicographically."""
-    if k < 2:
-        raise ValueError("order must satisfy k >= 2")
-    return [spec for _, _, spec in _diagonal_census(k)]
-
-
 def _merged_factor_multiset(k: int, kp: int):
     # Real irreducible factors of psi_k * psi_kp keyed by the angle fraction
     # m/k in lowest terms; equal factors from the two orders merge.
@@ -483,28 +447,36 @@ def _merged_factor_multiset(k: int, kp: int):
 
 def exotic_search(k: int, kp: int) -> ExoticCensus:
     """All strict exotic sacks of type (k, kp) obtained by redistributing
-    the real irreducible factors of psi_k * psi_kp."""
+    the real irreducible factors of psi_k * psi_kp.
+
+    A spec's ``give`` lists the keys whose die-1 multiplicity falls below
+    the fair split's, and ``take`` those where it exceeds it.  When k = kp a
+    split and its swap are one pair: the search is symmetric, a key m/k is
+    written as the integer m, each spec is canonical, and the sacks are
+    ordered first by the number of factors swapped.
+    """
     if not 2 <= k <= kp:
         raise ValueError("orders must satisfy 2 <= k <= k'")
-    if k == kp:
-        entries = tuple((s, spec) for _, s, spec in _diagonal_census(k))
-        return ExoticCensus((k, kp), entries)
+    symmetric = k == kp
     chis, x1_total = _merged_factor_multiset(k, kp)
     keys = sorted(chis)
     conductor = math.lcm(k, kp)
-    fair_d1 = {Fraction(m, k) for m in range(1, (k + 1) // 2)}
     factors = ([_chi_factor(key.numerator, key.denominator) for key in keys]
                + [_X_PLUS_1])
     caps = [chis[key] for key in keys] + [x1_total]
-    fair_row = (tuple(1 if key in fair_d1 else 0 for key in keys)
-                + (1 if k % 2 == 0 else 0,))
+    # die 1 of the fair split: the chis m/k of psi_k, and x+1 when k is even
+    fair = (tuple(int((key * k).denominator == 1) for key in keys)
+            + (1 - k % 2,))
 
     def candidates():
         # die 1 of degree exactly k-1, the fair split excluded
-        for row in _pruned_splits(factors, caps, k - 1, conductor):
-            if row != fair_row:
+        for row in _pruned_splits(factors, caps, k - 1, conductor, symmetric):
+            if row != fair:
                 rows = (row, tuple(c - v for c, v in zip(caps, row)))
                 yield rows, rows
+
+    def label(key):
+        return int(key * k) if symmetric else key
 
     results = []
     for rows, statuses in _screened(candidates(), factors):
@@ -514,14 +486,23 @@ def exotic_search(k: int, kp: int) -> ExoticCensus:
         polys = _certified_products(statuses, dice, conductor)
         if polys is None:
             continue
-        assigned_d1 = dict(zip(keys, rows[0]))
-        give = tuple(key for key in sorted(fair_d1) if assigned_d1[key] < 1)
-        take = tuple(key for key in keys
-                     if assigned_d1[key] > (1 if key in fair_d1 else 0))
+        d1 = list(zip(keys, rows[0], fair))
+        spec = SwapSpec(tuple(label(q) for q, v, f in d1 if v < f),
+                        tuple(label(q) for q, v, f in d1 if v > f), (k, kp))
         results.append((Sack(normalize_pair(*polys)),
-                        SwapSpec(give, take, (k, kp))))
+                        spec.canonical() if symmetric else spec))
     results.sort(key=lambda e: (e[1].give, e[1].take))
+    if symmetric:
+        results.sort(key=lambda e: len(e[1].give))
     return ExoticCensus((k, kp), tuple(results))
+
+
+def swap_census(k: int) -> list[SwapSpec]:
+    """Strict exotic pairs of k-dice as give/take swap lists, ordered first
+    by the number of factors swapped and then lexicographically."""
+    if k < 2:
+        raise ValueError("order must satisfy k >= 2")
+    return [spec for _, spec in exotic_search(k, k).sacks]
 
 
 def smallest_exotic_34() -> Sack:

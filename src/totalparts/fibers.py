@@ -183,20 +183,6 @@ def _slot_powers(factor, mult):
     return powers
 
 
-def _die_key(p):
-    """p/sum(p) as integers, for an int list p: p divided by the gcd of its
-    coefficients, with the sign that makes the sum positive; None when the
-    sum is zero.  Slot products have a nonzero leading coefficient, so two
-    slots give the same die exactly when their keys are equal."""
-    total = sum(p)
-    if not total:
-        return None
-    g = math.gcd(*p)
-    if total < 0:
-        g = -g
-    return tuple(p) if g == 1 else tuple(c // g for c in p)
-
-
 def enumerate_fiber(factors: FactorMultiset, sack_type):
     """All sacks of the given type whose total has the given factor multiset.
 
@@ -206,8 +192,13 @@ def enumerate_fiber(factors: FactorMultiset, sack_type):
     Each slot's product is carried down the tree of distributions, one
     multiply per slot that receives a factor, and normalized at the leaves.
     Leaves that give the same dice are listed once.  When every factor is
-    rational, every slot is an int list and a leaf is keyed on its
-    :func:`_die_key`s, so a duplicate is skipped before any die is built.
+    rational, every slot is an int list and no two leaves give the same
+    dice: two slots give the same die only when their products agree up to
+    a scalar, and by unique factorization over Q distinct leaves give some
+    slot a different multiset of the (irreducible, distinct) factors.  Only
+    a non-rational factor can make a duplicate, as when
+    (x - zeta)(x - conj(zeta)) and a chi trade slots, so only then is each
+    leaf keyed on its :meth:`Sack.canonical_key`.
     """
     ks = tuple(sack_type)
     caps = [k - 1 for k in ks]
@@ -215,26 +206,22 @@ def enumerate_fiber(factors: FactorMultiset, sack_type):
         raise ValueError("factor degree exceeds the capacity of the type")
     entries = factors.entries
     powers = [_slot_powers(factor, mult) for factor, mult in entries]
-    int_slots = all(type(c) is int for ps in powers for c in ps[-1])
+    dedupe = not all(type(c) is int for ps in powers for c in ps[-1])
     results = []
     seen = set()
 
     def assign(idx, remaining, polys):
         if idx == len(entries):
-            if int_slots:
-                key = tuple(map(_die_key, polys))
-                if None in key or key in seen:
-                    return
             try:
                 dice = [normalize_to_die(p, order=k) for p, k in zip(polys, ks)]
             except ZeroSum:
                 return
             sack = Sack(tuple(dice))
-            if not int_slots:
+            if dedupe:
                 key = sack.canonical_key()
                 if key in seen:
                     return
-            seen.add(key)
+                seen.add(key)
             results.append(sack)
             return
         factor, mult = entries[idx]

@@ -55,6 +55,31 @@ def test_cyclotomic_degree_is_totient():
         assert len(cyclotomic_poly(n)) == phi(n) + 1
 
 
+def ref_cyclotomic_poly(n, known):
+    # Phi_n by the recursive division (x^n - 1) / prod_{d|n, d<n} Phi_d,
+    # with known[d] = Phi_d for every d < n
+    num = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            den = known[d]
+            deg = len(den) - 1
+            quot = [0] * (len(num) - deg)
+            for i in range(len(num) - 1, deg - 1, -1):
+                quot[i - deg] = c = num[i]
+                for j, m in enumerate(den):
+                    num[i - deg + j] -= c * m
+            assert not any(num)
+            num = quot
+    return tuple(num)
+
+
+def test_moebius_product_equals_the_recursive_division():
+    known = {}
+    for n in range(1, 401):
+        known[n] = ref_cyclotomic_poly(n, known)
+        assert cyclotomic_poly(n) == known[n], n
+
+
 def test_zeta_power_reduction_is_canonical():
     # zeta_6^2 = zeta_6 - 1 after reduction mod Phi_6 = x^2 - x + 1
     z2 = CycElem.zeta(6, 2)

@@ -280,6 +280,23 @@ def _candidate_rows(k):
             yield comp + (x1,)
 
 
+def test_every_certified_status_is_the_exact_sign():
+    # The status replay: every candidate die row of the diagonal census of
+    # order k <= 18 through the point filter, each +-1 status checked
+    # against cyc_sign of the exact coefficient.  Going on to k <= 22 takes
+    # about a minute, too slow for the tier-1 suite.
+    for k in range(3, 19):
+        ms = range(1, (k + 1) // 2)
+        rows = list(_candidate_rows(k))
+        statuses = _point_filter(_census_factors(k), rows).tolist()
+        for row, status in zip(rows, statuses):
+            poly = _chi_product_exact(
+                [(m, k, v) for m, v in zip(ms, row) if v], row[-1], k)
+            for j, (s, c) in enumerate(zip(status, poly)):
+                if s:
+                    assert cyc_sign(c).sign == s, (k, row, j)
+
+
 def _mp_poly_mul(a, b):
     out = [mpmath.mpf(0)] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
