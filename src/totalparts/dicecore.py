@@ -10,11 +10,14 @@ Polynomials are plain coefficient lists/tuples, constant term first.  Dice
 may carry trailing zero probabilities: the order is declared, not inferred
 from the degree.
 
-A rational polynomial is multiplied, summed and normalized as integer
-numerators over one positive denominator, and ``Fraction``s are built only
-for the result.  :func:`poly_mul` keeps lists of ints in Z[x], so a caller
-that normalizes at the end can carry bare integer numerators: normalizing
-divides by the coefficient sum, and the denominator cancels.  A list holding
+:func:`poly_mul` is the one product of coefficient lists.  It takes any
+number of them, so a product of several factors, the forward map's
+included, is one call.  A rational polynomial is multiplied, summed and
+normalized as integer numerators over one positive denominator, and
+``Fraction``s are built only for the result.  :func:`poly_mul` keeps lists
+of ints in Z[x], so a caller that normalizes at the end can carry bare
+integer numerators: normalizing divides by the coefficient sum, and the
+denominator cancels.  A list holding
 a ``CycElem`` is multiplied, summed and normalized with the ``CycElem``
 operators alone; how a ``CycElem`` stores its coordinates is known only to
 ``exactnum``.  Any other entry, a float included, raises ``TypeError``.
@@ -27,6 +30,8 @@ one subtraction, and reduces each coefficient mod Phi_n once at the end.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -129,29 +134,31 @@ def _field_mul(a, b):
     return out
 
 
-def _product(polys):
-    """Product of coefficient lists.  Rational lists multiply as integer
-    numerators over one denominator, with Fractions built once for the
-    result; a CycElem entry sends every list through the field product."""
-    polys = list(polys)
+def _conv_all(lists) -> list[int]:
+    # The product of integer lists: one _conv_ints per list after the first.
+    if len(lists) < 2:
+        return list(lists[0]) if lists else [1]
+    out = lists[0]
+    for xs in lists[1:]:
+        out = _conv_ints(out, xs)
+    return out
+
+
+def poly_mul(*polys):
+    """Product of any number of coefficient lists; no list gives [1].
+
+    Lists of ints multiply in Z[x] and give ints.  Other rational lists
+    multiply as integer numerators over one denominator, with Fractions
+    built once for the result.  A CycElem entry sends every list through the
+    field product.
+    """
+    if all(type(c) is int for p in polys for c in p):
+        return _conv_all(polys)
     parts = [_rational_ints(p) for p in polys]
     if None in parts:
-        out = [Fraction(1)]
-        for p in polys:
-            out = _field_mul(out, p)
-        return out
-    nums, den = [1], 1
-    for xs, d in parts:
-        nums, den = _conv_ints(nums, xs), den * d
-    return list(_fractions(nums, den))
-
-
-def poly_mul(a, b):
-    """Product of two coefficient lists.  Two lists of ints multiply in Z[x]
-    and give ints; otherwise the result holds Fractions or CycElems."""
-    if all(type(c) is int for c in a) and all(type(c) is int for c in b):
-        return _conv_ints(a, b)
-    return _product((a, b))
+        return functools.reduce(_field_mul, polys, [Fraction(1)])
+    nums = _conv_all([xs for xs, _ in parts])
+    return list(_fractions(nums, math.prod(d for _, d in parts)))
 
 
 def root_product(n: int, exponents, x1_count: int = 0):
@@ -378,7 +385,7 @@ class DistPoly:
 
 def parts_to_total(sack: Sack) -> DistPoly:
     """Total distribution of a sack: the product of its dice polynomials."""
-    prod = _product(die.probs for die in sack.dice)
+    prod = poly_mul(*(die.probs for die in sack.dice))
     prod += [Fraction(0)] * (sack.T + 1 - len(prod))
     return DistPoly(tuple(prod))
 

@@ -58,33 +58,36 @@ class UnresolvedSign(ArithmeticError):
     zero, which correct code never does."""
 
 
+def _factor(n: int) -> list[tuple[int, int]]:
+    # The prime factorization of n >= 1 by trial division: (p, e) pairs,
+    # p ascending.
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
+        p += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
 def divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    """The positive divisors of n >= 1, ascending."""
+    ds = [1]
+    for p, e in _factor(n):
+        ds = [d * p ** i for i in range(e + 1) for d in ds]
+    return sorted(ds)
 
 
 @functools.lru_cache(maxsize=None)
 def phi(n: int) -> int:
     """Euler's totient."""
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
+    return math.prod(p ** (e - 1) * (p - 1) for p, e in _factor(n))
 
 
 @functools.lru_cache(maxsize=None)
@@ -202,21 +205,8 @@ def _substitute(nums: list[int], j: int, m: int) -> list[int]:
 
 @functools.lru_cache(maxsize=None)
 def _mobius(n: int) -> int:
-    if n == 1:
-        return 1
-    result = 1
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            result = -result
-        p += 1
-    if m > 1:
-        result = -result
-    return result
+    factors = _factor(n)
+    return 0 if any(e > 1 for _, e in factors) else (-1) ** len(factors)
 
 
 @functools.lru_cache(maxsize=None)
@@ -421,18 +411,6 @@ class CycElem:
 
     def __rtruediv__(self, other):
         return self.inverse() * other
-
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = CycElem.from_rational(1, self.n)
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
 
     # -- comparison and hashing ----------------------------------------------
 

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import cyclotomic_poly
+from .exactnum import cyclotomic_poly, divisors
 from .dicecore import (
     Die,
     normalize_pair,
@@ -54,9 +54,6 @@ class FairPair:
 
     def is_palindromic(self) -> bool:
         return self.d.is_palindromic() and self.dhat.is_palindromic()
-
-    def swapped(self) -> "FairPair":
-        return FairPair(self.dhat, self.d, tuple(2 - rm for rm in self.r))
 
 
 def fair_pair_count(k: int) -> int:
@@ -137,15 +134,10 @@ def craps_fair_impossibility() -> CrapsImpossibilityReport:
     strict = tuple(p for p in pairs if p.is_strict())
     only_fair = len(strict) == 1 and strict[0].is_fair()
     # chi_{1,6}^2 (x+1) = x^5 - x^4 + x^3 + x^2 - x + 1
-    cand_poly = poly_mul(poly_mul([Fraction(1), Fraction(-1), Fraction(1)],
-                                  [Fraction(1), Fraction(-1), Fraction(1)]),
-                         [Fraction(1), Fraction(1)])
+    cand_poly = poly_mul([1, -1, 1], [1, -1, 1], [1, 1])
     vector = tuple(Fraction(c) for c in cand_poly)
     d = normalize_to_die(cand_poly, order=6)
-    dhat_poly = poly_mul(poly_mul([Fraction(1), Fraction(1), Fraction(1)],
-                                  [Fraction(1), Fraction(1), Fraction(1)]),
-                         [Fraction(1), Fraction(1)])
-    dhat = normalize_to_die(dhat_poly, order=6)
+    dhat = normalize_to_die(poly_mul([1, 1, 1], [1, 1, 1], [1, 1]), order=6)
     # multiplicities: zeta_6 (m=1) and zeta_6^5 (m=5) doubled, zeta_6^3 = -1 once
     candidate = FairPair(d, dhat, (2, 0, 1, 0, 2))
     return CrapsImpossibilityReport(
@@ -176,15 +168,6 @@ def coin_die_fair_check(k: int) -> CoinDieFairReport:
     return CoinDieFairReport(k, strict, only_fair)
 
 
-def _integer_factors_of_psi(k: int):
-    # psi_k = prod over divisors d > 1 of k of Phi_d, all with integer coeffs
-    out = []
-    for d in range(2, k + 1):
-        if k % d == 0:
-            out.append([Fraction(c) for c in cyclotomic_poly(d)])
-    return out
-
-
 def sicherman_search(k: int, label_min: int = 1):
     """All pairs of uniform k-sided dice with positive integer labels whose
     total distribution matches a standard pair.
@@ -194,23 +177,16 @@ def sicherman_search(k: int, label_min: int = 1):
     shifted by ``label_min``.  Returns sorted label-tuple pairs, the
     standard pair included.
     """
-    factors = _integer_factors_of_psi(k)
-    n = len(factors)
+    # psi_k is the product of the integer Phi_d over the divisors d > 1 of k
+    factors = [cyclotomic_poly(d) for d in divisors(k)[1:]]
     results = set()
-    for counts in itertools.product((0, 1, 2), repeat=n):
-        a = [Fraction(1)]
-        for f, c in zip(factors, counts):
-            for _ in range(c):
-                a = poly_mul(a, f)
+    for counts in itertools.product((0, 1, 2), repeat=len(factors)):
+        a = poly_mul(*(f for f, c in zip(factors, counts) for _ in range(c)))
         if sum(a) != k:
             continue
-        b = [Fraction(1)]
-        for f, c in zip(factors, counts):
-            for _ in range(2 - c):
-                b = poly_mul(b, f)
-        if sum(b) != k:
-            continue
-        if any(c < 0 or c.denominator != 1 for c in a + b):
+        b = poly_mul(*(f for f, c in zip(factors, counts)
+                       for _ in range(2 - c)))
+        if sum(b) != k or any(c < 0 for c in a + b):
             continue
         labels_a = _labels_from_poly(a, label_min)
         labels_b = _labels_from_poly(b, label_min)
@@ -221,13 +197,10 @@ def sicherman_search(k: int, label_min: int = 1):
 def _labels_from_poly(p, label_min):
     labels = []
     for exp, c in enumerate(poly_trim(p)):
-        labels.extend([exp + label_min] * int(c))
+        labels.extend([exp + label_min] * c)
     return tuple(labels)
 
 
 def fair_total(sack_type):
     """The fair total polynomial prod (1/k_j) psi_{k_j} for the given type."""
-    prod = [Fraction(1)]
-    for k in sack_type:
-        prod = poly_mul(prod, [Fraction(1, k)] * k)
-    return prod
+    return poly_mul(*([Fraction(1, k)] * k for k in sack_type))

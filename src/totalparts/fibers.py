@@ -12,6 +12,7 @@ here, which keeps every result certificate-exact.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,7 +26,6 @@ from .dicecore import (
     as_scalar,
     demote,
     normalize_to_die,
-    poly_divide_exact,
     poly_gcd,
     poly_mul,
     poly_trim,
@@ -129,11 +129,8 @@ class FactorMultiset:
         return sum(f.degree * mult for f, mult in self.entries)
 
     def product(self):
-        prod = [Fraction(1)]
-        for factor, mult in self.entries:
-            for _ in range(mult):
-                prod = poly_mul(prod, factor.coeffs())
-        return prod
+        return poly_mul(*(factor.coeffs() for factor, mult in self.entries
+                          for _ in range(mult)))
 
     def to_json(self):
         return [{**f.to_json(), "multiplicity": m} for f, m in self.entries]
@@ -308,36 +305,25 @@ def _rational_roots(poly):
         p = p[1:]
     while len(p) > 1:
         denom = math.lcm(*(c.denominator for c in p))
-        ip = [int(c * denom) for c in p]
-        found = None
-        a0, an = abs(ip[0]), abs(ip[-1])
-        for num in divisors(a0):
-            for den in divisors(an):
-                if math.gcd(num, den) != 1:
-                    continue
-                for cand in (Fraction(num, den), Fraction(-num, den)):
-                    if _horner(p, cand) == 0:
-                        found = cand
-                        break
-                if found is not None:
-                    break
-            if found is not None:
+        tops, bottoms = (divisors(abs(int(c * denom))) for c in (p[0], p[-1]))
+        candidates = (Fraction(sign * num, den)
+                      for num in tops for den in bottoms
+                      if math.gcd(num, den) == 1 for sign in (1, -1))
+        for x in candidates:
+            # synthetic division: the last value is p(x); when it is 0 the
+            # others are the quotient p(t) / (t - x), leading term first
+            *quotient, value = itertools.accumulate(
+                reversed(p), lambda acc, c: acc * x + c)
+            if value == 0:
+                roots.append(x)
+                p = quotient[::-1]
                 break
-        if found is None:
+        else:
             break
-        roots.append(found)
-        p = poly_divide_exact(p, [-found, 1])
     residual = None
     if len(p) > 1:
         residual = tuple(c / p[-1] for c in p)
     return sorted(roots), residual
-
-
-def _horner(p, x):
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from totalparts import dicecore
 from totalparts.dicecore import (
     Die,
     DistPoly,
@@ -289,6 +290,52 @@ def test_rational_kernel_matches_the_fraction_schoolbook(a, b):
 @given(a=cyc_polys(), b=st.one_of(polys(), cyc_polys()))
 def test_cyclotomic_kernel_matches_the_field_schoolbook(a, b):
     check_against_reference(a, b)
+
+
+int_polys = st.lists(st.integers(min_value=-30, max_value=30),
+                     min_size=1, max_size=6)
+fraction_polys = st.lists(st.fractions(min_value=-4, max_value=4,
+                                       max_denominator=9),
+                          min_size=1, max_size=6)
+POLY_KINDS = {
+    "int": int_polys,
+    "fraction": fraction_polys,
+    "mixed": polys(),
+    "cyclotomic": cyc_polys(),
+}
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 3])
+@pytest.mark.parametrize("kind", sorted(POLY_KINDS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_poly_mul_of_many_lists_is_the_pairwise_chain(kind, count, data):
+    ps = data.draw(st.lists(POLY_KINDS[kind], min_size=count,
+                            max_size=count))
+    got = poly_mul(*ps)
+    chain = [1]
+    for p in ps:
+        chain = poly_mul(chain, p)
+    assert exacts(got) == exacts(chain)
+    want = [F(1)]
+    for p in ps:
+        want = ref_poly_mul(want, p)
+    if all(type(c) is int for p in ps for c in p):
+        assert all(type(c) is int for c in got)  # Z[x] is closed
+        want = [int(c) for c in want]
+    assert exacts(got) == exacts(want)
+
+
+def test_two_int_lists_cost_one_convolution(monkeypatch):
+    calls, conv_ints = [], dicecore._conv_ints
+
+    def counted(xs, ys):
+        calls.append((xs, ys))
+        return conv_ints(xs, ys)
+
+    monkeypatch.setattr(dicecore, "_conv_ints", counted)
+    assert poly_mul([1, 2], [3, 4, 5]) == [3, 10, 13, 10]
+    assert calls == [([1, 2], [3, 4, 5])]
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,13 +1,14 @@
 """Totally fair pairs: counts, the order-6 golden table, ramification,
 coin+die fairness, and Sicherman dice."""
 
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
 from totalparts.dicecore import Die, Sack, parts_to_total, psi
-from totalparts.exactnum import CycElem
+from totalparts.exactnum import CycElem, cyclotomic_poly
 from totalparts.fairlab import (
     coin_die_fair_check,
     craps_fair_impossibility,
@@ -175,6 +176,45 @@ def test_sicherman_other_orders():
     ]
     # prime order: only the standard pair (psi_p is irreducible)
     assert sicherman_search(5) == [((1, 2, 3, 4, 5), (1, 2, 3, 4, 5))]
+
+
+def ref_sicherman_search(k, label_min=1):
+    # The Fraction implementation that the integer one replaced: psi_k's
+    # factors Phi_d as Fraction lists, each die a chain of schoolbook
+    # products.
+    def mul(a, b):
+        out = [F(0)] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
+    factors = [[F(c) for c in cyclotomic_poly(d)]
+               for d in range(2, k + 1) if k % d == 0]
+    results = set()
+    for counts in itertools.product((0, 1, 2), repeat=len(factors)):
+        dice = []
+        for share in (counts, [2 - c for c in counts]):
+            poly = [F(1)]
+            for f, c in zip(factors, share):
+                for _ in range(c):
+                    poly = mul(poly, f)
+            dice.append(poly)
+        a, b = dice
+        if sum(a) != k or sum(b) != k:
+            continue
+        if any(c < 0 or c.denominator != 1 for c in a + b):
+            continue
+        labels = [tuple(exp + label_min for exp, c in enumerate(poly)
+                        for _ in range(int(c))) for poly in dice]
+        results.add(tuple(sorted(labels)))
+    return sorted(results)
+
+
+@pytest.mark.parametrize("k", range(2, 11))
+def test_sicherman_matches_the_fraction_reference(k):
+    assert sicherman_search(k) == ref_sicherman_search(k)
+    assert sicherman_search(k, label_min=0) == ref_sicherman_search(k, 0)
 
 
 def test_sicherman_label_min():

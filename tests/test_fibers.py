@@ -162,21 +162,15 @@ FIBER_FACTORS = {
 }
 
 
-def _non_real_root(entries):
-    return any(isinstance(getattr(f, "root", None), CycElem)
-               for f, _ in entries)
-
-
-# the cases with a non-real root, the only ones whose leaves can repeat,
-# come after the others
+# each id is the case's name and type, e.g. rational_chi-3-3, so adding a
+# case renames no other
 @pytest.mark.parametrize("dedupe", [True, False])
 @pytest.mark.parametrize("name, sack_type", [
-    (name, sack_type)
-    for non_real in (False, True)
+    pytest.param(name, sack_type,
+                 id="-".join([name, *map(str, sack_type)]))
     for sack_type in [(2, 3), (3, 3), (2, 2, 3), (6, 6)]
     for name, entries in sorted(FIBER_FACTORS.items())
-    if _non_real_root(entries) == non_real
-    and FactorMultiset(entries).total_degree <= sum(k - 1 for k in sack_type)
+    if FactorMultiset(entries).total_degree <= sum(k - 1 for k in sack_type)
 ])
 def test_fiber_matches_the_leaf_rebuild_reference(name, sack_type, dedupe,
                                                  monkeypatch):
@@ -260,6 +254,39 @@ def test_coins_round_trip(ps):
     parts = coins_parts_from_total(DistPoly(tuple(total)), n)
     assert parts.residual is None
     assert list(parts.roots) == sorted(ps)
+
+
+# (rational roots, residual): the residual x^2 - x + 1/5 has discriminant
+# 1/5, not a rational square, so its two coins have head probabilities
+# (5 +- sqrt 5)/10
+COIN_ROOTS = {
+    "double_root": ((F(1, 3), F(1, 3), F(3, 4)), None),
+    "negative_root": ((F(-1, 2), F(2, 3)), None),
+    "quadratic_residual": ((F(1, 2),), (F(1, 5), F(-1), F(1))),
+    "all_three": ((F(-1, 2), F(1, 3), F(1, 3)), (F(1, 5), F(-1), F(1))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COIN_ROOTS))
+def test_coins_parts_from_total_splits_off_the_rational_roots(name):
+    roots, residual = COIN_ROOTS[name]
+    # a coin with head probability p has total (1 - p) + p x; two coins
+    # with p q = e2 and p + q = e1 have (1 - e1 + e2) + (e1 - 2 e2) x + e2 x^2
+    coins = [[1 - p, p] for p in roots]
+    factors = [[-r, F(1)] for r in roots]
+    if residual is not None:
+        e2, e1 = residual[0], -residual[1]
+        coins.append([1 - e1 + e2, e1 - 2 * e2, e2])
+        factors.append(list(residual))
+    total, want = [F(1)], [F(1)]
+    for coin in coins:
+        total = ref_poly_mul(total, coin)
+    for factor in factors:
+        want = ref_poly_mul(want, factor)
+    parts = coins_parts_from_total(DistPoly(tuple(total)), len(total) - 1)
+    assert parts.roots == tuple(sorted(roots))
+    assert parts.residual == residual
+    assert parts.polynomial == tuple(want)
 
 
 def test_factor_multiset_json_round_trip():
