@@ -13,7 +13,6 @@ from .exactnum import (
 from .dicecore import (
     Die,
     DistPoly,
-    InexactDivision,
     Sack,
     ZeroSum,
     normalize_to_die,

@@ -51,6 +51,22 @@ def _load_json_arg(value):
         return json.load(handle)
 
 
+def _int_list(size=None):
+    """An argparse ``type=``: comma-separated integers, exactly ``size`` of
+    them when it is given, as a tuple; anything else is a usage error."""
+    def parse(text):
+        try:
+            values = tuple(int(x) for x in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated integers, got {text!r}") from None
+        if size is not None and len(values) != size:
+            raise argparse.ArgumentTypeError(
+                f"expected {size} integers, got {len(values)}")
+        return values
+    return parse
+
+
 def _emit(text):
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
@@ -77,7 +93,6 @@ def _cmd_total(args):
 
 
 def _cmd_solve(args):
-    sack_type = tuple(int(k) for k in args.type.split(","))
     factors = FactorMultiset.from_json(_load_json_arg(args.factors))
     total = DistPoly.from_json(_load_json_arg(args.total))
     if factors.total_degree != len(total.coeffs) - 1:
@@ -88,7 +103,7 @@ def _cmd_solve(args):
         matches = False
     if not matches:
         raise ValueError("factor multiset product does not match the total")
-    sacks = enumerate_fiber(factors, sack_type)
+    sacks = enumerate_fiber(factors, args.type)
     _emit(json.dumps([s.to_json() for s in sacks]))
     return 0
 
@@ -132,8 +147,7 @@ def _cmd_coin_die(args):
 
 
 def _cmd_exotic(args):
-    k, kp = (int(x) for x in args.orders.split(","))
-    census = exotic_search(k, kp)
+    census = exotic_search(*args.orders)
     if args.format == "table":
         for sack, spec in census.sacks:
             _emit(spec.render())
@@ -257,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="enumerate the fiber over a total")
     p.add_argument("--total", required=True)
-    p.add_argument("--type", required=True)
+    p.add_argument("--type", type=_int_list(), required=True)
     p.add_argument("--factors", required=True)
     p.set_defaults(func=_cmd_solve)
 
@@ -275,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_coin_die)
 
     p = sub.add_parser("exotic", help="exotic sacks of a pair of orders")
-    p.add_argument("--orders", required=True)
+    p.add_argument("--orders", type=_int_list(2), required=True)
     p.set_defaults(func=_cmd_exotic)
 
     p = sub.add_parser("s3scan", help="order-3 swap scan table")

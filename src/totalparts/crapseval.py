@@ -14,11 +14,6 @@ n_t^2/(D (n_t + n_7)), and p_win is one integer numerator over
 D prod (n_t + n_7).  ``Fraction``s are built only for the values a
 :class:`CrapsReport` returns.  A cyclotomic total gets a certified sign per
 coefficient from ``cyc_sign``.
-
-The members of a rational fiber come from ``fibers.enumerate_fiber``, whose
-slots are integer polynomials too.  By unique factorization over Q its
-leaves are distinct sacks, so it keys no leaf and skips only the zero-sum
-slots.
 """
 
 from __future__ import annotations

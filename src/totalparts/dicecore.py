@@ -40,10 +40,6 @@ from .exactnum import CycElem, _conv_ints, _fractions, _numerators, cyc_sign
 Scalar = object  # Fraction | CycElem
 
 
-class InexactDivision(ArithmeticError):
-    """Raised when polynomial division leaves a nonzero remainder."""
-
-
 class ZeroSum(ArithmeticError):
     """Raised when a polynomial with coefficient sum zero is normalized."""
 
@@ -218,21 +214,6 @@ def _poly_divmod(num, den):
     return q, poly_trim(num[:dd] or [Fraction(0)])
 
 
-def poly_divide_exact(num, den):
-    """Quotient of num by den when the division is exact over the field.
-
-    Raises InexactDivision if the remainder is nonzero (exact test).
-    """
-    num = [as_scalar(c) for c in poly_trim(num)]
-    den = [as_scalar(c) for c in poly_trim(den)]
-    if len(den) == 1 and scalar_is_zero(den[0]):
-        raise ZeroDivisionError("division by the zero polynomial")
-    q, r = _poly_divmod(num, den)
-    if not scalar_is_zero(r[-1]):
-        raise InexactDivision("nonzero remainder")
-    return [demote(c) for c in q]
-
-
 def poly_gcd(a, b):
     """Monic gcd over Q; used for exact squarefreeness tests."""
     a = [Fraction(c) for c in poly_trim(a)]
@@ -279,11 +260,6 @@ class Die:
             return False
         return all(cyc_sign(p).sign >= 0 for p in self.probs)
 
-    def is_positive(self) -> bool:
-        if not self.is_real():
-            return False
-        return all(cyc_sign(p).sign > 0 for p in self.probs)
-
     def is_fair(self) -> bool:
         k = self.order
         return all(p == Fraction(1, k) for p in self.probs)
@@ -327,10 +303,6 @@ class Sack:
     @property
     def T(self) -> int:
         return sum(k - 1 for k in self.type_vector)
-
-    @property
-    def U(self) -> int:
-        return sum(self.type_vector)
 
     def reverse(self) -> "Sack":
         return Sack(tuple(d.reverse() for d in self.dice))

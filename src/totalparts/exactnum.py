@@ -299,8 +299,8 @@ class CycElem:
     @staticmethod
     def from_power_basis(n: int, coeffs) -> "CycElem":
         """Element sum coeffs[i] * zeta_n^i with arbitrary-length coeffs,
-        ints or Fractions."""
-        return CycElem._make(n, *_numerators(_exact_coords(coeffs)))
+        ints or Fractions: the same as ``CycElem(n, coeffs)``."""
+        return CycElem(n, coeffs)
 
     # -- promotion and coercion ----------------------------------------------
 

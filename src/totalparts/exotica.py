@@ -13,22 +13,22 @@ give the same pair, so its search is symmetric.  The census runs in stages:
    nonnegative coefficients has |p(e^(i phi))| <= p(1); a branch is pruned
    when, at some angle of a half-lattice, even its least completion breaks
    this for either die by more than a tolerance derived in advance
-   (:func:`_prune_tolerance`).  The surviving leaves stream on;
-2. pass them in chunks of ``_CHUNK_ROWS`` rows through
-   :func:`_point_filter`, one numpy float product per chunk and die with
-   an error bound derived in advance, which gives every coefficient of
-   every candidate die a status: certified positive (above its bound),
-   certified negative (below minus its bound), or unresolved;
-3. drop each pair with a certified negative coefficient for the whole
-   chunk at once (:func:`_screened`), before any per-candidate work;
-4. build the exact products of the remaining dice from their roots
+   (:func:`_prune_tolerance`).  The surviving leaves come out as one
+   integer array per chunk of the search (:func:`_pruned_splits`);
+2. pass each chunk through :func:`_point_filter`, one numpy float product
+   per die with an error bound derived in advance, which gives every
+   coefficient of every candidate die a status: certified positive (above
+   its bound), certified negative (below minus its bound), or unresolved.
+   One mask drops the fair split and each pair with a certified negative
+   coefficient, before any per-candidate work;
+3. build the exact products of the remaining dice from their roots
    zeta_n^(+-e) with :func:`dicecore.root_product`
    (:func:`_chi_product_exact`);
-5. decide each unresolved coefficient with :func:`cyc_sign` (an exact
+4. decide each unresolved coefficient with :func:`cyc_sign` (an exact
    zero is read from the canonical coordinates, never assumed; any other
    coefficient gets one integer enclosure excluding zero, at a precision
    derived in advance from a separation bound);
-6. scale each surviving pair to dice with :func:`dicecore.normalize_pair`:
+5. scale each surviving pair to dice with :func:`dicecore.normalize_pair`:
    the two products multiply to psi_k * psi_k', so each die's coefficient
    sum is k*k' over its partner's, and no inverse is taken.
 
@@ -54,10 +54,6 @@ from .dicecore import (Die, Sack, demote, normalize_pair, normalize_to_die,
                        poly_mul, psi, root_product)
 
 M3_RATIO_BOUND = Fraction(60, 143)
-
-# Rows per call of the point filter: large enough to amortize numpy's
-# per-call cost, small enough to keep a census's memory flat.
-_CHUNK_ROWS = 128
 
 
 # -- the batched point filter -----------------------------------------------
@@ -153,27 +149,6 @@ def _point_filter(factors, mults) -> np.ndarray:
     p = _point_product(factors, mults)
     bound = _error_bounds(p.shape[1] - 1)
     return (p > bound).view(np.int8) - (p < -bound).view(np.int8)
-
-
-def _screened(candidates, factors):
-    """Pair each candidate with the filter statuses of its dice, dropping
-    every candidate with a certified negative coefficient.
-
-    ``candidates`` yields ``(payload, rows)`` with one multiplicity row per
-    die; the rows of one die position share a degree.  Candidates are
-    filtered ``_CHUNK_ROWS`` at a time, one :func:`_point_filter` call
-    per die position.  A candidate with a -1 status in any die is dropped
-    for the whole chunk at once, before any per-candidate work; the others
-    are yielded in order as ``(payload, statuses)``.
-    """
-    it = iter(candidates)
-    while chunk := list(itertools.islice(it, _CHUNK_ROWS)):
-        per_die = [_point_filter(factors, [rows[i] for _, rows in chunk])
-                   for i in range(len(chunk[0][1]))]
-        negative = np.any([(status < 0).any(axis=1) for status in per_die],
-                          axis=0)
-        for r in np.flatnonzero(~negative).tolist():
-            yield chunk[r][0], [status[r] for status in per_die]
 
 
 # -- the pruned split search --------------------------------------------------
@@ -356,17 +331,19 @@ def _split_search(ell, factors, caps, degree, tol, symmetric=False):
 
 
 def _pruned_splits(factors, caps, degree, conductor, symmetric=False):
-    """The die-1 rows of :func:`_split_search` that survive to the end, as
-    tuples; the prune's table and tolerance are taken at ``conductor``,
-    where every factor's root lies."""
+    """The die-1 rows of :func:`_split_search` that survive to the end, one
+    int64 array per nonempty chunk of the last depth (at most
+    3 * _SEARCH_ROWS rows, as each node has at most three children); the
+    prune's table and tolerance are taken at ``conductor``, where every
+    factor's root lies."""
     total = sum(c * (2 if a2 else 1) for c, (_, a2) in zip(caps, factors))
     tol = _prune_tolerance(conductor, max(degree, total - degree),
                            len(factors) + sum(caps))
     for depth, rows, _, keep in _split_search(
             _log_ratios(factors, conductor), factors, caps, degree, tol,
             symmetric):
-        if depth == len(factors):
-            yield from map(tuple, rows[keep].tolist())
+        if depth == len(factors) and keep.any():
+            yield rows[keep]
 
 
 # -- exact factor products ---------------------------------------------------
@@ -378,25 +355,6 @@ def _chi_product_exact(chis, x1_count, conductor):
     exponents = [sign * (m * conductor // k) for m, k, mult in chis
                  for _ in range(mult) for sign in (1, -1)]
     return root_product(conductor, exponents, x1_count)
-
-
-def _certified_products(statuses, dice, conductor):
-    """The exact products of a candidate's dice if every coefficient of each
-    is certified >= 0, else None.
-
-    ``statuses`` are the point filter's statuses, none of them -1 (those
-    candidates were dropped by :func:`_screened`), and ``dice`` the
-    ``(chis, x1_count)`` of each die.  Only the coefficients the filter
-    left unresolved go to :func:`cyc_sign`.
-    """
-    polys = []
-    for status, (chis, x1_count) in zip(statuses, dice):
-        poly = _chi_product_exact(chis, x1_count, conductor)
-        if any(s == 0 and cyc_sign(c).sign < 0
-               for c, s in zip(poly, status.tolist())):
-            return None
-        polys.append(poly)
-    return polys
 
 
 # -- swap specifications and censuses ---------------------------------------
@@ -454,6 +412,13 @@ def exotic_search(k: int, kp: int) -> ExoticCensus:
     split and its swap are one pair: the search is symmetric, a key m/k is
     written as the integer m, each spec is canonical, and the sacks are
     ordered first by the number of factors swapped.
+
+    Each chunk of leaves from :func:`_pruned_splits` stays an array until
+    it is screened: die 2 is ``caps`` minus die 1, :func:`_point_filter`
+    runs once per die on the whole chunk, and one mask drops the fair split
+    and every pair with a -1 status.  Only the surviving rows are read out
+    for the exact stage: their products, :func:`cyc_sign` on each
+    coefficient with a 0 status, and :func:`dicecore.normalize_pair`.
     """
     if not 2 <= k <= kp:
         raise ValueError("orders must satisfy 2 <= k <= k'")
@@ -468,29 +433,33 @@ def exotic_search(k: int, kp: int) -> ExoticCensus:
     fair = (tuple(int((key * k).denominator == 1) for key in keys)
             + (1 - k % 2,))
 
-    def candidates():
-        # die 1 of degree exactly k-1, the fair split excluded
-        for row in _pruned_splits(factors, caps, k - 1, conductor, symmetric):
-            if row != fair:
-                rows = (row, tuple(c - v for c, v in zip(caps, row)))
-                yield rows, rows
-
     def label(key):
         return int(key * k) if symmetric else key
 
     results = []
-    for rows, statuses in _screened(candidates(), factors):
-        dice = [([(key.numerator, key.denominator, c)
-                  for key, c in zip(keys, row) if c], row[-1])
-                for row in rows]
-        polys = _certified_products(statuses, dice, conductor)
-        if polys is None:
-            continue
-        d1 = list(zip(keys, rows[0], fair))
-        spec = SwapSpec(tuple(label(q) for q, v, f in d1 if v < f),
-                        tuple(label(q) for q, v, f in d1 if v > f), (k, kp))
-        results.append((Sack(normalize_pair(*polys)),
-                        spec.canonical() if symmetric else spec))
+    # die 1 of degree exactly k-1, die 2 the rest of the caps
+    for rows in _pruned_splits(factors, caps, k - 1, conductor, symmetric):
+        dice = (rows, caps - rows)
+        statuses = [_point_filter(factors, die) for die in dice]
+        keep = (rows != fair).any(axis=1)
+        for status in statuses:
+            keep &= (status >= 0).all(axis=1)
+        for r in np.flatnonzero(keep).tolist():
+            pair = [die[r].tolist() for die in dice]
+            polys = [_chi_product_exact(
+                [(q.numerator, q.denominator, c)
+                 for q, c in zip(keys, row) if c], row[-1], conductor)
+                for row in pair]
+            if any(s == 0 and cyc_sign(c).sign < 0
+                   for poly, status in zip(polys, statuses)
+                   for c, s in zip(poly, status[r].tolist())):
+                continue
+            d1 = list(zip(keys, pair[0], fair))
+            spec = SwapSpec(tuple(label(q) for q, v, f in d1 if v < f),
+                            tuple(label(q) for q, v, f in d1 if v > f),
+                            (k, kp))
+            results.append((Sack(normalize_pair(*polys)),
+                            spec.canonical() if symmetric else spec))
     results.sort(key=lambda e: (e[1].give, e[1].take))
     if symmetric:
         results.sort(key=lambda e: len(e[1].give))

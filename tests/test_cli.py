@@ -290,6 +290,35 @@ def test_usage_error_exit_2():
     assert exc.value.code == 2
 
 
+# Integer lists that do not parse, or hold the wrong number of integers:
+# each is a usage error naming its option, not an internal message.
+MALFORMED_INT_LISTS = {
+    "orders_one": ("exotic", "--orders", "5"),
+    "orders_three": ("exotic", "--orders", "3,4,5"),
+    "orders_letters": ("exotic", "--orders", "a,b"),
+    "type_letter": ("solve", "--type", "2,x", "--factors", "[]",
+                    "--total", '["1/2","1/2"]'),
+}
+
+
+@pytest.mark.parametrize("argv", MALFORMED_INT_LISTS.values(),
+                         ids=MALFORMED_INT_LISTS.keys())
+def test_malformed_integer_list_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument {argv[1]}: expected " in captured.err
+    assert "unpack" not in captured.err and "literal" not in captured.err
+
+
+def test_orders_out_of_order_are_a_domain_error(capsys):
+    code, out, err = _run(capsys, "exotic", "--orders", "12,7")
+    assert code == 1 and out == ""
+    assert err == "error: orders must satisfy 2 <= k <= k'\n"
+
+
 def test_retired_precision_flag_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["--precision", "256", "selftest"])

@@ -348,6 +348,14 @@ def test_inexact_coordinates_are_refused_by_both_constructors(bad):
             make(5, "12")
 
 
+@pytest.mark.parametrize("n", [0, 2.5, -3, True],
+                         ids=["zero", "float", "negative", "true"])
+def test_bad_conductors_are_refused_by_both_constructors(n):
+    for make in (CycElem, CycElem.from_power_basis):
+        with pytest.raises(ValueError, match="conductor must be an integer"):
+            make(n, [1, 2])
+
+
 @pytest.mark.parametrize("e", [
     CycElem(1, [Fraction(-3, 7)]),
     CycElem.from_rational(0, 1),

@@ -17,8 +17,8 @@ from totalparts.dicecore import (
     Die,
     Sack,
     demote,
+    normalize_pair,
     parts_to_total,
-    poly_divide_exact,
     poly_mul,
     psi,
     root_product,
@@ -26,11 +26,9 @@ from totalparts.dicecore import (
 from totalparts.exactnum import CycElem, cyc_sign, two_cos
 from totalparts import exotica
 from totalparts.exotica import (
-    _CHUNK_ROWS,
     _SCAN_K_MAX,
     _SCAN_MARGIN,
     _X_PLUS_1,
-    _certified_products,
     _chi_factor,
     _chi_product_exact,
     _error_bounds,
@@ -46,7 +44,6 @@ from totalparts.exotica import (
     _scan_ms,
     _scan_params,
     _scan_row_pass,
-    _screened,
     _split_search,
     exotic_search,
     m3_exception_scan,
@@ -58,6 +55,8 @@ from totalparts.exotica import (
     verify_tridecahedral,
 )
 from totalparts.fairlab import fair_total
+
+from reference_division import poly_divide_exact
 
 F = Fraction
 
@@ -409,30 +408,6 @@ def test_point_filter_rejects_rows_of_different_degree():
         _point_filter(_census_factors(7), [(1, 1, 1, 0), (1, 1, 0, 0)])
 
 
-@pytest.mark.parametrize("count", [1, 2 * _CHUNK_ROWS + 5])
-def test_screened_streams_every_candidate_in_order(count):
-    # k = 16: seven chi factors and x+1; 393 vectors in {0,1,2}^7 sum to 7.
-    # (9, 16): an 8-die and a 15-die from 11 chi factors and x+1, 330 splits.
-    # Exactly the candidates with no -1 status in either die come out, in
-    # order, with their statuses.
-    vectors = _sum_bounded_vectors(7, 7)[:count]
-    diagonal = [(r + (1,), tuple(2 - v for v in r) + (1,)) for r in vectors]
-    mixed_factors, mixed = _mixed_candidates(9, 16)
-    for factors, rows in ((_census_factors(16), diagonal),
-                          (mixed_factors, mixed[:count])):
-        candidates = list(enumerate(rows))
-        assert len(candidates) == count
-        statuses = [[_point_filter(factors, [row])[0].tolist() for row in pair]
-                    for pair in rows]
-        want = [(i, st) for i, st in enumerate(statuses)
-                if -1 not in st[0] + st[1]]
-        if count > _CHUNK_ROWS:
-            assert 0 < len(want) < count  # both outcomes occur
-        out = list(_screened(iter(candidates), factors))
-        assert [(payload, [s.tolist() for s in got]) for payload, got in out
-                ] == want
-
-
 def _prune_case(key):
     # (chi angle fractions, factors, caps, conductor, die-1 degree,
     # symmetric) of the diagonal census of order key or the mixed type key
@@ -450,7 +425,8 @@ def _prune_case(key):
 
 def _leaves(key):
     _, factors, caps, n, degree, symmetric = _prune_case(key)
-    return list(_pruned_splits(factors, caps, degree, n, symmetric))
+    return [tuple(row) for rows in _pruned_splits(
+        factors, caps, degree, n, symmetric) for row in rows.tolist()]
 
 
 # Leaves of the pruned search, the pairs that reach the point filter (with
@@ -466,26 +442,50 @@ def test_pruned_search_leaf_counts():
 
 
 def _accepted_by_full_pipeline(key):
-    # the census without the prune: every candidate through the point
-    # filter and the exact stage; returns the accepted die-1 rows
+    # The census without the prune and without the library's screening:
+    # every candidate through the point filter, then cyc_sign of each exact
+    # coefficient the filter left unresolved.  Returns the accepted die-1
+    # rows and their sacks.
     factors, pairs = _full_candidates(key)
     keys, _, _, conductor, _, _ = _prune_case(key)
-    accepted = []
-    for pair, statuses in _screened(((p, p) for p in pairs), factors):
-        dice = [([(q.numerator, q.denominator, c)
-                  for q, c in zip(keys, row) if c], row[-1]) for row in pair]
-        if _certified_products(statuses, dice, conductor) is not None:
+    accepted, sacks = [], set()
+    per_die = [_point_filter(factors, [pair[die] for pair in pairs]).tolist()
+               for die in (0, 1)]
+    for pair, *statuses in zip(pairs, *per_die):
+        if -1 in statuses[0] + statuses[1]:
+            continue
+        polys = [_chi_product_exact([(q.numerator, q.denominator, c)
+                                     for q, c in zip(keys, row) if c],
+                                    row[-1], conductor) for row in pair]
+        if all(s or cyc_sign(c).sign >= 0
+               for poly, status in zip(polys, statuses)
+               for c, s in zip(poly, status)):
             accepted.append(pair[0])
-    return accepted
+            sacks.add(Sack(normalize_pair(*polys)))
+    return accepted, sacks
 
 
 @pytest.mark.parametrize("key", list(range(3, 23)) + [(3, 4), (4, 6)] + [
     key for key in UNRESOLVED if not isinstance(key, int)])
 def test_every_accepted_vector_is_a_leaf(key):
-    accepted = _accepted_by_full_pipeline(key)
+    accepted, sacks = _accepted_by_full_pipeline(key)
     assert set(accepted) <= set(_leaves(key))
     if isinstance(key, int) and key >= 12:
         assert len(accepted) == EKTAB[key]
+    census = exotic_search(*key) if isinstance(key, tuple) else \
+        exotic_search(key, key)
+    assert {sack for sack, _ in census.sacks} == sacks
+
+
+@pytest.mark.parametrize("key", [16, 20, (7, 12), (9, 15)])
+def test_census_does_not_depend_on_the_chunk_size(key, monkeypatch):
+    # one or three nodes per search chunk cut the leaves into many small
+    # chunks for the point filter; the census must not change
+    orders = key if isinstance(key, tuple) else (key, key)
+    want = exotic_search(*orders)
+    for rows in (1, 3):
+        monkeypatch.setattr(exotica, "_SEARCH_ROWS", rows)
+        assert exotic_search(*orders) == want, rows
 
 
 def _mp(q):
@@ -604,7 +604,8 @@ def test_prune_keeps_exactly_the_splits_within_the_tolerance(monkeypatch):
                     (tol, {(1, 1, 0)}), (1.0, {(1, 1, 0)})):
         monkeypatch.setattr(exotica, "_log_ratios",
                             lambda factors, n: np.tile([a, -1.0, 0.0], (n, 1)))
-        assert set(_pruned_splits(factors, caps, 4, 5)) == want, a
+        assert {tuple(row) for rows in _pruned_splits(factors, caps, 4, 5)
+                for row in rows.tolist()} == want, a
 
 
 def test_census_takes_no_inverse(monkeypatch):

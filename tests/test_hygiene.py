@@ -1,10 +1,11 @@
 """Source hygiene: every name a package module imports is used, every
-private module-level function is referenced somewhere, no module reaches
-into exactnum's private number format, and the package runs without
-mpmath."""
+private module-level function and every method is referenced somewhere,
+no module reaches into exactnum's private number format, and the package
+runs without mpmath."""
 
 import ast
 import collections
+import functools
 import importlib
 import pathlib
 import re
@@ -58,21 +59,43 @@ def _identifiers(node):
     return out
 
 
-def test_no_dead_private_functions():
+@functools.cache
+def _used_identifiers():
     used = collections.Counter()
     for top in ("src", "tests", "perfbench"):
         for path in (ROOT / top).rglob("*.py"):
             used += _identifiers(ast.parse(path.read_text()))
+    return used
+
+
+def _is_dead(node):
+    # references inside its own body (recursion) do not count
+    return (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and _used_identifiers()[node.name]
+            == _identifiers(node)[node.name])
+
+
+def test_no_dead_private_functions():
     dead = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and node.name.startswith("_")
-                    and not node.name.startswith("__")
-                    # references inside its own body (recursion) do not count
-                    and used[node.name] == _identifiers(node)[node.name]):
+            if (_is_dead(node) and node.name.startswith("_")
+                    and not node.name.startswith("__")):
                 dead.append(f"{path.stem}.{node.name}")
     assert not dead, f"private functions nothing references: {dead}"
+
+
+def test_no_dead_methods():
+    # every method and property of a package class, dunders aside, which
+    # Python calls by protocol
+    dead = []
+    for path in sorted(SRC.glob("*.py")):
+        for cls in ast.parse(path.read_text()).body:
+            if isinstance(cls, ast.ClassDef):
+                dead += [f"{path.stem}.{cls.name}.{node.name}"
+                         for node in cls.body
+                         if _is_dead(node) and not node.name.startswith("__")]
+    assert not dead, f"methods nothing references: {dead}"
 
 
 # The private exactnum helpers on rational coefficient lists that other
