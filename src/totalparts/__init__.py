@@ -46,11 +46,9 @@ from .exotica import (
     ScanRecord,
     SwapSpec,
     exotic_search,
-    m3_exception_scan,
-    s3_table,
+    m3_exceptions,
     s_scan,
     scan_table,
-    scatter_emit,
     smallest_exotic_34,
     swap_census,
     verify_tridecahedral,

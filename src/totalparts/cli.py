@@ -27,11 +27,11 @@ from .fairlab import (
     sicherman_search,
 )
 from .exotica import (
+    M3_RATIO_BOUND,
     check_workers,
     exotic_search,
     s_scan,
     scan_table,
-    scatter_emit,
     swap_census,
     verify_tridecahedral,
 )
@@ -185,21 +185,17 @@ def _scan_csv(records, ell, path, decimal):
 def _cmd_scan(args):
     records = scan_table(args.ell, args.kmax, args.workers)
     _scan_csv(records, args.ell, args.csv, args.decimal)
+    if args.command == "scatter":
+        for r in records:
+            if r.R is not None and r.R > M3_RATIO_BOUND:
+                print(f"WARNING: R3({r.k}) = {r.R} exceeds the conjectured "
+                      f"bound 60/143", file=sys.stderr)
     return 0
 
 
 def _cmd_swaps(args):
     for spec in swap_census(args.order):
         _emit(spec.render())
-    return 0
-
-
-def _cmd_scatter(args):
-    records, violations = scatter_emit(args.kmax, workers=args.workers)
-    _scan_csv(records, 3, args.csv, args.decimal)
-    for row in violations:
-        print(f"WARNING: R3({row.k}) = {row.R} exceeds the conjectured "
-              f"bound 60/143", file=sys.stderr)
     return 0
 
 
@@ -309,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scatter", help="plot-ready (k, R3) CSV with bound check")
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--csv", default=None)
-    p.set_defaults(func=_cmd_scatter)
+    p.set_defaults(func=_cmd_scan, ell=3)
 
     p = sub.add_parser("craps", help="exact craps evaluation")
     p.add_argument("--totals", default=None,

@@ -533,15 +533,27 @@ def verify_tridecahedral() -> TridecahedralReport:
 
 # -- the order-3 and order-4 scans ------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ScanRecord:
-    """Result of one swap scan: the strict-swap index set S, its maximum M,
-    and the ratio R = M/k (None when S is empty)."""
+    """Result of one swap scan: the strict-swap index set S, ascending.  Its
+    maximum M and the ratio R = M/k (None when S is empty) are read from S;
+    an M or R passed in, as ``dataclasses.replace`` passes one to show a
+    checker a corrupted record, is reported instead."""
 
     k: int
     S: tuple
-    M: int | None
-    R: Fraction | None
+
+    def __init__(self, k: int, S: tuple, M=None, R=None):
+        self.__dict__.update(k=k, S=S, _M=M, _R=R)
+
+    @property
+    def M(self) -> int | None:
+        return self.S[-1] if self._M is None and self.S else self._M
+
+    @property
+    def R(self) -> Fraction | None:
+        return (Fraction(self.S[-1], self.k) if self._R is None and self.S
+                else self._R)
 
 
 def _scan_params(ell: int):
@@ -736,9 +748,7 @@ def s_scan(ell: int, k: int) -> ScanRecord:
         # j = k-1-N, N = i / m' mod k' for each unclear index i, m' = m/g
         js = k - 1 - lattice[row][unclear[row]] * pow(m * kr // k, -1, kr) % kr
         ok[row] = all(_scan_coeff_sign(ell, k, m, j) >= 0 for j in js.tolist())
-    members = tuple(itertools.compress(ms, ok))
-    return ScanRecord(k, members, max(members, default=None),
-                      Fraction(members[-1], k) if members else None)
+    return ScanRecord(k, tuple(itertools.compress(ms, ok)))
 
 
 def check_workers(workers: int) -> None:
@@ -749,10 +759,11 @@ def check_workers(workers: int) -> None:
 
 
 def scan_table(ell: int, k_max: int, workers: int = 1) -> list[ScanRecord]:
-    """Scan records for one ell and every k from 2 to k_max; deterministic
-    for any worker count.  A k_max above _SCAN_K_MAX, or a worker count
-    outside [1, os.cpu_count()], is refused before any scan starts."""
-    if k_max > _SCAN_K_MAX:
+    """Scan records for one ell and every k from 2 to k_max, the one loop
+    over k; deterministic for any worker count.  A k_max outside
+    [2, _SCAN_K_MAX], or a worker count outside [1, os.cpu_count()], is
+    refused before any scan starts."""
+    if not 2 <= k_max <= _SCAN_K_MAX:
         raise ValueError(f"k must satisfy 2 <= k <= {_SCAN_K_MAX}")
     check_workers(workers)
     ks = range(2, k_max + 1)
@@ -761,11 +772,6 @@ def scan_table(ell: int, k_max: int, workers: int = 1) -> list[ScanRecord]:
         with Pool(workers) as pool:
             return pool.map(scan, ks, chunksize=8)
     return [scan(k) for k in ks]
-
-
-def s3_table(k_max: int, workers: int = 1) -> list[ScanRecord]:
-    """:func:`scan_table` for ell = 3."""
-    return scan_table(3, k_max, workers)
 
 
 @dataclass(frozen=True)
@@ -781,31 +787,20 @@ class M3ExceptionReport:
     b_sequence: tuple  # empirical b_a with k_a = 603*a + 143*b_a
 
 
-def m3_exception_scan(k_max: int, workers: int = 1) -> M3ExceptionReport:
+def m3_exceptions(records) -> M3ExceptionReport:
     """All k <= k_max - 143 where M3(k+143) - M3(k) differs from 60, with
-    the empirical reconstruction of the exception sequence b_a."""
+    the empirical reconstruction of the exception sequence b_a: one pass
+    over ell = 3 scan records in ascending k, such as :func:`scan_table`'s,
+    holding the last 143 maxima.  k_max is the last record's k."""
+    window, exceptions, k_max = {}, [], 0  # window: M3 of the last 143 k
+    for r in records:
+        k_max = r.k
+        window[k_max] = r.M
+        before = window.pop(k_max - 143, None)
+        if None not in (before, r.M) and r.M - before != 60:
+            exceptions.append(M3Exception(k_max - 143, r.M - before))
     if k_max < 746:
         raise ValueError("k_max must be at least 746 to see the first exception")
-    records = scan_table(3, k_max, workers)
-    m3 = {r.k: r.M for r in records}
-    exceptions = []
-    for k in range(2, k_max - 143 + 1):
-        if m3[k] is None or m3[k + 143] is None:
-            continue
-        diff = m3[k + 143] - m3[k]
-        if diff != 60:
-            exceptions.append(M3Exception(k, diff))
-    bs = []
-    for a, exc in enumerate(exceptions, start=1):
-        rem = exc.k - 603 * a
-        bs.append(Fraction(rem, 143))
-    return M3ExceptionReport(k_max, tuple(exceptions), tuple(bs))
-
-
-def scatter_emit(k_max: int, workers: int = 1):
-    """The ell=3 scan records for k up to k_max, plus those violating the
-    conjectured bound R3(k) <= 60/143 (reported, not asserted)."""
-    records = scan_table(3, k_max, workers)
-    violations = [r for r in records
-                  if r.R is not None and r.R > M3_RATIO_BOUND]
-    return records, violations
+    bs = tuple(Fraction(exc.k - 603 * a, 143)
+               for a, exc in enumerate(exceptions, start=1))
+    return M3ExceptionReport(k_max, tuple(exceptions), bs)

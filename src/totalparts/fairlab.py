@@ -177,6 +177,8 @@ def sicherman_search(k: int, label_min: int = 1):
     shifted by ``label_min``.  Returns sorted label-tuple pairs, the
     standard pair included.
     """
+    if k < 2:
+        raise ValueError("order must be >= 2")
     # psi_k is the product of the integer Phi_d over the divisors d > 1 of k
     factors = [cyclotomic_poly(d) for d in divisors(k)[1:]]
     results = set()

@@ -144,11 +144,16 @@ class FactorMultiset:
 
 # -- operations --------------------------------------------------------------
 
+def _sack_type(sack_type) -> tuple:
+    ks = tuple(sack_type)
+    if not ks or min(ks) < 2:
+        raise ValueError("sack type entries must be >= 2")
+    return ks
+
+
 def fiber_degree(sack_type) -> int:
     """Degree of the part-to-total map: T!/prod((k_j-1)!)."""
-    ks = tuple(sack_type)
-    if not ks or any(k < 2 for k in ks):
-        raise ValueError("sack type entries must be >= 2")
+    ks = _sack_type(sack_type)
     t = sum(k - 1 for k in ks)
     deg = math.factorial(t)
     for k in ks:
@@ -195,9 +200,10 @@ def enumerate_fiber(factors: FactorMultiset, sack_type):
     slot a different multiset of the (irreducible, distinct) factors.  Only
     a non-rational factor can make a duplicate, as when
     (x - zeta)(x - conj(zeta)) and a chi trade slots, so only then is each
-    leaf keyed on its :meth:`Sack.canonical_key`.
+    leaf keyed on its :meth:`Sack.canonical_key`.  A type with an order
+    below 2 is refused before anything is enumerated.
     """
-    ks = tuple(sack_type)
+    ks = _sack_type(sack_type)
     caps = [k - 1 for k in ks]
     if factors.total_degree > sum(caps):
         raise ValueError("factor degree exceeds the capacity of the type")

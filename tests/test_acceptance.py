@@ -25,6 +25,8 @@ from totalparts.dicecore import (
 from totalparts.exactnum import two_cos
 from totalparts.exotica import (
     exotic_search,
+    m3_exceptions,
+    scan_table,
     swap_census,
     verify_tridecahedral,
 )
@@ -43,7 +45,6 @@ from totalparts.fibers import (
     total_is_squarefree,
 )
 
-from test_exotica import s3_scan_950
 from test_fairlab import GOLDEN_51_ROWS, _die_from_triples
 
 F = Fraction
@@ -172,7 +173,8 @@ def test_criterion_06_exception_list():
 
 def test_criterion_07_s3_scan_to_950():
     start = time.perf_counter()
-    records, rep = s3_scan_950()
+    records = scan_table(3, 950, workers=2)
+    rep = m3_exceptions(records)
     assert [r.k for r in records] == list(range(2, 951))
     m3 = {r.k: r.M for r in records}
     # R3 <= 60/143 with equality exactly at multiples of 143

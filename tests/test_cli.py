@@ -42,16 +42,19 @@ def test_total_table_format_with_decimal(capsys):
     assert lines[5].split("\t") == ["5", "1/6", "0.1667"]
 
 
+# the worked total (x+1)(x+2)(x+1/2), normalized, and its factors
+WORKED_FACTORS = json.dumps([
+    {"type": "linear", "root": "-1", "multiplicity": 1},
+    {"type": "linear", "root": "-2", "multiplicity": 1},
+    {"type": "linear", "root": "-1/2", "multiplicity": 1},
+])
+WORKED_TOTAL = json.dumps(DistPoly(
+    (F(1, 9), F(7, 18), F(7, 18), F(1, 9))).to_json())
+
+
 def test_solve_enumerates_the_worked_fiber(capsys):
-    factors = json.dumps([
-        {"type": "linear", "root": "-1", "multiplicity": 1},
-        {"type": "linear", "root": "-2", "multiplicity": 1},
-        {"type": "linear", "root": "-1/2", "multiplicity": 1},
-    ])
-    total = json.dumps(DistPoly(
-        (F(1, 9), F(7, 18), F(7, 18), F(1, 9))).to_json())
     code, out, _ = _run(capsys, "solve", "--type", "2,3",
-                        "--factors", factors, "--total", total)
+                        "--factors", WORKED_FACTORS, "--total", WORKED_TOTAL)
     assert code == 0
     sacks = [Sack.from_json(s) for s in json.loads(out)]
     assert len(sacks) == 3
@@ -125,6 +128,19 @@ def test_scatter_reports_no_violations(capsys):
     assert code == 0
     assert "WARNING" not in err
     assert "143,60,60,143" in out
+
+
+def test_scatter_warns_on_a_ratio_above_the_bound(capsys, monkeypatch):
+    real = exotica.s_scan
+    # S_3(20) = (9,) would give R3(20) = 9/20 > 60/143
+    monkeypatch.setattr(exotica, "s_scan", lambda ell, k: (
+        exotica.ScanRecord(k, (9,)) if k == 20 else real(ell, k)))
+    code, out, err = _run(capsys, "scatter", "--kmax", "30")
+    assert code == 0
+    assert err == ("WARNING: R3(20) = 9/20 exceeds the conjectured "
+                   "bound 60/143\n")
+    lines = out.splitlines()
+    assert len(lines) == 30 and "20,9,9,20,0.45" in lines
 
 
 def test_craps_totals_output(capsys):
@@ -275,6 +291,39 @@ def test_scan_kmax_above_the_proven_limit_exits_1(capsys, monkeypatch):
         assert code == 1 and out == ""
         assert err == ("error: k must satisfy 2 <= k <= "
                        f"{exotica._SCAN_K_MAX}\n")
+
+
+# An order below 2 in a scan's k_max, a fiber type or a Sicherman order is
+# a domain error, refused before any work.
+ORDERS_BELOW_2 = {
+    "s3scan_1": (("s3scan", "--kmax", "1"), "k must satisfy 2 <= k <= "
+                 f"{exotica._SCAN_K_MAX}"),
+    "s4scan_-4": (("s4scan", "--kmax=-4"), "k must satisfy 2 <= k <= "
+                  f"{exotica._SCAN_K_MAX}"),
+    "scatter_0": (("scatter", "--kmax", "0"), "k must satisfy 2 <= k <= "
+                  f"{exotica._SCAN_K_MAX}"),
+    "solve_0_5": (("solve", "--type", "0,5"), "sack type entries must be >= 2"),
+    "solve_-1_6": (("solve", "--type=-1,6"), "sack type entries must be >= 2"),
+    "solve_1_4": (("solve", "--type", "1,4"), "sack type entries must be >= 2"),
+    "sicherman_1": (("sicherman", "--order", "1"), "order must be >= 2"),
+    "sicherman_0": (("sicherman", "--order", "0"), "order must be >= 2"),
+    "sicherman_-3": (("sicherman", "--order=-3"), "order must be >= 2"),
+}
+
+
+@pytest.mark.parametrize("argv, message", ORDERS_BELOW_2.values(),
+                         ids=ORDERS_BELOW_2.keys())
+def test_orders_below_2_exit_1(argv, message, capsys, monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("a scan was started")
+
+    monkeypatch.setattr(exotica, "s_scan", no_scan)
+    monkeypatch.setattr(exotica, "Pool", no_scan)
+    if argv[0] == "solve":
+        argv += ("--factors", WORKED_FACTORS, "--total", WORKED_TOTAL)
+    code, out, err = _run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("order", [0, 1])

@@ -1,6 +1,6 @@
 """Exotic sacks: censuses, published tables, scans, and their oracles."""
 
-import functools
+import dataclasses
 import itertools
 import math
 import os
@@ -26,6 +26,7 @@ from totalparts.dicecore import (
 from totalparts.exactnum import CycElem, cyc_sign, two_cos
 from totalparts import exotica
 from totalparts.exotica import (
+    ScanRecord,
     _SCAN_K_MAX,
     _SCAN_MARGIN,
     _X_PLUS_1,
@@ -46,10 +47,8 @@ from totalparts.exotica import (
     _scan_row_pass,
     _split_search,
     exotic_search,
-    m3_exception_scan,
-    s3_table,
+    m3_exceptions,
     s_scan,
-    scatter_emit,
     smallest_exotic_34,
     swap_census,
     verify_tridecahedral,
@@ -824,14 +823,16 @@ def test_scan_k_limit_is_the_largest_k_of_the_derivation(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("a scan was started")
 
-    # a larger k is refused before any work
+    # a larger k, or a table ending below k = 2, is refused before any work
     monkeypatch.setattr(exotica, "_scan_ms", no_work)
     with pytest.raises(ValueError, match=f"k <= {_SCAN_K_MAX}$"):
         s_scan(3, _SCAN_K_MAX + 1)
     monkeypatch.setattr(exotica, "s_scan", no_work)
     monkeypatch.setattr(exotica, "Pool", no_work)
-    with pytest.raises(ValueError, match=f"k <= {_SCAN_K_MAX}$"):
-        exotica.scan_table(4, _SCAN_K_MAX + 1, workers=2)
+    for k_max in (_SCAN_K_MAX + 1, 1, 0, -4):
+        with pytest.raises(ValueError, match=f"^k must satisfy 2 <= k <= "
+                                             f"{_SCAN_K_MAX}$"):
+            exotica.scan_table(4, k_max, workers=2)
 
 
 class RecordingPool:
@@ -855,9 +856,6 @@ class RecordingPool:
 
 SCANS_WITH_WORKERS = {
     "scan_table": lambda w: exotica.scan_table(3, 5000, workers=w),
-    "s3_table": lambda w: s3_table(20, workers=w),
-    "m3_exception_scan": lambda w: m3_exception_scan(950, workers=w),
-    "scatter_emit": lambda w: scatter_emit(20, workers=w),
 }
 
 
@@ -1003,38 +1001,27 @@ def test_s3_known_maxima():
     assert s_scan(3, 2).M is None
 
 
-@functools.cache
-def s3_scan_950():
-    """The S_3 scan of k = 2..950 and its M3 exception report, computed once
-    per session; criterion 7 in test_acceptance shares it."""
-    return s3_table(950, workers=2), m3_exception_scan(950)
+def test_record_reads_M_and_R_from_S():
+    assert [f.name for f in dataclasses.fields(ScanRecord)] == ["k", "S"]
+    record = ScanRecord(12, (3, 4, 5))
+    assert (record.M, record.R) == (5, F(5, 12))
+    assert (ScanRecord(2, ()).M, ScanRecord(2, ()).R) == (None, None)
+    assert s_scan(3, 12) == record
+    # an M or R passed through dataclasses.replace is reported as given
+    assert dataclasses.replace(record, M=6).M == 6
+    assert dataclasses.replace(record, R=F(1, 2)).R == F(1, 2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.M = 6
 
 
-def test_s3_table_and_exceptions_to_950():
-    records, rep = s3_scan_950()
-    assert [r.k for r in records] == list(range(2, 951))
-    m3 = {r.k: r.M for r in records}
-    # R3 <= 60/143 with equality exactly at multiples of 143
-    for r in records:
-        if r.R is not None:
-            assert r.R <= F(60, 143)
-            assert (r.R == F(60, 143)) == (r.k % 143 == 0)
-    # M3 = 5k/12 at k = 12l exactly for l <= 28
-    for ell in range(1, 950 // 12 + 1):
-        assert (m3[12 * ell] == 5 * ell) == (ell <= 28)
-    assert [(e.k, e.difference) for e in rep.exceptions] == [(603, 59)]
-    assert rep.b_sequence == (0,)
+def test_m3_exceptions_refuses_a_table_ending_below_746():
+    for records in ([], [ScanRecord(k, ()) for k in range(2, 746)]):
+        with pytest.raises(ValueError, match="^k_max must be at least 746 "
+                                             "to see the first exception$"):
+            m3_exceptions(records)
 
 
 def test_s4_scan_is_an_interval():
     for k in (7, 12, 18, 25, 30):
         S = s_scan(4, k).S
         assert S == tuple(range(math.ceil(k / 6), k // 3 + 1))
-
-
-def test_scatter_rows_and_bound():
-    rows, violations = scatter_emit(300)
-    assert violations == []
-    by_k = {row.k: row for row in rows}
-    assert by_k[143].R == F(60, 143)
-    assert by_k[144].M == 60

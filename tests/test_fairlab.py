@@ -178,6 +178,12 @@ def test_sicherman_other_orders():
     assert sicherman_search(5) == [((1, 2, 3, 4, 5), (1, 2, 3, 4, 5))]
 
 
+@pytest.mark.parametrize("k", [1, 0, -3])
+def test_sicherman_below_order_2_is_refused(k):
+    with pytest.raises(ValueError, match="^order must be >= 2$"):
+        sicherman_search(k)
+
+
 def ref_sicherman_search(k, label_min=1):
     # The Fraction implementation that the integer one replaced: psi_k's
     # factors Phi_d as Fraction lists, each die a chain of schoolbook

@@ -38,14 +38,17 @@ def test_fiber_degree_values():
         fiber_degree((1, 6))
 
 
+# the total (1/9, 7/18, 7/18, 1/9), with roots -1, -2 and -1/2
+WORKED = FactorMultiset((
+    (LinearFactor(F(-1)), 1),
+    (LinearFactor(F(-2)), 1),
+    (LinearFactor(F(-1, 2)), 1),
+))
+
+
 def test_worked_fiber_of_type_2_3():
-    # total (1/9, 7/18, 7/18, 1/9) with roots -1, -2, -1/2: three sacks
-    factors = FactorMultiset((
-        (LinearFactor(F(-1)), 1),
-        (LinearFactor(F(-2)), 1),
-        (LinearFactor(F(-1, 2)), 1),
-    ))
-    sacks = enumerate_fiber(factors, (2, 3))
+    # three sacks over the worked total
+    sacks = enumerate_fiber(WORKED, (2, 3))
     assert len(sacks) == 3
     got = {tuple(tuple(d.probs) for d in s.dice) for s in sacks}
     assert got == {
@@ -56,6 +59,20 @@ def test_worked_fiber_of_type_2_3():
     expected_total = (F(1, 9), F(7, 18), F(7, 18), F(1, 9))
     for s in sacks:
         assert parts_to_total(s).coeffs == expected_total
+
+
+@pytest.mark.parametrize("sack_type", [(0, 5), (-1, 6), (1, 4), (2, 1), ()])
+def test_orders_below_2_are_refused_before_enumerating(sack_type,
+                                                      monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the fiber was enumerated")
+
+    monkeypatch.setattr(fibers, "_slot_powers", no_work)
+    for refused in (lambda: enumerate_fiber(WORKED, sack_type),
+                    lambda: fiber_degree(sack_type)):
+        with pytest.raises(ValueError,
+                           match="^sack type entries must be >= 2$"):
+            refused()
 
 
 def test_fiber_skips_zero_sum_slots():

@@ -17,7 +17,8 @@ from pathlib import Path
 
 import pytest
 
-from totalparts.exotica import M3_RATIO_BOUND, s_scan, scan_table
+from totalparts.exotica import (M3_RATIO_BOUND, ScanRecord, m3_exceptions,
+                                s_scan, scan_table)
 
 HERE = Path(__file__).parent
 K_MAX = 5000
@@ -42,7 +43,7 @@ def _r3_violations():
 
 
 def _m3_exceptions():
-    # as m3_exception_scan: k where M3(k + 143) - M3(k) differs from 60
+    # as m3_exceptions: k where M3(k + 143) - M3(k) differs from 60
     return [(k, M3[k + 143] - M3[k]) for k in range(2, K_MAX - 143 + 1)
             if M3[k] is not None and M3[k + 143] is not None
             and M3[k + 143] - M3[k] != 60]
@@ -84,6 +85,19 @@ def test_reported_facts_to_5000():
     assert [Fraction(k - 603 * a, 143)
             for a, (k, _) in enumerate(exceptions, start=1)] == EXPECTED_B
     assert _s4_law_breaks() == []
+
+
+def test_m3_exceptions_folds_the_file_in_one_pass():
+    # the file's records, read once as a stream, give the reported exceptions
+    rep = m3_exceptions(ScanRecord(k, S) for k, S in sorted(SCANS[3].items()))
+    assert rep.k_max == K_MAX
+    assert [(e.k, e.difference) for e in rep.exceptions] == \
+        EXPECTED_M3_EXCEPTIONS
+    assert rep.b_sequence == tuple(EXPECTED_B)
+    # the shortest table allowed already sees the first exception
+    rep = m3_exceptions(ScanRecord(k, SCANS[3][k]) for k in range(2, 747))
+    assert rep.k_max == 746
+    assert [(e.k, e.difference) for e in rep.exceptions] == [(603, 59)]
 
 
 def test_every_k_recomputes_to_the_file():
