@@ -21,19 +21,19 @@ give the same pair, so its search is symmetric.  The census runs in stages:
    its bound), certified negative (below minus its bound), or unresolved.
    One mask drops the fair split and each pair with a certified negative
    coefficient, before any per-candidate work;
-3. build the exact products of the remaining dice from their roots
-   zeta_n^(+-e) with :func:`dicecore.root_product`
-   (:func:`_chi_product_exact`);
+3. build exact products from the roots zeta_n^(+-e) with
+   :func:`dicecore.root_product` (:func:`_chi_product_exact`) only for the
+   remaining dice with a 0 status (p(1) > 0, so +1 statuses are signs);
 4. decide each unresolved coefficient with :func:`cyc_sign` (an exact
    zero is read from the canonical coordinates, never assumed; any other
    coefficient gets one integer enclosure excluding zero, at a precision
    derived in advance from a separation bound);
-5. scale each surviving pair to dice with :func:`dicecore.normalize_pair`:
-   the two products multiply to psi_k * psi_k', so each die's coefficient
-   sum is k*k' over its partner's, and no inverse is taken.
+5. in :func:`exotic_search` only, build dice with :func:`normalize_pair`
+   (stage 3's products reused): the two products multiply to
+   psi_k * psi_k', so each die's sum is k*k' over its partner's; no inverse.
 
 A prune rejects only what the derived bound excludes, so every die that
-the point filter and the exact stage would accept reaches them.  No sack
+the point filter and the exact stage would accept reaches them.  No pair
 is admitted or rejected from an unresolved float status.
 """
 
@@ -403,25 +403,10 @@ def _merged_factor_multiset(k: int, kp: int):
     return chis, x1
 
 
-def exotic_search(k: int, kp: int) -> ExoticCensus:
-    """All strict exotic sacks of type (k, kp) obtained by redistributing
-    the real irreducible factors of psi_k * psi_kp.
-
-    A spec's ``give`` lists the keys whose die-1 multiplicity falls below
-    the fair split's, and ``take`` those where it exceeds it.  When k = kp a
-    split and its swap are one pair: the search is symmetric, a key m/k is
-    written as the integer m, each spec is canonical, and the sacks are
-    ordered first by the number of factors swapped.
-
-    Each chunk of leaves from :func:`_pruned_splits` stays an array until
-    it is screened: die 2 is ``caps`` minus die 1, :func:`_point_filter`
-    runs once per die on the whole chunk, and one mask drops the fair split
-    and every pair with a -1 status.  Only the surviving rows are read out
-    for the exact stage: their products, :func:`cyc_sign` on each
-    coefficient with a 0 status, and :func:`dicecore.normalize_pair`.
-    """
-    if not 2 <= k <= kp:
-        raise ValueError("orders must satisfy 2 <= k <= k'")
+def _decided_pairs(k: int, kp: int):
+    """Stages 1-4: yields each accepted pair of type (k, kp), in the census's
+    order, as (spec, args, polys): per die the arguments of
+    :func:`_chi_product_exact`, and its product or None if no status is 0."""
     symmetric = k == kp
     chis, x1_total = _merged_factor_multiset(k, kp)
     keys = sorted(chis)
@@ -432,11 +417,8 @@ def exotic_search(k: int, kp: int) -> ExoticCensus:
     # die 1 of the fair split: the chis m/k of psi_k, and x+1 when k is even
     fair = (tuple(int((key * k).denominator == 1) for key in keys)
             + (1 - k % 2,))
-
-    def label(key):
-        return int(key * k) if symmetric else key
-
-    results = []
+    labels = [int(key * k) if symmetric else key for key in keys]
+    accepted = []
     # die 1 of degree exactly k-1, die 2 the rest of the caps
     for rows in _pruned_splits(factors, caps, k - 1, conductor, symmetric):
         dice = (rows, caps - rows)
@@ -446,32 +428,49 @@ def exotic_search(k: int, kp: int) -> ExoticCensus:
             keep &= (status >= 0).all(axis=1)
         for r in np.flatnonzero(keep).tolist():
             pair = [die[r].tolist() for die in dice]
-            polys = [_chi_product_exact(
-                [(q.numerator, q.denominator, c)
-                 for q, c in zip(keys, row) if c], row[-1], conductor)
-                for row in pair]
+            args = [([(q.numerator, q.denominator, v)
+                      for q, v in zip(keys, row) if v], row[-1], conductor)
+                    for row in pair]
+            polys = [None if status[r].all() else _chi_product_exact(*a)
+                     for a, status in zip(args, statuses)]
             if any(s == 0 and cyc_sign(c).sign < 0
-                   for poly, status in zip(polys, statuses)
+                   for poly, status in zip(polys, statuses) if poly
                    for c, s in zip(poly, status[r].tolist())):
                 continue
-            d1 = list(zip(keys, pair[0], fair))
-            spec = SwapSpec(tuple(label(q) for q, v, f in d1 if v < f),
-                            tuple(label(q) for q, v, f in d1 if v > f),
-                            (k, kp))
-            results.append((Sack(normalize_pair(*polys)),
-                            spec.canonical() if symmetric else spec))
-    results.sort(key=lambda e: (e[1].give, e[1].take))
-    if symmetric:
-        results.sort(key=lambda e: len(e[1].give))
-    return ExoticCensus((k, kp), tuple(results))
+            d1 = list(zip(labels, pair[0], fair))
+            spec = SwapSpec(tuple(q for q, v, f in d1 if v < f),
+                            tuple(q for q, v, f in d1 if v > f), (k, kp))
+            accepted.append((spec.canonical() if symmetric else spec,
+                             args, polys))
+    yield from sorted(accepted, key=lambda e: (
+        len(e[0].give) if symmetric else 0, e[0].give, e[0].take))
+
+
+def exotic_search(k: int, kp: int) -> ExoticCensus:
+    """All strict exotic sacks of type (k, kp) obtained by redistributing
+    the real irreducible factors of psi_k * psi_kp.
+
+    A spec's ``give`` lists the keys whose die-1 multiplicity falls below
+    the fair split's, and ``take`` those where it exceeds it.  When k = kp a
+    split and its swap are one pair: the search is symmetric, a key m/k is
+    written as the integer m, each spec is canonical, and the sacks are
+    ordered first by the number of factors swapped.  Each pair accepted by
+    :func:`_decided_pairs` is built with :func:`dicecore.normalize_pair`.
+    """
+    if not 2 <= k <= kp:
+        raise ValueError("orders must satisfy 2 <= k <= k'")
+    return ExoticCensus((k, kp), tuple(
+        (Sack(normalize_pair(*(_chi_product_exact(*a) if poly is None else
+                               poly for a, poly in zip(args, polys)))), spec)
+        for spec, args, polys in _decided_pairs(k, kp)))
 
 
 def swap_census(k: int) -> list[SwapSpec]:
-    """Strict exotic pairs of k-dice as give/take swap lists, ordered first
-    by the number of factors swapped and then lexicographically."""
+    """Strict exotic pairs of k-dice as give/take swap lists (no dice are
+    built), by the number of factors swapped, then lexicographically."""
     if k < 2:
         raise ValueError("order must satisfy k >= 2")
-    return [spec for _, spec in exotic_search(k, k).sacks]
+    return [spec for spec, *_ in _decided_pairs(k, k)]
 
 
 def smallest_exotic_34() -> Sack:

@@ -87,6 +87,8 @@ def enumerate_fair_pairs(k: int):
     The root products of r and 2 - r multiply to psi_k^2, so each pair is
     normalized by :func:`dicecore.normalize_pair` and serves r and 2 - r.
     """
+    if k < 2:
+        raise ValueError("order must be >= 2")
     rs = sorted(multiplicity_vectors(k),
                 key=lambda r: (sum(1 for x in r if x == 2), r))
     pairs, dice = [], {}

@@ -293,8 +293,8 @@ def test_scan_kmax_above_the_proven_limit_exits_1(capsys, monkeypatch):
                        f"{exotica._SCAN_K_MAX}\n")
 
 
-# An order below 2 in a scan's k_max, a fiber type or a Sicherman order is
-# a domain error, refused before any work.
+# An order below 2 in a scan's k_max, a fiber type, a Sicherman order or a
+# fair-pair order is a domain error, refused before any work.
 ORDERS_BELOW_2 = {
     "s3scan_1": (("s3scan", "--kmax", "1"), "k must satisfy 2 <= k <= "
                  f"{exotica._SCAN_K_MAX}"),
@@ -308,6 +308,13 @@ ORDERS_BELOW_2 = {
     "sicherman_1": (("sicherman", "--order", "1"), "order must be >= 2"),
     "sicherman_0": (("sicherman", "--order", "0"), "order must be >= 2"),
     "sicherman_-3": (("sicherman", "--order=-3"), "order must be >= 2"),
+    "fair_enum_1": (("fair-enum", "--order", "1"), "order must be >= 2"),
+    "fair_enum_0": (("fair-enum", "--order", "0"), "order must be >= 2"),
+    "fair_enum_-2": (("fair-enum", "--order=-2"), "order must be >= 2"),
+    "fair_enum_0_table": (("--format", "table", "fair-enum", "--order", "0"),
+                          "order must be >= 2"),
+    "fair_enum_0_count": (("fair-enum", "--order", "0", "--count-only"),
+                          "order must be >= 2"),
 }
 
 

@@ -633,6 +633,71 @@ def test_census_past_the_published_range(k, count):
         assert not sack.is_fair()
 
 
+# E(28..35), decision-only counts: outputs of this library past the
+# published range, not published values.
+@pytest.mark.parametrize("k, count", [(28, 125), (29, 167), (30, 233),
+                                      (31, 284), (32, 409), (33, 601),
+                                      (34, 748), (35, 1080)])
+def test_census_counts_past_the_published_range(k, count):
+    assert len(swap_census(k)) == count
+
+
+# Dice of the diagonal census, k <= 26, that pass the filter's mask with a
+# 0 status; every other k <= 26 has none.
+ZERO_STATUS_DICE = {10: 1, 12: 2, 18: 2, 20: 3, 21: 2, 24: 7, 26: 4}
+
+
+def _count_root_products(monkeypatch):
+    calls = []
+    product = exotica.root_product
+    monkeypatch.setattr(exotica, "root_product",
+                        lambda *args: calls.append(args) or product(*args))
+    return calls
+
+
+def test_exact_products_only_where_a_status_is_0(monkeypatch):
+    calls = _count_root_products(monkeypatch)
+    for k in range(2, 27):
+        factors, caps = _census_factors(k), _prune_case(k)[2]
+        zero_dice = 0
+        for row in _leaves(k):
+            dice = [row, tuple(c - v for c, v in zip(caps, row))]
+            statuses = _point_filter(factors, dice)
+            if (statuses >= 0).all():
+                zero_dice += int((statuses == 0).any(axis=1).sum())
+        assert zero_dice == ZERO_STATUS_DICE.get(k, 0), k
+        del calls[:]
+        specs = swap_census(k)
+        assert len(calls) == zero_dice, k
+        # building reuses the products made while deciding
+        del calls[:]
+        census = exotic_search(k, k)
+        assert len(calls) == 2 * census.count, k
+        assert [spec for _, spec in census.sacks] == specs, k
+
+
+def test_the_exact_rejection_at_37_is_decided_by_cyc_sign(monkeypatch):
+    # The swap [6,12,17]<->[7,11,18] passes the filter's -1 mask; die 2
+    # keeps coefficients 13 and 23 unresolved, and both are negative.
+    k = 37
+    die1 = (1, 1, 1, 1, 1, 0, 2, 1, 1, 1, 2, 0, 1, 1, 1, 1, 0, 2, 0)
+    die2 = tuple(2 - v for v in die1[:-1]) + (0,)
+    status1, status2 = _point_filter(_census_factors(k), [die1, die2])
+    assert (status1 == 1).all()
+    assert (status2 >= 0).all()
+    assert np.flatnonzero(status2 == 0).tolist() == [13, 23]
+    poly = _chi_product_exact(
+        [(m, k, v) for m, v in enumerate(die2[:-1], start=1) if v], 0, k)
+    assert [cyc_sign(poly[j]).sign for j in (13, 23)] == [-1, -1]
+    # the decision loop, given this leaf alone, makes die 2's product only
+    # and drops the pair
+    calls = _count_root_products(monkeypatch)
+    monkeypatch.setattr(exotica, "_pruned_splits",
+                        lambda *args: iter([np.array([die1])]))
+    assert list(exotica._decided_pairs(k, k)) == []
+    assert len(calls) == 1
+
+
 # -- scans -------------------------------------------------------------------
 
 def _scan_f(ell, k):

@@ -184,6 +184,12 @@ def test_sicherman_below_order_2_is_refused(k):
         sicherman_search(k)
 
 
+@pytest.mark.parametrize("k", [1, 0, -2])
+def test_fair_pairs_below_order_2_are_refused(k):
+    with pytest.raises(ValueError, match="^order must be >= 2$"):
+        enumerate_fair_pairs(k)
+
+
 def ref_sicherman_search(k, label_min=1):
     # The Fraction implementation that the integer one replaced: psi_k's
     # factors Phi_d as Fraction lists, each die a chain of schoolbook
