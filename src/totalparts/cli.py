@@ -9,8 +9,8 @@ names the failing invariant), 2 on a usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import sys
 from fractions import Fraction
@@ -161,33 +161,22 @@ def _cmd_exotic(args):
     return 0
 
 
-def _scan_csv(records, ell, path, decimal):
-    # The R decimal column is rounded to ``decimal`` places, 7 if None.
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow([f"k", f"M{ell}", f"R{ell}_num", f"R{ell}_den",
-                     f"R{ell}_decimal"])
-    for r in records:
-        if r.M is None:
-            writer.writerow([r.k, "", "", "", ""])
-        else:
-            writer.writerow([r.k, r.M, r.R.numerator, r.R.denominator,
-                             round(float(r.R),
-                                   7 if decimal is None else decimal)])
-    text = out.getvalue()
-    if path:
-        with open(path, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _cmd_scan(args):
+    # one row per record, as it arrives; R rounds to --decimal places, else 7
     records = scan_table(args.ell, args.kmax, args.workers)
-    _scan_csv(records, args.ell, args.csv, args.decimal)
-    if args.command == "scatter":
+    places = 7 if args.decimal is None else args.decimal
+    with (open(args.csv, "w", newline="") if args.csv
+          else contextlib.nullcontext(sys.stdout)) as out:
+        writer = csv.writer(out)
+        writer.writerow(["k", f"M{args.ell}", f"R{args.ell}_num",
+                         f"R{args.ell}_den", f"R{args.ell}_decimal"])
         for r in records:
-            if r.R is not None and r.R > M3_RATIO_BOUND:
+            if r.M is None:
+                writer.writerow([r.k, "", "", "", ""])
+                continue
+            writer.writerow([r.k, r.M, r.R.numerator, r.R.denominator,
+                             round(float(r.R), places)])
+            if args.command == "scatter" and r.R > M3_RATIO_BOUND:
                 print(f"WARNING: R3({r.k}) = {r.R} exceeds the conjectured "
                       f"bound 60/143", file=sys.stderr)
     return 0

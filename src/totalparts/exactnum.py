@@ -425,13 +425,11 @@ class CycElem:
 
     def __hash__(self):
         # Hash must agree for equal elements of different conductors; the
-        # normalized traces of x and x^2 are conductor-invariant.
+        # normalized trace of x is conductor-invariant, and x when rational.
         if self.is_rational():
             return hash(Fraction(self.nums[0], self.den))
         tr = _basis_traces(self.n)
-        sq = self * self
-        return hash(tuple(sum(a * t for a, t in zip(x.nums, tr)) / x.den
-                          for x in (self, sq)))
+        return hash(sum(a * t for a, t in zip(self.nums, tr)) / self.den)
 
     # -- rendering -----------------------------------------------------------
 

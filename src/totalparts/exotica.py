@@ -714,6 +714,14 @@ def _scan_coeff_sign(ell: int, k: int, m: int, j: int) -> int:
     return cyc_sign(_scan_coeff_elem(ell, k, m, j)).sign
 
 
+def _check_scan(ell: int, k: int) -> None:
+    """Refuse an ell other than 3 or 4, or a k past the proven bracket."""
+    if ell not in (3, 4):
+        raise ValueError("only the order-3 and order-4 scans are supported")
+    if not 2 <= k <= _SCAN_K_MAX:
+        raise ValueError(f"k must satisfy 2 <= k <= {_SCAN_K_MAX}")
+
+
 def s_scan(ell: int, k: int) -> ScanRecord:
     """The strict-swap scan: for each m < k/2, swap chi_{m,k} into a fair
     ell-die and test strictness of both resulting dice.
@@ -731,13 +739,9 @@ def s_scan(ell: int, k: int) -> ScanRecord:
     to :func:`_scan_coeff_sign`, which builds that coefficient exactly in
     the subfield Q(zeta_k') for :func:`cyc_sign`.  For k <= 5000 that
     happens once for each k divisible by 3, in the order-4 row m = k/3,
-    and the coefficient is an exact zero.  k is at most _SCAN_K_MAX, where
-    the bracket is proven.
+    and the coefficient is an exact zero.  k is at most _SCAN_K_MAX.
     """
-    if ell not in (3, 4):
-        raise ValueError("only the order-3 and order-4 scans are supported")
-    if not 2 <= k <= _SCAN_K_MAX:
-        raise ValueError(f"k must satisfy 2 <= k <= {_SCAN_K_MAX}")
+    _check_scan(ell, k)
     ms = _scan_ms(ell, k)
     lattice, v = _scan_row_pass(ell, k, ms)
     ok = (v >= -_SCAN_MARGIN).all(axis=1)
@@ -757,20 +761,24 @@ def check_workers(workers: int) -> None:
         raise ValueError(f"workers must lie in [1, {cpus}], got {workers}")
 
 
-def scan_table(ell: int, k_max: int, workers: int = 1) -> list[ScanRecord]:
-    """Scan records for one ell and every k from 2 to k_max, the one loop
-    over k; deterministic for any worker count.  A k_max outside
-    [2, _SCAN_K_MAX], or a worker count outside [1, os.cpu_count()], is
-    refused before any scan starts."""
-    if not 2 <= k_max <= _SCAN_K_MAX:
-        raise ValueError(f"k must satisfy 2 <= k <= {_SCAN_K_MAX}")
+def scan_table(ell: int, k_max: int, workers: int = 1):
+    """The scan records for one ell and every k from 2 to k_max, yielded in
+    ascending k: the one loop over k, deterministic for any worker count.
+    An ell other than 3 or 4, a k_max outside [2, _SCAN_K_MAX] or a worker
+    count outside [1, os.cpu_count()] is refused by the call itself, before
+    any scan or process starts."""
+    _check_scan(ell, k_max)
     check_workers(workers)
     ks = range(2, k_max + 1)
     scan = functools.partial(s_scan, ell)
     if workers > 1 and len(ks) > workers:
-        with Pool(workers) as pool:
-            return pool.map(scan, ks, chunksize=8)
-    return [scan(k) for k in ks]
+        return _pooled(workers, scan, ks)
+    return map(scan, ks)
+
+
+def _pooled(workers, scan, ks):
+    with Pool(workers) as pool:
+        yield from pool.imap(scan, ks, chunksize=8)
 
 
 @dataclass(frozen=True)

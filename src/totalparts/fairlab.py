@@ -56,10 +56,14 @@ class FairPair:
         return self.d.is_palindromic() and self.dhat.is_palindromic()
 
 
-def fair_pair_count(k: int) -> int:
-    """Number of pairs of totally fair dice of order k."""
+def _check_order(k: int) -> None:
     if k < 2:
         raise ValueError("order must be >= 2")
+
+
+def fair_pair_count(k: int) -> int:
+    """Number of pairs of totally fair dice of order k."""
+    _check_order(k)
     return sum(math.comb(k - 1, ell) * math.comb(k - ell - 1, k - 1 - 2 * ell)
                for ell in range(0, (k - 1) // 2 + 1))
 
@@ -87,8 +91,7 @@ def enumerate_fair_pairs(k: int):
     The root products of r and 2 - r multiply to psi_k^2, so each pair is
     normalized by :func:`dicecore.normalize_pair` and serves r and 2 - r.
     """
-    if k < 2:
-        raise ValueError("order must be >= 2")
+    _check_order(k)
     rs = sorted(multiplicity_vectors(k),
                 key=lambda r: (sum(1 for x in r if x == 2), r))
     pairs, dice = [], {}
@@ -110,6 +113,7 @@ def ramification_check(k: int) -> tuple[int, int]:
     A fair pair with ell doubled roots absorbs 2^(k-1-2*ell) points of the
     general fiber.
     """
+    _check_order(k)
     lhs = sum((2 ** (k - 1 - 2 * ell))
               * math.comb(k - 1, ell) * math.comb(k - ell - 1, k - 1 - 2 * ell)
               for ell in range(0, (k - 1) // 2 + 1))
@@ -161,6 +165,7 @@ class CoinDieFairReport:
 def coin_die_fair_check(k: int) -> CoinDieFairReport:
     """Redistribute the factors of psi_2 * psi_k between a coin and a k-die
     and confirm the only strict outcome is the fair/fair sack."""
+    _check_order(k)
     entries = [(LinearFactor(Fraction(-1)), 2 if k % 2 == 0 else 1)]
     for m in range(1, (k + 1) // 2):
         entries.append((ChiFactor(m, k), 1))
@@ -179,8 +184,7 @@ def sicherman_search(k: int, label_min: int = 1):
     shifted by ``label_min``.  Returns sorted label-tuple pairs, the
     standard pair included.
     """
-    if k < 2:
-        raise ValueError("order must be >= 2")
+    _check_order(k)
     # psi_k is the product of the integer Phi_d over the divisors d > 1 of k
     factors = [cyclotomic_poly(d) for d in divisors(k)[1:]]
     results = set()

@@ -173,7 +173,7 @@ def test_criterion_06_exception_list():
 
 def test_criterion_07_s3_scan_to_950():
     start = time.perf_counter()
-    records = scan_table(3, 950, workers=2)
+    records = list(scan_table(3, 950, workers=2))
     rep = m3_exceptions(records)
     assert [r.k for r in records] == list(range(2, 951))
     m3 = {r.k: r.M for r in records}

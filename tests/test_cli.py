@@ -4,13 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import totalparts
-from totalparts import exactnum, exotica
+from totalparts import exactnum, exotica, fairlab
 from totalparts.cli import run
 from totalparts.dicecore import Die, DistPoly, Sack, parts_to_total
 
@@ -121,6 +122,67 @@ def test_s3scan_csv_columns(capsys, tmp_path):
     rows = {int(l.split(",")[0]): l.split(",") for l in lines[1:]}
     assert rows[12][1:4] == ["5", "5", "12"]
     assert rows[2][1] == ""
+
+
+def test_scan_holds_at_most_two_records(capsys, monkeypatch):
+    # each record is written as it arrives and then let go
+    real = exotica.s_scan
+    alive = peak = 0
+
+    def released():
+        nonlocal alive
+        alive -= 1
+
+    def tracked(ell, k):
+        nonlocal alive, peak
+        record = real(ell, k)
+        alive += 1
+        peak = max(peak, alive)
+        weakref.finalize(record, released)
+        return record
+
+    monkeypatch.setattr(exotica, "s_scan", tracked)
+    code, out, _ = _run(capsys, "s3scan", "--kmax", "200")
+    assert code == 0
+    assert out.encode() == (Path(__file__).parent / "golden"
+                            / "s3scan_200.out").read_bytes()
+    assert 1 <= peak <= 2 and alive == 0
+
+
+def test_unwritable_csv_exits_1_before_any_scan(capsys, monkeypatch,
+                                                tmp_path):
+    def no_scan(*args):
+        raise AssertionError("a scan was started")
+
+    monkeypatch.setattr(exotica, "s_scan", no_scan)
+    path = tmp_path / "missing" / "x.csv"
+    code, out, err = _run(capsys, "s3scan", "--kmax", "4000",
+                          "--csv", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err
+
+
+@pytest.mark.parametrize("kmax", ["1", str(exotica._SCAN_K_MAX + 1)])
+def test_refused_scan_creates_no_csv(kmax, capsys, tmp_path):
+    path = tmp_path / "x.csv"
+    code, out, _ = _run(capsys, "s3scan", "--kmax", kmax, "--csv", str(path))
+    assert code == 1 and out == "" and not path.exists()
+
+
+def test_scan_failing_part_way_keeps_the_rows_before_it(capsys, monkeypatch):
+    real = exotica.s_scan
+
+    def fails_at_5(ell, k):
+        if k == 5:
+            raise exactnum.UnresolvedSign("sign unresolved")
+        return real(ell, k)
+
+    monkeypatch.setattr(exotica, "s_scan", fails_at_5)
+    code, out, err = _run(capsys, "s3scan", "--kmax", "20")
+    assert code == 1 and err == "error: sign unresolved\n"
+    assert [line.split(",")[0] for line in out.splitlines()] == [
+        "k", "2", "3", "4"]
 
 
 def test_scatter_reports_no_violations(capsys):
@@ -315,17 +377,25 @@ ORDERS_BELOW_2 = {
                           "order must be >= 2"),
     "fair_enum_0_count": (("fair-enum", "--order", "0", "--count-only"),
                           "order must be >= 2"),
+    "ramify_0": (("ramify", "--order", "0"), "order must be >= 2"),
+    "ramify_1": (("ramify", "--order", "1"), "order must be >= 2"),
+    "ramify_-2": (("ramify", "--order=-2"), "order must be >= 2"),
+    "coin_die_0": (("coin-die", "--order", "0"), "order must be >= 2"),
+    "coin_die_1": (("coin-die", "--order", "1"), "order must be >= 2"),
+    "coin_die_-3": (("coin-die", "--order=-3"), "order must be >= 2"),
 }
 
 
 @pytest.mark.parametrize("argv, message", ORDERS_BELOW_2.values(),
                          ids=ORDERS_BELOW_2.keys())
 def test_orders_below_2_exit_1(argv, message, capsys, monkeypatch):
-    def no_scan(*args):
-        raise AssertionError("a scan was started")
+    def no_work(*args):
+        raise AssertionError("work was started")
 
-    monkeypatch.setattr(exotica, "s_scan", no_scan)
-    monkeypatch.setattr(exotica, "Pool", no_scan)
+    monkeypatch.setattr(exotica, "s_scan", no_work)
+    monkeypatch.setattr(exotica, "Pool", no_work)
+    monkeypatch.setattr(fairlab, "fiber_degree", no_work)
+    monkeypatch.setattr(fairlab, "enumerate_fiber", no_work)
     if argv[0] == "solve":
         argv += ("--factors", WORKED_FACTORS, "--total", WORKED_TOTAL)
     code, out, err = _run(capsys, *argv)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from totalparts import exactnum
 from totalparts.exactnum import (
     CycElem,
     _reduce_ints,
@@ -95,6 +96,20 @@ def test_equality_across_conductors():
     assert two_cos(1, 6) == Fraction(1)
     # zeta_3 expressed with conductor 3 and with conductor 6
     assert CycElem.zeta(3, 1) == CycElem.zeta(6, 2)
+    assert hash(CycElem.zeta(3, 1)) == hash(CycElem.zeta(6, 2))
+
+
+def test_hash_makes_no_product(monkeypatch):
+    # the hash reads the trace of x alone, never multiplies
+    elems = [two_cos(5, 84) / 3 - CycElem.zeta(84, 7), CycElem.zeta(12, 5),
+             CycElem(5, [1, Fraction(-2, 3), 0, 4])]
+    hashes = [hash(e) for e in elems]
+
+    def no_product(*args):
+        raise AssertionError("hashing multiplied")
+
+    monkeypatch.setattr(exactnum, "_mul_ints", no_product)
+    assert [hash(e) for e in elems] == hashes
     assert hash(CycElem.zeta(3, 1)) == hash(CycElem.zeta(6, 2))
 
 

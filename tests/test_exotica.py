@@ -900,6 +900,27 @@ def test_scan_k_limit_is_the_largest_k_of_the_derivation(monkeypatch):
             exotica.scan_table(4, k_max, workers=2)
 
 
+def test_unsupported_ell_is_refused_before_any_scan(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a scan was started")
+
+    monkeypatch.setattr(exotica, "s_scan", no_work)
+    monkeypatch.setattr(exotica, "Pool", no_work)
+    for workers in (1, 2):
+        with pytest.raises(ValueError, match="^only the order-3 and order-4 "
+                                             "scans are supported$"):
+            exotica.scan_table(5, 20, workers=workers)
+
+
+def test_scan_table_scans_each_k_when_it_is_read(monkeypatch):
+    scanned = []
+    monkeypatch.setattr(exotica, "s_scan",
+                        lambda ell, k: scanned.append(k) or k)
+    records = exotica.scan_table(3, _SCAN_K_MAX)
+    assert scanned == []
+    assert next(records) == 2 and scanned == [2]
+
+
 class RecordingPool:
     """Stands in for multiprocessing.Pool: records the worker count and maps
     in this process, so no process is started."""
@@ -915,8 +936,8 @@ class RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items, chunksize=1):
-        return [fn(item) for item in items]
+    def imap(self, fn, items, chunksize=1):
+        return map(fn, items)
 
 
 SCANS_WITH_WORKERS = {
@@ -946,7 +967,7 @@ def test_every_worker_count_in_range_is_passed_to_the_pool(monkeypatch):
     cpus = os.cpu_count() or 1
     k_max = cpus + 2  # more k than workers, so every count above 1 pools
     for workers in range(1, cpus + 1):
-        assert (exotica.scan_table(3, k_max, workers=workers)
+        assert (list(exotica.scan_table(3, k_max, workers=workers))
                 == list(range(2, k_max + 1)))
     assert RecordingPool.started == list(range(2, cpus + 1))
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from totalparts import fairlab
 from totalparts.dicecore import Die, Sack, parts_to_total, psi
 from totalparts.exactnum import CycElem, cyclotomic_poly
 from totalparts.fairlab import (
@@ -142,6 +143,18 @@ def test_ramification_balances():
 def test_ramification_6_reproduces_the_published_sum():
     assert 2 ** 5 * 1 + 2 ** 3 * 20 + 2 ** 1 * 30 == 252
     assert ramification_check(6) == (252, 252)
+
+
+@pytest.mark.parametrize("check", [ramification_check, coin_die_fair_check])
+@pytest.mark.parametrize("k", [1, 0, -2])
+def test_order_below_2_is_refused_before_any_work(check, k, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("work was started")
+
+    monkeypatch.setattr(fairlab, "fiber_degree", no_work)
+    monkeypatch.setattr(fairlab, "enumerate_fiber", no_work)
+    with pytest.raises(ValueError, match="^order must be >= 2$"):
+        check(k)
 
 
 def test_craps_fair_impossibility_report():

@@ -102,10 +102,11 @@ def test_m3_exceptions_folds_the_file_in_one_pass():
 
 def test_every_k_recomputes_to_the_file():
     for ell in (3, 4):
-        records = scan_table(ell, K_MAX, workers=2)
-        assert [r.k for r in records] == list(range(2, K_MAX + 1))
-        for r in records:
+        ks = []
+        for r in scan_table(ell, K_MAX, workers=2):
+            ks.append(r.k)
             assert r.S == SCANS[ell][r.k], (ell, r.k)
+        assert ks == list(range(2, K_MAX + 1))
 
 
 def _sampled_ks():
