@@ -123,9 +123,9 @@ def _evaluate(totals: CrapsTotals, nums, den: int) -> CrapsReport:
                        p_win == FAIR_PASS_PROBABILITY)
 
 
-def geometric_tree_check(totals: CrapsTotals, t: int, terms: int = 64):
-    """Partial sums of the roll-by-roll series for P(win | point t) together
-    with the closed form they converge to.
+def geometric_tree_check(totals: CrapsTotals, t: int):
+    """The first 64 partial sums of the roll-by-roll series for
+    P(win | point t) together with the closed form they converge to.
 
     The n-th partial sum is f_t * (1 - q^n)/(1 - q) with q the probability
     of rolling neither t nor 7; exact Fractions throughout.
@@ -136,7 +136,7 @@ def geometric_tree_check(totals: CrapsTotals, t: int, terms: int = 64):
     partials = []
     acc = Fraction(0)
     weight = Fraction(1)
-    for _ in range(terms):
+    for _ in range(64):
         acc += weight * totals[t]
         partials.append(acc)
         weight *= q

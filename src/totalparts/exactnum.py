@@ -8,8 +8,12 @@ Q[x]/Phi_n(x), where Phi_n is the n-th cyclotomic polynomial and
 zeta = e^(2*pi*i/n).  Reduction mod Phi_n and dividing out
 gcd(den, *nums) are canonical, so two elements of the same conductor are
 equal iff their numerators and denominators are, and the exact-zero test is
-trivial.  ``coords``, the same coordinates as ``Fraction``s, is built only
-when asked for.
+trivial: like an int or a ``Fraction``, a ``CycElem`` is false exactly at
+zero, so :func:`_conv_ints` multiplies lists of any exact scalars.
+``coords``, the same coordinates as ``Fraction``s, is built only when
+asked for.  An exact scalar is an int, a ``Fraction`` or a ``CycElem``
+(:func:`as_scalar`); :func:`cyc_sign` and :func:`cyc_embed` refuse a bool,
+as they refuse a float, with TypeError.
 
 Since Phi_n is monic with integer coefficients, the schoolbook product
 (:func:`_mul_ints`) and the reduction of numerators stay in Z[zeta_n].  The
@@ -164,7 +168,8 @@ def _reduce_ints(c: list[int], n: int) -> list[int]:
 
 
 def _conv_ints(xs, ys) -> list[int]:
-    # The product of two integer polynomials, constant term first.
+    # The product of two lists of ints or of any exact scalars (each false
+    # exactly at zero), constant term first; an unreached position stays 0.
     prod = [0] * (len(xs) + len(ys) - 1)
     ys = [(j, y) for j, y in enumerate(ys) if y]
     for i, x in enumerate(xs):
@@ -285,7 +290,7 @@ class CycElem:
     # -- construction helpers ------------------------------------------------
 
     @staticmethod
-    def from_rational(x, n: int = 1) -> "CycElem":
+    def from_rational(x, n: int) -> "CycElem":
         q = Fraction(x)
         return CycElem._make(n, [q.numerator], q.denominator)
 
@@ -328,6 +333,9 @@ class CycElem:
 
     def is_zero(self) -> bool:
         return not any(self.nums)
+
+    def __bool__(self):
+        return any(self.nums)
 
     def is_rational(self) -> bool:
         return not any(self.nums[1:])
@@ -433,7 +441,7 @@ class CycElem:
 
     # -- rendering -----------------------------------------------------------
 
-    def render(self, symbol: str = "z") -> str:
+    def render(self) -> str:
         """Text form as a polynomial in zeta, e.g. ``(-4*z+1)/6``."""
         terms = []
         for i in range(len(self.nums) - 1, -1, -1):
@@ -443,7 +451,7 @@ class CycElem:
             if i == 0:
                 body = str(abs(a))
             else:
-                var = symbol if i == 1 else f"{symbol}^{i}"
+                var = "z" if i == 1 else f"z^{i}"
                 body = var if abs(a) == 1 else f"{abs(a)}*{var}"
             sign = "-" if a < 0 else ("+" if terms else "")
             terms.append(sign + body)
@@ -456,6 +464,16 @@ class CycElem:
 
     def __repr__(self):
         return f"CycElem({self.n}, {self.render()!r})"
+
+
+def as_scalar(x):
+    """x as an exact scalar, an int made a Fraction; anything but an int, a
+    Fraction or a CycElem, a bool or a float included, raises TypeError."""
+    if isinstance(x, (Fraction, CycElem)):
+        return x
+    if isinstance(x, int) and not isinstance(x, bool):
+        return Fraction(x)
+    raise TypeError(f"not an exact scalar: {x!r}")
 
 
 def two_cos(m: int, k: int) -> CycElem:
@@ -534,7 +552,7 @@ def fixed_cos(i: int, n: int, w: int) -> tuple[int, int]:
     return (-total if q >= 2 else total), 2 * j + term + E // 4 + 4
 
 
-def cyc_embed(e, bits: int = 64) -> tuple[Fraction, Fraction]:
+def cyc_embed(e, bits: int) -> tuple[Fraction, Fraction]:
     """Certified enclosure lo <= Re(e) <= hi under zeta_n -> e^(2 pi i/n),
     with exact rational endpoints and hi - lo <= 2^-bits.
 
@@ -546,22 +564,29 @@ def cyc_embed(e, bits: int = 64) -> tuple[Fraction, Fraction]:
     2^(bitlen(L) + g + 3 - w).  With b = bits + bitlen(L) + 3 and
     w = b + bitlen(b) + 3 < 2^(bitlen(b) + 3), g <= bitlen(b) + 3, so
     w - g - 3 >= bits + bitlen(L) and the width is below 2^-bits.
-    Accepts Fraction/int as well.
+    A rational e is its own enclosure; a bool or a float raises TypeError.
     """
     if bits < 0:
         raise ValueError("bits must be at least 0")
-    if isinstance(e, (int, Fraction)):
-        q = Fraction(e)
-        return q, q
+    e = as_scalar(e)
+    if isinstance(e, Fraction):
+        return e, e
     xs, d = e.nums, e.den
     b = bits + sum(map(abs, xs)).bit_length() + 3
     w = b + b.bit_length() + 3
-    total, radius = xs[0] << w, 0
+    # fixed_cos gives i and n - i the same (C, r), so each pair of
+    # coordinates costs one call, on its summed x and |x|
+    pairs = {}
     for i, x in enumerate(xs[1:], start=1):
         if x:
-            c, r = fixed_cos(i, e.n, w)
-            total += x * c
-            radius += abs(x) * r
+            j = min(i, e.n - i)
+            s, a = pairs.get(j, (0, 0))
+            pairs[j] = s + x, a + abs(x)
+    total, radius = xs[0] << w, 0
+    for j, (s, a) in pairs.items():
+        c, r = fixed_cos(j, e.n, w)
+        total += s * c
+        radius += a * r
     return (Fraction(total - radius, d << w),
             Fraction(total + radius, d << w))
 
@@ -597,10 +622,9 @@ def cyc_sign(e) -> SignCertificate:
     enclosure at B bits, narrower than |e|, excludes zero.  If it does not,
     the code is wrong: UnresolvedSign.
     """
-    if isinstance(e, (int, Fraction)):
-        q = Fraction(e)
-        s = (q > 0) - (q < 0)
-        return SignCertificate(q, s, 0)
+    e = as_scalar(e)
+    if isinstance(e, Fraction):
+        return SignCertificate(e, (e > 0) - (e < 0), 0)
     xs, d = e.nums, e.den
     if e.is_rational():  # zero included
         return SignCertificate(e, (xs[0] > 0) - (xs[0] < 0), 0)

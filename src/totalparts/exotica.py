@@ -572,7 +572,7 @@ def _scan_row_pass(ell: int, k: int, ms):
 
     Returns ``(lattice, v)``, rows x 2 arrays: the two lattice indices i
     and i+1 (mod k') that bracket -arg W, and the closed form below at
-    those two indices.
+    those two indices, from only the nine cosines and sines it reads.
 
     Closed form.  Solving the division recurrence gives
     q_j = sum_i f_{j+2+i} U_i with U_i = sin((i+1)t)/sin(t) and
@@ -645,19 +645,19 @@ def _scan_row_pass(ell: int, k: int, ms):
     m = np.asarray(ms, dtype=np.int64)[:, None]  # one row per m
     g = np.gcd(m, k)
 
-    def cos_sin(r):  # of pi*r/k, for integer residues r
-        angle = np.pi * (r % (2 * k)) / k
-        return np.cos(angle), np.sin(angle)
+    def angle(r):  # pi*r/k, for integer residues r
+        return np.pi * (r % (2 * k)) / k
 
     # cos and sin of t/2, t and 3t/2
-    (ch, sh), (c2, s2), (c3, s3) = map(cos_sin, (m, 2 * m, 3 * m))
+    (ch, sh), (c2, s2), (c3, s3) = ((np.cos(x), np.sin(x)) for x in
+                                    map(angle, (m, 2 * m, 3 * m)))
     w_re = c * c3 / (2 * sh) + b * s2
     w_im = c * s3 / (2 * sh) - a - b * c2
     p = k // g * -np.arctan2(w_im, w_re) / (2 * np.pi)
     lattice = (np.floor(p).astype(np.int64) + [0, 1]) % (k // g)
     r = 2 * g * lattice
-    v = (c * (ch - cos_sin(r + 3 * m)[0]) / (2 * sh)
-         - a * cos_sin(r)[1] - b * cos_sin(r + 2 * m)[1])
+    v = (c * (ch - np.cos(angle(r + 3 * m))) / (2 * sh)
+         - a * np.sin(angle(r)) - b * np.sin(angle(r + 2 * m)))
     return lattice, v
 
 
@@ -743,7 +743,7 @@ def s_scan(ell: int, k: int) -> ScanRecord:
     """
     _check_scan(ell, k)
     ms = _scan_ms(ell, k)
-    lattice, v = _scan_row_pass(ell, k, ms)
+    lattice, v = _scan_row_pass(ell, k, np.arange(ms.start, ms.stop))
     ok = (v >= -_SCAN_MARGIN).all(axis=1)
     unclear = v <= _SCAN_MARGIN
     for row in np.flatnonzero(ok & unclear.any(axis=1)):

@@ -2,8 +2,7 @@
 oracles divide a total by chi_{m,k} with it, independently of the scan
 path."""
 
-from totalparts.dicecore import (_poly_divmod, as_scalar, demote, poly_trim,
-                                 scalar_is_zero)
+from totalparts.dicecore import _poly_divmod, as_scalar, demote, poly_trim
 
 
 class InexactDivision(ArithmeticError):
@@ -17,9 +16,9 @@ def poly_divide_exact(num, den):
     """
     num = [as_scalar(c) for c in poly_trim(num)]
     den = [as_scalar(c) for c in poly_trim(den)]
-    if len(den) == 1 and scalar_is_zero(den[0]):
+    if len(den) == 1 and not den[0]:
         raise ZeroDivisionError("division by the zero polynomial")
     q, r = _poly_divmod(num, den)
-    if not scalar_is_zero(r[-1]):
+    if r[-1]:
         raise InexactDivision("nonzero remainder")
     return [demote(c) for c in q]

@@ -22,10 +22,9 @@ from totalparts.dicecore import (
     poly_sum,
     psi,
     root_product,
-    scalar_is_zero,
 )
 from totalparts.crapseval import CrapsTotals
-from totalparts.exactnum import CycElem, phi
+from totalparts.exactnum import CycElem, cyc_embed, cyc_sign, phi
 from totalparts.fairlab import multiplicity_vectors
 
 from reference_division import InexactDivision, poly_divide_exact
@@ -179,6 +178,32 @@ def test_booleans_are_not_scalars(build):
         build()
 
 
+Z3 = CycElem.zeta(3)
+
+# A bool and a float for each list helper and each sign routine: a float
+# after a CycElem and a bool among ints are checked like any other entry.
+REFUSALS = {
+    "poly_mul_bool": lambda: poly_mul([1, 2], [3, True, 4]),
+    "poly_mul_float": lambda: poly_mul([1], [Z3, 0.5]),
+    "poly_sum_bool": lambda: poly_sum([True, F(1, 2)]),
+    "poly_sum_float": lambda: poly_sum([Z3, 0.5]),
+    "normalize_poly_bool": lambda: normalize_poly([1, False, 2]),
+    "normalize_poly_float": lambda: normalize_poly([Z3, 1, 1.5]),
+    "normalize_to_die_bool": lambda: normalize_to_die([True, 1]),
+    "normalize_to_die_float": lambda: normalize_to_die([F(1, 3), 0.5]),
+    "cyc_sign_bool": lambda: cyc_sign(True),
+    "cyc_sign_float": lambda: cyc_sign(0.5),
+    "cyc_embed_bool": lambda: cyc_embed(False, 8),
+    "cyc_embed_float": lambda: cyc_embed(0.25, 8),
+}
+
+
+@pytest.mark.parametrize("call", REFUSALS.values(), ids=REFUSALS.keys())
+def test_bools_and_floats_are_refused_wherever_they_stand(call):
+    with pytest.raises(TypeError, match="^not an exact scalar: "):
+        call()
+
+
 # -- the integer kernel against the Fraction schoolbook ----------------------
 #
 # The references below are the Fraction-by-Fraction code that the integer
@@ -189,9 +214,9 @@ def test_booleans_are_not_scalars(build):
 def ref_poly_mul(a, b):
     out = [F(0)] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        if not scalar_is_zero(x):
+        if x:
             for j, y in enumerate(b):
-                if not scalar_is_zero(y):
+                if y:
                     out[i + j] = out[i + j] + x * y
     return out
 
@@ -206,7 +231,7 @@ def ref_poly_sum(p):
 def ref_normalize_poly(p):
     p = [as_scalar(c) for c in p]
     total = ref_poly_sum(p)
-    if scalar_is_zero(total):
+    if not total:
         raise ZeroSum("coefficient sum is exactly zero")
     inv = total.inverse() if isinstance(total, CycElem) else 1 / total
     return [demote(c * inv) for c in p]
@@ -290,6 +315,24 @@ def test_rational_kernel_matches_the_fraction_schoolbook(a, b):
 @given(a=cyc_polys(), b=st.one_of(polys(), cyc_polys()))
 def test_cyclotomic_kernel_matches_the_field_schoolbook(a, b):
     check_against_reference(a, b)
+
+
+ZERO5 = CycElem(5, [0])
+
+
+@pytest.mark.parametrize("a, b", [
+    ([Z3, 0], [1]),                    # position 1 is reached by no term
+    ([Z3, 0, 0, 2], [1, 0, F(1, 2)]),  # positions 1 and 4 neither
+    ([0, Z3], [F(0), 2]),
+    ([ZERO5, Z3], [1, ZERO5]),         # zero CycElem entries are skipped
+    ([Z3, -Z3], [1, 1]),               # a reached position cancels to 0
+    ([ZERO5, 1, 0], [1]),
+], ids=str)
+def test_poly_mul_keeps_the_schoolbook_scalars_at_zeros(a, b):
+    check_against_reference(a, b)
+    assert exacts(poly_mul(a)) == exacts(ref_poly_mul([F(1)], a))
+    assert exacts(poly_mul(a, b, a)) == \
+        exacts(ref_poly_mul(ref_poly_mul(a, b), a))
 
 
 int_polys = st.lists(st.integers(min_value=-30, max_value=30),

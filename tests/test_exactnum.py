@@ -318,6 +318,52 @@ def test_cyc_sign_rejects_non_real():
         cyc_sign(CycElem.zeta(5, 1))
 
 
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 30), data=st.data())
+def test_an_element_is_false_exactly_at_zero(n, data):
+    # any coordinates, a rational value (zero included), or the vanishing
+    # sum 1 + zeta + ... + zeta^(n-1)
+    coords = data.draw(st.one_of(mixed_coords,
+                                 st.lists(simple_rationals, max_size=1),
+                                 st.just([1] * n)))
+    e = CycElem(n, coords)
+    assert bool(e) == (not e.is_zero())
+
+
+def ref_cyc_embed(e, bits):
+    # the enclosure with one fixed_cos per nonzero coordinate
+    xs, d = e.nums, e.den
+    b = bits + sum(map(abs, xs)).bit_length() + 3
+    w = b + b.bit_length() + 3
+    total, radius = xs[0] << w, 0
+    for i, x in enumerate(xs[1:], start=1):
+        if x:
+            c, r = fixed_cos(i, e.n, w)
+            total += x * c
+            radius += abs(x) * r
+    return Fraction(total - radius, d << w), Fraction(total + radius, d << w)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([7, 13, 83, 84, 97]), data=st.data())
+def test_cyc_embed_takes_one_cosine_per_pair(n, data):
+    a = data.draw(elems(n))
+    e = a + a.conj()
+    bits = data.draw(st.sampled_from([0, 64, 300]))
+    want = ref_cyc_embed(e, bits)
+    calls = []
+
+    def counted(i, n, w):
+        calls.append(i)
+        return fixed_cos(i, n, w)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(exactnum, "fixed_cos", counted)
+        assert cyc_embed(e, bits) == want
+    assert len(calls) == len({min(i, n - i)
+                              for i, x in enumerate(e.nums) if i and x})
+
+
 def test_cyc_embed_encloses_true_value():
     t = two_cos(1, 7)
     lo, hi = cyc_embed(t, 64)

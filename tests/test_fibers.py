@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from totalparts import fibers
 from totalparts.dicecore import (Die, DistPoly, Sack, ZeroSum,
                                  normalize_to_die, parts_to_total, poly_gcd,
-                                 render_scalar, scalar_is_zero)
+                                 render_scalar)
 from totalparts.exactnum import CycElem
 from totalparts.fibers import (
     ChiFactor,
@@ -93,9 +93,9 @@ def test_fiber_skips_zero_sum_slots():
 def ref_poly_mul(a, b):
     out = [F(0)] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        if not scalar_is_zero(x):
+        if x:
             for j, y in enumerate(b):
-                if not scalar_is_zero(y):
+                if y:
                     out[i + j] = out[i + j] + x * y
     return out
 
