@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dicecore import Sack, as_scalar, parts_to_total
+from .dicecore import Sack, as_scalar, fair_total, parts_to_total
 from .exactnum import _numerators, cyc_sign
 
 WIN_TOTALS = (7, 11)
@@ -74,8 +74,7 @@ class CrapsTotals:
 
     @staticmethod
     def fair() -> "CrapsTotals":
-        return CrapsTotals(tuple(Fraction(6 - abs(t - 7), 36)
-                                 for t in range(2, 13)))
+        return CrapsTotals(tuple(fair_total((6, 6))))
 
 
 @dataclass(frozen=True)

@@ -393,3 +393,8 @@ def normalize_pair(p, q) -> tuple[Die, Die]:
 def psi(k: int):
     """The fair-die numerator polynomial 1 + x + ... + x^(k-1)."""
     return [Fraction(1)] * k
+
+
+def fair_total(sack_type):
+    """The fair total polynomial prod (1/k_j) psi_{k_j} for the given type."""
+    return poly_mul(*([Fraction(1, k)] * k for k in sack_type))

@@ -12,8 +12,10 @@ trivial: like an int or a ``Fraction``, a ``CycElem`` is false exactly at
 zero, so :func:`_conv_ints` multiplies lists of any exact scalars.
 ``coords``, the same coordinates as ``Fraction``s, is built only when
 asked for.  An exact scalar is an int, a ``Fraction`` or a ``CycElem``
-(:func:`as_scalar`); :func:`cyc_sign` and :func:`cyc_embed` refuse a bool,
-as they refuse a float, with TypeError.
+(:func:`as_scalar`).  One gate, :func:`_is_rational`, says what an exact
+rational is: an int or a ``Fraction``, never a bool.  By it every
+constructor, :func:`cyc_sign` and :func:`cyc_embed` refuse a bool or a
+float, and every ``CycElem`` operator returns NotImplemented before any work.
 
 Since Phi_n is monic with integer coefficients, the schoolbook product
 (:func:`_mul_ints`) and the reduction of numerators stay in Z[zeta_n].  The
@@ -226,6 +228,17 @@ def _basis_traces(n: int) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
+def _is_rational(x) -> bool:
+    # the one gate; the fast paths of * and / spell it inline
+    return isinstance(x, (int, Fraction)) and type(x) is not bool
+
+
+def _conductor(n) -> int:
+    if type(n) is not int or n < 1:
+        raise ValueError(f"conductor must be an integer >= 1, not {n!r}")
+    return n
+
+
 def _exact_coords(coords) -> list:
     # coordinates from a caller: a sequence of ints and Fractions, never a
     # string, a float or a bool; a plain int passes on one type test
@@ -233,8 +246,7 @@ def _exact_coords(coords) -> list:
         raise ValueError(f"coordinates must be a sequence, not {coords!r}")
     coords = list(coords)
     for c in coords:
-        if type(c) is not int and (type(c) is bool
-                                   or not isinstance(c, (int, Fraction))):
+        if type(c) is not int and not _is_rational(c):
             raise ValueError(f"coordinate {c!r} is not an int or Fraction")
     return coords
 
@@ -253,9 +265,7 @@ class CycElem:
 
     def __new__(cls, n: int, coords):
         """The element sum coords[i] * zeta_n^i, coords ints or Fractions."""
-        if type(n) is not int or n < 1:
-            raise ValueError(f"conductor must be an integer >= 1, not {n!r}")
-        return cls._make(n, *_numerators(_exact_coords(coords)))
+        return cls._make(_conductor(n), *_numerators(_exact_coords(coords)))
 
     @classmethod
     def _make(cls, n: int, nums: list[int], den: int) -> "CycElem":
@@ -291,13 +301,13 @@ class CycElem:
 
     @staticmethod
     def from_rational(x, n: int) -> "CycElem":
-        q = Fraction(x)
-        return CycElem._make(n, [q.numerator], q.denominator)
+        """The rational x in Q(zeta_n); TypeError as in :func:`as_scalar`."""
+        return CycElem(n, [Fraction(as_scalar(x))])
 
     @staticmethod
     def zeta(n: int, power: int = 1) -> "CycElem":
         """zeta_n^power as an element of Q(zeta_n)."""
-        coeffs = [0] * n
+        coeffs = [0] * _conductor(n)
         coeffs[power % n] = 1
         return CycElem._make(n, coeffs, 1)
 
@@ -325,14 +335,11 @@ class CycElem:
                 return a, b
             m = math.lcm(a.n, b.n)
             return a.promote(m), b.promote(m)
-        if isinstance(b, (int, Fraction)):
-            return a, CycElem.from_rational(b, a.n)
+        if _is_rational(b):
+            return a, CycElem._make(a.n, [b.numerator], b.denominator)
         raise TypeError(f"cannot combine CycElem with {type(b).__name__}")
 
     # -- queries -------------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not any(self.nums)
 
     def __bool__(self):
         return any(self.nums)
@@ -378,17 +385,16 @@ class CycElem:
         return self._plus(other, -1)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return -self + other if _is_rational(other) else NotImplemented
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and type(other) is not bool:
             return CycElem._make(self.n,
                                  [a * other.numerator for a in self.nums],
                                  self.den * other.denominator)
-        try:
-            a, b = CycElem._pair(self, other)
-        except TypeError:
+        if not isinstance(other, CycElem):
             return NotImplemented
+        a, b = CycElem._pair(self, other)
         return CycElem._make(a.n, _mul_ints(a.nums, b.nums, a.n),
                              a.den * b.den)
 
@@ -401,13 +407,13 @@ class CycElem:
         1 < j < n with gcd(j, n) = 1, times xs is the norm N of xs, a
         nonzero integer, so the inverse is d * R / N.
         """
-        if self.is_zero():
+        if not self:
             raise ZeroDivisionError("inverse of zero cyclotomic element")
         rest, norm = _norm_parts(self.nums, self.n)
         return CycElem._make(self.n, [self.den * r for r in rest], norm)
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and type(other) is not bool:
             if not other:
                 raise ZeroDivisionError("division of CycElem by zero")
             return CycElem._make(self.n,
@@ -418,7 +424,7 @@ class CycElem:
         return NotImplemented
 
     def __rtruediv__(self, other):
-        return self.inverse() * other
+        return self.inverse() * other if _is_rational(other) else NotImplemented
 
     # -- comparison and hashing ----------------------------------------------
 
@@ -471,7 +477,7 @@ def as_scalar(x):
     Fraction or a CycElem, a bool or a float included, raises TypeError."""
     if isinstance(x, (Fraction, CycElem)):
         return x
-    if isinstance(x, int) and not isinstance(x, bool):
+    if _is_rational(x):
         return Fraction(x)
     raise TypeError(f"not an exact scalar: {x!r}")
 

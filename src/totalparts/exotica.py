@@ -50,8 +50,8 @@ from multiprocessing import Pool
 import numpy as np
 
 from .exactnum import CycElem, cyc_embed, cyc_sign, two_cos
-from .dicecore import (Die, Sack, demote, normalize_pair, normalize_to_die,
-                       poly_mul, psi, root_product)
+from .dicecore import (Die, Sack, demote, fair_total, normalize_pair,
+                       normalize_to_die, poly_mul, root_product)
 
 M3_RATIO_BOUND = Fraction(60, 143)
 
@@ -513,7 +513,7 @@ def verify_tridecahedral() -> TridecahedralReport:
     strict = d.is_strict() and dhat.is_strict()
     palindromic = d.is_palindromic() and dhat.is_palindromic()
     total = poly_mul(d.poly(), dhat.poly())
-    fair = [Fraction(c, 169) for c in poly_mul(psi(13), psi(13))]
+    fair = fair_total((k, k))
     product_ok = all(demote(a) == b for a, b in zip(total, fair))
     tol = Fraction(5, 10 ** 8)
     ok = True

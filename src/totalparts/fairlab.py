@@ -207,8 +207,3 @@ def _labels_from_poly(p, label_min):
     for exp, c in enumerate(poly_trim(p)):
         labels.extend([exp + label_min] * c)
     return tuple(labels)
-
-
-def fair_total(sack_type):
-    """The fair total polynomial prod (1/k_j) psi_{k_j} for the given type."""
-    return poly_mul(*([Fraction(1, k)] * k for k in sack_type))

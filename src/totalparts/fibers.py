@@ -8,6 +8,11 @@ each slot to coefficient sum 1.
 General complex totals with unknown factorizations are handled only through
 a caller-supplied :class:`FactorMultiset`; no numeric root isolation is done
 here, which keeps every result certificate-exact.
+
+A coin's head is face 1, so a coin with head h has total (1 - h) + h x.
+Every coin answer reads the roots of the head polynomial p^n f(1 - 1/p) of
+a degree-n total f, 1/(1 - x_j) over the roots x_j of f: the heads for n
+coins, and the candidate heads for a coin and a die.
 """
 
 from __future__ import annotations
@@ -262,6 +267,17 @@ def _fraction_sqrt(q: Fraction):
     return None
 
 
+def _head_polynomial(coeffs) -> list:
+    # p^n f(1 - 1/p) = sum_t f_t p^(n-t) (p - 1)^t, constant first, monic
+    # as f sums to 1; a coin's (1 - h) + h x is (p - h)/p at x = 1 - 1/p.
+    # Horner: acc <- acc (p - 1) + f_t p^(n-t), t = n-1 .. 0.
+    f = [Fraction(c) for c in coeffs]
+    acc = [f[-1]]
+    for c in reversed(f[:-1]):
+        acc = [-acc[0], *(a - b for a, b in zip(acc, acc[1:])), acc[-1] + c]
+    return acc
+
+
 @dataclass(frozen=True)
 class CoinPairSolutions:
     pairs: tuple  # of (p, q) head-probability pairs
@@ -271,40 +287,25 @@ class CoinPairSolutions:
 def coin_pair_solve(f: DistPoly) -> CoinPairSolutions:
     """Head probabilities of two coins with total distribution f = (r, s, t).
 
-    The probabilities are the roots of p^2 - (2r+s)p + r, which has
-    discriminant D = s^2 - 4rt; the two roots are swapped when the coins are.
+    They are the roots of the head polynomial p^2 - (s + 2t)p + t, of
+    discriminant s^2 - 4rt; the two roots are swapped when the coins are.
     """
     if len(f.coeffs) != 3:
         raise DegenerateTotal("a pair of coins has a length-3 total")
-    r, s, _t = (Fraction(c) for c in f.coeffs)
-    disc = s * s - 4 * r * _t
-    half_trace = 2 * r + s
+    c0, c1, one = _head_polynomial(f.coeffs)
+    disc = c1 * c1 - 4 * c0
     root = _fraction_sqrt(disc)
     if root is None:
-        raise IrrationalDiscriminant((r, -half_trace, Fraction(1)))
-    p1 = (half_trace + root) / 2
-    p2 = (half_trace - root) / 2
+        raise IrrationalDiscriminant((c0, c1, one))
+    p1 = (root - c1) / 2
+    p2 = (-root - c1) / 2
     pairs = ((p1, p2),) if p1 == p2 else ((p1, p2), (p2, p1))
     return CoinPairSolutions(pairs, disc)
 
 
-def _binomial_to_elementary(f):
-    # Invert f_t = sum_{k>=t} (-1)^(k-t) C(k,t) e_k (upper triangular, unit
-    # diagonal).
-    n = len(f) - 1
-    e = [Fraction(0)] * (n + 1)
-    for t in range(n, -1, -1):
-        acc = Fraction(f[t])
-        for k in range(t + 1, n + 1):
-            acc -= (-1) ** (k - t) * math.comb(k, t) * e[k]
-        e[t] = acc
-    return e
-
-
-def _rational_roots(poly):
-    # All rational roots (with multiplicity) of a Fraction polynomial;
-    # returns (roots, residual monic polynomial).
-    p = [Fraction(c) for c in poly_trim(poly)]
+def _rational_roots(p):
+    # The rational roots (with multiplicity) of a monic Fraction polynomial,
+    # and the monic residual carrying the others, None when it is 1.
     roots = []
     while len(p) > 1 and p[0] == 0:
         roots.append(Fraction(0))
@@ -326,10 +327,7 @@ def _rational_roots(poly):
                 break
         else:
             break
-    residual = None
-    if len(p) > 1:
-        residual = tuple(c / p[-1] for c in p)
-    return sorted(roots), residual
+    return tuple(sorted(roots)), (tuple(p) if len(p) > 1 else None)
 
 
 @dataclass(frozen=True)
@@ -349,26 +347,19 @@ class CoinParts:
 def coins_parts_from_total(f: DistPoly, n: int) -> CoinParts:
     """Recover the multiset of head probabilities of n coins from the total.
 
-    Inverts the binomial matrix to obtain the elementary symmetric values
-    e_1..e_n, forms prod(x - p_j) = x^n - e_1 x^(n-1) + ... and reads off
+    Forms the head polynomial prod(p - h_j) = p^n f(1 - 1/p) and reads off
     its roots.
     """
     if len(f.coeffs) != n + 1:
-        raise ValueError("total of n coins has length n+1")
-    e = _binomial_to_elementary([Fraction(c) for c in f.coeffs])
-    # coefficient of x^(n-i) is (-1)^i e_i
-    poly = [Fraction(0)] * (n + 1)
-    for i in range(n + 1):
-        poly[n - i] = (-1) ** i * e[i]
-    roots, residual = _rational_roots(poly)
-    return CoinParts(tuple(roots), residual, tuple(poly))
+        raise DegenerateTotal("a total of n coins has length n+1")
+    poly = _head_polynomial(f.coeffs)
+    return CoinParts(*_rational_roots(poly), tuple(poly))
 
 
 def coin_die_elimination(f: DistPoly):
-    """Monic degree-k polynomial whose roots are the coin probabilities in
-    the fiber of type (2, k) over f; coefficients constant-first."""
-    k = len(f.coeffs) - 1
-    fs = [Fraction(c) for c in f.coeffs]
-    coeffs = [sum((-1) ** (k - i) * math.comb(k - j, k - i) * fs[j]
-                  for j in range(i + 1)) for i in range(k)]
-    return coeffs + [Fraction(1)]
+    """Monic degree-k polynomial whose roots are the coin head probabilities
+    in the fiber of type (2, k) over f: the head polynomial
+    p^k f(1 - 1/p), coefficients constant-first."""
+    if len(f.coeffs) < 3:
+        raise DegenerateTotal("a coin and a die have a total of length >= 3")
+    return _head_polynomial(f.coeffs)

@@ -195,6 +195,9 @@ REFUSALS = {
     "cyc_sign_float": lambda: cyc_sign(0.5),
     "cyc_embed_bool": lambda: cyc_embed(False, 8),
     "cyc_embed_float": lambda: cyc_embed(0.25, 8),
+    "from_rational_bool": lambda: CycElem.from_rational(True, 3),
+    "from_rational_float": lambda: CycElem.from_rational(0.5, 3),
+    "from_rational_string": lambda: CycElem.from_rational("1/2", 3),
 }
 
 

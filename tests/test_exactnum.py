@@ -2,6 +2,7 @@
 
 import copy
 import math
+import operator
 import pickle
 import random
 from fractions import Fraction
@@ -116,7 +117,7 @@ def test_hash_makes_no_product(monkeypatch):
 def test_sum_of_all_nth_roots_is_zero():
     for n in (3, 4, 5, 6, 7, 12):
         total = sum(CycElem.zeta(n, j) for j in range(n))
-        assert total.is_zero()
+        assert not total
 
 
 simple_rationals = st.fractions(
@@ -146,7 +147,7 @@ def some_elems(n):
 @settings(max_examples=40, deadline=None)
 @given(a=st.sampled_from([9, 12, 23, 25, 84]).flatmap(some_elems))
 def test_inverse_of_nonzero(a):
-    if a.is_zero():
+    if not a:
         return
     assert a * a.inverse() == CycElem.from_rational(1, a.n)
 
@@ -252,7 +253,7 @@ def test_cyc_elem_matches_the_fraction_reference(pair):
     check_elem(x.conj(), ref_substitute(rx, -1, n))
     m = n * (60 // n)
     check_elem(x.promote(m), ref_substitute(rx, m // n, m))
-    if x.is_zero():
+    if not x:
         with pytest.raises(ZeroDivisionError):
             x.inverse()
     else:
@@ -299,7 +300,7 @@ def test_two_cos_values():
     assert two_cos(1, 3) == Fraction(-1)
     # golden ratio: 2cos(2*pi/5) = (sqrt(5)-1)/2 satisfies x^2 + x - 1 = 0
     t = two_cos(1, 5)
-    assert (t * t + t - 1).is_zero()
+    assert t * t + t - 1 == 0
 
 
 def test_cyc_sign_certificates():
@@ -327,7 +328,7 @@ def test_an_element_is_false_exactly_at_zero(n, data):
                                  st.lists(simple_rationals, max_size=1),
                                  st.just([1] * n)))
     e = CycElem(n, coords)
-    assert bool(e) == (not e.is_zero())
+    assert bool(e) == (e != 0)
 
 
 def ref_cyc_embed(e, bits):
@@ -417,6 +418,40 @@ def test_bad_conductors_are_refused_by_both_constructors(n):
             make(n, [1, 2])
 
 
+@pytest.mark.parametrize("make", [CycElem.zeta,
+                                  lambda n: CycElem.from_rational(1, n)],
+                         ids=["zeta", "from_rational"])
+@pytest.mark.parametrize("n", [0, 2.5, -3, True],
+                         ids=["zero", "float", "negative", "true"])
+def test_bad_conductors_are_refused_by_zeta_and_from_rational(make, n):
+    with pytest.raises(ValueError, match="conductor must be an integer"):
+        make(n)
+
+
+OPERATORS = {"add": operator.add, "sub": operator.sub,
+             "mul": operator.mul, "truediv": operator.truediv}
+
+
+@pytest.mark.parametrize("op", OPERATORS.values(), ids=OPERATORS.keys())
+@pytest.mark.parametrize("bad", [True, False, 0.5],
+                         ids=["true", "false", "float"])
+def test_operators_refuse_bools_and_floats_on_either_side(op, bad):
+    z = CycElem.zeta(3)
+    with pytest.raises(TypeError):
+        op(z, bad)
+    with pytest.raises(TypeError):
+        op(bad, z)
+
+
+def test_a_refused_dividend_takes_no_inverse(monkeypatch):
+    def inverse(self):
+        raise AssertionError("inverse taken")
+    monkeypatch.setattr(CycElem, "inverse", inverse)
+    for bad in (0.5, True):
+        with pytest.raises(TypeError):
+            bad / CycElem.zeta(7)
+
+
 @pytest.mark.parametrize("e", [
     CycElem(1, [Fraction(-3, 7)]),
     CycElem.from_rational(0, 1),
@@ -461,7 +496,7 @@ def _check_certificate(e):
     with mpmath.workdps(200):
         v = _oracle(e)
         tol = mpmath.mpf(10) ** -120
-        if e.is_zero():
+        if not e:
             assert cert.sign == 0 and cert.precision_bits == 0
             return
         assert cert.sign == (1 if v > 0 else -1)

@@ -17,6 +17,7 @@ from totalparts.dicecore import (
     Die,
     Sack,
     demote,
+    fair_total,
     normalize_pair,
     parts_to_total,
     poly_mul,
@@ -53,7 +54,6 @@ from totalparts.exotica import (
     swap_census,
     verify_tridecahedral,
 )
-from totalparts.fairlab import fair_total
 
 from reference_division import poly_divide_exact
 

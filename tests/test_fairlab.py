@@ -8,14 +8,13 @@ from fractions import Fraction
 import pytest
 
 from totalparts import fairlab
-from totalparts.dicecore import Die, Sack, parts_to_total, psi
+from totalparts.dicecore import Die, Sack, fair_total, parts_to_total, psi
 from totalparts.exactnum import CycElem, cyclotomic_poly
 from totalparts.fairlab import (
     coin_die_fair_check,
     craps_fair_impossibility,
     enumerate_fair_pairs,
     fair_pair_count,
-    fair_total,
     multiplicity_vectors,
     ramification_check,
     sicherman_search,

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from totalparts import fibers
@@ -14,6 +14,7 @@ from totalparts.dicecore import (Die, DistPoly, Sack, ZeroSum,
 from totalparts.exactnum import CycElem
 from totalparts.fibers import (
     ChiFactor,
+    DegenerateTotal,
     FactorMultiset,
     IrrationalDiscriminant,
     LinearFactor,
@@ -230,7 +231,7 @@ def test_squarefree_detection():
 def test_coin_pair_solve():
     total = DistPoly((F(1, 6), F(1, 2), F(1, 3)))
     sol = coin_pair_solve(total)
-    assert set(sol.pairs) == {(F(1, 2), F(1, 3)), (F(1, 3), F(1, 2))}
+    assert set(sol.pairs) == {(F(1, 2), F(2, 3)), (F(2, 3), F(1, 2))}
     assert sol.discriminant == F(1, 36)
 
 
@@ -271,6 +272,63 @@ def test_coins_round_trip(ps):
     parts = coins_parts_from_total(DistPoly(tuple(total)), n)
     assert parts.residual is None
     assert list(parts.roots) == sorted(ps)
+
+
+# Two coins whose heads (face 1) are 1/2 and 2/3: (1/2 + x/2)(1/3 + 2x/3)
+TWO_COINS = DistPoly((F(1, 6), F(1, 2), F(1, 3)))
+
+
+def test_every_coin_function_reports_the_heads():
+    sol = coin_pair_solve(TWO_COINS)
+    assert {p for pair in sol.pairs for p in pair} == {F(1, 2), F(2, 3)}
+    assert sol.discriminant == F(1, 36)
+    assert coins_parts_from_total(TWO_COINS, 2).roots == (F(1, 2), F(2, 3))
+    # (p - 1/2)(p - 2/3)
+    assert coin_die_elimination(TWO_COINS) == [F(1, 3), F(-7, 6), F(1)]
+
+
+def test_coin_die_elimination_has_the_coins_head_as_a_root():
+    coin, die = Die((F(1, 3), F(2, 3))), Die((F(1, 6),) * 6)
+    poly = coin_die_elimination(parts_to_total(Sack((coin, die))))
+    assert sum(c * F(2, 3) ** i for i, c in enumerate(poly)) == 0
+    assert sum(c * F(1, 3) ** i for i, c in enumerate(poly)) != 0
+
+
+# a head 0 coin, and pseudo-coins whose head lies outside [0, 1]
+heads = st.sampled_from([F(0), F(1), F(1, 2), F(1, 3), F(3, 4), F(-1, 2),
+                         F(3, 2), F(-2), F(5, 3)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(ps=st.lists(heads, min_size=1, max_size=8))
+@example(ps=[F(0), F(-1, 2), F(3, 2)])
+def test_the_head_polynomial_is_the_product_over_the_heads(ps):
+    total, want = [F(1)], [F(1)]
+    for p in ps:
+        total = ref_poly_mul(total, [1 - p, p])
+        want = ref_poly_mul(want, [-p, F(1)])
+    f = DistPoly(tuple(total))
+    assert list(coins_parts_from_total(f, len(ps)).polynomial) == want
+    if len(ps) > 1:
+        assert coin_die_elimination(f) == want
+
+
+COIN_CALLS = {
+    "coin_pair_solve": coin_pair_solve,
+    "coins_parts_from_total": lambda f: coins_parts_from_total(f, 2),
+    "coin_die_elimination": coin_die_elimination,
+}
+
+
+@pytest.mark.parametrize("call", COIN_CALLS.values(), ids=COIN_CALLS.keys())
+def test_coin_functions_refuse_cyclotomic_and_wrong_length_totals(call):
+    z = CycElem.zeta(3)
+    # a coin with head zeta_3 and a fair coin
+    cyclotomic = DistPoly(tuple(ref_poly_mul([1 - z, z], [F(1, 2), F(1, 2)])))
+    with pytest.raises(TypeError):
+        call(cyclotomic)
+    with pytest.raises(DegenerateTotal):
+        call(DistPoly((F(1, 3), F(2, 3))))
 
 
 # (rational roots, residual): the residual x^2 - x + 1/5 has discriminant
