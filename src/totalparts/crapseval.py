@@ -158,9 +158,10 @@ def craps_from_sack(sack: Sack) -> CrapsReport:
             raise InvalidDistribution("total has a negative probability")
         return _evaluate(CrapsTotals._from_numerators(coeffs, nums, den),
                          nums, den)
-    # DistPoly demotes every rational-valued coefficient, so the first
-    # cyclotomic one is irrational and refuses the total; a negative
-    # coefficient before it, or its own certified sign, refuses it as negative
+    # DistPoly stores every rational value as a Fraction (as_scalar), so
+    # the first cyclotomic coefficient is irrational and refuses the total;
+    # a negative coefficient before it, or its own certified sign, refuses
+    # it as negative
     for c in coeffs:
         if c < 0 if isinstance(c, Fraction) else cyc_sign(c).sign < 0:
             raise InvalidDistribution("total has a negative probability")

@@ -8,7 +8,9 @@ length T+1 where T = sum(k_j - 1).
 
 Polynomials are plain coefficient lists/tuples, constant term first.  Dice
 may carry trailing zero probabilities: the order is declared, not inferred
-from the degree.
+from the degree.  Every scalar a die, a total or a factor stores passes
+``exactnum.as_scalar``, which keeps one form: a ``Fraction`` for each
+rational value and a ``CycElem`` only for an irrational one.
 
 :func:`poly_mul` is the one product of coefficient lists.  It takes any
 number of them, so a product of several factors, the forward map's
@@ -42,21 +44,12 @@ from fractions import Fraction
 from .exactnum import (CycElem, _conv_ints, _fractions, _numerators, as_scalar,
                        cyc_sign)
 
-Scalar = object  # Fraction | CycElem
-
 
 class ZeroSum(ArithmeticError):
     """Raised when a polynomial with coefficient sum zero is normalized."""
 
 
 # -- scalar helpers ----------------------------------------------------------
-
-def demote(x) -> Scalar:
-    """Collapse a rational-valued CycElem to a Fraction."""
-    if isinstance(x, CycElem) and x.is_rational():
-        return x.rational_value()
-    return x
-
 
 def render_scalar(x) -> str:
     if isinstance(x, CycElem):
@@ -65,7 +58,7 @@ def render_scalar(x) -> str:
 
 
 def scalar_to_json(x):
-    x = demote(as_scalar(x))
+    x = as_scalar(x)
     if isinstance(x, Fraction):
         return render_scalar(x)
     return {"conductor": x.n, "coords": [render_scalar(c) for c in x.coords]}
@@ -90,12 +83,12 @@ def _json_shaped(obj, kind: type, what: str):
     return obj
 
 
-def scalar_from_json(obj) -> Scalar:
+def scalar_from_json(obj):
     """A rational, or {"conductor": n, "coords": [...]} for Q(zeta_n)."""
     if isinstance(obj, dict):
         coords = _json_shaped(obj["coords"], list, "coords")
-        return demote(CycElem(obj["conductor"],
-                              [_rational_from_json(c) for c in coords]))
+        return as_scalar(CycElem(obj["conductor"],
+                                 [_rational_from_json(c) for c in coords]))
     return _rational_from_json(obj)
 
 
@@ -108,7 +101,8 @@ def _rational_ints(p):
     cyclotomic = False
     for c in p:
         if type(c) is not int and type(c) is not Fraction:
-            cyclotomic |= isinstance(as_scalar(c), CycElem)
+            as_scalar(c)  # refuses a bool or a float
+            cyclotomic |= isinstance(c, CycElem)
     return None if cyclotomic else _numerators(p)
 
 
@@ -127,7 +121,7 @@ def poly_mul(*polys):
 
     Lists of ints multiply in Z[x] and give ints.  With a CycElem entry the
     same product starts from [Fraction(1)], so each position a term reaches
-    holds a Fraction or a CycElem, and as_scalar makes the rest Fraction(0).
+    holds a Fraction or a CycElem, and the rest, int 0s, become Fraction(0).
     Other rational lists multiply as integer numerators over one
     denominator, with Fractions built once for the result.
     """
@@ -135,7 +129,8 @@ def poly_mul(*polys):
         return _conv_all(polys)
     parts = [_rational_ints(p) for p in polys]
     if None in parts:
-        return list(map(as_scalar, _conv_all([[Fraction(1)], *polys])))
+        return [Fraction(0) if type(c) is int else c
+                for c in _conv_all([[Fraction(1)], *polys])]
     nums = _conv_all([xs for xs, _ in parts])
     return list(_fractions(nums, math.prod(d for _, d in parts)))
 
@@ -154,10 +149,10 @@ def root_product(n: int, exponents, x1_count: int = 0):
         padded = [zero] + poly + [zero]
         poly = [[a + b for a, b in zip(lower, high)]
                 for lower, high in zip(padded, padded[1:])]
-    return [demote(CycElem.from_power_basis(n, c)) for c in poly]
+    return [as_scalar(CycElem.from_power_basis(n, c)) for c in poly]
 
 
-def poly_sum(p) -> Scalar:
+def poly_sum(p):
     ints = _rational_ints(p)
     return sum(p) if ints is None else Fraction(sum(ints[0]), ints[1])
 
@@ -213,7 +208,7 @@ class Die:
     probs: tuple
 
     def __post_init__(self):
-        probs = tuple(demote(as_scalar(p)) for p in self.probs)
+        probs = tuple(map(as_scalar, self.probs))
         if len(probs) < 2:
             raise ValueError("a die needs order at least 2")
         if not _sums_to_one(probs):
@@ -312,7 +307,7 @@ class DistPoly:
     coeffs: tuple
 
     def __post_init__(self):
-        coeffs = tuple(demote(as_scalar(c)) for c in self.coeffs)
+        coeffs = tuple(map(as_scalar, self.coeffs))
         if not _sums_to_one(coeffs):
             raise ValueError("total distribution must sum to 1 exactly")
         object.__setattr__(self, "coeffs", coeffs)
@@ -357,7 +352,7 @@ def normalize_poly(p):
     if ints is not None:
         return [Fraction(a, total) for a in ints[0]]
     inv = 1 / total
-    return [demote(c * inv) for c in p]
+    return [as_scalar(c * inv) for c in p]
 
 
 def normalize_to_die(p, order: int | None = None) -> Die:
@@ -385,7 +380,7 @@ def normalize_pair(p, q) -> tuple[Die, Die]:
     to 1 certifies the premise.
     """
     kk = len(p) * len(q)
-    return tuple(Die(tuple(demote(c * scale) for c in poly))
+    return tuple(Die(tuple(c * scale for c in poly))
                  for poly, scale in ((p, poly_sum(q) / kk),
                                      (q, poly_sum(p) / kk)))
 

@@ -11,9 +11,11 @@ equal iff their numerators and denominators are, and the exact-zero test is
 trivial: like an int or a ``Fraction``, a ``CycElem`` is false exactly at
 zero, so :func:`_conv_ints` multiplies lists of any exact scalars.
 ``coords``, the same coordinates as ``Fraction``s, is built only when
-asked for.  An exact scalar is an int, a ``Fraction`` or a ``CycElem``
-(:func:`as_scalar`).  One gate, :func:`_is_rational`, says what an exact
-rational is: an int or a ``Fraction``, never a bool.  By it every
+asked for.  An exact scalar is an int, a ``Fraction`` or a ``CycElem``, and
+:func:`as_scalar` gives each its one stored form: a ``Fraction`` for every
+rational value, a rational-valued ``CycElem`` included, and a ``CycElem``
+only for an irrational one.  One gate, :func:`_is_rational`, says what an
+exact rational is: an int or a ``Fraction``, never a bool.  By it every
 constructor, :func:`cyc_sign` and :func:`cyc_embed` refuse a bool or a
 float, and every ``CycElem`` operator returns NotImplemented before any work.
 
@@ -300,13 +302,11 @@ class CycElem:
     # -- construction helpers ------------------------------------------------
 
     @staticmethod
-    def from_rational(x, n: int) -> "CycElem":
-        """The rational x in Q(zeta_n); TypeError as in :func:`as_scalar`."""
-        return CycElem(n, [Fraction(as_scalar(x))])
-
-    @staticmethod
     def zeta(n: int, power: int = 1) -> "CycElem":
-        """zeta_n^power as an element of Q(zeta_n)."""
+        """zeta_n^power as an element of Q(zeta_n); a power that is not an
+        int, a bool included, raises ValueError."""
+        if type(power) is not int:
+            raise ValueError(f"power must be an integer, not {power!r}")
         coeffs = [0] * _conductor(n)
         coeffs[power % n] = 1
         return CycElem._make(n, coeffs, 1)
@@ -346,11 +346,6 @@ class CycElem:
 
     def is_rational(self) -> bool:
         return not any(self.nums[1:])
-
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("element is not rational")
-        return Fraction(self.nums[0], self.den)
 
     def conj(self) -> "CycElem":
         """Complex conjugation, the ring map zeta -> zeta^-1."""
@@ -473,10 +468,14 @@ class CycElem:
 
 
 def as_scalar(x):
-    """x as an exact scalar, an int made a Fraction; anything but an int, a
-    Fraction or a CycElem, a bool or a float included, raises TypeError."""
-    if isinstance(x, (Fraction, CycElem)):
+    """x in the one form of an exact scalar: a Fraction for every rational
+    value, an int or a rational-valued CycElem included, and an irrational
+    CycElem unchanged.  Anything but an int, a Fraction or a CycElem, a bool
+    or a float included, raises TypeError."""
+    if type(x) is Fraction:
         return x
+    if isinstance(x, CycElem):
+        return Fraction(x.nums[0], x.den) if x.is_rational() else x
     if _is_rational(x):
         return Fraction(x)
     raise TypeError(f"not an exact scalar: {x!r}")
@@ -618,10 +617,11 @@ class SignCertificate:
 def cyc_sign(e) -> SignCertificate:
     """Certified sign of a real element; raises NotReal if e != conj(e).
 
-    Zero is read from the canonical coordinates.  Otherwise write e = xs/d
-    with integer numerators xs in Z[zeta_n] and L = ||xs||_1.  xs is a
-    nonzero real algebraic integer, so its norm from the real subfield, the
-    product of its phi(n)/2 real conjugates sum_i x_i sigma(zeta)^i, is a
+    A rational value, zero included, is a Fraction by :func:`as_scalar`
+    and its own certificate.  Otherwise write e = xs/d with integer
+    numerators xs in Z[zeta_n] and L = ||xs||_1.  xs is a nonzero real
+    algebraic integer, so its norm from the real subfield, the product of
+    its phi(n)/2 real conjugates sum_i x_i sigma(zeta)^i, is a
     nonzero integer, and every factor is at most L in absolute value.
     Hence |e| >= 1/(d L^(phi(n)/2 - 1)) > 2^-B with
     B = bitlen(d) + (phi(n)/2 - 1) bitlen(L), and one :func:`cyc_embed`
@@ -629,13 +629,11 @@ def cyc_sign(e) -> SignCertificate:
     the code is wrong: UnresolvedSign.
     """
     e = as_scalar(e)
-    if isinstance(e, Fraction):
+    if isinstance(e, Fraction):  # zero included
         return SignCertificate(e, (e > 0) - (e < 0), 0)
-    xs, d = e.nums, e.den
-    if e.is_rational():  # zero included
-        return SignCertificate(e, (xs[0] > 0) - (xs[0] < 0), 0)
     if not e.is_real():
         raise NotReal(f"element {e.render()} is not fixed by conjugation")
+    xs, d = e.nums, e.den
     bits = (d.bit_length()
             + (phi(e.n) // 2 - 1) * sum(map(abs, xs)).bit_length())
     lo, hi = cyc_embed(e, bits)

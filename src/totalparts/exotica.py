@@ -50,8 +50,8 @@ from multiprocessing import Pool
 import numpy as np
 
 from .exactnum import CycElem, cyc_embed, cyc_sign, two_cos
-from .dicecore import (Die, Sack, demote, fair_total, normalize_pair,
-                       normalize_to_die, poly_mul, root_product)
+from .dicecore import (Die, Sack, fair_total, normalize_pair, normalize_to_die,
+                       poly_mul, root_product)
 
 M3_RATIO_BOUND = Fraction(60, 143)
 
@@ -514,7 +514,7 @@ def verify_tridecahedral() -> TridecahedralReport:
     palindromic = d.is_palindromic() and dhat.is_palindromic()
     total = poly_mul(d.poly(), dhat.poly())
     fair = fair_total((k, k))
-    product_ok = all(demote(a) == b for a, b in zip(total, fair))
+    product_ok = all(a == b for a, b in zip(total, fair))
     tol = Fraction(5, 10 ** 8)
     ok = True
     max_slack = Fraction(0)

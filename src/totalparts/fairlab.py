@@ -24,7 +24,8 @@ from .dicecore import (
     poly_trim,
     root_product,
 )
-from .fibers import ChiFactor, FactorMultiset, LinearFactor, enumerate_fiber, fiber_degree
+from .fibers import (ChiFactor, FactorMultiset, LinearFactor, _compositions,
+                     enumerate_fiber, fiber_degree)
 
 
 @dataclass(frozen=True)
@@ -61,27 +62,24 @@ def _check_order(k: int) -> None:
         raise ValueError("order must be >= 2")
 
 
+def _pairs_per_ell(k: int):
+    # (ell, the number of r with ell entries 2): choose the 2s, then the
+    # k - 1 - 2*ell 1s among the other entries
+    for ell in range((k - 1) // 2 + 1):
+        yield ell, (math.comb(k - 1, ell)
+                    * math.comb(k - ell - 1, k - 1 - 2 * ell))
+
+
 def fair_pair_count(k: int) -> int:
     """Number of pairs of totally fair dice of order k."""
     _check_order(k)
-    return sum(math.comb(k - 1, ell) * math.comb(k - ell - 1, k - 1 - 2 * ell)
-               for ell in range(0, (k - 1) // 2 + 1))
+    return sum(count for _, count in _pairs_per_ell(k))
 
 
 def multiplicity_vectors(k: int):
-    """All r in {0,1,2}^(k-1) with sum r = k-1, grouped implicitly by the
-    number ell of entries equal to 2."""
-    positions = range(k - 1)
-    for ell in range(0, (k - 1) // 2 + 1):
-        for twos in itertools.combinations(positions, ell):
-            rest = [m for m in positions if m not in twos]
-            for ones in itertools.combinations(rest, k - 1 - 2 * ell):
-                r = [0] * (k - 1)
-                for m in twos:
-                    r[m] = 2
-                for m in ones:
-                    r[m] = 1
-                yield tuple(r)
+    """All r in {0,1,2}^(k-1) with sum r = k-1."""
+    _check_order(k)
+    return _compositions(k - 1, (2,) * (k - 1))
 
 
 def enumerate_fair_pairs(k: int):
@@ -114,9 +112,8 @@ def ramification_check(k: int) -> tuple[int, int]:
     general fiber.
     """
     _check_order(k)
-    lhs = sum((2 ** (k - 1 - 2 * ell))
-              * math.comb(k - 1, ell) * math.comb(k - ell - 1, k - 1 - 2 * ell)
-              for ell in range(0, (k - 1) // 2 + 1))
+    lhs = sum(2 ** (k - 1 - 2 * ell) * count
+              for ell, count in _pairs_per_ell(k))
     rhs = fiber_degree((k, k))
     return lhs, rhs
 

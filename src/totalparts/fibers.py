@@ -29,7 +29,6 @@ from .dicecore import (
     ZeroSum,
     _json_shaped,
     as_scalar,
-    demote,
     normalize_to_die,
     poly_gcd,
     poly_mul,
@@ -63,7 +62,7 @@ class LinearFactor:
     root: object
 
     def __post_init__(self):
-        object.__setattr__(self, "root", demote(as_scalar(self.root)))
+        object.__setattr__(self, "root", as_scalar(self.root))
 
     degree = 1
 
@@ -99,7 +98,7 @@ class ChiFactor:
         return two_cos(self.m, self.k)
 
     def coeffs(self):
-        return [Fraction(1), -demote(self.tau), Fraction(1)]
+        return [Fraction(1), -as_scalar(self.tau), Fraction(1)]
 
     def to_json(self):
         return {"type": "chi", "m": self.m, "k": self.k}
@@ -348,8 +347,11 @@ def coins_parts_from_total(f: DistPoly, n: int) -> CoinParts:
     """Recover the multiset of head probabilities of n coins from the total.
 
     Forms the head polynomial prod(p - h_j) = p^n f(1 - 1/p) and reads off
-    its roots.
+    its roots.  A count n that is not an int, a bool included, raises
+    DegenerateTotal.
     """
+    if type(n) is not int:
+        raise DegenerateTotal(f"a coin count must be an int, not {n!r}")
     if len(f.coeffs) != n + 1:
         raise DegenerateTotal("a total of n coins has length n+1")
     poly = _head_polynomial(f.coeffs)

@@ -2,7 +2,7 @@
 oracles divide a total by chi_{m,k} with it, independently of the scan
 path."""
 
-from totalparts.dicecore import _poly_divmod, as_scalar, demote, poly_trim
+from totalparts.dicecore import _poly_divmod, as_scalar, poly_trim
 
 
 class InexactDivision(ArithmeticError):
@@ -21,4 +21,4 @@ def poly_divide_exact(num, den):
     q, r = _poly_divmod(num, den)
     if r[-1]:
         raise InexactDivision("nonzero remainder")
-    return [demote(c) for c in q]
+    return [as_scalar(c) for c in q]

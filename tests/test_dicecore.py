@@ -13,7 +13,6 @@ from totalparts.dicecore import (
     Sack,
     ZeroSum,
     as_scalar,
-    demote,
     normalize_pair,
     normalize_poly,
     normalize_to_die,
@@ -22,10 +21,12 @@ from totalparts.dicecore import (
     poly_sum,
     psi,
     root_product,
+    scalar_from_json,
 )
 from totalparts.crapseval import CrapsTotals
-from totalparts.exactnum import CycElem, cyc_embed, cyc_sign, phi
+from totalparts.exactnum import CycElem, cyc_embed, cyc_sign, phi, two_cos
 from totalparts.fairlab import multiplicity_vectors
+from totalparts.fibers import ChiFactor, LinearFactor
 
 from reference_division import InexactDivision, poly_divide_exact
 
@@ -159,6 +160,48 @@ def test_die_json_rejects_mismatched_order():
         Die.from_json({"order": 3, "probs": ["1/2", "1/2"]})
 
 
+# Rational values that arrive as CycElems: 0 at conductor 5,
+# 2cos(2 pi/6) = 1, zeta_4^2 = -1 and 1/2 at conductor 84.
+RATIONAL_ELEMS = {
+    "zero_5": CycElem(5, [0]),
+    "two_cos_1_6": two_cos(1, 6),
+    "zeta_4_2": CycElem.zeta(4, 2),
+    "half_84": CycElem(84, [F(1, 2)]),
+}
+
+# Every boundary that stores a scalar, as the scalars it stores for x.
+STORING = {
+    "as_scalar": lambda x: [as_scalar(x)],
+    "die": lambda x: Die((x, 1 - x)).probs,
+    "dist_poly": lambda x: DistPoly((x, 1 - x)).coeffs,
+    "linear_factor": lambda x: [LinearFactor(x).root],
+    "chi_factor": lambda x: ChiFactor(1, 6).coeffs(),
+    "scalar_from_json": lambda x: [scalar_from_json(
+        {"conductor": x.n, "coords": [str(c) for c in x.coords]})],
+    # t^n - 1, the product over every n-th root of unity
+    "root_product": lambda x: root_product(x.n, range(x.n)),
+    "normalize_poly": lambda x: normalize_poly([x, 2]),
+    "cyc_sign": lambda x: [cyc_sign(x).value],
+    "cyc_embed": lambda x: cyc_embed(x, 8),
+}
+
+
+@pytest.mark.parametrize("store", STORING.values(), ids=STORING.keys())
+@pytest.mark.parametrize("x", RATIONAL_ELEMS.values(),
+                         ids=RATIONAL_ELEMS.keys())
+def test_every_rational_value_is_stored_as_a_fraction(x, store):
+    assert all(type(c) is Fraction for c in store(x))
+    q = as_scalar(x)
+    assert q == x and cyc_embed(x, 8) == (q, q)
+
+
+@pytest.mark.parametrize("x", [CycElem.zeta(4), two_cos(1, 7),
+                               CycElem(84, [F(1, 2), 3])],
+                         ids=["zeta_4", "two_cos_1_7", "mixed_84"])
+def test_an_irrational_element_is_stored_as_itself(x):
+    assert as_scalar(x) is x
+
+
 def test_float_coefficients_rejected():
     with pytest.raises(TypeError, match="not an exact scalar: 0.5"):
         poly_mul([0.5], [F(1, 3)])
@@ -195,9 +238,6 @@ REFUSALS = {
     "cyc_sign_float": lambda: cyc_sign(0.5),
     "cyc_embed_bool": lambda: cyc_embed(False, 8),
     "cyc_embed_float": lambda: cyc_embed(0.25, 8),
-    "from_rational_bool": lambda: CycElem.from_rational(True, 3),
-    "from_rational_float": lambda: CycElem.from_rational(0.5, 3),
-    "from_rational_string": lambda: CycElem.from_rational("1/2", 3),
 }
 
 
@@ -232,12 +272,13 @@ def ref_poly_sum(p):
 
 
 def ref_normalize_poly(p):
-    p = [as_scalar(c) for c in p]
+    # a CycElem entry keeps its conductor, as in the library's sum
+    p = [c if isinstance(c, CycElem) else as_scalar(c) for c in p]
     total = ref_poly_sum(p)
     if not total:
         raise ZeroSum("coefficient sum is exactly zero")
     inv = total.inverse() if isinstance(total, CycElem) else 1 / total
-    return [demote(c * inv) for c in p]
+    return [as_scalar(c * inv) for c in p]
 
 
 def ref_parts_to_total(sack):
@@ -245,7 +286,7 @@ def ref_parts_to_total(sack):
     for die in sack.dice:
         prod = ref_poly_mul(prod, die.poly())
     prod += [F(0)] * (sack.T + 1 - len(prod))
-    return DistPoly(tuple(demote(c) for c in prod))
+    return DistPoly(tuple(as_scalar(c) for c in prod))
 
 
 def exact(x):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from totalparts.dicecore import (
     Die,
     Sack,
-    demote,
+    as_scalar,
     fair_total,
     normalize_pair,
     parts_to_total,
@@ -204,7 +204,7 @@ def _poly_mul_chain(chis, x1_count, conductor, exponents=()):
             poly = poly_mul(poly, [F(1), -tau, F(1)])
     for _ in range(x1_count):
         poly = poly_mul(poly, [F(1), F(1)])
-    return [demote(c) for c in poly]
+    return [as_scalar(c) for c in poly]
 
 
 @st.composite

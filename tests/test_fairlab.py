@@ -144,7 +144,8 @@ def test_ramification_6_reproduces_the_published_sum():
     assert ramification_check(6) == (252, 252)
 
 
-@pytest.mark.parametrize("check", [ramification_check, coin_die_fair_check])
+@pytest.mark.parametrize("check", [ramification_check, coin_die_fair_check,
+                                   multiplicity_vectors])
 @pytest.mark.parametrize("k", [1, 0, -2])
 def test_order_below_2_is_refused_before_any_work(check, k, monkeypatch):
     def no_work(*args):

@@ -331,6 +331,17 @@ def test_coin_functions_refuse_cyclotomic_and_wrong_length_totals(call):
         call(DistPoly((F(1, 3), F(2, 3))))
 
 
+@pytest.mark.parametrize("n", [True, 1.0, "1"], ids=["true", "float", "string"])
+def test_a_coin_count_that_is_not_an_int_is_refused_before_any_work(
+        n, monkeypatch):
+    def no_work(coeffs):
+        raise AssertionError("the head polynomial was built")
+
+    monkeypatch.setattr(fibers, "_head_polynomial", no_work)
+    with pytest.raises(DegenerateTotal, match="must be an int"):
+        coins_parts_from_total(DistPoly((F(1, 3), F(2, 3))), n)
+
+
 # (rational roots, residual): the residual x^2 - x + 1/5 has discriminant
 # 1/5, not a rational square, so its two coins have head probabilities
 # (5 +- sqrt 5)/10

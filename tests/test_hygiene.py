@@ -1,7 +1,7 @@
 """Source hygiene: every name a package module imports is used, every
 private module-level function and every method is referenced somewhere,
-no module reaches into exactnum's private number format, and the package
-runs without mpmath."""
+no module reaches into exactnum's private number format or decides a
+scalar's stored form, and the package runs without mpmath."""
 
 import ast
 import collections
@@ -116,6 +116,22 @@ def test_no_private_exactnum_imports(path):
                         if alias.name.startswith("_")}
     leaked = sorted(private - EXACTNUM_SHARED)
     assert not leaked, f"{path.name} imports {leaked} from exactnum"
+
+
+# What a CycElem is made of, and whether its value is rational: read only
+# inside exactnum, whose as_scalar alone decides a scalar's stored form.
+CYCELEM_INTERNALS = {"is_rational", "nums", "den"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_only_exactnum_reads_a_cyc_elems_internals(path):
+    if path.stem == "exactnum":
+        return
+    read = {node.attr for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)}
+    leaked = sorted(read & CYCELEM_INTERNALS)
+    assert not leaked, f"{path.name} reads CycElem internals {leaked}"
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
