@@ -176,7 +176,7 @@ def _cmd_scan(args):
                 continue
             writer.writerow([r.k, r.M, r.R.numerator, r.R.denominator,
                              round(float(r.R), places)])
-            if args.command == "scatter" and r.R > M3_RATIO_BOUND:
+            if args.ell == 3 and r.R > M3_RATIO_BOUND:
                 print(f"WARNING: R3({r.k}) = {r.R} exceeds the conjectured "
                       f"bound 60/143", file=sys.stderr)
     return 0
@@ -277,7 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--orders", type=_int_list(2), required=True)
     p.set_defaults(func=_cmd_exotic)
 
-    p = sub.add_parser("s3scan", help="order-3 swap scan table")
+    p = sub.add_parser("s3scan", aliases=["scatter"],
+                       help="order-3 swap scan table; warns on R3 > 60/143")
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--csv", default=None)
     p.set_defaults(func=_cmd_scan, ell=3)
@@ -290,11 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("swaps", help="diagonal swap census of one order")
     p.add_argument("--order", type=int, required=True)
     p.set_defaults(func=_cmd_swaps)
-
-    p = sub.add_parser("scatter", help="plot-ready (k, R3) CSV with bound check")
-    p.add_argument("--kmax", type=int, required=True)
-    p.add_argument("--csv", default=None)
-    p.set_defaults(func=_cmd_scan, ell=3)
 
     p = sub.add_parser("craps", help="exact craps evaluation")
     p.add_argument("--totals", default=None,

@@ -54,7 +54,7 @@ class ZeroSum(ArithmeticError):
 def render_scalar(x) -> str:
     if isinstance(x, CycElem):
         return x.render()
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    return str(x)
 
 
 def scalar_to_json(x):
@@ -152,14 +152,8 @@ def root_product(n: int, exponents, x1_count: int = 0):
     return [as_scalar(CycElem.from_power_basis(n, c)) for c in poly]
 
 
-def poly_sum(p):
-    ints = _rational_ints(p)
-    return sum(p) if ints is None else Fraction(sum(ints[0]), ints[1])
-
-
 def _sums_to_one(p) -> bool:
-    # the exact test poly_sum(p) == 1, on integer numerators when p is
-    # rational
+    # the exact test sum(p) == 1, on integer numerators when p is rational
     ints = _rational_ints(p)
     return sum(p) == 1 if ints is None else sum(ints[0]) == ints[1]
 
@@ -218,9 +212,6 @@ class Die:
     @property
     def order(self) -> int:
         return len(self.probs)
-
-    def poly(self):
-        return list(self.probs)
 
     def reverse(self) -> "Die":
         return Die(self.probs[::-1])
@@ -376,13 +367,14 @@ def normalize_pair(p, q) -> tuple[Die, Die]:
 
     p(1) q(1) = psi_k(1) psi_k'(1) = k k', so 1/p(1) = q(1)/(k k'): each
     die is its product times the other's coefficient sum over k k', one
-    product per coefficient.  Die's exact check that the probabilities sum
-    to 1 certifies the premise.
+    product per coefficient.  Each sum is taken over :func:`as_scalar` of
+    the entries, so it is exact and a bool or a float is refused.  Die's
+    exact check that the probabilities sum to 1 certifies the premise.
     """
     kk = len(p) * len(q)
     return tuple(Die(tuple(c * scale for c in poly))
-                 for poly, scale in ((p, poly_sum(q) / kk),
-                                     (q, poly_sum(p) / kk)))
+                 for poly, scale in ((p, sum(map(as_scalar, q)) / kk),
+                                     (q, sum(map(as_scalar, p)) / kk)))
 
 
 def psi(k: int):

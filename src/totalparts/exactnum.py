@@ -231,7 +231,7 @@ def _basis_traces(n: int) -> tuple[Fraction, ...]:
 
 
 def _is_rational(x) -> bool:
-    # the one gate; the fast paths of * and / spell it inline
+    # the one gate; the fast path of * spells it inline
     return isinstance(x, (int, Fraction)) and type(x) is not bool
 
 
@@ -408,12 +408,10 @@ class CycElem:
         return CycElem._make(self.n, [self.den * r for r in rest], norm)
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)) and type(other) is not bool:
+        if _is_rational(other):
             if not other:
                 raise ZeroDivisionError("division of CycElem by zero")
-            return CycElem._make(self.n,
-                                 [a * other.denominator for a in self.nums],
-                                 self.den * other.numerator)
+            return self * Fraction(1, other)
         if isinstance(other, CycElem):
             return self * other.inverse()
         return NotImplemented

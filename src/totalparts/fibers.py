@@ -302,6 +302,11 @@ def coin_pair_solve(f: DistPoly) -> CoinPairSolutions:
     return CoinPairSolutions(pairs, disc)
 
 
+# The largest cleared constant or leading numerator whose divisors
+# _rational_roots lists; trial division then takes at most about 10**6 steps.
+_ROOT_SEARCH_LIMIT = 10 ** 12
+
+
 def _rational_roots(p):
     # The rational roots (with multiplicity) of a monic Fraction polynomial,
     # and the monic residual carrying the others, None when it is 1.
@@ -311,7 +316,11 @@ def _rational_roots(p):
         p = p[1:]
     while len(p) > 1:
         denom = math.lcm(*(c.denominator for c in p))
-        tops, bottoms = (divisors(abs(int(c * denom))) for c in (p[0], p[-1]))
+        ends = [abs(int(c * denom)) for c in (p[0], p[-1])]
+        if max(ends) > _ROOT_SEARCH_LIMIT:
+            raise DegenerateTotal("the rational-root search is refused above "
+                                  f"{_ROOT_SEARCH_LIMIT}, got {max(ends)}")
+        tops, bottoms = map(divisors, ends)
         candidates = (Fraction(sign * num, den)
                       for num in tops for den in bottoms
                       if math.gcd(num, den) == 1 for sign in (1, -1))
@@ -347,8 +356,10 @@ def coins_parts_from_total(f: DistPoly, n: int) -> CoinParts:
     """Recover the multiset of head probabilities of n coins from the total.
 
     Forms the head polynomial prod(p - h_j) = p^n f(1 - 1/p) and reads off
-    its roots.  A count n that is not an int, a bool included, raises
-    DegenerateTotal.
+    its rational roots by trial division of the constant and leading
+    numerators cleared of denominators.  A count n that is not an int, a
+    bool included, raises DegenerateTotal, and so does a cleared numerator
+    above ``_ROOT_SEARCH_LIMIT`` = 10**12, checked before each search.
     """
     if type(n) is not int:
         raise DegenerateTotal(f"a coin count must be an int, not {n!r}")

@@ -192,12 +192,14 @@ def test_scatter_reports_no_violations(capsys):
     assert "143,60,60,143" in out
 
 
-def test_scatter_warns_on_a_ratio_above_the_bound(capsys, monkeypatch):
+@pytest.mark.parametrize("command", ["scatter", "s3scan"])
+def test_scatter_warns_on_a_ratio_above_the_bound(command, capsys,
+                                                  monkeypatch):
     real = exotica.s_scan
     # S_3(20) = (9,) would give R3(20) = 9/20 > 60/143
     monkeypatch.setattr(exotica, "s_scan", lambda ell, k: (
         exotica.ScanRecord(k, (9,)) if k == 20 else real(ell, k)))
-    code, out, err = _run(capsys, "scatter", "--kmax", "30")
+    code, out, err = _run(capsys, command, "--kmax", "30")
     assert code == 0
     assert err == ("WARNING: R3(20) = 9/20 exceeds the conjectured "
                    "bound 60/143\n")

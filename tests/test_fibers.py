@@ -375,6 +375,29 @@ def test_coins_parts_from_total_splits_off_the_rational_roots(name):
     assert parts.polynomial == tuple(want)
 
 
+def _coins_total(heads):
+    total = [F(1)]
+    for p in heads:
+        total = ref_poly_mul(total, [1 - p, p])
+    return DistPoly(tuple(total))
+
+
+def test_the_rational_root_search_is_bounded_before_any_trial_division(
+        monkeypatch):
+    # denominators near 10**6 clear to just under the limit and still solve
+    heads = (F(499979, 999983), F(500029, 1000003))
+    assert coins_parts_from_total(_coins_total(heads), 2).roots == heads
+
+    def no_search(n):
+        raise AssertionError(f"divisors({n}) was called")
+
+    monkeypatch.setattr(fibers, "divisors", no_search)
+    near_1e7 = _coins_total((F(4999999, 9999991), F(5000011, 10000019),
+                             F(5000021, 10000079)))
+    with pytest.raises(DegenerateTotal, match="rational-root search"):
+        coins_parts_from_total(near_1e7, 3)
+
+
 def test_factor_multiset_json_round_trip():
     fm = FactorMultiset((
         (LinearFactor(F(-1)), 2),
