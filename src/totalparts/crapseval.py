@@ -6,10 +6,13 @@ other total t becomes the point, which wins when t is rolled again before a
 f_t/(f_t + f_7) obtained by summing the geometric series over the rolls
 that are neither t nor 7.
 
-A rational total is played on integers.  Its 11 probabilities become
-numerators n_2..n_12 over one positive denominator D once; the checks that
-they are nonnegative and sum to 1 read n_t >= 0 and sum n_t = D, and the
-game is P(win | point t) = n_t/(n_t + n_7), P(come-out t and win) =
+A rational total is played on integers: numerators n_2..n_12 over one
+positive denominator D.  :func:`craps_from_sack` reads them from the
+``DistPoly`` that :func:`parts_to_total` built from the dice's own stored
+numerators, so no probability is converted on that path; a
+:class:`CrapsTotals` built from ``Fraction``s converts them once.  The checks
+that they are nonnegative and sum to 1 read n_t >= 0 and sum n_t = D, and
+the game is P(win | point t) = n_t/(n_t + n_7), P(come-out t and win) =
 n_t^2/(D (n_t + n_7)), and p_win is one integer numerator over
 D prod (n_t + n_7).  ``Fraction``s are built only for the values a
 :class:`CrapsReport` returns.  A cyclotomic total gets a certified sign per
@@ -152,8 +155,8 @@ def craps_from_sack(sack: Sack) -> CrapsReport:
         raise InvalidDistribution("craps needs real dice")
     total = parts_to_total(sack)
     coeffs = total.coeffs
-    if all(isinstance(c, Fraction) for c in coeffs):
-        nums, den = _numerators(coeffs)
+    if total._ints is not None:
+        nums, den = total._ints
         if any(a < 0 for a in nums):
             raise InvalidDistribution("total has a negative probability")
         return _evaluate(CrapsTotals._from_numerators(coeffs, nums, den),

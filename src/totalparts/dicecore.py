@@ -16,7 +16,16 @@ rational value and a ``CycElem`` only for an irrational one.
 number of them, so a product of several factors, the forward map's
 included, is one call.  A rational polynomial is multiplied, summed and
 normalized as integer numerators over one positive denominator, and
-``Fraction``s are built only for the result.  Every other list, all ints
+``Fraction``s are built only for the result.  A rational :class:`Die` or
+:class:`DistPoly` keeps its numerators from construction on, as a private
+pair ``_ints`` = (nums, den), den > 0 the least common denominator; it is
+``None`` for a cyclotomic one.  Each class checks the sum to 1 on those
+integers, and has one private constructor ``_from_ints`` that builds its
+``Fraction``s once from a pair: :func:`normalize_to_die` makes a die
+straight from a rational list's numerators, :func:`parts_to_total`
+convolves the stored numerators of rational dice, and craps reads the
+total's pair.  No rational die or total converts its scalars again.  Every
+other list, all ints
 or holding a ``CycElem``, goes straight to ``exactnum._conv_ints``, which
 asks of an entry only that it be false exactly at zero.  Lists of ints stay
 in Z[x], so a caller that normalizes at the end can carry bare integer
@@ -38,7 +47,7 @@ took 1.8 times as long as :func:`poly_mul` on the dense (7, 12) sacks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exactnum import (CycElem, _conv_ints, _fractions, _numerators, as_scalar,
@@ -152,12 +161,6 @@ def root_product(n: int, exponents, x1_count: int = 0):
     return [as_scalar(CycElem.from_power_basis(n, c)) for c in poly]
 
 
-def _sums_to_one(p) -> bool:
-    # the exact test sum(p) == 1, on integer numerators when p is rational
-    ints = _rational_ints(p)
-    return sum(p) == 1 if ints is None else sum(ints[0]) == ints[1]
-
-
 def poly_trim(p):
     p = list(p)
     while len(p) > 1 and not p[-1]:
@@ -195,19 +198,57 @@ def poly_gcd(a, b):
 
 # -- core types --------------------------------------------------------------
 
+def _checked_ints(nums, den: int, what: str):
+    # (nums, den) as stored, a tuple and den, after the exact check on the
+    # integers that nums/den sums to 1
+    if sum(nums) != den:
+        raise ValueError(f"{what} must sum to 1 exactly")
+    return tuple(nums), den
+
+
+def _sum_one_ints(values, what: str):
+    # The stored pair of scalars values after the exact check that they sum
+    # to 1: (nums, den) when they are rational, None with a CycElem.
+    ints = _rational_ints(values)
+    if ints is not None:
+        return _checked_ints(*ints, what)
+    if sum(values) != 1:
+        raise ValueError(f"{what} must sum to 1 exactly")
+    return None
+
+
+def _with_ints(cls, name: str, ints):
+    # An instance of cls whose field name holds the Fractions of the checked
+    # pair ints, built once; __post_init__ would only convert them back.
+    self = object.__new__(cls)
+    object.__setattr__(self, name, _fractions(*ints))
+    object.__setattr__(self, "_ints", ints)
+    return self
+
+
 @dataclass(frozen=True)
 class Die:
     """A die of order k: probability vector of length k summing to 1."""
 
     probs: tuple
+    # (nums, den) with probs == nums/den, None for a cyclotomic die
+    _ints: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         probs = tuple(map(as_scalar, self.probs))
         if len(probs) < 2:
             raise ValueError("a die needs order at least 2")
-        if not _sums_to_one(probs):
-            raise ValueError("die probabilities must sum to 1 exactly")
+        object.__setattr__(self, "_ints",
+                           _sum_one_ints(probs, "die probabilities"))
         object.__setattr__(self, "probs", probs)
+
+    @classmethod
+    def _from_ints(cls, nums, den: int) -> "Die":
+        # The die nums/den, den > 0 and gcd(nums) = 1, checked on the integers.
+        if len(nums) < 2:
+            raise ValueError("a die needs order at least 2")
+        return _with_ints(cls, "probs",
+                          _checked_ints(nums, den, "die probabilities"))
 
     @property
     def order(self) -> int:
@@ -217,7 +258,8 @@ class Die:
         return Die(self.probs[::-1])
 
     def is_real(self) -> bool:
-        return all(not isinstance(p, CycElem) or p.is_real() for p in self.probs)
+        return self._ints is not None or all(
+            not isinstance(p, CycElem) or p.is_real() for p in self.probs)
 
     def is_strict(self) -> bool:
         """Real with every entry certified >= 0."""
@@ -296,12 +338,21 @@ class DistPoly:
     """A total distribution: coefficient vector f_0..f_T summing to 1."""
 
     coeffs: tuple
+    # (nums, den) with coeffs == nums/den, None for a cyclotomic total
+    _ints: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         coeffs = tuple(map(as_scalar, self.coeffs))
-        if not _sums_to_one(coeffs):
-            raise ValueError("total distribution must sum to 1 exactly")
+        object.__setattr__(self, "_ints",
+                           _sum_one_ints(coeffs, "total distribution"))
         object.__setattr__(self, "coeffs", coeffs)
+
+    @classmethod
+    def _from_ints(cls, nums, den: int) -> "DistPoly":
+        # The total nums/den, den > 0 and gcd(nums) = 1, checked on the
+        # integers.
+        return _with_ints(cls, "coeffs",
+                          _checked_ints(nums, den, "total distribution"))
 
     def reverse(self) -> "DistPoly":
         return DistPoly(self.coeffs[::-1])
@@ -321,10 +372,24 @@ class DistPoly:
 # -- operations --------------------------------------------------------------
 
 def parts_to_total(sack: Sack) -> DistPoly:
-    """Total distribution of a sack: the product of its dice polynomials."""
-    prod = poly_mul(*(die.probs for die in sack.dice))
-    prod += [Fraction(0)] * (sack.T + 1 - len(prod))
-    return DistPoly(tuple(prod))
+    """Total distribution of a sack: the product of its dice polynomials,
+    of length T + 1 as each die's has length k.  Rational dice multiply
+    their stored numerators, over the product of their denominators."""
+    pairs = [die._ints for die in sack.dice]
+    if None in pairs:
+        return DistPoly(tuple(poly_mul(*(die.probs for die in sack.dice))))
+    return DistPoly._from_ints(_conv_all([xs for xs, _ in pairs]),
+                               math.prod(d for _, d in pairs))
+
+
+def _normalized_ints(nums) -> tuple[list[int], int]:
+    # (ys, D) with ys/D = nums/sum(nums), D > 0 and gcd(ys) = 1, so that D
+    # is the least common denominator of the scaled list.  Raises ZeroSum.
+    total = sum(nums)
+    if not total:
+        raise ZeroSum("coefficient sum is exactly zero")
+    g = math.gcd(*nums) if total > 0 else -math.gcd(*nums)
+    return [a // g for a in nums], total // g
 
 
 def normalize_poly(p):
@@ -337,11 +402,11 @@ def normalize_poly(p):
     costs one inversion and one integer product per coefficient.
     """
     ints = _rational_ints(p)
-    total = sum(p) if ints is None else sum(ints[0])
+    if ints is not None:
+        return list(_fractions(*_normalized_ints(ints[0])))
+    total = sum(p)
     if not total:
         raise ZeroSum("coefficient sum is exactly zero")
-    if ints is not None:
-        return [Fraction(a, total) for a in ints[0]]
     inv = 1 / total
     return [as_scalar(c * inv) for c in p]
 
@@ -349,16 +414,23 @@ def normalize_poly(p):
 def normalize_to_die(p, order: int | None = None) -> Die:
     """The die obtained by scaling p to coefficient sum 1.
 
-    ``order`` pads with trailing zeros; it defaults to max(len(p), 2).
+    ``order`` pads with trailing zeros; it defaults to max(len(p), 2).  A
+    rational p gives the die nums/sum(nums) on its integer numerators, with
+    no ``Fraction`` built but the die's own.
     """
-    coeffs = normalize_poly(p)
+    ints = _rational_ints(p)
+    if ints is None:
+        coeffs, den = normalize_poly(p), None
+    else:
+        coeffs, den = _normalized_ints(ints[0])
     k = order if order is not None else max(len(coeffs), 2)
     if len(coeffs) > k:
         coeffs = poly_trim(coeffs)
         if len(coeffs) > k:
             raise ValueError(f"polynomial degree too high for order {k}")
-    coeffs = list(coeffs) + [Fraction(0)] * (k - len(coeffs))
-    return Die(tuple(coeffs))
+    if den is None:
+        return Die((*coeffs, *[Fraction(0)] * (k - len(coeffs))))
+    return Die._from_ints((*coeffs, *[0] * (k - len(coeffs))), den)
 
 
 def normalize_pair(p, q) -> tuple[Die, Die]:

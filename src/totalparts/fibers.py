@@ -247,11 +247,15 @@ def enumerate_fiber(factors: FactorMultiset, sack_type):
 
 
 def total_is_squarefree(total: DistPoly) -> bool:
-    """Exact gcd(f, f') = 1 test; only defined for rational totals."""
-    f = [Fraction(c) for c in poly_trim(total.coeffs)]
-    fp = [i * c for i, c in enumerate(f)][1:] or [Fraction(0)]
-    g = poly_gcd(f, fp)
-    return len(g) == 1
+    """Exact gcd(f, f') = 1 test; only defined for rational totals, and a
+    cyclotomic total raises ValueError before any work.  The gcd runs on
+    the total's stored integer numerators: a monic gcd over Q does not
+    depend on their scale."""
+    if total._ints is None:
+        raise ValueError("the squarefree test needs a rational total")
+    f = poly_trim(total._ints[0])
+    fp = [i * c for i, c in enumerate(f)][1:] or [0]
+    return len(poly_gcd(f, fp)) == 1
 
 
 # -- coins -------------------------------------------------------------------

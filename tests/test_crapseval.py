@@ -17,7 +17,8 @@ from totalparts.crapseval import (
     craps_from_sack,
     geometric_tree_check,
 )
-from totalparts.dicecore import Die, Sack
+from totalparts import crapseval, dicecore
+from totalparts.dicecore import Die, Sack, normalize_to_die, parts_to_total
 from totalparts.exactnum import two_cos
 from totalparts.fairlab import enumerate_fair_pairs
 
@@ -193,6 +194,23 @@ def test_rational_sack_with_a_negative_total_is_refused():
     with pytest.raises(InvalidDistribution,
                        match="^total has a negative probability$"):
         craps_from_sack(Sack((d, d)))
+
+
+def test_craps_on_a_rational_sack_converts_no_probability_list(monkeypatch):
+    # The dice and their total keep their integer numerators from
+    # construction, so craps_from_sack reads them and rebuilds none.
+    sack = Sack((Die((F(1, 12), F(1, 6), F(1, 4)) * 2),
+                 normalize_to_die([1, 2, 3, 4, 5, 6])))
+    want = craps_evaluate(CrapsTotals(parts_to_total(sack).coeffs))
+
+    def refused(*args):
+        raise AssertionError("a stored numerator list was rebuilt")
+
+    monkeypatch.setattr(crapseval, "_numerators", refused)
+    monkeypatch.setattr(dicecore, "_rational_ints", refused)
+    with pytest.raises(AssertionError):  # the patches are live
+        CrapsTotals(want.totals.probs)
+    assert craps_from_sack(sack) == want
 
 
 @pytest.mark.parametrize("probs, error, message", [

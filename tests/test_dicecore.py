@@ -1,5 +1,8 @@
 """Dice, sacks, the forward map, and exact polynomial helpers."""
 
+import dataclasses
+import pickle
+import re
 from fractions import Fraction
 
 import pytest
@@ -439,3 +442,105 @@ def test_parts_to_total_matches_the_schoolbook(ps):
     sack = Sack(tuple(dice))
     assert exacts(parts_to_total(sack).coeffs) == \
         exacts(ref_parts_to_total(sack).coeffs)
+    for die in dice:
+        check_as_rebuilt(die, Die(die.probs))
+    check_as_rebuilt(parts_to_total(sack), ref_parts_to_total(sack))
+
+
+# -- the stored numerators ----------------------------------------------------
+#
+# A rational Die or DistPoly keeps its scalars' integer numerators over
+# their least common denominator.  One made from numerators, by
+# normalize_to_die or parts_to_total, must be the object that the public
+# constructor makes from its scalars, the stored pair included.
+
+def scalars_of(x):
+    return x.probs if isinstance(x, Die) else x.coeffs
+
+
+def check_as_rebuilt(made, rebuilt):
+    assert made == rebuilt and hash(made) == hash(rebuilt)
+    assert repr(made) == repr(rebuilt)
+    assert made.to_json() == rebuilt.to_json()
+    assert exacts(scalars_of(made)) == exacts(scalars_of(rebuilt))
+    assert made._ints == rebuilt._ints
+    if made._ints is not None:
+        nums, den = made._ints
+        assert type(nums) is tuple and all(type(a) is int for a in nums)
+        assert den > 0 and sum(nums) == den
+    copy = pickle.loads(pickle.dumps(made))
+    assert copy == made and repr(copy) == repr(made)
+    assert copy._ints == made._ints
+
+
+def ref_normalize_to_die(p, order=None):
+    q = ref_normalize_poly(p)
+    k = order if order is not None else max(len(q), 2)
+    while len(q) > k and not q[-1]:
+        q.pop()
+    if len(q) > k:
+        raise ValueError(f"polynomial degree too high for order {k}")
+    return Die(tuple(q) + (F(0),) * (k - len(q)))
+
+
+NORMALIZED = {
+    "fractions": ([F(1, 2), F(1, 3), F(1, 6)], None),
+    "ints_with_a_common_factor": ([2, 4, 6], None),
+    "negative_sum": ([F(-1, 2), 1, F(-3, 2), -2], None),
+    "mixed_signs_negative_sum": ([3, -5, 1], 4),
+    "trailing_zeros_beyond_order": ([1, 2, 0, 0, F(0)], 2),
+    "padded_to_order": ([F(1, 3), F(2, 3)], 5),
+}
+
+
+@pytest.mark.parametrize("p, order", NORMALIZED.values(),
+                         ids=NORMALIZED.keys())
+def test_a_normalized_die_is_the_die_of_its_probabilities(p, order):
+    die = normalize_to_die(p, order)
+    check_as_rebuilt(die, ref_normalize_to_die(p, order))
+    assert die._ints[1] > 0
+
+
+def test_normalized_numerators_are_in_lowest_terms_over_a_positive_sum():
+    assert normalize_to_die([2, 4, 6])._ints == ((1, 2, 3), 6)
+    assert normalize_to_die([-2, -4, 0, 0], order=3)._ints == ((1, 2, 0), 3)
+    assert normalize_to_die([3, -5, 1])._ints == ((-3, 5, -1), 1)
+
+
+@pytest.mark.parametrize("p, order", [
+    ([1, -1], None),
+    ([F(1, 2), 0, F(-1, 2)], None),
+    ([1, 0, -1, 0], 1),  # the zero sum is found before the degree
+], ids=["ints", "fractions", "order_too_low"])
+def test_a_zero_sum_does_not_normalize(p, order):
+    with pytest.raises(ZeroSum):
+        normalize_to_die(p, order)
+
+
+def test_replace_recomputes_the_stored_numerators():
+    die = normalize_to_die([1, 2, 3])
+    other = dataclasses.replace(die, probs=(F(1, 4), 0, F(3, 4)))
+    check_as_rebuilt(other, Die((F(1, 4), F(0), F(3, 4))))
+    assert other._ints == ((1, 0, 3), 4)
+    assert dataclasses.replace(die, probs=(Z3, -Z3, 1))._ints is None
+    total = parts_to_total(Sack((die, die)))
+    swapped = dataclasses.replace(total, coeffs=total.coeffs[::-1])
+    check_as_rebuilt(swapped, DistPoly(total.coeffs[::-1]))
+    assert swapped._ints == (total._ints[0][::-1], total._ints[1])
+    with pytest.raises(ValueError, match="must sum to 1 exactly"):
+        dataclasses.replace(die, probs=(F(1, 2), F(1, 3)))
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(die, _ints=((1, 1), 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.one_of(int_polys, fraction_polys, polys()),
+       order=st.one_of(st.none(), st.integers(min_value=0, max_value=8)))
+def test_normalize_to_die_matches_the_fraction_reference(p, order):
+    try:
+        want = ref_normalize_to_die(p, order)
+    except (ZeroSum, ValueError) as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            normalize_to_die(p, order)
+        return
+    check_as_rebuilt(normalize_to_die(p, order), want)

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from totalparts import fibers
 from totalparts.dicecore import (Die, DistPoly, Sack, ZeroSum,
-                                 normalize_to_die, parts_to_total, poly_gcd,
-                                 render_scalar)
-from totalparts.exactnum import CycElem
+                                 normalize_poly, normalize_to_die,
+                                 parts_to_total, poly_gcd, poly_mul,
+                                 poly_trim, render_scalar)
+from totalparts.exactnum import CycElem, two_cos
 from totalparts.fibers import (
     ChiFactor,
     DegenerateTotal,
@@ -226,6 +227,39 @@ def test_squarefree_detection():
     repeated = (F(3, 4), F(-11, 4), F(2), F(1))
     assert not total_is_squarefree(DistPoly(repeated))
     assert poly_gcd(repeated, [F(-11, 4), F(4), F(3)]) == [F(-1, 2), F(1)]
+
+
+def test_squarefree_test_refuses_a_cyclotomic_total(monkeypatch):
+    c = two_cos(1, 5)
+    total = DistPoly((F(1, 2) - c / 4, F(1, 2) + c / 4))
+
+    def refused(*args):
+        raise AssertionError("the gcd was started")
+
+    monkeypatch.setattr(fibers, "poly_gcd", refused)
+    with pytest.raises(ValueError,
+                       match="^the squarefree test needs a rational total$"):
+        total_is_squarefree(total)
+
+
+def ref_total_is_squarefree(total):
+    # the gcd on the total's Fractions
+    f = [F(c) for c in poly_trim(total.coeffs)]
+    fp = [i * c for i, c in enumerate(f)][1:] or [F(0)]
+    return len(poly_gcd(f, fp)) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(roots=st.lists(st.sampled_from([F(0), F(-1, 2), F(1, 3), F(2),
+                                       F(-3), F(5, 7)]), max_size=5),
+       pad=st.integers(min_value=0, max_value=2))
+def test_squarefree_test_on_numerators_matches_the_fraction_gcd(roots, pad):
+    # a total with the given roots, padded with zeros past its degree: it is
+    # squarefree exactly when the roots are distinct
+    coeffs = normalize_poly(poly_mul(*([-r, 1] for r in roots)))
+    total = DistPoly((*coeffs, *[F(0)] * pad))
+    assert total_is_squarefree(total) == ref_total_is_squarefree(total) \
+        == (len(set(roots)) == len(roots))
 
 
 def test_coin_pair_solve():
