@@ -16,8 +16,7 @@ import sys
 from fractions import Fraction
 
 from .exactnum import cyc_embed
-from .dicecore import (DistPoly, Sack, ZeroSum, normalize_poly, parts_to_total,
-                       render_scalar)
+from .dicecore import DistPoly, Sack, parts_to_total, render_scalar
 from .fibers import FactorMultiset, enumerate_fiber, fiber_degree
 from .fairlab import (
     coin_die_fair_check,
@@ -97,11 +96,11 @@ def _cmd_solve(args):
     total = DistPoly.from_json(_load_json_arg(args.total))
     if factors.total_degree != len(total.coeffs) - 1:
         raise ValueError("factor multiset degree does not match the total")
-    try:
-        matches = tuple(normalize_poly(factors.product())) == total.coeffs
-    except ZeroSum:
-        matches = False
-    if not matches:
+    # the product normalizes to the total: s = sum(product) != 0 and
+    # product[i] == total[i] * s for every i
+    product = factors.product()
+    s = sum(product)
+    if not s or any(a != b * s for a, b in zip(product, total.coeffs)):
         raise ValueError("factor multiset product does not match the total")
     sacks = enumerate_fiber(factors, args.type)
     _emit(json.dumps([s.to_json() for s in sacks]))

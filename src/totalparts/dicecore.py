@@ -14,26 +14,26 @@ rational value and a ``CycElem`` only for an irrational one.
 
 :func:`poly_mul` is the one product of coefficient lists.  It takes any
 number of them, so a product of several factors, the forward map's
-included, is one call.  A rational polynomial is multiplied, summed and
-normalized as integer numerators over one positive denominator, and
-``Fraction``s are built only for the result.  A rational :class:`Die` or
-:class:`DistPoly` keeps its numerators from construction on, as a private
-pair ``_ints`` = (nums, den), den > 0 the least common denominator; it is
+included, is one call.  Lists of ints stay in Z[x], so a caller that
+normalizes at the end can carry bare integer numerators: normalizing
+divides by the coefficient sum, and the denominator cancels.  Every other
+list, rational or holding a ``CycElem``, is multiplied by the same
+schoolbook loop, ``exactnum._conv_ints``, starting from ``[Fraction(1)]``;
+the loop asks of an entry only that it be false exactly at zero.  Every
+list helper checks each entry by :func:`as_scalar`'s rule first, so a bool
+or a float raises ``TypeError`` wherever it stands, as in a ``Die``.
+
+Integer numerators live in the typed path.  A rational :class:`Die` or
+:class:`DistPoly` keeps them from construction on, as a private pair
+``_ints`` = (nums, den), den > 0 the least common denominator; it is
 ``None`` for a cyclotomic one.  Each class checks the sum to 1 on those
 integers, and has one private constructor ``_from_ints`` that builds its
-``Fraction``s once from a pair: :func:`normalize_to_die` makes a die
-straight from a rational list's numerators, :func:`parts_to_total`
-convolves the stored numerators of rational dice, and craps reads the
-total's pair.  No rational die or total converts its scalars again.  Every
-other list, all ints
-or holding a ``CycElem``, goes straight to ``exactnum._conv_ints``, which
-asks of an entry only that it be false exactly at zero.  Lists of ints stay
-in Z[x], so a caller that normalizes at the end can carry bare integer
-numerators: normalizing divides by the coefficient sum, and the denominator
-cancels.  How a ``CycElem`` stores its coordinates is known only to
-``exactnum``.  Every list helper checks each entry by :func:`as_scalar`'s
-rule before it picks a path, so a bool or a float raises ``TypeError``
-wherever it stands, as in a ``Die``.
+``Fraction``s once from a pair: :func:`normalize_to_die`, the one
+normalizer, makes a die straight from a rational list's numerators,
+:func:`parts_to_total` convolves the stored numerators of rational dice,
+and craps reads the total's pair.  No rational die or total converts its
+scalars again.  How a ``CycElem`` stores its coordinates is known only to
+``exactnum``.
 
 A die built from roots of unity, prod (x - zeta_n^e) * (x+1)^x1, comes from
 :func:`root_product`.  It holds each coefficient as an integer vector over
@@ -128,20 +128,18 @@ def _conv_all(lists) -> list:
 def poly_mul(*polys):
     """Product of any number of coefficient lists; no list gives [1].
 
-    Lists of ints multiply in Z[x] and give ints.  With a CycElem entry the
-    same product starts from [Fraction(1)], so each position a term reaches
-    holds a Fraction or a CycElem, and the rest, int 0s, become Fraction(0).
-    Other rational lists multiply as integer numerators over one
-    denominator, with Fractions built once for the result.
+    Lists of ints multiply in Z[x] and give ints.  Any other product, of
+    rational lists or of lists with a CycElem entry, starts from
+    [Fraction(1)], so each position a term reaches holds a Fraction or a
+    CycElem, and the rest, int 0s, become Fraction(0).
     """
     if all(type(c) is int for p in polys for c in p):
         return _conv_all(polys)
-    parts = [_rational_ints(p) for p in polys]
-    if None in parts:
-        return [Fraction(0) if type(c) is int else c
-                for c in _conv_all([[Fraction(1)], *polys])]
-    nums = _conv_all([xs for xs, _ in parts])
-    return list(_fractions(nums, math.prod(d for _, d in parts)))
+    for p in polys:
+        for c in p:
+            as_scalar(c)  # refuses a bool or a float wherever it stands
+    return [Fraction(0) if type(c) is int else c
+            for c in _conv_all([[Fraction(1)], *polys])]
 
 
 def root_product(n: int, exponents, x1_count: int = 0):
@@ -198,30 +196,17 @@ def poly_gcd(a, b):
 
 # -- core types --------------------------------------------------------------
 
-def _checked_ints(nums, den: int, what: str):
-    # (nums, den) as stored, a tuple and den, after the exact check on the
-    # integers that nums/den sums to 1
-    if sum(nums) != den:
-        raise ValueError(f"{what} must sum to 1 exactly")
-    return tuple(nums), den
-
-
-def _sum_one_ints(values, what: str):
-    # The stored pair of scalars values after the exact check that they sum
-    # to 1: (nums, den) when they are rational, None with a CycElem.
-    ints = _rational_ints(values)
+def _set_sum_one(self, name: str, what: str, values, ints):
+    # self with field name set to values and _ints to their pair ints =
+    # (nums, den), None for a cyclotomic list, after the exact check that
+    # they sum to 1, on the integers when ints is given.  With values None
+    # the Fractions are built once from the pair.
     if ints is not None:
-        return _checked_ints(*ints, what)
-    if sum(values) != 1:
+        ints = tuple(ints[0]), ints[1]
+    if sum(values) != 1 if ints is None else sum(ints[0]) != ints[1]:
         raise ValueError(f"{what} must sum to 1 exactly")
-    return None
-
-
-def _with_ints(cls, name: str, ints):
-    # An instance of cls whose field name holds the Fractions of the checked
-    # pair ints, built once; __post_init__ would only convert them back.
-    self = object.__new__(cls)
-    object.__setattr__(self, name, _fractions(*ints))
+    object.__setattr__(self, name,
+                       _fractions(*ints) if values is None else values)
     object.__setattr__(self, "_ints", ints)
     return self
 
@@ -238,17 +223,16 @@ class Die:
         probs = tuple(map(as_scalar, self.probs))
         if len(probs) < 2:
             raise ValueError("a die needs order at least 2")
-        object.__setattr__(self, "_ints",
-                           _sum_one_ints(probs, "die probabilities"))
-        object.__setattr__(self, "probs", probs)
+        _set_sum_one(self, "probs", "die probabilities", probs,
+                     _rational_ints(probs))
 
     @classmethod
     def _from_ints(cls, nums, den: int) -> "Die":
         # The die nums/den, den > 0 and gcd(nums) = 1, checked on the integers.
         if len(nums) < 2:
             raise ValueError("a die needs order at least 2")
-        return _with_ints(cls, "probs",
-                          _checked_ints(nums, den, "die probabilities"))
+        return _set_sum_one(object.__new__(cls), "probs",
+                            "die probabilities", None, (nums, den))
 
     @property
     def order(self) -> int:
@@ -343,22 +327,15 @@ class DistPoly:
 
     def __post_init__(self):
         coeffs = tuple(map(as_scalar, self.coeffs))
-        object.__setattr__(self, "_ints",
-                           _sum_one_ints(coeffs, "total distribution"))
-        object.__setattr__(self, "coeffs", coeffs)
+        _set_sum_one(self, "coeffs", "total distribution", coeffs,
+                     _rational_ints(coeffs))
 
     @classmethod
     def _from_ints(cls, nums, den: int) -> "DistPoly":
         # The total nums/den, den > 0 and gcd(nums) = 1, checked on the
         # integers.
-        return _with_ints(cls, "coeffs",
-                          _checked_ints(nums, den, "total distribution"))
-
-    def reverse(self) -> "DistPoly":
-        return DistPoly(self.coeffs[::-1])
-
-    def is_palindromic(self) -> bool:
-        return self.coeffs == self.coeffs[::-1]
+        return _set_sum_one(object.__new__(cls), "coeffs",
+                            "total distribution", None, (nums, den))
 
     def to_json(self) -> list:
         return [scalar_to_json(c) for c in self.coeffs]
@@ -382,47 +359,28 @@ def parts_to_total(sack: Sack) -> DistPoly:
                                math.prod(d for _, d in pairs))
 
 
-def _normalized_ints(nums) -> tuple[list[int], int]:
-    # (ys, D) with ys/D = nums/sum(nums), D > 0 and gcd(ys) = 1, so that D
-    # is the least common denominator of the scaled list.  Raises ZeroSum.
-    total = sum(nums)
-    if not total:
-        raise ZeroSum("coefficient sum is exactly zero")
-    g = math.gcd(*nums) if total > 0 else -math.gcd(*nums)
-    return [a // g for a in nums], total // g
-
-
-def normalize_poly(p):
-    """The coefficients of p scaled to sum 1.  Raises ZeroSum when the sum
-    is 0.
-
-    With p = ys/D on integer numerators, p/sum(p) = ys/sum(ys): the
-    denominator cancels.  Over Q(zeta_n) each coefficient is multiplied by
-    1/sum(p), the Galois norm quotient of ``CycElem.inverse``, so a die
-    costs one inversion and one integer product per coefficient.
-    """
-    ints = _rational_ints(p)
-    if ints is not None:
-        return list(_fractions(*_normalized_ints(ints[0])))
-    total = sum(p)
-    if not total:
-        raise ZeroSum("coefficient sum is exactly zero")
-    inv = 1 / total
-    return [as_scalar(c * inv) for c in p]
-
-
 def normalize_to_die(p, order: int | None = None) -> Die:
-    """The die obtained by scaling p to coefficient sum 1.
+    """The die obtained by scaling p to coefficient sum 1.  Raises ZeroSum
+    when the sum is 0.
 
     ``order`` pads with trailing zeros; it defaults to max(len(p), 2).  A
-    rational p gives the die nums/sum(nums) on its integer numerators, with
-    no ``Fraction`` built but the die's own.
+    rational p = nums/D gives the die nums/sum(nums): the denominator
+    cancels, and no ``Fraction`` is built but the die's own.  Over
+    Q(zeta_n) each coefficient is multiplied by 1/sum(p), the Galois norm
+    quotient of ``CycElem.inverse``, so a die costs one inversion and one
+    integer product per coefficient.
     """
     ints = _rational_ints(p)
+    total = sum(p if ints is None else ints[0])
+    if not total:
+        raise ZeroSum("coefficient sum is exactly zero")
     if ints is None:
-        coeffs, den = normalize_poly(p), None
+        inv = 1 / total
+        coeffs, den = [as_scalar(c * inv) for c in p], None
     else:
-        coeffs, den = _normalized_ints(ints[0])
+        # den > 0 and gcd(coeffs) = 1: den is the least common denominator
+        g = math.gcd(*ints[0]) if total > 0 else -math.gcd(*ints[0])
+        coeffs, den = [a // g for a in ints[0]], total // g
     k = order if order is not None else max(len(coeffs), 2)
     if len(coeffs) > k:
         coeffs = poly_trim(coeffs)

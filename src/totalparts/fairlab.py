@@ -36,14 +36,6 @@ class FairPair:
     dhat: Die
     r: tuple
 
-    @property
-    def order(self) -> int:
-        return self.d.order
-
-    @property
-    def ell(self) -> int:
-        return sum(1 for rm in self.r if rm == 2)
-
     def is_real(self) -> bool:
         return self.d.is_real() and self.dhat.is_real()
 
@@ -52,9 +44,6 @@ class FairPair:
 
     def is_fair(self) -> bool:
         return all(rm == 1 for rm in self.r)
-
-    def is_palindromic(self) -> bool:
-        return self.d.is_palindromic() and self.dhat.is_palindromic()
 
 
 def _check_order(k: int) -> None:

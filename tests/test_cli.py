@@ -76,6 +76,28 @@ def test_solve_rejects_factors_whose_product_is_not_the_total(roots, capsys):
     assert err == "error: factor multiset product does not match the total\n"
 
 
+BINOMIAL_4 = ["1/16", "1/4", "3/8", "1/4", "1/16"]
+
+
+@pytest.mark.parametrize("ms, total", [
+    ((1, 2), BINOMIAL_4), ((1, 1), BINOMIAL_4), ((1, 2), ["1/5"] * 5),
+], ids=["psi_5", "chi_1_5_squared", "psi_5_fair"])
+def test_solve_checks_a_chi_product_against_the_total(ms, total, capsys):
+    # chi_{1,5} chi_{2,5} = psi_5 has CycElem coefficients of rational
+    # value, chi_{1,5}^2 irrational ones; only psi_5/5 is a total of them
+    factors = json.dumps([{"type": "chi", "m": m, "k": 5} for m in ms])
+    code, out, err = _run(capsys, "solve", "--type", "3,3", "--factors",
+                          factors, "--total", json.dumps(total))
+    if total == BINOMIAL_4:
+        assert code == 1 and out == ""
+        assert err == \
+            "error: factor multiset product does not match the total\n"
+        return
+    assert code == 0
+    for sack in json.loads(out):
+        assert parts_to_total(Sack.from_json(sack)).coeffs == (F(1, 5),) * 5
+
+
 def test_fair_enum_count_only(capsys):
     code, out, _ = _run(capsys, "fair-enum", "--order", "6", "--count-only")
     assert code == 0

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from totalparts import fibers
 from totalparts.dicecore import (Die, DistPoly, Sack, ZeroSum,
-                                 normalize_poly, normalize_to_die,
+                                 normalize_to_die,
                                  parts_to_total, poly_gcd, poly_mul,
                                  poly_trim, render_scalar)
 from totalparts.exactnum import CycElem, two_cos
@@ -256,7 +256,9 @@ def ref_total_is_squarefree(total):
 def test_squarefree_test_on_numerators_matches_the_fraction_gcd(roots, pad):
     # a total with the given roots, padded with zeros past its degree: it is
     # squarefree exactly when the roots are distinct
-    coeffs = normalize_poly(poly_mul(*([-r, 1] for r in roots)))
+    prod = poly_mul(*([-r, 1] for r in roots))
+    # the die of a constant is padded to order 2; the total keeps its length
+    coeffs = normalize_to_die(prod).probs[:len(prod)]
     total = DistPoly((*coeffs, *[F(0)] * pad))
     assert total_is_squarefree(total) == ref_total_is_squarefree(total) \
         == (len(set(roots)) == len(roots))
