@@ -16,8 +16,9 @@ that they are nonnegative and sum to 1 read n_t >= 0 and sum n_t = D, and
 the game is P(win | point t) = n_t/(n_t + n_7), P(come-out t and win) =
 n_t^2/(D (n_t + n_7)), and p_win is one integer numerator over
 D prod (n_t + n_7).  ``Fraction``s are built only for the values a
-:class:`CrapsReport` returns.  A cyclotomic total gets a certified sign per
-coefficient from ``cyc_sign``.
+:class:`CrapsReport` returns.  A sack whose total has an irrational
+coefficient is refused, whatever the signs of its coefficients: craps
+evaluation needs a rational total distribution.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dicecore import Sack, as_scalar, fair_total, parts_to_total
-from .exactnum import _numerators, cyc_sign
+from .exactnum import _numerators
 
 WIN_TOTALS = (7, 11)
 LOSE_TOTALS = (2, 3, 12)
@@ -65,15 +66,17 @@ class CrapsTotals:
         object.__setattr__(self, "probs", probs)
 
     @classmethod
-    def _from_numerators(cls, probs, nums, den) -> "CrapsTotals":
-        # Fractions probs whose numerators over den are nums, checked on
-        # those integers without converting probs again.
-        _check_numerators(nums, den)
+    def _from_numerators(cls, probs) -> "CrapsTotals":
+        # Fractions probs that the caller has checked on their numerators:
+        # 11 of them, nonnegative, summing to 1.
         self = object.__new__(cls)
         object.__setattr__(self, "probs", probs)
         return self
 
     def __getitem__(self, total: int) -> Fraction:
+        # a total outside 2..12 would index probs from its end
+        if total not in range(2, 13):
+            raise KeyError(total)
         return self.probs[total - 2]
 
     @staticmethod
@@ -155,20 +158,12 @@ def craps_from_sack(sack: Sack) -> CrapsReport:
     if not all(d.is_real() for d in sack.dice):
         raise InvalidDistribution("craps needs real dice")
     total = parts_to_total(sack)
-    coeffs = total.coeffs
-    if total._ints is not None:
-        nums, den = total._ints
-        if any(a < 0 for a in nums):
-            raise InvalidDistribution("total has a negative probability")
-        return _evaluate(CrapsTotals._from_numerators(coeffs, nums, den),
-                         nums, den)
-    # DistPoly stores every rational value as a Fraction (as_scalar), so
-    # the first cyclotomic coefficient is irrational and refuses the total;
-    # a negative coefficient before it, or its own certified sign, refuses
-    # it as negative
-    for c in coeffs:
-        if c < 0 if isinstance(c, Fraction) else cyc_sign(c).sign < 0:
-            raise InvalidDistribution("total has a negative probability")
-        if not isinstance(c, Fraction):
-            raise InvalidDistribution(
-                "craps evaluation needs a rational total distribution")
+    if total._ints is None:
+        raise InvalidDistribution(
+            "craps evaluation needs a rational total distribution")
+    # the (6, 6) type gives 11 coefficients, and parts_to_total checked
+    # that the numerators sum to den
+    nums, den = total._ints
+    if any(a < 0 for a in nums):
+        raise InvalidDistribution("total has a negative probability")
+    return _evaluate(CrapsTotals._from_numerators(total.coeffs), nums, den)

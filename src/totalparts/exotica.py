@@ -384,10 +384,6 @@ class ExoticCensus:
         return len(self.sacks)
 
 
-class NotFound(LookupError):
-    pass
-
-
 def _merged_factor_multiset(k: int, kp: int):
     # Real irreducible factors of psi_k * psi_kp keyed by the angle fraction
     # m/k in lowest terms; equal factors from the two orders merge.
@@ -471,12 +467,8 @@ def swap_census(k: int) -> list[SwapSpec]:
 
 
 def smallest_exotic_34() -> Sack:
-    """The exotic sack of type (3, 4); raises NotFound if the census is
-    unexpectedly empty."""
-    census = exotic_search(3, 4)
-    if not census.sacks:
-        raise NotFound("no exotic sack of type (3, 4) found")
-    return census.sacks[0][0]
+    """The exotic sack of type (3, 4), the one sack of its census."""
+    return exotic_search(3, 4).sacks[0][0]
 
 
 # -- the tridecahedral example ----------------------------------------------
@@ -792,9 +784,14 @@ def m3_exceptions(records) -> M3ExceptionReport:
     """All k <= k_max - 143 where M3(k+143) - M3(k) differs from 60, with
     the empirical reconstruction of the exception sequence b_a: one pass
     over ell = 3 scan records in ascending k, such as :func:`scan_table`'s,
-    holding the last 143 maxima.  k_max is the last record's k."""
-    window, exceptions, k_max = {}, [], 0  # window: M3 of the last 143 k
+    holding the last 143 maxima.  The records must run k = 2, 3, 4, ...
+    without a gap, as a skipped k would skip its comparisons unnoticed;
+    k_max is the last record's k."""
+    window, exceptions, k_max = {}, [], 1  # window: M3 of the last 143 k
     for r in records:
+        if r.k != k_max + 1:
+            raise ValueError(f"scan record k = {r.k} is out of order: "
+                             f"expected k = {k_max + 1}")
         k_max = r.k
         window[k_max] = r.M
         before = window.pop(k_max - 143, None)

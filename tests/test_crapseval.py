@@ -196,6 +196,32 @@ def test_rational_sack_with_a_negative_total_is_refused():
         craps_from_sack(Sack((d, d)))
 
 
+# sqrt(5) = 2 * 2cos(2pi/5) + 1, so _D is a real die with irrational entries
+_SQRT5 = 2 * two_cos(1, 5) + 1
+_D = Die(((5 - _SQRT5) / 10, (5 + _SQRT5) / 10, 0, 0, 0, 0))
+_G = Die((F(1, 2), F(1, 2), 0, 0, F(-1, 10), F(1, 10)))
+
+
+@pytest.mark.parametrize("dice", [
+    # total coefficients 4 and 5 are negative, after an irrational one
+    (_D, _G), (_G, _D),
+    # total coefficient 0, the first, is irrational and negative
+    (Die((F(-1, 10), F(11, 10), 0, 0, 0, 0)), _D),
+], ids=["d_g", "g_d", "negative_first"])
+def test_sack_with_a_cyclotomic_total_is_refused_whatever_its_signs(dice):
+    assert parts_to_total(Sack(dice))._ints is None
+    with pytest.raises(InvalidDistribution, match="^craps evaluation needs a "
+                                                  "rational total distribution$"):
+        craps_from_sack(Sack(dice))
+
+
+@pytest.mark.parametrize("total", [0, 1, 13, -1, True])
+def test_totals_outside_2_to_12_are_not_indexed(total):
+    # probs[total - 2] would wrap around: [1] would read P(12)
+    with pytest.raises(KeyError):
+        CrapsTotals.fair()[total]
+
+
 def test_craps_on_a_rational_sack_converts_no_probability_list(monkeypatch):
     # The dice and their total keep their integer numerators from
     # construction, so craps_from_sack reads them and rebuilds none.

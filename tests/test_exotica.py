@@ -1107,6 +1107,19 @@ def test_m3_exceptions_refuses_a_table_ending_below_746():
             m3_exceptions(records)
 
 
+@pytest.mark.parametrize("ks, bad", [
+    # k = 400 dropped: 257 -> 400 and 400 -> 543 would be skipped
+    ([k for k in range(2, 801) if k != 400], 401),
+    ([3, 2], 3),
+    ([2, 2], 2),
+    ([2, 4], 4),
+], ids=["gap", "first_not_2", "repeat", "step_2"])
+def test_m3_exceptions_refuses_gapped_or_unordered_records(ks, bad):
+    with pytest.raises(ValueError, match=f"^scan record k = {bad} is out of "
+                                         f"order: expected k = "):
+        m3_exceptions(ScanRecord(k, ()) for k in ks)
+
+
 def test_s4_scan_is_an_interval():
     for k in (7, 12, 18, 25, 30):
         S = s_scan(4, k).S

@@ -3,8 +3,9 @@
 Each file under ``tests/golden/`` was recorded before the code change it
 guards: the census files before the move to integer cyclotomic products and
 the batched interval filter, the scan, scatter, craps, coin-die and
-Sicherman files before the polynomial helpers were merged, and the fiber
-file before rational polynomials moved to integer numerators.  Any change
+Sicherman files before the polynomial helpers were merged, the fiber
+file before rational polynomials moved to integer numerators, and the
+craps sack file before craps read a sack's total on one path.  Any change
 to what these commands print fails here.
 """
 
@@ -31,6 +32,10 @@ COMMANDS = {
     "scatter_200": ["scatter", "--kmax", "200"],
     "craps_symmetric": ["craps", "--totals", "1/36,2/36,3/36,4/36,5/36,6/36,"
                                              "5/36,4/36,3/36,2/36,1/36"],
+    "craps_sack": ["craps", "--sack",
+                   '{"dice": [{"order": 6, "probs": ["1/12", "1/6", "1/4",'
+                   ' "1/12", "1/6", "1/4"]}, {"order": 6, "probs": ["1/21",'
+                   ' "2/21", "1/7", "4/21", "5/21", "2/7"]}]}'],
     "coin_die_6": ["coin-die", "--order", "6"],
     "sicherman_6": ["sicherman", "--order", "6"],
     "solve_3_3": ["solve", "--total", '["1/9", "1/3", "1/9", "0", "4/9"]',

@@ -1,7 +1,8 @@
 """Source hygiene: every name a package module imports is used, every
 private module-level function and every method is referenced somewhere,
 no module reaches into exactnum's private number format or decides a
-scalar's stored form, and the package runs without mpmath."""
+scalar's stored form, the package runs without mpmath, and README's
+command examples parse."""
 
 import ast
 import collections
@@ -9,8 +10,11 @@ import functools
 import importlib
 import pathlib
 import re
+import shlex
 
 import pytest
+
+from totalparts.cli import build_parser
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "totalparts"
@@ -150,3 +154,19 @@ def test_mpmath_is_not_a_runtime_dependency():
     text = (ROOT / "pyproject.toml").read_text()
     deps = re.search(r"^dependencies = \[(.*?)\]", text, re.M | re.S)
     assert "numpy" in deps.group(1) and "mpmath" not in deps.group(1)
+
+
+def test_readme_command_examples_parse():
+    # every `totalparts ...` line of README's shell blocks, parsed, not run
+    text = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S)
+    lines = [line for block in blocks for line in block.splitlines()
+             if line.startswith("totalparts ")]
+    assert len(lines) >= 9
+    refused = []
+    for line in lines:
+        try:
+            build_parser().parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            refused.append(line)
+    assert not refused, f"README commands the parser refuses: {refused}"
