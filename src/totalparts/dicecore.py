@@ -35,13 +35,18 @@ and craps reads the total's pair.  No rational die or total converts its
 scalars again.  How a ``CycElem`` stores its coordinates is known only to
 ``exactnum``.
 
-A die built from roots of unity, prod (x - zeta_n^e) * (x+1)^x1, comes from
-:func:`root_product`.  It holds each coefficient as an integer vector over
-Z[zeta_n]/(zeta^n - 1), where multiplying by x - zeta^e is one rotation and
-one subtraction, and reduces each coefficient mod Phi_n once at the end.
-It stays apart from :func:`poly_mul`, each being the faster on its input:
-one kernel for both kept pace with it on the census's linear factors but
-took 1.8 times as long as :func:`poly_mul` on the dense (7, 12) sacks.
+A product of roots of unity, prod (x - zeta_n^e) * (x+1)^x1, is one ring
+pass: a numpy array with one row per coefficient in x, each row an integer
+n-vector over Z[x]/(x^n - 1).  Multiplying by x - zeta^e is one rotation,
+by slicing, and one subtraction; by x + 1, one shift and one addition.  One
+matrix product against the table of x^i mod Phi_n then reduces every
+coefficient at once (``exactnum.ring_scalars``).  The array is int64 where
+``exactnum.ring_dtype`` proves every entry fits and Python ints otherwise,
+on the same code.  :func:`root_product` starts the pass from 1.
+:func:`root_pair` builds the two dice of a pair whose products multiply to
+psi_k * psi_k': each die's pass starts from its partner's value at 1 and
+is divided once by k*k', so no inverse is taken.  The pass stays apart
+from :func:`poly_mul`, which multiplies dense coefficient lists.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exactnum import (CycElem, _conv_ints, _fractions, _numerators, as_scalar,
-                       cyc_sign)
+                       cyc_sign, ring_dtype, ring_scalars)
 
 
 class ZeroSum(ArithmeticError):
@@ -70,7 +75,7 @@ def scalar_to_json(x):
     x = as_scalar(x)
     if isinstance(x, Fraction):
         return render_scalar(x)
-    return {"conductor": x.n, "coords": [render_scalar(c) for c in x.coords]}
+    return {"conductor": x.n, "coords": x.coord_strings()}
 
 
 def _rational_from_json(obj) -> Fraction:
@@ -142,21 +147,61 @@ def poly_mul(*polys):
             for c in _conv_all([[Fraction(1)], *polys])]
 
 
+def _ring_factors(exponents, x1_count) -> list[int]:
+    # The exponents as a list, once every exponent is an int and x1_count
+    # an int >= 0, a bool refused as in CycElem.zeta; before any work.
+    exponents = list(exponents)
+    for e in exponents:
+        if type(e) is not int:
+            raise ValueError(f"exponent must be an integer, not {e!r}")
+    if type(x1_count) is not int or x1_count < 0:
+        raise ValueError(
+            f"x1_count must be an integer >= 0, not {x1_count!r}")
+    return exponents
+
+
+def _ring_pass(n: int, exponents, x1_count: int, partner, partner_x1: int,
+               den: int) -> list:
+    # The scalars of c * prod_e (x - zeta_n^e) * (x+1)^x1_count / den, where
+    # c = prod_{e in partner} (1 - zeta^e) * 2^partner_x1 is the partner's
+    # value at 1 (1 for no partner).  One numpy array over Z[x]/(x^n - 1),
+    # one row per coefficient in x, constant term first: x shifts the rows
+    # down by one, and zeta^e * v is the rotation v[cut:] + v[:cut].  The
+    # dtype is proven for all the linear factors of both.  numpy is imported
+    # here, not with this module, as in exactnum._power_table.
+    import numpy as np
+    poly = np.zeros((1, n), ring_dtype(n, len(exponents) + x1_count
+                                       + len(partner) + partner_x1))
+    poly[0, 0] = 1
+    for e in partner:
+        cut = n - e % n
+        poly = poly - np.concatenate((poly[:, cut:], poly[:, :cut]), axis=1)
+    poly = poly * 2 ** partner_x1
+    for e in exponents:
+        cut = n - e % n
+        out = np.zeros((len(poly) + 1, n), poly.dtype)
+        out[1:] = poly
+        out[:-1] -= np.concatenate((poly[:, cut:], poly[:, :cut]), axis=1)
+        poly = out
+    for _ in range(x1_count):
+        out = np.zeros((len(poly) + 1, n), poly.dtype)
+        out[1:] = poly
+        out[:-1] += poly
+        poly = out
+    return ring_scalars(poly, n, den)
+
+
 def root_product(n: int, exponents, x1_count: int = 0):
     """Exact coefficients of prod_e (x - zeta_n^e) * (x+1)^x1_count, constant
-    term first, as Fractions or elements of Q(zeta_n)."""
-    zero = [0] * n
-    poly = [[1] + [0] * (n - 1)]
-    for e in exponents:
-        cut = n - e % n  # zeta^e * v is the rotation v[cut:] + v[:cut]
-        padded = [zero] + poly + [zero]
-        poly = [[a - b for a, b in zip(lower, high[cut:] + high[:cut])]
-                for lower, high in zip(padded, padded[1:])]
-    for _ in range(x1_count):
-        padded = [zero] + poly + [zero]
-        poly = [[a + b for a, b in zip(lower, high)]
-                for lower, high in zip(padded, padded[1:])]
-    return [as_scalar(CycElem.from_power_basis(n, c)) for c in poly]
+    term first, as Fractions or elements of Q(zeta_n).
+
+    The ring pass started from 1, in the dtype :func:`exactnum.ring_dtype`
+    proves exact for its len(exponents) + x1_count factors.  An exponent
+    that is not an int, or an x1_count that is not an int >= 0, a bool
+    included, raises ValueError before any work.
+    """
+    return _ring_pass(n, _ring_factors(exponents, x1_count), x1_count,
+                      (), 0, 1)
 
 
 def poly_trim(p):
@@ -391,20 +436,25 @@ def normalize_to_die(p, order: int | None = None) -> Die:
     return Die._from_ints((*coeffs, *[0] * (k - len(coeffs))), den)
 
 
-def normalize_pair(p, q) -> tuple[Die, Die]:
-    """The dice p/p(1) and q/q(1) of two products with p*q = psi_k * psi_k',
-    where k = len(p) and k' = len(q), with no inverse taken.
+def root_pair(n: int, exps_p, x1_p: int, exps_q,
+              x1_q: int) -> tuple[Die, Die]:
+    """The dice p/p(1) and q/q(1) of the root products
+    p = prod_{e in exps_p} (x - zeta_n^e) * (x+1)^x1_p and q likewise, of
+    orders k = deg p + 1 and k' = deg q + 1, when p*q = psi_k * psi_k'.
 
-    p(1) q(1) = psi_k(1) psi_k'(1) = k k', so 1/p(1) = q(1)/(k k'): each
-    die is its product times the other's coefficient sum over k k', one
-    product per coefficient.  Each sum is taken over :func:`as_scalar` of
-    the entries, so it is exact and a bool or a float is refused.  Die's
-    exact check that the probabilities sum to 1 certifies the premise.
+    p(1) q(1) = psi_k(1) psi_k'(1) = k k', so p/p(1) = p q(1)/(k k'): each
+    die's ring pass starts from its partner's value at 1,
+    prod (1 - zeta^e) * 2^x1, and is divided once by k k', with no
+    inverse.  Die's exact check that the probabilities sum to 1 certifies
+    the premise.  The two passes apply all L = (k - 1) + (k' - 1) linear
+    factors of both dice to 1, so :func:`exactnum.ring_dtype` chooses
+    their dtype for L.  Exponents and counts are checked as in
+    :func:`root_product`.
     """
-    kk = len(p) * len(q)
-    return tuple(Die(tuple(c * scale for c in poly))
-                 for poly, scale in ((p, sum(map(as_scalar, q)) / kk),
-                                     (q, sum(map(as_scalar, p)) / kk)))
+    exps_p, exps_q = _ring_factors(exps_p, x1_p), _ring_factors(exps_q, x1_q)
+    kk = (len(exps_p) + x1_p + 1) * (len(exps_q) + x1_q + 1)
+    return (Die(tuple(_ring_pass(n, exps_p, x1_p, exps_q, x1_q, kk))),
+            Die(tuple(_ring_pass(n, exps_q, x1_q, exps_p, x1_p, kk))))
 
 
 def psi(k: int):

@@ -28,7 +28,11 @@ conjugates of xs other than xs itself and N = xs * R, the norm, a nonzero
 integer.  No other module needs to know this format: ``dicecore`` and the
 searches use the operators, and only the helpers on rational coefficient
 lists (:func:`_numerators`, :func:`_conv_ints`, :func:`_fractions`) are
-shared.
+shared.  A caller that builds many elements at once holds them as an integer
+numpy array of n-vectors over Z[x]/(x^n - 1), one row per element:
+:func:`ring_dtype` proves when int64 holds such an array exactly, and
+:func:`ring_scalars` reduces every row mod Phi_n with one matrix product
+and returns its scalars.
 
 Sign determination for real elements (fixed by complex conjugation) first
 tests for exact zero.  A nonzero real e = xs/d is then at least
@@ -213,6 +217,70 @@ def _substitute(nums: list[int], j: int, m: int) -> list[int]:
 
 
 @functools.lru_cache(maxsize=None)
+def _power_rows(n: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    # The rows x^i mod Phi_n, 0 <= i < n, each of length phi(n), and the bit
+    # length of their largest absolute entry: row i + 1 is row i times x,
+    # reduced by one step of _reduce_ints.
+    rows, row = [], [1] + [0] * (phi(n) - 1)
+    for _ in range(n):
+        rows.append(tuple(row))
+        row = _reduce_ints([0] + row, n)
+    return tuple(rows), max(abs(c) for r in rows for c in r).bit_length()
+
+
+@functools.lru_cache(maxsize=None)
+def _power_table(n: int, dtype):
+    # the rows x^i mod Phi_n, phi(n) <= i < n, as a read-only numpy array of
+    # the given dtype, shared by every caller.  numpy is imported here, with
+    # the first ring pass, and not with this module: imported ahead of the
+    # rest of the package, it measured 1 MB more peak RSS and 3-5 % slower
+    # perfbench scans (2 shared vCPUs), which never run a ring pass.
+    import numpy as np
+    table = np.array(_power_rows(n)[0][phi(n):], dtype=dtype).reshape(
+        n - phi(n), phi(n))
+    table.flags.writeable = False
+    return table
+
+
+def ring_dtype(n: int, factors: int) -> str:
+    """The numpy dtype ``"int64"`` when an array built from 1 by ``factors``
+    linear factors over Z[x]/(x^n - 1), and reduced by
+    :func:`ring_scalars`, provably fits int64; ``"object"``, whose entries
+    are Python ints, when it may not.
+
+    The array holds one n-vector per coefficient in x.  Multiplying it by
+    x - zeta^e (or by x + 1) adds the array shifted by one row to the array
+    with its columns rotated by e (or unrotated), and a rotation keeps each
+    absolute value, so each factor at most doubles the array's L1 norm, the
+    sum of all its absolute entries, as does the scalar 1 - zeta^e or 2.
+    So after L factors, each entry of every array on the way is at most
+    2^L in absolute value.  The reduction is one matrix product
+    against the table T whose row i is x^i mod Phi_n: an output entry and
+    each of its partial sums is at most ||row||_1 max|T| <= 2^L max|T|.
+    With L + bitlen(max|T|) <= 62 that is below 2^62, inside int64.  max|T|
+    is read from the table; it is 1 at n = 6, 12, 29, 84, 247 and 323, at
+    most 3 for every n <= 400 (3 first at n = 385), and 9 at n = 2310.
+    """
+    bits = _power_rows(_conductor(n))[1]
+    return "int64" if factors + bits <= 62 else "object"
+
+
+def ring_scalars(rows, n: int, den: int) -> list:
+    """:func:`as_scalar` of r(zeta_n) / den for each row r of an integer
+    numpy array of n-vectors over Z[x]/(x^n - 1), den > 0.
+
+    One matrix product against the table of x^i mod Phi_n reduces every
+    row at once, in the array's dtype: int64 only where :func:`ring_dtype`
+    proves it exact, Python ints otherwise.  The table's first phi(n) rows
+    are the identity, so only the columns phi(n) .. n - 1 are multiplied
+    (its terms are a subset of the full product's, inside the same bound).
+    """
+    deg = phi(n)
+    reduced = rows[:, :deg] + rows[:, deg:] @ _power_table(n, rows.dtype)
+    return [as_scalar(CycElem._make(n, r, den)) for r in reduced.tolist()]
+
+
+@functools.lru_cache(maxsize=None)
 def _mobius(n: int) -> int:
     factors = _factor(n)
     return 0 if any(e > 1 for _, e in factors) else (-1) ** len(factors)
@@ -298,6 +366,14 @@ class CycElem:
     def coords(self) -> tuple[Fraction, ...]:
         """The phi(n) power-basis coordinates as Fractions."""
         return _fractions(self.nums, self.den)
+
+    def coord_strings(self) -> list[str]:
+        """``str`` of each of :attr:`coords`, such as ``"-1/2"`` or ``"0"``,
+        without building the Fractions: a gcd per coordinate."""
+        den = self.den
+        # g = gcd(a, den) is den when a is 0
+        return [str(a // g) if (g := math.gcd(a, den)) == den
+                else f"{a // g}/{den // g}" for a in self.nums]
 
     # -- construction helpers ------------------------------------------------
 

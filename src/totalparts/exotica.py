@@ -22,15 +22,17 @@ give the same pair, so its search is symmetric.  The census runs in stages:
    One mask drops the fair split and each pair with a certified negative
    coefficient, before any per-candidate work;
 3. build exact products from the roots zeta_n^(+-e) with
-   :func:`dicecore.root_product` (:func:`_chi_product_exact`) only for the
-   remaining dice with a 0 status (p(1) > 0, so +1 statuses are signs);
+   :func:`dicecore.root_product` only for the remaining dice with a 0
+   status (p(1) > 0, so +1 statuses are signs);
 4. decide each unresolved coefficient with :func:`cyc_sign` (an exact
    zero is read from the canonical coordinates, never assumed; any other
    coefficient gets one integer enclosure excluding zero, at a precision
    derived in advance from a separation bound);
-5. in :func:`exotic_search` only, build dice with :func:`normalize_pair`
-   (stage 3's products reused): the two products multiply to
-   psi_k * psi_k', so each die's sum is k*k' over its partner's; no inverse.
+5. in :func:`exotic_search` only, build each pair's dice with one
+   :func:`dicecore.root_pair` call (stage 3's products serve only the
+   sign checks): the two products multiply to psi_k * psi_k', so each
+   die's ring pass starts from its partner's value at 1 and is divided
+   once by k*k'; no inverse.
 
 A prune rejects only what the derived bound excludes, so every die that
 the point filter and the exact stage would accept reaches them.  No pair
@@ -50,8 +52,8 @@ from multiprocessing import Pool
 import numpy as np
 
 from .exactnum import CycElem, cyc_embed, cyc_sign, two_cos
-from .dicecore import (Die, Sack, fair_total, normalize_pair, normalize_to_die,
-                       poly_mul, root_product)
+from .dicecore import (Die, Sack, fair_total, normalize_to_die, poly_mul,
+                       root_pair, root_product)
 
 M3_RATIO_BOUND = Fraction(60, 143)
 
@@ -348,13 +350,17 @@ def _pruned_splits(factors, caps, degree, conductor, symmetric=False):
 
 # -- exact factor products ---------------------------------------------------
 
+def _chi_exponents(chis, conductor):
+    # the roots zeta^e of prod chi_{m,k}^mult: chi_{m,k} is
+    # (x - zeta^e)(x - zeta^-e) with e = m*conductor/k
+    return [sign * (m * conductor // k) for m, k, mult in chis
+            for _ in range(mult) for sign in (1, -1)]
+
+
 def _chi_product_exact(chis, x1_count, conductor):
     """Exact coefficients of prod chi_{m,k}^mult * (x+1)^x1_count, as
-    Fractions or elements of Q(zeta_conductor): chi_{m,k} is
-    (x - zeta^e)(x - zeta^-e) with e = m*conductor/k."""
-    exponents = [sign * (m * conductor // k) for m, k, mult in chis
-                 for _ in range(mult) for sign in (1, -1)]
-    return root_product(conductor, exponents, x1_count)
+    Fractions or elements of Q(zeta_conductor)."""
+    return root_product(conductor, _chi_exponents(chis, conductor), x1_count)
 
 
 # -- swap specifications and censuses ---------------------------------------
@@ -398,8 +404,9 @@ def _merged_factor_multiset(k: int, kp: int):
 
 def _decided_pairs(k: int, kp: int):
     """Stages 1-4: yields each accepted pair of type (k, kp), in the census's
-    order, as (spec, args, polys): per die the arguments of
-    :func:`_chi_product_exact`, and its product or None if no status is 0."""
+    order, as (spec, roots): per die its exponents e of zeta^e at conductor
+    lcm(k, kp) and its count of x + 1 factors.  A die's product is made
+    only when a status is 0, for its sign checks, and is not kept."""
     symmetric = k == kp
     chis, x1_total = _merged_factor_multiset(k, kp)
     keys = sorted(chis)
@@ -421,11 +428,11 @@ def _decided_pairs(k: int, kp: int):
             keep &= (status >= 0).all(axis=1)
         for r in np.flatnonzero(keep).tolist():
             pair = [die[r].tolist() for die in dice]
-            args = [([(q.numerator, q.denominator, v)
-                      for q, v in zip(keys, row) if v], row[-1], conductor)
-                    for row in pair]
-            polys = [None if status[r].all() else _chi_product_exact(*a)
-                     for a, status in zip(args, statuses)]
+            roots = [(_chi_exponents([(q.numerator, q.denominator, v)
+                                      for q, v in zip(keys, row) if v],
+                                     conductor), row[-1]) for row in pair]
+            polys = [None if status[r].all() else root_product(conductor, *a)
+                     for a, status in zip(roots, statuses)]
             if any(s == 0 and cyc_sign(c).sign < 0
                    for poly, status in zip(polys, statuses) if poly
                    for c, s in zip(poly, status[r].tolist())):
@@ -434,7 +441,7 @@ def _decided_pairs(k: int, kp: int):
             spec = SwapSpec(tuple(q for q, v, f in d1 if v < f),
                             tuple(q for q, v, f in d1 if v > f))
             accepted.append((spec.canonical() if symmetric else spec,
-                             args, polys))
+                             roots))
     yield from sorted(accepted, key=lambda e: (
         len(e[0].give) if symmetric else 0, e[0].give, e[0].take))
 
@@ -448,14 +455,15 @@ def exotic_search(k: int, kp: int) -> ExoticCensus:
     split and its swap are one pair: the search is symmetric, a key m/k is
     written as the integer m, each spec is canonical, and the sacks are
     ordered first by the number of factors swapped.  Each pair accepted by
-    :func:`_decided_pairs` is built with :func:`dicecore.normalize_pair`.
+    :func:`_decided_pairs` is built by one :func:`dicecore.root_pair` call,
+    after every pair is decided.
     """
     if not 2 <= k <= kp:
         raise ValueError("orders must satisfy 2 <= k <= k'")
+    conductor = math.lcm(k, kp)
     return ExoticCensus(tuple(
-        (Sack(normalize_pair(*(_chi_product_exact(*a) if poly is None else
-                               poly for a, poly in zip(args, polys)))), spec)
-        for spec, args, polys in _decided_pairs(k, kp)))
+        (Sack(root_pair(conductor, *roots[0], *roots[1])), spec)
+        for spec, roots in _decided_pairs(k, kp)))
 
 
 def swap_census(k: int) -> list[SwapSpec]:
@@ -463,7 +471,7 @@ def swap_census(k: int) -> list[SwapSpec]:
     built), by the number of factors swapped, then lexicographically."""
     if k < 2:
         raise ValueError("order must satisfy k >= 2")
-    return [spec for spec, *_ in _decided_pairs(k, k)]
+    return [spec for spec, _ in _decided_pairs(k, k)]
 
 
 def smallest_exotic_34() -> Sack:

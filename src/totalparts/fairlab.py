@@ -18,11 +18,10 @@ from fractions import Fraction
 from .exactnum import cyclotomic_poly, divisors
 from .dicecore import (
     Die,
-    normalize_pair,
     normalize_to_die,
     poly_mul,
     poly_trim,
-    root_product,
+    root_pair,
 )
 from .fibers import (ChiFactor, FactorMultiset, LinearFactor, _compositions,
                      enumerate_fiber, fiber_degree)
@@ -75,8 +74,9 @@ def enumerate_fair_pairs(k: int):
     """All fair pairs of order k, one per multiplicity vector, in the
     canonical order: by ell, then lexicographically on r.
 
-    The root products of r and 2 - r multiply to psi_k^2, so each pair is
-    normalized by :func:`dicecore.normalize_pair` and serves r and 2 - r.
+    The root products of r and 2 - r multiply to psi_k^2, so one
+    :func:`dicecore.root_pair` call builds both dice, each from its
+    partner's value at 1 with no inverse, and serves r and 2 - r.
     """
     _check_order(k)
     rs = sorted(multiplicity_vectors(k),
@@ -85,10 +85,9 @@ def enumerate_fair_pairs(k: int):
     for r in rs:
         comp = tuple(2 - rm for rm in r)
         if r not in dice:
-            dice[r], dice[comp] = normalize_pair(*(
-                root_product(k, [m for m, rm in enumerate(v, start=1)
-                                 for _ in range(rm)])
-                for v in (r, comp)))
+            roots = [[m for m, rm in enumerate(v, start=1) for _ in range(rm)]
+                     for v in (r, comp)]
+            dice[r], dice[comp] = root_pair(k, roots[0], 0, roots[1], 0)
         pairs.append(FairPair(dice[r], dice[comp], r))
     return pairs
 

@@ -16,16 +16,18 @@ from totalparts.dicecore import (
     Sack,
     ZeroSum,
     as_scalar,
-    normalize_pair,
     normalize_to_die,
     parts_to_total,
     poly_mul,
     psi,
+    root_pair,
     root_product,
     scalar_from_json,
 )
 from totalparts.crapseval import CrapsTotals
-from totalparts.exactnum import CycElem, cyc_embed, cyc_sign, phi, two_cos
+from totalparts import exactnum
+from totalparts.exactnum import (CycElem, cyc_embed, cyc_sign, phi,
+                                 ring_dtype, ring_scalars, two_cos)
 from totalparts.fairlab import multiplicity_vectors
 from totalparts.fibers import ChiFactor, LinearFactor
 
@@ -95,27 +97,65 @@ def test_normalize_poly():
 
 @given(st.integers(3, 9), st.data())
 @settings(max_examples=25, deadline=None)
-def test_normalize_pair_equals_normalize_to_die(k, data):
+def test_root_pair_equals_normalize_to_die(k, data):
     # a pair of totally fair k-dice: roots zeta_k^m with multiplicities r_m
     # and 2 - r_m, so the raw products multiply to psi_k^2
     r = data.draw(st.sampled_from(list(multiplicity_vectors(k))))
-    p, q = (root_product(k, [m for m, rm in enumerate(v, start=1)
-                             for _ in range(rm)])
-            for v in (r, [2 - rm for rm in r]))
-    assert normalize_pair(p, q) == (normalize_to_die(p), normalize_to_die(q))
+    roots = [[m for m, rm in enumerate(v, start=1) for _ in range(rm)]
+             for v in (r, [2 - rm for rm in r])]
+    p, q = (root_product(k, exps) for exps in roots)
+    assert (root_pair(k, roots[0], 0, roots[1], 0)
+            == (normalize_to_die(p), normalize_to_die(q)))
 
 
-def test_normalize_pair_of_mixed_orders_and_a_false_premise():
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.integers(1, 40), st.sampled_from([84, 105])),
+       st.lists(st.lists(st.integers(-50, 50), max_size=8),
+                min_size=2, max_size=2),
+       st.lists(st.integers(0, 3), min_size=2, max_size=2))
+def test_ring_pass_stays_within_its_derived_bound(n, exps, x1s):
+    # Both passes of a pair, run on Python ints: every entry is at most 2^L
+    # and every reduced entry at most 2^L max|T|, L counting the linear
+    # factors of both dice, as exactnum.ring_dtype derives; the pass in the
+    # dtype that ring_dtype chooses gives the same scalars
+    table = exactnum._power_rows(n)[0]
+    big = max(abs(c) for row in table for c in row)
+    L = sum(map(len, exps)) + sum(x1s)
+    assert ring_dtype(n, L) == (
+        "int64" if L + big.bit_length() <= 62 else "object")
+    for die in (0, 1):
+        args = (n, exps[die], x1s[die], exps[1 - die], x1s[1 - die], 1)
+        polys = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dicecore, "ring_dtype", lambda n, L: "object")
+            patch.setattr(dicecore, "ring_scalars", lambda poly, n, den:
+                          polys.append(poly) or ring_scalars(poly, n, den))
+            exact = dicecore._ring_pass(*args)
+        [poly] = polys
+        assert poly.dtype == object
+        assert sum(abs(a) for a in poly.flat) <= 2 ** L
+        reduced = [[sum(a * row[c] for a, row in zip(coeff, table))
+                    for c in range(phi(n))] for coeff in poly.tolist()]
+        assert all(abs(a) <= 2 ** L * big for r in reduced for a in r)
+        assert exact == [as_scalar(CycElem(n, r)) for r in reduced]
+        assert dicecore._ring_pass(*args) == exact
+
+
+def test_root_pair_of_mixed_orders_and_a_false_premise():
     # psi_3 * psi_4 at conductor 12: x^2 + 1 (roots zeta^3, zeta^9) and
-    # (x^2 + x + 1)(x + 1) (roots zeta^4, zeta^8, zeta^6)
-    p, q = root_product(12, [3, 9]), root_product(12, [4, 8, 6])
-    assert normalize_pair(p, q) == (Die((F(1, 2), F(0), F(1, 2))),
-                                    Die((F(1, 6), F(1, 3), F(1, 3), F(1, 6))))
-    # psi_2 * psi_3 as plain ints
-    assert normalize_pair([1, 1], [1, 1, 1]) == (Die.fair(2), Die.fair(3))
-    # (1 + 2x)(1 + x + x^2) is not psi_2 * psi_3: no die sums to 1
-    with pytest.raises(ValueError):
-        normalize_pair([F(1), F(2)], [F(1), F(1), F(1)])
+    # (x^2 + x + 1)(x + 1) (roots zeta^4, zeta^8 and x + 1)
+    p, q = root_product(12, [3, 9]), root_product(12, [4, 8], 1)
+    assert root_pair(12, [3, 9], 0, [4, 8], 1) == (
+        normalize_to_die(p), normalize_to_die(q))
+    assert (normalize_to_die(p), normalize_to_die(q)) == (
+        Die((F(1, 2), F(0), F(1, 2))),
+        Die((F(1, 6), F(1, 3), F(1, 3), F(1, 6))))
+    # psi_2 * psi_3 at conductor 6: x + 1 and the roots zeta^2, zeta^4
+    assert root_pair(6, [], 1, [2, 4], 0) == (Die.fair(2), Die.fair(3))
+    # (x + 1)(x - zeta_6)(x - zeta_6^5) is not psi_2 * psi_3: no die sums
+    # to 1
+    with pytest.raises(ValueError, match="must sum to 1 exactly"):
+        root_pair(6, [], 1, [1, 5], 0)
 
 
 def test_poly_divide_exact():
@@ -235,8 +275,6 @@ Z3 = CycElem.zeta(3)
 REFUSALS = {
     "poly_mul_bool": lambda: poly_mul([1, 2], [3, True, 4]),
     "poly_mul_float": lambda: poly_mul([1], [Z3, 0.5]),
-    "normalize_pair_bool": lambda: normalize_pair([True, 1], [1, 1, 1]),
-    "normalize_pair_float": lambda: normalize_pair([F(1), 1], [Z3, 0.5, 1]),
     "normalize_poly_bool": lambda: normalize_to_die([1, False, 2]),
     "normalize_poly_float": lambda: normalize_to_die([Z3, 1, 1.5]),
     "normalize_to_die_bool": lambda: normalize_to_die([True, 1]),
@@ -251,6 +289,35 @@ REFUSALS = {
 @pytest.mark.parametrize("call", REFUSALS.values(), ids=REFUSALS.keys())
 def test_bools_and_floats_are_refused_wherever_they_stand(call):
     with pytest.raises(TypeError, match="^not an exact scalar: "):
+        call()
+
+
+# The root products' gate: an exponent that is not an int and an x1_count
+# that is not an int >= 0, a bool included, for both dice of a pair.
+RING_REFUSALS = {
+    "product_negative_x1": (lambda: root_product(5, [1], -3), "x1_count"),
+    "product_bool_exponent": (lambda: root_product(5, [True]), "exponent"),
+    "product_bool_x1": (lambda: root_product(5, [1], True), "x1_count"),
+    "product_float_exponent": (lambda: root_product(5, [0.5]), "exponent"),
+    "product_float_x1": (lambda: root_product(5, [1], 1.0), "x1_count"),
+    "pair_negative_x1": (lambda: root_pair(5, [1], 0, [2], -1), "x1_count"),
+    "pair_bool_exponent": (lambda: root_pair(5, [False], 0, [2], 0),
+                           "exponent"),
+    "pair_bool_x1": (lambda: root_pair(5, [1], True, [2], 0), "x1_count"),
+    "pair_float_exponent": (lambda: root_pair(5, [1], 0, [2.0], 0),
+                            "exponent"),
+    "pair_float_x1": (lambda: root_pair(5, [1], 0, [2], 0.5), "x1_count"),
+}
+
+
+@pytest.mark.parametrize("call, what", RING_REFUSALS.values(),
+                         ids=RING_REFUSALS.keys())
+def test_root_products_refuse_bad_inputs_before_any_work(call, what,
+                                                         monkeypatch):
+    def no_work(*args):
+        raise AssertionError("work started before the gate")
+    monkeypatch.setattr(dicecore, "ring_dtype", no_work)
+    with pytest.raises(ValueError, match=f"^{what} must be an integer"):
         call()
 
 

@@ -210,6 +210,7 @@ def check_elem(e, want):
     assert len(e.nums) == phi(e.n) and all(type(a) is int for a in e.nums)
     assert type(e.den) is int and e.den > 0
     assert math.gcd(e.den, *e.nums) == 1
+    assert e.coord_strings() == [str(c) for c in e.coords]
 
 
 mixed_coords = st.one_of(

@@ -18,13 +18,13 @@ from totalparts.dicecore import (
     Sack,
     as_scalar,
     fair_total,
-    normalize_pair,
+    normalize_to_die,
     parts_to_total,
     poly_mul,
     psi,
     root_product,
 )
-from totalparts.exactnum import CycElem, cyc_sign, two_cos
+from totalparts.exactnum import CycElem, cyc_sign, ring_dtype, two_cos
 from totalparts import exotica
 from totalparts.exotica import (
     ScanRecord,
@@ -402,6 +402,18 @@ def test_rotation_product_mixed_orders():
             == _poly_mul_chain(chis, 2, 84))
 
 
+def test_root_product_past_the_int64_bound_takes_python_ints():
+    # 71 linear factors at conductor 5, whose table holds only 0s and +-1s:
+    # past the bound, so the pass runs on Python ints, and its coefficients
+    # overflow int64
+    assert ring_dtype(5, 71) == "object" and ring_dtype(5, 61) == "int64"
+    assert (root_product(5, [1], 70)
+            == _poly_mul_chain([], 70, 5, [1]))
+    rational = root_product(5, [0], 70)
+    assert rational == poly_mul([-1, 1], *[[1, 1]] * 70)
+    assert max(map(abs, rational)) > 2 ** 63
+
+
 def test_point_filter_rejects_rows_of_different_degree():
     with pytest.raises(ValueError):
         _point_filter(_census_factors(7), [(1, 1, 1, 0), (1, 1, 0, 0)])
@@ -444,7 +456,8 @@ def _accepted_by_full_pipeline(key):
     # The census without the prune and without the library's screening:
     # every candidate through the point filter, then cyc_sign of each exact
     # coefficient the filter left unresolved.  Returns the accepted die-1
-    # rows and their sacks.
+    # rows and their sacks, each die normalized on its own by
+    # normalize_to_die, which shares no code with the ring pass.
     factors, pairs = _full_candidates(key)
     keys, _, _, conductor, _, _ = _prune_case(key)
     accepted, sacks = [], set()
@@ -460,7 +473,7 @@ def _accepted_by_full_pipeline(key):
                for poly, status in zip(polys, statuses)
                for c, s in zip(poly, status)):
             accepted.append(pair[0])
-            sacks.add(Sack(normalize_pair(*polys)))
+            sacks.add(Sack(tuple(normalize_to_die(p) for p in polys)))
     return accepted, sacks
 
 
@@ -620,6 +633,11 @@ def test_census_takes_no_inverse(monkeypatch):
     assert len(enumerate_fair_pairs(6)) == 51
 
 
+def test_exotic_search_13_19():
+    # conductor 247; built by the ring pass in well under a second
+    assert exotic_search(13, 19).count == 159
+
+
 # E(26) and E(27): outputs of this library past the published range
 # (k <= 25), not published values.
 @pytest.mark.parametrize("k, count", [(26, 72), (27, 91)])
@@ -655,8 +673,18 @@ def _count_root_products(monkeypatch):
     return calls
 
 
+def _count_builds(monkeypatch):
+    # one log of the product calls ("product") and pair builds ("pair")
+    log = []
+    for name, tag in (("root_product", "product"), ("root_pair", "pair")):
+        fn = getattr(exotica, name)
+        monkeypatch.setattr(exotica, name, lambda *args, fn=fn, tag=tag:
+                            log.append(tag) or fn(*args))
+    return log
+
+
 def test_exact_products_only_where_a_status_is_0(monkeypatch):
-    calls = _count_root_products(monkeypatch)
+    log = _count_builds(monkeypatch)
     for k in range(2, 27):
         factors, caps = _census_factors(k), _prune_case(k)[2]
         zero_dice = 0
@@ -666,13 +694,14 @@ def test_exact_products_only_where_a_status_is_0(monkeypatch):
             if (statuses >= 0).all():
                 zero_dice += int((statuses == 0).any(axis=1).sum())
         assert zero_dice == ZERO_STATUS_DICE.get(k, 0), k
-        del calls[:]
+        del log[:]
         specs = swap_census(k)
-        assert len(calls) == zero_dice, k
-        # building reuses the products made while deciding
-        del calls[:]
+        assert log == ["product"] * zero_dice, k
+        # building takes one pair build per sack, and no product is made
+        # after the pairs are decided
+        del log[:]
         census = exotic_search(k, k)
-        assert len(calls) == 2 * census.count, k
+        assert log == ["product"] * zero_dice + ["pair"] * census.count, k
         assert [spec for _, spec in census.sacks] == specs, k
 
 
