@@ -211,32 +211,60 @@ def poly_trim(p):
     return p
 
 
-def _poly_divmod(num, den):
-    # Schoolbook long division over the field of the coefficients: (q, r)
-    # with num = q * den + r, r trimmed; den is trimmed and nonzero.
-    num = list(num)
-    dd = len(den) - 1
-    lead = den[-1]
-    lead_inv = 1 / lead
-    q = [Fraction(0)] * max(len(num) - dd, 1)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i] * lead_inv
-        q[i - dd] = c
+def _primitive(p):
+    # p over its content, the gcd of its entries: a primitive int list, or
+    # p itself when it is zero.
+    g = math.gcd(*p)
+    return [c // g for c in p] if g > 1 else p
+
+
+def _pseudo_remainder(a, b):
+    # The remainder of lead(b)^(deg a - deg b + 1) * a by b, all in Z[x]:
+    # each step scales a by lead(b) and subtracts the multiple of b that
+    # clears its top entry, so no division is taken.  b is trimmed and
+    # nonzero; the result is trimmed.
+    a = list(a)
+    db = len(b) - 1
+    lead = b[-1]
+    for i in range(len(a) - 1, db - 1, -1):
+        c = a[i]
+        for j in range(i):
+            a[j] *= lead
         if c:
-            for j, dj in enumerate(den):
-                num[i - dd + j] = num[i - dd + j] - c * dj
-    return q, poly_trim(num[:dd] or [Fraction(0)])
+            for j, bj in enumerate(b[:-1], i - db):
+                a[j] -= c * bj
+    return poly_trim(a[:db] or [0])
 
 
 def poly_gcd(a, b):
-    """Monic gcd over Q; used for exact squarefreeness tests."""
-    a = [Fraction(c) for c in poly_trim(a)]
-    b = [Fraction(c) for c in poly_trim(b)]
-    while not (len(b) == 1 and b[0] == 0):
-        a, b = b, _poly_divmod(a, b)[1]
-    if a[-1] != 0:
-        a = [c / a[-1] for c in a]
-    return a
+    """Monic gcd over Q of two rational coefficient lists, as Fractions;
+    used for exact squarefreeness tests.  gcd(0, 0) is [0].
+
+    Euclid runs over Z, as the primitive pseudo-remainder sequence (Collins
+    1967; Knuth, TAOCP vol. 2, 4.6.1).  Each argument is cleared to its
+    integer numerators and divided by its content, the gcd of its entries.
+    Then, while b is nonzero, (a, b) becomes (b, pp(prem(a, b))), where
+    prem(a, b) = lead(b)^(deg a - deg b + 1) a - q b is the remainder of
+    that multiple of a by b, an integer list, and pp divides by the
+    content.  Only at the end is the last nonzero a made monic in
+    Fractions.
+
+    Why this is the gcd over Q.  Scaling by a nonzero rational changes no
+    divisor in Q[x], so each step keeps the gcd: gcd(a, b) =
+    gcd(b, lead(b)^d a - q b), and a primitive part is such a scaling.  So
+    the last nonzero a is the gcd up to a unit of Q, and its monic form is
+    the monic gcd.  By Gauss's lemma (a product of primitive polynomials is
+    primitive) that primitive a is also the gcd in Z[x] of the arguments'
+    primitive parts: the gcd over Z and the monic gcd over Q differ only by
+    the leading coefficient.  Taking out each content is what keeps the
+    integers from growing exponentially along the sequence, as they do in
+    the plain pseudo-remainder sequence.
+    """
+    a = _primitive(poly_trim(_numerators(a)[0]))
+    b = _primitive(poly_trim(_numerators(b)[0]))
+    while b != [0]:
+        a, b = b, _primitive(_pseudo_remainder(a, b))
+    return [Fraction(c, a[-1]) for c in a] if a[-1] else [Fraction(0)]
 
 
 # -- core types --------------------------------------------------------------

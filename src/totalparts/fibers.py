@@ -149,7 +149,12 @@ class FactorMultiset:
 # -- operations --------------------------------------------------------------
 
 def _sack_type(sack_type) -> tuple:
+    # The orders as a tuple, once every entry is an int >= 2, a bool
+    # refused as in dicecore._ring_factors; before any work.
     ks = tuple(sack_type)
+    for k in ks:
+        if type(k) is not int:
+            raise ValueError(f"sack type entries must be integers, not {k!r}")
     if not ks or min(ks) < 2:
         raise ValueError("sack type entries must be >= 2")
     return ks
@@ -196,16 +201,21 @@ def enumerate_fiber(factors: FactorMultiset, sack_type):
     bounds k_j - 1 yields one candidate; slots whose polynomial has
     coefficient sum zero do not normalize to a pseudodie and are skipped.
     Each slot's product is carried down the tree of distributions, one
-    multiply per slot that receives a factor, and normalized at the leaves.
-    Leaves that give the same dice are listed once.  When every factor is
-    rational, every slot is an int list and no two leaves give the same
-    dice: two slots give the same die only when their products agree up to
-    a scalar, and by unique factorization over Q distinct leaves give some
-    slot a different multiset of the (irreducible, distinct) factors.  Only
-    a non-rational factor can make a duplicate, as when
+    multiply per slot that receives a factor.  Each distinct die is built
+    and rendered once per call: the leaves look their dice up by (product,
+    order), so in a type with equal orders such as (6, 6), where each die is
+    in two members, once in each slot, the members share the one immutable
+    :class:`Die`, and the sort reads the stored renderings.  Leaves that
+    give the same dice are listed once.  When every factor is rational,
+    every slot is an int list and no two leaves give the same dice: two
+    slots give the same die only when their products agree up to a scalar,
+    and by unique factorization over Q distinct leaves give some slot a
+    different multiset of the (irreducible, distinct) factors.  Only a
+    non-rational factor can make a duplicate, as when
     (x - zeta)(x - conj(zeta)) and a chi trade slots, so only then is each
-    leaf keyed on its :meth:`Sack.canonical_key`.  A type with an order
-    below 2 is refused before anything is enumerated.
+    leaf keyed on its :meth:`Sack.canonical_key`.  A type with an entry
+    that is not an int, or below 2, is refused before anything is
+    enumerated.
     """
     ks = _sack_type(sack_type)
     caps = [k - 1 for k in ks]
@@ -214,22 +224,34 @@ def enumerate_fiber(factors: FactorMultiset, sack_type):
     entries = factors.entries
     powers = [_slot_powers(factor, mult) for factor, mult in entries]
     dedupe = not all(type(c) is int for ps in powers for c in ps[-1])
-    results = []
+    results = []  # of (rendered dice, sack)
     seen = set()
+    built = {}  # (product, order) -> (die, its rendering), None for a zero sum
+
+    def die_of(p, k):
+        key = (tuple(p), k)
+        if key not in built:
+            try:
+                die = normalize_to_die(p, order=k)
+            except ZeroSum:
+                built[key] = None
+            else:
+                built[key] = die, tuple(map(render_scalar, die.probs))
+        return built[key]
 
     def assign(idx, remaining, polys):
         if idx == len(entries):
-            try:
-                dice = [normalize_to_die(p, order=k) for p, k in zip(polys, ks)]
-            except ZeroSum:
+            slots = [die_of(p, k) for p, k in zip(polys, ks)]
+            if None in slots:
                 return
-            sack = Sack(tuple(dice))
+            dice, rendered = zip(*slots)
+            sack = Sack(dice)
             if dedupe:
                 key = sack.canonical_key()
                 if key in seen:
                     return
                 seen.add(key)
-            results.append(sack)
+            results.append((rendered, sack))
             return
         factor, mult = entries[idx]
         slot_caps = [r // factor.degree for r in remaining]
@@ -240,17 +262,16 @@ def enumerate_fiber(factors: FactorMultiset, sack_type):
             assign(idx + 1, new_remaining, new_polys)
 
     assign(0, caps, [[1]] * len(ks))
-    seen.clear()  # the keys are not needed while the sort renders every die
-    results.sort(key=lambda s: tuple(
-        tuple(render_scalar(p) for p in d.probs) for d in s.dice))
-    return results
+    results.sort(key=lambda r: r[0])
+    return [sack for _, sack in results]
 
 
 def total_is_squarefree(total: DistPoly) -> bool:
     """Exact gcd(f, f') = 1 test; only defined for rational totals, and a
-    cyclotomic total raises ValueError before any work.  The gcd runs on
-    the total's stored integer numerators: a monic gcd over Q does not
-    depend on their scale."""
+    cyclotomic total raises ValueError before any work.  The gcd, a
+    primitive remainder sequence over Z, starts from the total's stored
+    integer numerators: a monic gcd over Q does not depend on their
+    scale."""
     if total._ints is None:
         raise ValueError("the squarefree test needs a rational total")
     f = poly_trim(total._ints[0])

@@ -18,6 +18,7 @@ from totalparts.dicecore import (
     as_scalar,
     normalize_to_die,
     parts_to_total,
+    poly_gcd,
     poly_mul,
     psi,
     root_pair,
@@ -31,7 +32,8 @@ from totalparts.exactnum import (CycElem, cyc_embed, cyc_sign, phi,
 from totalparts.fairlab import multiplicity_vectors
 from totalparts.fibers import ChiFactor, LinearFactor
 
-from reference_division import InexactDivision, poly_divide_exact
+from reference_division import (InexactDivision, poly_divide_exact,
+                                ref_poly_gcd)
 
 
 F = Fraction
@@ -614,3 +616,34 @@ def test_normalize_to_die_matches_the_fraction_reference(p, order):
             normalize_to_die(p, order)
         return
     check_as_rebuilt(normalize_to_die(p, order), want)
+
+
+# -- poly_gcd over Z against the Fraction Euclid ------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(common=polys(), a=polys(), b=polys())
+def test_poly_gcd_matches_the_fraction_euclid(common, a, b):
+    # the planted common factor makes most gcds nontrivial
+    a, b = poly_mul(common, a), poly_mul(common, b)
+    assert exacts(poly_gcd(a, b)) == exacts(ref_poly_gcd(a, b))
+
+
+# (x - 1/2)^2 (x + 3) and its derivative, from the squarefree test
+REPEATED = (F(3, 4), F(-11, 4), F(2), F(1))
+
+
+@pytest.mark.parametrize("a, b, want", [
+    ([0], [0], [0]),
+    ([0, 0], [F(0)], [0]),
+    ([1, 2, 1], [0], [1, 2, 1]),
+    ([0], [2, 4], [F(1, 2), 1]),
+    ([3], [1, 2, 1], [1]),
+    ([1, 2, 1], [F(-5, 3)], [1]),
+    ([-1, 0, 1], [2, 2], [1, 1]),
+    ([6, -5, 1], [-4, 2, -2, 1, 0], [-2, 1]),
+    (REPEATED, [F(-11, 4), F(4), F(3)], [F(-1, 2), 1]),
+])
+def test_poly_gcd_edge_cases(a, b, want):
+    got = poly_gcd(a, b)
+    assert got == want == ref_poly_gcd(a, b)
+    assert all(type(c) is Fraction for c in got)

@@ -27,6 +27,8 @@ from totalparts.fibers import (
     total_is_squarefree,
 )
 
+from reference_division import ref_poly_gcd
+
 F = Fraction
 
 
@@ -74,6 +76,22 @@ def test_orders_below_2_are_refused_before_enumerating(sack_type,
                     lambda: fiber_degree(sack_type)):
         with pytest.raises(ValueError,
                            match="^sack type entries must be >= 2$"):
+            refused()
+
+
+@pytest.mark.parametrize("sack_type", [(6.0, 6), (3.0, 3), (6, "6"),
+                                       (True, 3), (3, False)],
+                         ids=["float", "float-3", "str", "true", "false"])
+def test_entries_that_are_not_ints_are_refused_before_enumerating(
+        sack_type, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the fiber was enumerated")
+
+    monkeypatch.setattr(fibers, "_slot_powers", no_work)
+    for refused in (lambda: enumerate_fiber(WORKED, sack_type),
+                    lambda: fiber_degree(sack_type)):
+        with pytest.raises(ValueError,
+                           match="^sack type entries must be integers, not "):
             refused()
 
 
@@ -157,6 +175,11 @@ def _render_key(sack):
     return tuple(tuple(render_scalar(p) for p in d.probs) for d in sack.dice)
 
 
+# ten distinct rational roots, as in the benchmark's fiber workload
+TEN_ROOTS = tuple((LinearFactor(-a), 1)
+                  for a in (F(1, 2), F(1, 3), F(2, 3), F(1), F(3, 2), F(2),
+                            F(5, 7), F(4, 5), F(6), F(7, 3)))
+
 FIBER_FACTORS = {
     "repeated_root_and_zero_sum_slot": ((LinearFactor(F(-1, 2)), 2),
                                         (LinearFactor(F(1)), 1)),
@@ -178,6 +201,7 @@ FIBER_FACTORS = {
     "conjugate_roots_and_their_chi": ((LinearFactor(CycElem.zeta(6)), 1),
                                       (LinearFactor(CycElem.zeta(6, 5)), 1),
                                       (ChiFactor(1, 6), 1)),
+    "ten_distinct_roots": TEN_ROOTS,
 }
 
 
@@ -209,6 +233,27 @@ def test_fiber_matches_the_leaf_rebuild_reference(name, sack_type, dedupe,
     want = ref_enumerate_fiber(factors, sack_type, dedupe=dedupe)
     assert [s.to_json() for s in got] == [s.to_json() for s in want]
     assert got == want
+
+
+def test_each_distinct_die_is_built_and_rendered_once(monkeypatch):
+    # over type (6, 6) the die of a 5-subset of the roots is in two members,
+    # in the first slot and in the second: 252 members share 252 dice
+    built, rendered = [], []
+
+    def build(p, order=None):
+        built.append(order)
+        return normalize_to_die(p, order=order)
+
+    def render(x):
+        rendered.append(x)
+        return render_scalar(x)
+
+    monkeypatch.setattr(fibers, "normalize_to_die", build)
+    monkeypatch.setattr(fibers, "render_scalar", render)
+    sacks = enumerate_fiber(FactorMultiset(TEN_ROOTS), (6, 6))
+    assert len(sacks) == fiber_degree((6, 6)) == 252
+    assert len(built) == 252 and len(rendered) == 6 * 252
+    assert len({id(d) for s in sacks for d in s.dice}) == 252
 
 
 def test_chi_factor_canonicalization():
@@ -243,10 +288,10 @@ def test_squarefree_test_refuses_a_cyclotomic_total(monkeypatch):
 
 
 def ref_total_is_squarefree(total):
-    # the gcd on the total's Fractions
+    # the Fraction Euclid on the total's Fractions
     f = [F(c) for c in poly_trim(total.coeffs)]
     fp = [i * c for i, c in enumerate(f)][1:] or [F(0)]
-    return len(poly_gcd(f, fp)) == 1
+    return len(ref_poly_gcd(f, fp)) == 1
 
 
 @settings(max_examples=150, deadline=None)
