@@ -50,18 +50,22 @@ def _load_json_arg(value):
         return json.load(handle)
 
 
-def _int_list(size=None):
-    """An argparse ``type=``: comma-separated integers, exactly ``size`` of
-    them when it is given, as a tuple; anything else is a usage error."""
+def _number_list(kind, size=None):
+    """An argparse ``type=``: comma-separated integers (``kind`` int) or
+    rationals (``kind`` Fraction), exactly ``size`` of them when it is
+    given, as a tuple; anything else, a zero denominator included, is a
+    usage error."""
+    what = "integers" if kind is int else "rationals"
+
     def parse(text):
         try:
-            values = tuple(int(x) for x in text.split(","))
-        except ValueError:
+            values = tuple(kind(x) for x in text.split(","))
+        except (ValueError, ZeroDivisionError):
             raise argparse.ArgumentTypeError(
-                f"expected comma-separated integers, got {text!r}") from None
+                f"expected comma-separated {what}, got {text!r}") from None
         if size is not None and len(values) != size:
             raise argparse.ArgumentTypeError(
-                f"expected {size} integers, got {len(values)}")
+                f"expected {size} {what}, got {len(values)}")
         return values
     return parse
 
@@ -189,8 +193,7 @@ def _cmd_swaps(args):
 
 def _cmd_craps(args):
     if args.totals:
-        probs = tuple(Fraction(x) for x in args.totals.split(","))
-        report = craps_evaluate(CrapsTotals(probs))
+        report = craps_evaluate(CrapsTotals(args.totals))
     elif args.sack:
         report = craps_from_sack(Sack.from_json(_load_json_arg(args.sack)))
     else:
@@ -255,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="enumerate the fiber over a total")
     p.add_argument("--total", required=True)
-    p.add_argument("--type", type=_int_list(), required=True)
+    p.add_argument("--type", type=_number_list(int), required=True)
     p.add_argument("--factors", required=True)
     p.set_defaults(func=_cmd_solve)
 
@@ -273,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_coin_die)
 
     p = sub.add_parser("exotic", help="exotic sacks of a pair of orders")
-    p.add_argument("--orders", type=_int_list(2), required=True)
+    p.add_argument("--orders", type=_number_list(int, 2), required=True)
     p.set_defaults(func=_cmd_exotic)
 
     p = sub.add_parser("s3scan", aliases=["scatter"],
@@ -292,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_swaps)
 
     p = sub.add_parser("craps", help="exact craps evaluation")
-    p.add_argument("--totals", default=None,
+    p.add_argument("--totals", type=_number_list(Fraction), default=None,
                    help="11 comma-separated rationals for totals 2..12")
     p.add_argument("--sack", default=None)
     p.set_defaults(func=_cmd_craps)

@@ -32,8 +32,11 @@ integers, and has one private constructor ``_from_ints`` that builds its
 normalizer, makes a die straight from a rational list's numerators,
 :func:`parts_to_total` convolves the stored numerators of rational dice,
 and craps reads the total's pair.  No rational die or total converts its
-scalars again.  How a ``CycElem`` stores its coordinates is known only to
-``exactnum``.
+scalars again.  A die of :func:`root_pair` has one more private
+constructor, ``Die._from_ring``, which takes ``exactnum.ring_scalars``'
+scalars, their exact sum and, for a rational die, their pair as they
+come.  These constructors live here alone.  How a ``CycElem`` stores its
+coordinates is known only to ``exactnum``.
 
 A product of roots of unity, prod (x - zeta_n^e) * (x+1)^x1, is one ring
 pass: a numpy array with one row per coefficient in x, each row an integer
@@ -45,7 +48,9 @@ coefficient at once (``exactnum.ring_scalars``).  The array is int64 where
 on the same code.  :func:`root_product` starts the pass from 1.
 :func:`root_pair` builds the two dice of a pair whose products multiply to
 psi_k * psi_k': each die's pass starts from its partner's value at 1 and
-is divided once by k*k', so no inverse is taken.  The pass stays apart
+is divided once by k*k', so no inverse is taken, and each die's sum,
+read off the column sums of its reduced rows, certifies the premise that
+the two products multiply to psi_k * psi_k'.  The pass stays apart
 from :func:`poly_mul`, which multiplies dense coefficient lists.
 """
 
@@ -161,8 +166,9 @@ def _ring_factors(exponents, x1_count) -> list[int]:
 
 
 def _ring_pass(n: int, exponents, x1_count: int, partner, partner_x1: int,
-               den: int) -> list:
-    # The scalars of c * prod_e (x - zeta_n^e) * (x+1)^x1_count / den, where
+               den: int) -> tuple[list, object, tuple | None]:
+    # exactnum.ring_scalars' (scalars, total, ints) of
+    # c * prod_e (x - zeta_n^e) * (x+1)^x1_count / den, where
     # c = prod_{e in partner} (1 - zeta^e) * 2^partner_x1 is the partner's
     # value at 1 (1 for no partner).  One numpy array over Z[x]/(x^n - 1),
     # one row per coefficient in x, constant term first: x shifts the rows
@@ -201,7 +207,7 @@ def root_product(n: int, exponents, x1_count: int = 0):
     included, raises ValueError before any work.
     """
     return _ring_pass(n, _ring_factors(exponents, x1_count), x1_count,
-                      (), 0, 1)
+                      (), 0, 1)[0]
 
 
 def poly_trim(p):
@@ -306,6 +312,20 @@ class Die:
             raise ValueError("a die needs order at least 2")
         return _set_sum_one(object.__new__(cls), "probs",
                             "die probabilities", None, (nums, den))
+
+    @classmethod
+    def _from_ring(cls, probs, total, ints) -> "Die":
+        # The die of exactnum.ring_scalars' (scalars, total, ints): the
+        # scalars are in their one form already and total is their exact
+        # sum, so no scalar is converted or added again.
+        if len(probs) < 2:
+            raise ValueError("a die needs order at least 2")
+        if total != 1:
+            raise ValueError("die probabilities must sum to 1 exactly")
+        self = object.__new__(cls)
+        object.__setattr__(self, "probs", tuple(probs))
+        object.__setattr__(self, "_ints", ints)
+        return self
 
     @property
     def order(self) -> int:
@@ -473,16 +493,18 @@ def root_pair(n: int, exps_p, x1_p: int, exps_q,
     p(1) q(1) = psi_k(1) psi_k'(1) = k k', so p/p(1) = p q(1)/(k k'): each
     die's ring pass starts from its partner's value at 1,
     prod (1 - zeta^e) * 2^x1, and is divided once by k k', with no
-    inverse.  Die's exact check that the probabilities sum to 1 certifies
-    the premise.  The two passes apply all L = (k - 1) + (k' - 1) linear
-    factors of both dice to 1, so :func:`exactnum.ring_dtype` chooses
-    their dtype for L.  Exponents and counts are checked as in
+    inverse.  Each die's exact sum, taken by :func:`exactnum.ring_scalars`
+    on the column sums of its reduced integer rows with no scalar added,
+    certifies the premise: a die whose sum is not 1 raises ValueError, as
+    ``Die(...)`` does.  The two passes apply all L = (k - 1) + (k' - 1)
+    linear factors of both dice to 1, so :func:`exactnum.ring_dtype`
+    chooses their dtype for L.  Exponents and counts are checked as in
     :func:`root_product`.
     """
     exps_p, exps_q = _ring_factors(exps_p, x1_p), _ring_factors(exps_q, x1_q)
     kk = (len(exps_p) + x1_p + 1) * (len(exps_q) + x1_q + 1)
-    return (Die(tuple(_ring_pass(n, exps_p, x1_p, exps_q, x1_q, kk))),
-            Die(tuple(_ring_pass(n, exps_q, x1_q, exps_p, x1_p, kk))))
+    return (Die._from_ring(*_ring_pass(n, exps_p, x1_p, exps_q, x1_q, kk)),
+            Die._from_ring(*_ring_pass(n, exps_q, x1_q, exps_p, x1_p, kk)))
 
 
 def psi(k: int):

@@ -32,7 +32,8 @@ shared.  A caller that builds many elements at once holds them as an integer
 numpy array of n-vectors over Z[x]/(x^n - 1), one row per element:
 :func:`ring_dtype` proves when int64 holds such an array exactly, and
 :func:`ring_scalars` reduces every row mod Phi_n with one matrix product
-and returns its scalars.
+and returns its scalars, their sum read off the reduced columns, and their
+integer numerators when all are rational.
 
 Sign determination for real elements (fixed by complex conjugation) first
 tests for exact zero.  A nonzero real e = xs/d is then at least
@@ -257,6 +258,9 @@ def ring_dtype(n: int, factors: int) -> str:
     2^L in absolute value.  The reduction is one matrix product
     against the table T whose row i is x^i mod Phi_n: an output entry and
     each of its partial sums is at most ||row||_1 max|T| <= 2^L max|T|.
+    The column sums of the reduced array, and each of their partial sums,
+    are sums of products a * T[i][c] over a subset of the array's entries
+    a, so they are at most ||array||_1 max|T| <= 2^L max|T| too.
     With L + bitlen(max|T|) <= 62 that is below 2^62, inside int64.  max|T|
     is read from the table; it is 1 at n = 6, 12, 29, 84, 247 and 323, at
     most 3 for every n <= 400 (3 first at n = 385), and 9 at n = 2310.
@@ -265,19 +269,32 @@ def ring_dtype(n: int, factors: int) -> str:
     return "int64" if factors + bits <= 62 else "object"
 
 
-def ring_scalars(rows, n: int, den: int) -> list:
-    """:func:`as_scalar` of r(zeta_n) / den for each row r of an integer
-    numpy array of n-vectors over Z[x]/(x^n - 1), den > 0.
+def ring_scalars(rows, n: int, den: int) -> tuple[list, object, tuple | None]:
+    """(scalars, total, ints) for an integer numpy array of n-vectors over
+    Z[x]/(x^n - 1) and den > 0: ``scalars`` the :func:`as_scalar` of
+    r(zeta_n) / den for each row r, ``total`` the :func:`as_scalar` of
+    their sum, and ``ints`` = (nums, d) with scalars == nums/d, d the least
+    common denominator, when every scalar is rational, else None.
 
     One matrix product against the table of x^i mod Phi_n reduces every
     row at once, in the array's dtype: int64 only where :func:`ring_dtype`
     proves it exact, Python ints otherwise.  The table's first phi(n) rows
     are the identity, so only the columns phi(n) .. n - 1 are multiplied
     (its terms are a subset of the full product's, inside the same bound).
+    The reduced rows are the power-basis numerators over den, so ``total``
+    is their column sums over den, with no scalar added, and the rows are
+    all rational exactly when every column but the first is zero.
     """
     deg = phi(n)
     reduced = rows[:, :deg] + rows[:, deg:] @ _power_table(n, rows.dtype)
-    return [as_scalar(CycElem._make(n, r, den)) for r in reduced.tolist()]
+    total = as_scalar(CycElem._make(n, reduced.sum(axis=0).tolist(), den))
+    if reduced[:, 1:].any():
+        return ([as_scalar(CycElem._make(n, r, den))
+                 for r in reduced.tolist()], total, None)
+    nums = reduced[:, 0].tolist()
+    g = math.gcd(den, *nums)
+    nums, den = tuple(a // g for a in nums), den // g
+    return list(_fractions(nums, den)), total, (nums, den)
 
 
 @functools.lru_cache(maxsize=None)

@@ -451,9 +451,7 @@ MALFORMED_INT_LISTS = {
 }
 
 
-@pytest.mark.parametrize("argv", MALFORMED_INT_LISTS.values(),
-                         ids=MALFORMED_INT_LISTS.keys())
-def test_malformed_integer_list_is_a_usage_error(argv, capsys):
+def _assert_usage_error_naming(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         run(list(argv))
     assert exc.value.code == 2
@@ -461,6 +459,48 @@ def test_malformed_integer_list_is_a_usage_error(argv, capsys):
     assert captured.out == ""
     assert f"error: argument {argv[1]}: expected " in captured.err
     assert "unpack" not in captured.err and "literal" not in captured.err
+
+
+@pytest.mark.parametrize("argv", MALFORMED_INT_LISTS.values(),
+                         ids=MALFORMED_INT_LISTS.keys())
+def test_malformed_integer_list_is_a_usage_error(argv, capsys):
+    _assert_usage_error_naming(argv, capsys)
+
+
+_TEN_TOTALS = ",".join(["1/11"] * 10)
+
+# Rational lists that do not parse, a zero denominator included: each is a
+# usage error naming --totals, not Fraction's internal message.
+MALFORMED_TOTALS = {
+    "totals_letters": ("craps", "--totals", "abc"),
+    "totals_zero_denominator": ("craps", "--totals", f"1/0,{_TEN_TOTALS}"),
+    "totals_empty_entry": ("craps", "--totals", f"1/11,,{_TEN_TOTALS}"),
+    "totals_float_word": ("craps", "--totals", f"nan,{_TEN_TOTALS}"),
+}
+
+
+@pytest.mark.parametrize("argv", MALFORMED_TOTALS.values(),
+                         ids=MALFORMED_TOTALS.keys())
+def test_malformed_totals_are_a_usage_error(argv, capsys):
+    _assert_usage_error_naming(argv, capsys)
+
+
+# Totals that parse but are no distribution on 2..12 stay domain errors.
+CRAPS_DOMAIN_ERRORS = {
+    "count": ("1/2,1/2", "craps needs the 11 totals 2..12"),
+    "sign": (f"-1/11,3/11,{','.join(['1/11'] * 9)}",
+             "total probabilities must be nonnegative"),
+    "sum": (f"1/2,{_TEN_TOTALS}", "total probabilities must sum to 1"),
+}
+
+
+@pytest.mark.parametrize("totals, message", CRAPS_DOMAIN_ERRORS.values(),
+                         ids=CRAPS_DOMAIN_ERRORS.keys())
+def test_craps_totals_that_are_no_distribution_exit_1(totals, message,
+                                                      capsys):
+    code, out, err = _run(capsys, "craps", f"--totals={totals}")
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_orders_out_of_order_are_a_domain_error(capsys):

@@ -1,6 +1,7 @@
 """Dice, sacks, the forward map, and exact polynomial helpers."""
 
 import dataclasses
+import math
 import pickle
 import re
 from fractions import Fraction
@@ -29,7 +30,8 @@ from totalparts.crapseval import CrapsTotals
 from totalparts import exactnum
 from totalparts.exactnum import (CycElem, cyc_embed, cyc_sign, phi,
                                  ring_dtype, ring_scalars, two_cos)
-from totalparts.fairlab import multiplicity_vectors
+from totalparts.exotica import exotic_search
+from totalparts.fairlab import enumerate_fair_pairs, multiplicity_vectors
 from totalparts.fibers import ChiFactor, LinearFactor
 
 from reference_division import (InexactDivision, poly_divide_exact,
@@ -117,9 +119,10 @@ def test_root_pair_equals_normalize_to_die(k, data):
        st.lists(st.integers(0, 3), min_size=2, max_size=2))
 def test_ring_pass_stays_within_its_derived_bound(n, exps, x1s):
     # Both passes of a pair, run on Python ints: every entry is at most 2^L
-    # and every reduced entry at most 2^L max|T|, L counting the linear
-    # factors of both dice, as exactnum.ring_dtype derives; the pass in the
-    # dtype that ring_dtype chooses gives the same scalars
+    # and every reduced entry and column sum at most 2^L max|T|, L counting
+    # the linear factors of both dice, as exactnum.ring_dtype derives; the
+    # pass in the dtype that ring_dtype chooses gives the same scalars, sum
+    # and integer pair
     table = exactnum._power_rows(n)[0]
     big = max(abs(c) for row in table for c in row)
     L = sum(map(len, exps)) + sum(x1s)
@@ -139,7 +142,15 @@ def test_ring_pass_stays_within_its_derived_bound(n, exps, x1s):
         reduced = [[sum(a * row[c] for a, row in zip(coeff, table))
                     for c in range(phi(n))] for coeff in poly.tolist()]
         assert all(abs(a) <= 2 ** L * big for r in reduced for a in r)
-        assert exact == [as_scalar(CycElem(n, r)) for r in reduced]
+        sums = [sum(col) for col in zip(*reduced)]
+        assert all(abs(a) <= 2 ** L * big for a in sums)
+        scalars = [as_scalar(CycElem(n, r)) for r in reduced]
+        ints = None
+        if all(isinstance(c, F) for c in scalars):
+            den = math.lcm(*(c.denominator for c in scalars))
+            ints = (tuple(c.numerator * (den // c.denominator)
+                          for c in scalars), den)
+        assert exact == (scalars, as_scalar(CycElem(n, sums)), ints)
         assert dicecore._ring_pass(*args) == exact
 
 
@@ -158,6 +169,42 @@ def test_root_pair_of_mixed_orders_and_a_false_premise():
     # to 1
     with pytest.raises(ValueError, match="must sum to 1 exactly"):
         root_pair(6, [], 1, [1, 5], 0)
+
+
+@pytest.mark.parametrize("dtype", ["int64", "object"])
+@pytest.mark.parametrize("args, message", [
+    # (x + 1)(x - zeta_6)(x - zeta_6^5): rational dice that do not sum to 1
+    ((6, [], 1, [1, 5], 0), "must sum to 1 exactly"),
+    # (x - zeta_7)(x - zeta_7^2) is not psi_k * psi_k' for any k, k': the
+    # dice are irrational and sum to (1 - zeta)(1 - zeta^2)/4
+    ((7, [1], 0, [2], 0), "must sum to 1 exactly"),
+    ((7, [], 0, [1, 2], 0), "order at least 2"),
+], ids=["rational", "irrational", "order_1"])
+def test_root_pair_refuses_a_false_premise_on_every_branch(
+        args, message, dtype, monkeypatch):
+    # the sum read off the reduced rows refuses what Die(...) refuses, in
+    # int64 and on Python ints
+    monkeypatch.setattr(dicecore, "ring_dtype", lambda n, L: dtype)
+    with pytest.raises(ValueError, match=message):
+        root_pair(*args)
+
+
+def test_root_pair_adds_no_scalars(monkeypatch):
+    # each die's sum is read off its reduced integer rows, so the (7, 12)
+    # census and the fair pairs of order 6 make no CycElem addition, where
+    # a Die(...) of the same scalars makes one per entry.  The first search
+    # fills the filter's cached factors (exotica._chi_factor adds two
+    # powers of zeta once per factor); the second is counted.
+    exotic_search(7, 12)
+    calls = []
+    plus = CycElem._plus
+    monkeypatch.setattr(CycElem, "_plus", lambda self, other, sign:
+                        calls.append(sign) or plus(self, other, sign))
+    census = exotic_search(7, 12)
+    assert census.count == 14 and len(enumerate_fair_pairs(6)) == 51
+    assert calls == []
+    die = census.sacks[0][0].dice[0]
+    assert Die(die.probs) == die and len(calls) == die.order
 
 
 def test_poly_divide_exact():

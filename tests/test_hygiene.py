@@ -1,8 +1,8 @@
 """Source hygiene: every name a package module imports is used, every
 private module-level function and every method is referenced somewhere,
 no module reaches into exactnum's private number format or decides a
-scalar's stored form, the package runs without mpmath, and README's
-command examples parse."""
+scalar's stored form, only dicecore builds a die or a total unchecked, the
+package runs without mpmath, and README's command examples parse."""
 
 import ast
 import collections
@@ -136,6 +136,38 @@ def test_only_exactnum_reads_a_cyc_elems_internals(path):
             if isinstance(node, ast.Attribute)}
     leaked = sorted(read & CYCELEM_INTERNALS)
     assert not leaked, f"{path.name} reads CycElem internals {leaked}"
+
+
+# The constructors that trust their caller for a die's or a total's sum:
+# named, and Die or DistPoly allocated bare, only inside dicecore, so no
+# other module can build an unchecked die.
+TRUSTED_CONSTRUCTORS = {"_from_ints", "_from_ring"}
+
+
+def _unchecked_builds(tree):
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value  # getattr or monkeypatch by name
+        elif (isinstance(node, ast.Call)
+              and ast.unparse(node.func) == "object.__new__" and node.args
+              and ast.unparse(node.args[0]) in ("Die", "DistPoly")):
+            name = ast.unparse(node)
+        else:
+            continue
+        if name in TRUSTED_CONSTRUCTORS or name.startswith("object.__new__"):
+            found.add(name)
+    return found
+
+
+def test_only_dicecore_builds_an_unchecked_die():
+    found = {path.stem: _unchecked_builds(ast.parse(path.read_text()))
+             for path in SRC.glob("*.py")}
+    assert TRUSTED_CONSTRUCTORS <= found.pop("dicecore")
+    leaked = {stem: sorted(names) for stem, names in found.items() if names}
+    assert not leaked, f"unchecked Die or DistPoly builds: {leaked}"
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
