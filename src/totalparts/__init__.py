@@ -1,5 +1,14 @@
 """Exact arithmetic for dice totals: the part-to-total map, its fibers,
-totally fair pairs, exotic sacks, and craps."""
+totally fair pairs, exotic sacks, and craps.
+
+numpy and multiprocessing are imported by the code that computes with
+them, the first time it runs, never with the package: ``exotica`` (the
+censuses and scans) imports both at its top and is itself imported on
+first use, and the ring pass imports numpy inside the function.  So the
+fiber, fair-pair count and craps paths, and the CLI commands that take
+them, start without either."""
+
+from importlib import import_module as _import_module
 
 from .exactnum import (
     CycElem,
@@ -41,18 +50,6 @@ from .fairlab import (
     ramification_check,
     sicherman_search,
 )
-from .exotica import (
-    ExoticCensus,
-    ScanRecord,
-    SwapSpec,
-    exotic_search,
-    m3_exceptions,
-    s_scan,
-    scan_table,
-    smallest_exotic_34,
-    swap_census,
-    verify_tridecahedral,
-)
 from .crapseval import (
     CrapsReport,
     CrapsTotals,
@@ -63,4 +60,31 @@ from .crapseval import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# exotica's names, served on first access: exotica imports numpy and
+# multiprocessing, which only a census or a scan needs (PEP 562).
+_EXOTICA = (
+    "ExoticCensus",
+    "ScanRecord",
+    "SwapSpec",
+    "exotic_search",
+    "m3_exceptions",
+    "s_scan",
+    "scan_table",
+    "smallest_exotic_34",
+    "swap_census",
+    "verify_tridecahedral",
+)
+
+__all__ = sorted([name for name in dir() if not name.startswith("_")]
+                 + ["exotica", *_EXOTICA])
+
+
+def __getattr__(name):
+    if name != "exotica" and name not in _EXOTICA:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    exotica = _import_module(f"{__name__}.exotica")
+    return exotica if name == "exotica" else getattr(exotica, name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -1,5 +1,10 @@
 """Command-line surface: exact results on stdout, JSON/CSV/table formats.
 
+The census and scan commands (``exotic``, ``s3scan``, ``s4scan``, ``swaps``,
+``selftest``) import ``exotica``, and with it numpy, when they run, and
+``fair-enum`` loads numpy for its ring pass unless ``--count-only``; the
+other commands never load numpy.
+
 Exact scalars are always serialized as strings (``"7/18"``) or cyclotomic
 coordinate objects, never floats; ``--decimal N`` adds a display-only
 rounded column.  Exit code 0 on success, 1 on a domain error (the message
@@ -16,7 +21,8 @@ import sys
 from fractions import Fraction
 
 from .exactnum import cyc_embed
-from .dicecore import DistPoly, Sack, parts_to_total, render_scalar
+from .dicecore import (DistPoly, Sack, check_workers, parts_to_total,
+                       render_scalar)
 from .fibers import FactorMultiset, enumerate_fiber, fiber_degree
 from .fairlab import (
     coin_die_fair_check,
@@ -24,15 +30,6 @@ from .fairlab import (
     fair_pair_count,
     ramification_check,
     sicherman_search,
-)
-from .exotica import (
-    M3_RATIO_BOUND,
-    check_workers,
-    exotic_search,
-    s_scan,
-    scan_table,
-    swap_census,
-    verify_tridecahedral,
 )
 from .crapseval import WIN_TOTALS, CrapsTotals, craps_evaluate, craps_from_sack
 
@@ -150,6 +147,7 @@ def _cmd_coin_die(args):
 
 
 def _cmd_exotic(args):
+    from .exotica import exotic_search
     census = exotic_search(*args.orders)
     if args.format == "table":
         for sack, spec in census.sacks:
@@ -166,6 +164,7 @@ def _cmd_exotic(args):
 
 def _cmd_scan(args):
     # one row per record, as it arrives; R rounds to --decimal places, else 7
+    from .exotica import M3_RATIO_BOUND, scan_table
     records = scan_table(args.ell, args.kmax, args.workers)
     places = 7 if args.decimal is None else args.decimal
     with (open(args.csv, "w", newline="") if args.csv
@@ -186,6 +185,7 @@ def _cmd_scan(args):
 
 
 def _cmd_swaps(args):
+    from .exotica import swap_census
     for spec in swap_census(args.order):
         _emit(spec.render())
     return 0
@@ -219,6 +219,7 @@ def _cmd_sicherman(args):
 
 
 def _cmd_selftest(args):
+    from .exotica import exotic_search, s_scan, verify_tridecahedral
     checks = []
     checks.append(("fair_pair_count(6) == 51", fair_pair_count(6) == 51))
     checks.append(("fiber_degree((6,6)) == 252", fiber_degree((6, 6)) == 252))

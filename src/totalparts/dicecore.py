@@ -57,6 +57,7 @@ from :func:`poly_mul`, which multiplies dense coefficient lists.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -102,11 +103,27 @@ def _json_shaped(obj, kind: type, what: str):
     return obj
 
 
+def _json_field(obj: dict, key: str, what: str, kind: type | None = None):
+    """obj[key], shaped by :func:`_json_shaped` when kind is given; a
+    missing key is a ValueError naming the field and what lacks it."""
+    if key not in obj:
+        raise ValueError(f"{what} needs a {key!r} field")
+    return obj[key] if kind is None else _json_shaped(obj[key], kind, key)
+
+
+def check_workers(workers: int) -> None:
+    """Refuse a worker count outside [1, os.cpu_count()] with ValueError."""
+    cpus = os.cpu_count() or 1
+    if not 1 <= workers <= cpus:
+        raise ValueError(f"workers must lie in [1, {cpus}], got {workers}")
+
+
 def scalar_from_json(obj):
     """A rational, or {"conductor": n, "coords": [...]} for Q(zeta_n)."""
     if isinstance(obj, dict):
-        coords = _json_shaped(obj["coords"], list, "coords")
-        return as_scalar(CycElem(obj["conductor"],
+        what = "a cyclotomic scalar"
+        coords = _json_field(obj, "coords", what, list)
+        return as_scalar(CycElem(_json_field(obj, "conductor", what),
                                  [_rational_from_json(c) for c in coords]))
     return _rational_from_json(obj)
 
@@ -174,7 +191,7 @@ def _ring_pass(n: int, exponents, x1_count: int, partner, partner_x1: int,
     # one row per coefficient in x, constant term first: x shifts the rows
     # down by one, and zeta^e * v is the rotation v[cut:] + v[:cut].  The
     # dtype is proven for all the linear factors of both.  numpy is imported
-    # here, not with this module, as in exactnum._power_table.
+    # here, by the package rule (see totalparts/__init__.py).
     import numpy as np
     poly = np.zeros((1, n), ring_dtype(n, len(exponents) + x1_count
                                        + len(partner) + partner_x1))
@@ -362,8 +379,8 @@ class Die:
     def from_json(obj: dict) -> "Die":
         obj = _json_shaped(obj, dict, "a die")
         probs = [scalar_from_json(p)
-                 for p in _json_shaped(obj["probs"], list, "probs")]
-        order = obj.get("order", len(probs))
+                 for p in _json_field(obj, "probs", "a die", list)]
+        order = _json_shaped(obj.get("order", len(probs)), int, "order")
         if order != len(probs):
             raise ValueError("declared order does not match probability count")
         return Die(tuple(probs))
@@ -404,7 +421,7 @@ class Sack:
     def from_json(obj: dict) -> "Sack":
         obj = _json_shaped(obj, dict, "a sack")
         return Sack(tuple(Die.from_json(d)
-                          for d in _json_shaped(obj["dice"], list, "dice")))
+                          for d in _json_field(obj, "dice", "a sack", list)))
 
     def canonical_key(self):
         return tuple(tuple(d.probs) for d in self.dice)

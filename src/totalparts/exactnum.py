@@ -233,9 +233,8 @@ def _power_rows(n: int) -> tuple[tuple[tuple[int, ...], ...], int]:
 def _power_table(n: int, dtype):
     # the rows x^i mod Phi_n, phi(n) <= i < n, as a read-only numpy array of
     # the given dtype, shared by every caller.  numpy is imported here, with
-    # the first ring pass, and not with this module: imported ahead of the
-    # rest of the package, it measured 1 MB more peak RSS and 3-5 % slower
-    # perfbench scans (2 shared vCPUs), which never run a ring pass.
+    # the first ring pass, by the package rule (see totalparts/__init__.py):
+    # only code that computes with numpy loads it.
     import numpy as np
     table = np.array(_power_rows(n)[0][phi(n):], dtype=dtype).reshape(
         n - phi(n), phi(n))

@@ -44,7 +44,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from multiprocessing import Pool
@@ -52,8 +51,8 @@ from multiprocessing import Pool
 import numpy as np
 
 from .exactnum import CycElem, cyc_embed, cyc_sign, two_cos
-from .dicecore import (Die, Sack, fair_total, normalize_to_die, poly_mul,
-                       root_pair, root_product)
+from .dicecore import (Die, Sack, check_workers, fair_total, normalize_to_die,
+                       poly_mul, root_pair, root_product)
 
 M3_RATIO_BOUND = Fraction(60, 143)
 
@@ -746,13 +745,6 @@ def s_scan(ell: int, k: int) -> ScanRecord:
         js = k - 1 - lattice[row][unclear[row]] * pow(m * kr // k, -1, kr) % kr
         ok[row] = all(_scan_coeff_sign(ell, k, m, j) >= 0 for j in js.tolist())
     return ScanRecord(k, tuple(itertools.compress(ms, ok)))
-
-
-def check_workers(workers: int) -> None:
-    """Refuse a worker count outside [1, os.cpu_count()] with ValueError."""
-    cpus = os.cpu_count() or 1
-    if not 1 <= workers <= cpus:
-        raise ValueError(f"workers must lie in [1, {cpus}], got {workers}")
 
 
 def scan_table(ell: int, k_max: int, workers: int = 1):

@@ -22,11 +22,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import CycElem, _numerators, divisors, two_cos
+from .exactnum import CycElem, _conv_ints, _numerators, divisors, two_cos
 from .dicecore import (
     DistPoly,
     Sack,
     ZeroSum,
+    _json_field,
     _json_shaped,
     as_scalar,
     normalize_to_die,
@@ -105,11 +106,14 @@ class ChiFactor:
 
 
 def factor_from_json(obj):
-    if _json_shaped(obj, dict, "a factor")["type"] == "linear":
-        return LinearFactor(scalar_from_json(obj["root"]))
-    if obj["type"] == "chi":
-        return ChiFactor(*(_json_shaped(obj[f], int, f) for f in ("m", "k")))
-    raise ValueError(f"unknown factor type {obj['type']!r}")
+    kind = _json_field(_json_shaped(obj, dict, "a factor"), "type", "a factor")
+    if kind == "linear":
+        return LinearFactor(scalar_from_json(
+            _json_field(obj, "root", "a linear factor")))
+    if kind == "chi":
+        return ChiFactor(*(_json_field(obj, f, "a chi factor", int)
+                           for f in ("m", "k")))
+    raise ValueError(f"unknown factor type {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -224,9 +228,12 @@ def enumerate_fiber(factors: FactorMultiset, sack_type):
     entries = factors.entries
     powers = [_slot_powers(factor, mult) for factor, mult in entries]
     dedupe = not all(type(c) is int for ps in powers for c in ps[-1])
+    # int slots multiply by poly_mul's own loop for int lists, unchecked
+    mul = poly_mul if dedupe else _conv_ints
     results = []  # of (rendered dice, sack)
     seen = set()
     built = {}  # (product, order) -> (die, its rendering), None for a zero sum
+    comps = {}  # (multiplicity, slot caps) -> compositions, shared by nodes
 
     def die_of(p, k):
         key = (tuple(p), k)
@@ -254,10 +261,12 @@ def enumerate_fiber(factors: FactorMultiset, sack_type):
             results.append((rendered, sack))
             return
         factor, mult = entries[idx]
-        slot_caps = [r // factor.degree for r in remaining]
-        for comp in _compositions(mult, slot_caps):
+        key = mult, tuple(r // factor.degree for r in remaining)
+        if key not in comps:
+            comps[key] = tuple(_compositions(*key))
+        for comp in comps[key]:
             new_remaining = [r - c * factor.degree for r, c in zip(remaining, comp)]
-            new_polys = [poly_mul(p, powers[idx][c]) if c else p
+            new_polys = [mul(p, powers[idx][c]) if c else p
                          for p, c in zip(polys, comp)]
             assign(idx + 1, new_remaining, new_polys)
 

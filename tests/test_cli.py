@@ -340,6 +340,29 @@ def test_malformed_json_shape_exits_1(argv, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+# A JSON object lacking a field it needs: exit 1 with a message naming the
+# field, not a bare KeyError.
+MISSING_FIELDS = {
+    "sack_dice": (("total", "--sack", "{}"), "a sack needs a 'dice' field"),
+    "die_probs": (("craps", "--sack", '{"dice":[{"order":2}]}'),
+                  "a die needs a 'probs' field"),
+    "scalar_coords": (("total", "--sack",
+                       '{"dice":[{"probs":[{"conductor":3},"1"]}]}'),
+                      "a cyclotomic scalar needs a 'coords' field"),
+    "chi_k": (("solve", "--type", "2,3", "--factors",
+               '[{"type":"chi","m":1}]', "--total",
+               '["1/6","1/3","1/3","1/6"]'), "a chi factor needs a 'k' field"),
+}
+
+
+@pytest.mark.parametrize("argv, message", MISSING_FIELDS.values(),
+                         ids=MISSING_FIELDS.keys())
+def test_a_missing_json_field_is_named(argv, message, capsys):
+    code, out, err = _run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
 # A factor field that must be an integer holding a string, a float or a
 # boolean; each factor multiset matches the total but for that field.
 _X1 = '{"type":"linear","root":-1}'
@@ -533,7 +556,9 @@ def test_workers_out_of_range_starts_no_pool(workers, capsys, monkeypatch):
         raise AssertionError("a Pool was created")
 
     monkeypatch.setattr(exotica, "Pool", no_pool)
-    for command in (["s3scan", "--kmax", "60"], ["scatter", "--kmax", "60"]):
+    fair = ",".join(str(F(6 - abs(t - 7), 36)) for t in range(2, 13))
+    for command in (["s3scan", "--kmax", "60"], ["scatter", "--kmax", "60"],
+                    ["craps", "--totals", fair]):
         with pytest.raises(SystemExit) as exc:
             run(["--workers", str(workers)] + command)
         assert exc.value.code == 2

@@ -256,6 +256,30 @@ def test_die_json_rejects_mismatched_order():
         Die.from_json({"order": 3, "probs": ["1/2", "1/2"]})
 
 
+def test_sack_json_names_a_missing_field():
+    with pytest.raises(ValueError, match="^a sack needs a 'dice' field$"):
+        Sack.from_json({})
+
+
+@pytest.mark.parametrize("order", [2.0, "2", True, None])
+def test_die_json_names_a_missing_field_and_a_non_integer_order(order):
+    with pytest.raises(ValueError, match="^a die needs a 'probs' field$"):
+        Die.from_json({"order": 2})
+    with pytest.raises(ValueError, match="^order must be an integer, not "):
+        Die.from_json({"order": order, "probs": ["1/2", "1/2"]})
+
+
+@pytest.mark.parametrize("obj, field", [
+    ({"coords": ["1"]}, "conductor"),
+    ({"conductor": 3}, "coords"),
+    ({}, "coords"),
+])
+def test_scalar_json_names_a_missing_field(obj, field):
+    with pytest.raises(ValueError, match=f"^a cyclotomic scalar needs a "
+                                         f"'{field}' field$"):
+        scalar_from_json(obj)
+
+
 # Rational values that arrive as CycElems: 0 at conductor 5,
 # 2cos(2 pi/6) = 1, zeta_4^2 = -1 and 1/2 at conductor 84.
 RATIONAL_ELEMS = {

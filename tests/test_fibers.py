@@ -479,6 +479,18 @@ def test_the_rational_root_search_is_bounded_before_any_trial_division(
         coins_parts_from_total(near_1e7, 3)
 
 
+@pytest.mark.parametrize("obj, message", [
+    ({}, "a factor needs a 'type' field"),
+    ({"root": "1"}, "a factor needs a 'type' field"),
+    ({"type": "linear"}, "a linear factor needs a 'root' field"),
+    ({"type": "chi", "k": 5}, "a chi factor needs a 'm' field"),
+    ({"type": "chi", "m": 1}, "a chi factor needs a 'k' field"),
+])
+def test_factor_json_names_a_missing_field(obj, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        FactorMultiset.from_json([obj])
+
+
 def test_factor_multiset_json_round_trip():
     fm = FactorMultiset((
         (LinearFactor(F(-1)), 2),
