@@ -16,9 +16,11 @@ that they are nonnegative and sum to 1 read n_t >= 0 and sum n_t = D, and
 the game is P(win | point t) = n_t/(n_t + n_7), P(come-out t and win) =
 n_t^2/(D (n_t + n_7)), and p_win is one integer numerator over
 D prod (n_t + n_7).  ``Fraction``s are built only for the values a
-:class:`CrapsReport` returns.  A sack whose total has an irrational
-coefficient is refused, whatever the signs of its coefficients: craps
-evaluation needs a rational total distribution.
+:class:`CrapsReport` returns, each from its integer pair by exactnum's one
+lowest-terms constructor: one gcd, with no type dispatch of ``Fraction``.
+A sack whose total has an irrational coefficient is refused, whatever the
+signs of its coefficients: craps evaluation needs a rational total
+distribution.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dicecore import Sack, as_scalar, fair_total, parts_to_total
-from .exactnum import _numerators
+from .exactnum import _fraction, _numerators
 
 WIN_TOTALS = (7, 11)
 LOSE_TOTALS = (2, 3, 12)
@@ -74,8 +76,9 @@ class CrapsTotals:
         return self
 
     def __getitem__(self, total: int) -> Fraction:
-        # a total outside 2..12 would index probs from its end
-        if total not in range(2, 13):
+        # a total outside 2..12 would index probs from its end, and 2.0,
+        # equal to 2, is no index
+        if type(total) is not int or total not in range(2, 13):
             raise KeyError(total)
         return self.probs[total - 2]
 
@@ -102,29 +105,27 @@ def craps_evaluate(totals: CrapsTotals) -> CrapsReport:
 
 
 def _evaluate(totals: CrapsTotals, nums, den: int) -> CrapsReport:
-    # craps_evaluate on the numerators nums over den of totals.probs
-    f = dict(zip(range(2, 13), nums))
+    # craps_evaluate on the numerators nums of the totals 2..12 over den;
+    # breakdown's keys run 7, 11, 2, 3, 12, then the points
+    probs = totals.probs
+    n7 = nums[5]
     point_win = {}
-    breakdown = {}
-    for t in WIN_TOTALS:
-        breakdown[t] = totals[t]
-    for t in LOSE_TOTALS:
-        breakdown[t] = _ZERO
+    breakdown = {7: probs[5], 11: probs[9], 2: _ZERO, 3: _ZERO, 12: _ZERO}
     # p_win = win / (den * scale), scale the product of the point sums so far
-    win, scale = f[7] + f[11], 1
+    win, scale = n7 + nums[9], 1
     for t in POINT_TOTALS:
-        n = f[t]
-        s = n + f[7]
+        n = nums[t - 2]
+        s = n + n7
         if s == 0:
             if n != 0:
                 raise InvalidDistribution(
                     f"point {t} can be set but never resolves")
             point_win[t] = breakdown[t] = _ZERO
             continue
-        point_win[t] = Fraction(n, s)
-        breakdown[t] = Fraction(n * n, den * s)
+        point_win[t] = _fraction(n, s)
+        breakdown[t] = _fraction(n * n, den * s)
         win, scale = win * s + n * n * scale, scale * s
-    p_win = Fraction(win, den * scale)
+    p_win = _fraction(win, den * scale)
     return CrapsReport(totals, p_win, point_win, breakdown,
                        p_win == FAIR_PASS_PROBABILITY)
 
@@ -136,7 +137,7 @@ def geometric_tree_check(totals: CrapsTotals, t: int):
     The n-th partial sum is f_t * (1 - q^n)/(1 - q) with q the probability
     of rolling neither t nor 7; exact Fractions throughout.
     """
-    if t not in POINT_TOTALS:
+    if type(t) is not int or t not in POINT_TOTALS:
         raise ValueError(f"{t} is not a point total")
     q = 1 - totals[t] - totals[7]
     partials = []
@@ -153,9 +154,10 @@ def geometric_tree_check(totals: CrapsTotals, t: int):
 
 def craps_from_sack(sack: Sack) -> CrapsReport:
     """Evaluate craps for a sack of two 6-dice; totals are supports 2..12."""
-    if sack.type_vector != (6, 6):
+    dice = sack.dice
+    if len(dice) != 2 or len(dice[0].probs) != 6 or len(dice[1].probs) != 6:
         raise InvalidDistribution("craps is played with two 6-dice")
-    if not all(d.is_real() for d in sack.dice):
+    if not (dice[0].is_real() and dice[1].is_real()):
         raise InvalidDistribution("craps needs real dice")
     total = parts_to_total(sack)
     if total._ints is None:
@@ -164,6 +166,6 @@ def craps_from_sack(sack: Sack) -> CrapsReport:
     # the (6, 6) type gives 11 coefficients, and parts_to_total checked
     # that the numerators sum to den
     nums, den = total._ints
-    if any(a < 0 for a in nums):
+    if min(nums) < 0:
         raise InvalidDistribution("total has a negative probability")
     return _evaluate(CrapsTotals._from_numerators(total.coeffs), nums, den)

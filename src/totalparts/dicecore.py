@@ -61,8 +61,8 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactnum import (CycElem, _conv_ints, _fractions, _numerators, as_scalar,
-                       cyc_sign, ring_dtype, ring_scalars)
+from .exactnum import (CycElem, _conv_ints, _fraction, _fractions, _numerators,
+                       as_scalar, cyc_sign, ring_dtype, ring_scalars)
 
 
 class ZeroSum(ArithmeticError):
@@ -287,7 +287,7 @@ def poly_gcd(a, b):
     b = _primitive(poly_trim(_numerators(b)[0]))
     while b != [0]:
         a, b = b, _primitive(_pseudo_remainder(a, b))
-    return [Fraction(c, a[-1]) for c in a] if a[-1] else [Fraction(0)]
+    return [_fraction(c, a[-1]) for c in a] if a[-1] else [Fraction(0)]
 
 
 # -- core types --------------------------------------------------------------

@@ -1,6 +1,21 @@
 """Exact scalars: rationals, cyclotomic field elements, and certified signs.
 
 Rationals are plain ``fractions.Fraction`` (always in lowest terms, exact).
+Every rational the library builds from an integer pair n/d -- a die's or a
+total's entries, a rational ring scalar, ``CycElem.coords``, the craps
+report, the monic squarefree gcd -- comes from one constructor,
+:func:`_fraction`: one gcd, a sign fix, ``object.__new__(Fraction)``, and
+its two slots ``_numerator`` and ``_denominator`` set directly, the same
+assignment CPython 3.12+ makes in ``Fraction._from_coprime_ints``.
+``Fraction(n, d)`` takes the same gcd behind a dispatch on its argument
+types that costs more than the gcd itself, and its ``_normalize=False``
+shortcut is gone from Python 3.12.  The slot names are those of CPython
+3.10 to 3.13 (checked on 3.10.13, 3.11.7, 3.12.1 and 3.13.0, where
+``tests/fraction_checks.py`` holds the constructor to ``Fraction``).  The
+guard refuses anything but two ints, a bool, a float or a numpy int
+included, with ``TypeError``, and d = 0 with ``ZeroDivisionError``, so
+every value it returns is one ``Fraction(n, d)`` gives.
+
 An element of the cyclotomic field Q(zeta_n) is a :class:`CycElem`: integer
 numerators ``nums`` over one positive denominator ``den``, the coordinates
 with respect to the power basis 1, zeta, ..., zeta^(phi(n)-1) of
@@ -27,9 +42,10 @@ conductor.  The inverse of xs/d is d * R / N with R the product of the
 conjugates of xs other than xs itself and N = xs * R, the norm, a nonzero
 integer.  No other module needs to know this format: ``dicecore`` and the
 searches use the operators, and only the helpers on rational coefficient
-lists (:func:`_numerators`, :func:`_conv_ints`, :func:`_fractions`) are
-shared.  A caller that builds many elements at once holds them as an integer
-numpy array of n-vectors over Z[x]/(x^n - 1), one row per element:
+lists (:func:`_numerators`, :func:`_conv_ints`, :func:`_fractions`) and
+the constructor :func:`_fraction` are shared.  A caller that builds many
+elements at once holds them as an integer numpy array of n-vectors over
+Z[x]/(x^n - 1), one row per element:
 :func:`ring_dtype` proves when int64 holds such an array exactly, and
 :func:`ring_scalars` reduces every row mod Phi_n with one matrix product
 and returns its scalars, their sum read off the reduced columns, and their
@@ -147,10 +163,26 @@ def _numerators(coeffs) -> tuple[list[int], int]:
     return [c.numerator * (den // d) for c, d in zip(coeffs, dens)], den
 
 
+def _fraction(n: int, d: int) -> Fraction:
+    # Fraction(n, d) for ints n and d != 0, its two slots set as
+    # Fraction.__new__ sets them (see the module docstring); anything but
+    # an int raises TypeError before a slot is set.
+    if type(n) is not int or type(d) is not int:
+        raise TypeError(f"numerator and denominator must be ints, not "
+                        f"{type(n).__name__} and {type(d).__name__}")
+    g = math.gcd(n, d)
+    if d < 0:
+        g = -g
+    elif not d:
+        raise ZeroDivisionError(f"Fraction({n}, 0)")
+    self = object.__new__(Fraction)
+    self._numerator = n // g
+    self._denominator = d // g
+    return self
+
+
 def _fractions(nums, den: int) -> tuple[Fraction, ...]:
-    if den == 1:
-        return tuple(Fraction(a) if a else _ZERO for a in nums)
-    return tuple(Fraction(a, den) if a else _ZERO for a in nums)
+    return tuple(_fraction(a, den) if a else _ZERO for a in nums)
 
 
 def _reduce_ints(c: list[int], n: int) -> list[int]:
@@ -526,7 +558,7 @@ class CycElem:
         # Hash must agree for equal elements of different conductors; the
         # normalized trace of x is conductor-invariant, and x when rational.
         if self.is_rational():
-            return hash(Fraction(self.nums[0], self.den))
+            return hash(_fraction(self.nums[0], self.den))
         tr = _basis_traces(self.n)
         return hash(sum(a * t for a, t in zip(self.nums, tr)) / self.den)
 
@@ -565,9 +597,9 @@ def as_scalar(x):
     if type(x) is Fraction:
         return x
     if isinstance(x, CycElem):
-        return Fraction(x.nums[0], x.den) if x.is_rational() else x
+        return _fraction(x.nums[0], x.den) if x.is_rational() else x
     if _is_rational(x):
-        return Fraction(x)
+        return _fraction(x.numerator, x.denominator)
     raise TypeError(f"not an exact scalar: {x!r}")
 
 

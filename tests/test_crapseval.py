@@ -1,5 +1,6 @@
 """Exact craps: the fair game, its published table, and edge cases."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,10 +18,13 @@ from totalparts.crapseval import (
     craps_from_sack,
     geometric_tree_check,
 )
+from fraction_checks import is_canonical
 from totalparts import crapseval, dicecore
-from totalparts.dicecore import Die, Sack, normalize_to_die, parts_to_total
+from totalparts.dicecore import (Die, Sack, normalize_to_die, parts_to_total,
+                                 poly_mul)
 from totalparts.exactnum import two_cos
 from totalparts.fairlab import enumerate_fair_pairs
+from totalparts.fibers import FactorMultiset, LinearFactor, enumerate_fiber
 
 F = Fraction
 
@@ -57,6 +61,14 @@ def test_geometric_tree_converges_to_closed_form():
     assert 0 < closed - partials[-1] < F(1, 10 ** 9)
     with pytest.raises(ValueError):
         geometric_tree_check(CrapsTotals.fair(), 7)
+
+
+@pytest.mark.parametrize("t", [4.0, True, F(4)], ids=["float", "bool",
+                                                      "fraction"])
+def test_geometric_tree_refuses_a_point_that_is_no_int(t):
+    # 4.0 == 4 passes a membership test in POINT_TOTALS
+    with pytest.raises(ValueError, match=f"^{t} is not a point total$"):
+        geometric_tree_check(CrapsTotals.fair(), t)
 
 
 def test_totally_fair_loaded_sack_gives_the_fair_game():
@@ -215,9 +227,10 @@ def test_sack_with_a_cyclotomic_total_is_refused_whatever_its_signs(dice):
         craps_from_sack(Sack(dice))
 
 
-@pytest.mark.parametrize("total", [0, 1, 13, -1, True])
+@pytest.mark.parametrize("total", [0, 1, 13, -1, True, 2.0, 7.0, F(7)])
 def test_totals_outside_2_to_12_are_not_indexed(total):
-    # probs[total - 2] would wrap around: [1] would read P(12)
+    # probs[total - 2] would wrap around: [1] would read P(12); a float or
+    # a Fraction equal to a total is no index either
     with pytest.raises(KeyError):
         CrapsTotals.fair()[total]
 
@@ -254,3 +267,27 @@ def test_craps_on_a_rational_sack_converts_no_probability_list(monkeypatch):
 def test_craps_totals_errors_come_in_order(probs, error, message):
     with pytest.raises(error, match=f"^{message}$"):
         CrapsTotals(probs)
+
+
+def test_every_fraction_of_nine_fibers_and_their_craps_is_canonical():
+    # Nine seeded (6, 6) sacks of strict rational dice, each die the
+    # product of five (x + a) with distinct a = n/d, 1 <= n, d <= 7: every
+    # Fraction built for a member, its total and its craps report is in
+    # lowest terms with int parts and a positive denominator.
+    rng = random.Random(20261020)
+    pool = sorted({F(n, d) for n in range(1, 8) for d in range(1, 8)})
+    for _ in range(9):
+        roots = rng.sample(pool, 10)
+        factors = FactorMultiset(tuple((LinearFactor(-a), 1) for a in roots))
+        fiber = enumerate_fiber(factors, (6, 6))
+        assert len(fiber) == 252
+        dice = tuple(normalize_to_die(poly_mul(*([a, 1] for a in half)))
+                     for half in (roots[:5], roots[5:]))
+        assert Sack(dice) in fiber
+        for member in fiber:
+            rep = craps_from_sack(member)
+            values = [p for die in member.dice for p in die.probs]
+            values += [*parts_to_total(member).coeffs, *rep.totals.probs,
+                       rep.p_win, *rep.point_win.values(),
+                       *rep.breakdown.values()]
+            assert all(map(is_canonical, values))

@@ -8,11 +8,13 @@ import random
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fraction_checks import check_pair, check_refusals
 from totalparts import exactnum
 from totalparts.exactnum import (
     CycElem,
@@ -294,6 +296,24 @@ def test_rational_elements_hash_as_their_fraction(q, n):
     e = CycElem(n, [q])
     check_elem(e, ref_reduce(n, [q]))
     assert e == q and hash(e) == hash(q) == hash(Fraction(q))
+
+
+BIG = st.integers(-(2 ** 256) + 1, 2 ** 256 - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=BIG, d=BIG.filter(bool),
+       other=st.builds(Fraction, BIG.filter(bool), BIG.filter(bool)))
+def test_lowest_terms_constructor_matches_fraction(n, d, other):
+    check_pair(n, d, other)
+
+
+def test_lowest_terms_constructor_refuses_what_is_no_int():
+    # d = 0, bools and floats; and numpy ints, which Fraction accepts
+    check_refusals()
+    for args in ((np.int64(2), 3), (3, np.int64(2))):
+        with pytest.raises(TypeError):
+            exactnum._fraction(*args)
 
 
 def test_two_cos_values():

@@ -1,8 +1,9 @@
 """Source hygiene: every name a package module imports is used, every
 private module-level function and every method is referenced somewhere,
 no module reaches into exactnum's private number format or decides a
-scalar's stored form, only dicecore builds a die or a total unchecked, the
-package runs without mpmath, and README's command examples parse."""
+scalar's stored form, only dicecore builds a die or a total unchecked,
+only exactnum sets a Fraction's slots, the package runs without mpmath,
+and README's command examples parse."""
 
 import ast
 import collections
@@ -104,7 +105,7 @@ def test_no_dead_methods():
 
 # The private exactnum helpers on rational coefficient lists that other
 # modules may still import; everything else private stays behind exactnum.
-EXACTNUM_SHARED = {"_numerators", "_conv_ints", "_fractions"}
+EXACTNUM_SHARED = {"_numerators", "_conv_ints", "_fraction", "_fractions"}
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
@@ -144,30 +145,48 @@ def test_only_exactnum_reads_a_cyc_elems_internals(path):
 TRUSTED_CONSTRUCTORS = {"_from_ints", "_from_ring"}
 
 
-def _unchecked_builds(tree):
+def _bare_builds(tree, names, classes):
+    # every attribute or string constant in names, and every call
+    # object.__new__(C) for C in classes, in tree
     found = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute):
             name = node.attr
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            name = node.value  # getattr or monkeypatch by name
+            name = node.value  # getattr, setattr or monkeypatch by name
         elif (isinstance(node, ast.Call)
               and ast.unparse(node.func) == "object.__new__" and node.args
-              and ast.unparse(node.args[0]) in ("Die", "DistPoly")):
+              and ast.unparse(node.args[0]) in classes):
             name = ast.unparse(node)
         else:
             continue
-        if name in TRUSTED_CONSTRUCTORS or name.startswith("object.__new__"):
+        if name in names or name.startswith("object.__new__"):
             found.add(name)
     return found
 
 
 def test_only_dicecore_builds_an_unchecked_die():
-    found = {path.stem: _unchecked_builds(ast.parse(path.read_text()))
+    found = {path.stem: _bare_builds(ast.parse(path.read_text()),
+                                     TRUSTED_CONSTRUCTORS, ("Die", "DistPoly"))
              for path in SRC.glob("*.py")}
     assert TRUSTED_CONSTRUCTORS <= found.pop("dicecore")
     leaked = {stem: sorted(names) for stem, names in found.items() if names}
     assert not leaked, f"unchecked Die or DistPoly builds: {leaked}"
+
+
+# The slots of a Fraction, set directly by exactnum's one lowest-terms
+# constructor: named, and a Fraction allocated bare, only inside exactnum.
+FRACTION_SLOTS = {"_numerator", "_denominator"}
+
+
+def test_only_exactnum_builds_a_fraction_from_its_slots():
+    found = {path.stem: _bare_builds(ast.parse(path.read_text()),
+                                     FRACTION_SLOTS, ("Fraction",))
+             for path in SRC.glob("*.py")}
+    assert FRACTION_SLOTS | {"object.__new__(Fraction)"} <= found.pop(
+        "exactnum")
+    leaked = {stem: sorted(names) for stem, names in found.items() if names}
+    assert not leaked, f"Fraction slots touched outside exactnum: {leaked}"
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
