@@ -9,18 +9,21 @@ E(k), listed by :func:`swap_census`) is the case where a split and its swap
 give the same pair, so its search is symmetric.  The census runs in stages:
 
 1. search the splits of the factor multiset between the two dice, one
-   factor column at a time (:func:`_split_search`).  A die with
-   nonnegative coefficients has |p(e^(i phi))| <= p(1); a branch is pruned
-   when, at some angle of a half-lattice, even its least completion breaks
-   this for either die by more than a tolerance derived in advance
-   (:func:`_prune_tolerance`).  The surviving leaves come out as one
-   integer array per chunk of the search (:func:`_pruned_splits`);
+   factor column at a time, each chunk of nodes in one array step per
+   column (:func:`_split_search`).  A die with nonnegative coefficients
+   has |p(e^(i phi))| <= p(1); a branch is pruned when, at some angle of a
+   half-lattice, even its least completion breaks this for either die by
+   more than a tolerance derived in advance (:func:`_prune_tolerance`).
+   The surviving leaves come out as one integer array per chunk of the
+   search (:func:`_pruned_splits`);
 2. pass each chunk through :func:`_point_filter`, one numpy float product
-   per die with an error bound derived in advance, which gives every
-   coefficient of every candidate die a status: certified positive (above
-   its bound), certified negative (below minus its bound), or unresolved.
-   One mask drops the fair split and each pair with a certified negative
-   coefficient, before any per-candidate work;
+   per chunk with an error bound derived in advance (both dice stacked in
+   one product when k = k', so both have degree k - 1; one product per
+   die otherwise), which gives every coefficient of every candidate die a
+   status: certified positive (above its bound), certified negative (below
+   minus its bound), or unresolved.  One mask drops the fair split and
+   each pair with a certified negative coefficient, before any
+   per-candidate work;
 3. build exact products from the roots zeta_n^(+-e) with
    :func:`dicecore.root_product` only for the remaining dice with a 0
    status (p(1) > 0, so +1 statuses are signs);
@@ -76,11 +79,14 @@ def _error_bounds(degree: int) -> np.ndarray:
     # b_j = eps_D * C(D, j), derived in _point_filter.  Each is computed in
     # Fractions and taken 1 + 2u times larger before rounding to nearest
     # (relative error below u), so the float is not below the exact bound.
+    # eps = num/den is a Fraction once; num * C(D, j) / den is a correctly
+    # rounded int division, the float of eps * C(D, j) without its gcd.
     if degree > 1000:
         raise ValueError("the point filter's bound holds for degree <= 1000")
     u = Fraction(1, 2 ** 53)
     eps = ((1 + 3 * u / (1 - 3 * u) + 3 * u) ** degree - 1 + u) * (1 + 2 * u)
-    out = np.array([float(eps * math.comb(degree, j))
+    num, den = eps.numerator, eps.denominator
+    out = np.array([num * math.comb(degree, j) / den
                     for j in range(degree + 1)])
     out.setflags(write=False)
     return out
@@ -98,22 +104,26 @@ def _point_product(factors, mults) -> np.ndarray:
 
     One float array holds every row's partial product.  The columns are
     taken in order; for factor f and c = 1 .. max mult, the rows with
-    mult >= c are multiplied by f, a shift-and-add: coefficient j becomes
-    (p_j + a1 p_(j-1)) + a2 p_(j-2).  The other rows are left as they are.
+    mult >= c are multiplied by f, a shift-and-add in place: coefficient j
+    becomes (p_j + a1 p_(j-1)) + a2 p_(j-2).  The other rows take the same
+    step with a1 = a2 = 0, which leaves them as they are: no entry is ever
+    -0 (it starts at +0 or 1, and a sum is -0 only when both terms are),
+    and p_j + +-0 = p_j for every other float.
     """
     mults = np.asarray(mults, dtype=np.int64).reshape(len(mults),
                                                       len(factors))
-    degrees = {int(d) for d in mults @ [1 + (a2 != 0) for _, a2 in factors]}
-    if len(degrees) > 1:
+    degrees = mults @ [1 + (a2 != 0) for _, a2 in factors]
+    degree = degrees.max(initial=0)
+    if (degrees != degree).any():
         raise ValueError("every row must have the same degree")
-    p = np.zeros((len(mults), (degrees.pop() if degrees else 0) + 1))
+    p = np.zeros((len(mults), degree + 1))
     p[:, 0] = 1.0
     for (a1, a2), column in zip(factors, mults.T):
         for c in range(1, column.max(initial=0) + 1):
-            step = p.copy()
-            step[:, 1:] += a1 * p[:, :-1]
-            step[:, 2:] += a2 * p[:, :-2]
-            p = np.where((column >= c)[:, None], step, p)
+            on = (column >= c)[:, None]
+            by_x2 = (a2 * on) * p[:, :-2]  # from p before the step
+            p[:, 1:] += (a1 * on) * p[:, :-1]
+            p[:, 2:] += by_x2
     return p
 
 
@@ -157,6 +167,11 @@ def _point_filter(factors, mults) -> np.ndarray:
 # Rows per chunk of the split search's depth-first stack: large enough to
 # amortize numpy's per-call cost, small enough to keep deep searches flat.
 _SEARCH_ROWS = 4096
+
+# _SPLIT_VALUES[cap][v] = ((v,), (cap - v,)): the copies of a column's factor
+# that a value v gives die 1 and die 2
+_SPLIT_VALUES = [np.array([[[v], [cap - v]] for v in range(cap + 1)])
+                 for cap in range(3)]
 
 
 def _log_ratios(factors, n: int) -> np.ndarray:
@@ -268,14 +283,18 @@ def _split_search(ell, factors, caps, degree, tol, symmetric=False):
     fixed, are searched, and the self-complementary one is dropped.
 
     Columns are fixed one at a time, the linear one first, in depth-first
-    chunks of at most _SEARCH_ROWS nodes.  At every node and angle, each
-    die's bound is its fixed part sum r_f ell~_f plus the least value any
+    chunks of at most _SEARCH_ROWS nodes.  A chunk's children are built in
+    one array step, so a chunk costs a fixed number of numpy calls whatever
+    its size: each parent once per value v of the column, v-major, and one
+    mask keeps the feasible ones.  At every node and angle, each die's
+    bound is its fixed part sum r_f ell~_f plus the least value any
     completion can reach: all remaining columns are chis, a die still needs
     R of their slots (a column has caps[f] slots of value ell~_f), and with
     every cap and the slot count fixed that least value is the sum of the R
-    smallest remaining slot values, read from their cumulative sums.  A
-    node survives when both dice's bounds are at most ``tol`` at every
-    angle (:func:`_prune_tolerance`).
+    smallest remaining slot values, read from their cumulative sums.  Both
+    dice's part sums and bounds are taken in one array, nodes x dice x
+    angles.  A node survives when both dice's bounds are at most ``tol`` at
+    every angle (:func:`_prune_tolerance`).
 
     Yields ``(depth, rows, bounds, keep)`` for every chunk of nodes it
     evaluates: die-1 rows with the first ``depth`` columns fixed (the rest
@@ -287,46 +306,45 @@ def _split_search(ell, factors, caps, degree, tol, symmetric=False):
     caps = np.asarray(caps, dtype=np.int64)
     if 1 in [widths[f] for f in order[1:]] or caps.max(initial=0) > 2:
         raise ValueError("one linear factor at most, and caps at most 2")
-    # slots[j] remaining chi slots and floors[j][i, R] the least sum of R
-    # of them at angle i, once the columns order[:j] are fixed (j >= 1)
+    # slots[j] remaining chi slots once the columns order[:j] are fixed
+    # (j >= 1), and floors[j][R, d, i] at angle i the least sum of R of them
+    # (d = 0) or of all but R (d = 1)
     slots, floors = [None], [None]
     for j in range(1, len(order) + 1):
         values = np.repeat(ell[:, order[j:]], caps[order[j:]], axis=1)
         slots.append(values.shape[1])
-        floors.append(np.cumsum(np.hstack([np.zeros((len(ell), 1)),
-                                           np.sort(values, axis=1)]), axis=1))
-    # a node: rows, die-1 and die-2 part sums, die-1 degree left, and
+        floor = np.cumsum(np.hstack([np.zeros((len(ell), 1)),
+                                     np.sort(values, axis=1)]), axis=1).T
+        # C order, so that each gathered row is contiguous along the angles
+        floors.append(np.ascontiguousarray(np.stack([floor, floor[::-1]], 1)))
+    # a node: rows, the two dice's part sums, die-1 degree left, and
     # whether the row still equals its complement
     stack = [(0, (np.zeros((1, len(factors)), dtype=np.int64),
-                  np.zeros((1, len(ell))), np.zeros((1, len(ell))),
-                  np.array([degree]), np.array([True])))]
+                  np.zeros((1, 2, len(ell))), np.array([degree]),
+                  np.array([True])))]
     while stack:
-        j, (rows, p1, p2, left, tied) = stack.pop()
+        j, (rows, parts, left, tied) = stack.pop()
         f, cap, width = order[j], caps[order[j]], widths[order[j]]
-        kids = []
-        for v in range(cap + 1):
-            rest = left - width * v
-            ok = (rest >= 0) & (rest <= 2 * slots[j + 1]) & (rest % 2 == 0)
-            if symmetric:
-                ok &= ~tied | (2 * v <= cap)
-            i = np.flatnonzero(ok)
-            r = rows[i]
-            r[:, f] = v
-            kids.append((r, p1[i] + v * ell[:, f],
-                         p2[i] + (cap - v) * ell[:, f], rest[i],
-                         tied[i] & (2 * v == cap)))
-        rows, p1, p2, left, tied = (np.concatenate(a) for a in zip(*kids))
-        need = left // 2
-        bounds = np.stack(
-            [(p + floors[j + 1][:, r].T).max(axis=1)
-             for p, r in ((p1, need), (p2, slots[j + 1] - need))], axis=1)
+        # every parent once per value v, v-major: entry (v, r) of each
+        # (cap + 1) x parents array, and one mask keeps the children
+        values = _SPLIT_VALUES[cap]
+        rest = left - width * values[:, 0]
+        ok = (rest >= 0) & (rest <= 2 * slots[j + 1]) & (rest % 2 == 0)
+        if symmetric:
+            ok &= ~tied | (2 * values[:, 0] <= cap)
+        v, i = np.nonzero(ok)
+        rows, left = rows[i], rest[ok]
+        rows[:, f] = v
+        parts = parts[i] + (values * ell[:, f])[v]
+        tied = tied[i] & (2 * v == cap)
+        bounds = (parts + floors[j + 1][left // 2]).max(axis=2)
         keep = (bounds <= tol).all(axis=1)
         if symmetric and j + 1 == len(order):
             keep &= ~tied
         yield j + 1, rows, bounds, keep
         i = np.flatnonzero(keep)
         if j + 1 < len(order) and len(i):
-            stack.extend((j + 1, (rows[c], p1[c], p2[c], left[c], tied[c]))
+            stack.extend((j + 1, (rows[c], parts[c], left[c], tied[c]))
                          for c in reversed(np.array_split(
                              i, -(-len(i) // _SEARCH_ROWS))))
 
@@ -421,7 +439,11 @@ def _decided_pairs(k: int, kp: int):
     # die 1 of degree exactly k-1, die 2 the rest of the caps
     for rows in _pruned_splits(factors, caps, k - 1, conductor, symmetric):
         dice = (rows, caps - rows)
-        statuses = [_point_filter(factors, die) for die in dice]
+        if symmetric:  # both dice of degree k - 1: one filter pass
+            both = _point_filter(factors, np.vstack(dice))
+            statuses = [both[:len(rows)], both[len(rows):]]
+        else:
+            statuses = [_point_filter(factors, die) for die in dice]
         keep = (rows != fair).any(axis=1)
         for status in statuses:
             keep &= (status >= 0).all(axis=1)

@@ -27,6 +27,7 @@ from totalparts.exactnum import (
     fixed_cos,
     fixed_pi,
     phi,
+    ring_scalars,
     two_cos,
 )
 
@@ -600,3 +601,62 @@ def test_fixed_cos_encloses_every_root_of_unity_to_84(w):
                 c, r = fixed_cos(i, n, w)
                 exact = mpmath.ldexp(mpmath.cos(2 * mpmath.pi * i / n), w)
                 assert abs(c - exact) < r < bound, (i, n)
+
+
+def _ring_scalars_by_row(rows, n, den):
+    # each reduced row through CycElem._make and as_scalar, one at a time
+    deg = phi(n)
+    reduced = rows[:, :deg] + rows[:, deg:] @ exactnum._power_table(
+        n, rows.dtype)
+    return [as_scalar(CycElem._make(n, r, den)) for r in reduced.tolist()]
+
+
+def _same_scalars(got, want):
+    # equal values in the same stored form, built of Python ints
+    assert [type(a) for a in got] == [type(b) for b in want]
+    for a, b in zip(got, want):
+        if isinstance(a, CycElem):
+            assert (a.n, a.nums, a.den) == (b.n, b.nums, b.den)
+            parts = a.nums + (a.den,)
+        else:
+            assert a == b
+            parts = (a.numerator, a.denominator)
+        assert {type(x) for x in parts} == {int}
+
+
+# Rows over Z[x]/(x^12 - 1), an irrational die: a zero row, a rational row
+# (x^4 + x^8 reduces to -1), and rows whose gcd with den is 1, 2 or 6.
+RING_ROWS_12 = [[0] * 12,
+                [0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0],
+                [6, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 12],
+                [2, 4, 0, -2, 0, 0, 0, 0, 0, 0, 6, 0],
+                [1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+                [3, -5, 7, 0, 0, 9, 0, 0, 0, 0, 0, -1]]
+
+
+@pytest.mark.parametrize("den", [1, 2, 6, 12, 2 ** 63 - 1, 2 ** 63, 2 ** 70])
+@pytest.mark.parametrize("dtype", ["int64", "object"])
+def test_ring_scalars_equal_the_per_row_path(dtype, den):
+    # the gcds taken on the array (int64, den < 2^63) or row by row
+    # (Python ints, or den >= 2^63) give the same scalars, in the same
+    # stored form, as _make and as_scalar on each row
+    rows = np.array(RING_ROWS_12, dtype=dtype)
+    scalars, total, ints = ring_scalars(rows, 12, den)
+    want = _ring_scalars_by_row(rows, 12, den)
+    _same_scalars(scalars, want)
+    assert ints is None
+    assert isinstance(scalars[2], CycElem) and scalars[1] == -Fraction(1, den)
+    assert scalars[0] == 0 and total == sum(want, Fraction(0))
+
+
+def test_ring_scalars_past_int64_take_python_ints():
+    # entries past 2^63 can only be an object array; each row's gcd with a
+    # den past 2^63 is taken by math.gcd
+    big = 3 ** 45
+    rows = np.array([[big * 2 ** 30, big, 0, 0, 0],
+                     [0, 0, 0, 0, 0],
+                     [big * 7, 0, 0, 0, 0]], dtype=object)
+    for den in (3 ** 50, 2 ** 64 * 3):
+        scalars, _, ints = ring_scalars(rows, 5, den)
+        assert ints is None
+        _same_scalars(scalars, _ring_scalars_by_row(rows, 5, den))

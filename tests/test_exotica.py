@@ -56,6 +56,7 @@ from totalparts.exotica import (
 )
 
 from reference_division import poly_divide_exact
+from reference_split_search import split_search as ref_split_search
 
 F = Fraction
 
@@ -326,11 +327,13 @@ def test_point_product_error_is_within_the_bound():
 
 
 def test_error_bounds_are_eps_times_binomials_rounded_up():
+    # each bound is also, bit for bit, float(eps * (1 + 2u) * C(D, j))
     u = F(1, 2 ** 53)
-    for degree in (0, 1, 12, 27, 1000):
+    for degree in (0, 1, 12, 19, 27, 100, 1000):
         eps = (1 + 3 * u / (1 - 3 * u) + 3 * u) ** degree - 1 + u
         bound = _error_bounds(degree)
-        assert len(bound) == degree + 1
+        assert bound.tolist() == [float(eps * (1 + 2 * u) * math.comb(
+            degree, j)) for j in range(degree + 1)], degree
         for j in (0, degree // 2, degree):
             exact = eps * math.comb(degree, j)
             assert exact <= F(bound[j]) <= exact * (1 + 4 * u)
@@ -414,6 +417,19 @@ def test_root_product_past_the_int64_bound_takes_python_ints():
     assert max(map(abs, rational)) > 2 ** 63
 
 
+@pytest.mark.parametrize("key", [9, 12, 14, (7, 12)])
+def test_point_product_of_a_row_does_not_depend_on_the_batch(key):
+    # a row computed among others, whose steps it skips, has the bits it
+    # has alone: skipping is a step by 0 on a row that never holds -0
+    factors, pairs = _full_candidates(key)
+    for die in (0, 1):
+        rows = [pair[die] for pair in pairs]
+        batch = _point_product(factors, rows)
+        assert not np.signbit(batch[batch == 0]).any()
+        for row, got in zip(rows, batch):
+            assert got.tobytes() == _point_product(factors, [row])[0].tobytes()
+
+
 def test_point_filter_rejects_rows_of_different_degree():
     with pytest.raises(ValueError):
         _point_filter(_census_factors(7), [(1, 1, 1, 0), (1, 1, 0, 0)])
@@ -450,6 +466,28 @@ LEAVES = {12: 3, 13: 6, 14: 6, 15: 13, 16: 17, 17: 30, 18: 36, 19: 66,
 def test_pruned_search_leaf_counts():
     got = {key: len(_leaves(key)) for key in LEAVES}
     assert got == LEAVES
+
+
+@pytest.mark.parametrize("rows", [exotica._SEARCH_ROWS, 1, 3])
+def test_split_search_equals_the_per_value_reference(rows, monkeypatch):
+    # every chunk the search yields, in order, equals that of the search
+    # that built each value's children apart: same depth, and rows, bounds
+    # and keep with the same dtype, shape and bytes
+    monkeypatch.setattr(exotica, "_SEARCH_ROWS", rows)
+    for key in LEAVES:
+        _, factors, caps, n, degree, symmetric = _prune_case(key)
+        total = sum(c * (2 if a2 else 1) for c, (_, a2) in zip(caps, factors))
+        args = (_log_ratios(factors, n), factors, caps, degree,
+                _prune_tolerance(n, max(degree, total - degree),
+                                 len(factors) + sum(caps)), symmetric)
+        got, want = (list(search(*args))
+                     for search in (_split_search, ref_split_search))
+        assert len(got) == len(want), key
+        for (depth, *arrays), (want_depth, *want_arrays) in zip(got, want):
+            assert depth == want_depth, key
+            for a, b in zip(arrays, want_arrays):
+                assert (a.dtype, a.shape) == (b.dtype, b.shape), key
+                assert a.tobytes() == b.tobytes(), key
 
 
 def _accepted_by_full_pipeline(key):
