@@ -47,10 +47,9 @@ the constructor :func:`_fraction` are shared.  A caller that builds many
 elements at once holds them as an integer numpy array of n-vectors over
 Z[x]/(x^n - 1), one row per element:
 :func:`ring_dtype` proves when int64 holds such an array exactly, and
-:func:`ring_scalars` reduces every row mod Phi_n with one matrix product,
-takes every row's gcd with the denominator on the array, and returns its
-scalars, their sum read off the reduced columns, and their integer
-numerators when all are rational.
+:func:`ring_scalars` reduces every row mod Phi_n with one matrix product
+and returns its scalars, their sum read off the reduced columns, and their
+integer numerators when all are rational.
 
 Sign determination for real elements (fixed by complex conjugation) first
 tests for exact zero.  A nonzero real e = xs/d is then at least
@@ -317,34 +316,26 @@ def ring_scalars(rows, n: int, den: int) -> tuple[list, object, tuple | None]:
     is their column sums over den, with no scalar added, and the rows are
     all rational exactly when every column but the first is zero.
 
-    When some row is irrational, each row's gcd with den is taken on the
-    array: one ``np.gcd.reduce`` along the rows where the array is int64
-    (its entries proven below 2^62) and den < 2^63, else one ``math.gcd``
-    per row on Python ints.  An irrational row over its gcd is already the
-    stored form of its :class:`CycElem` (reduced mod Phi_n, coprime to its
-    denominator), built by ``CycElem._coprime`` with no second reduction;
-    a rational row is a Fraction.  numpy is imported here, as in
-    :func:`_power_table`.
+    When some row is irrational, the rational-row test is read off the
+    array, and each irrational row over its gcd with den (one ``math.gcd``
+    per row) is already the stored form of its :class:`CycElem` (reduced
+    mod Phi_n, coprime to its denominator), built by ``CycElem._coprime``
+    with no second reduction; a rational row is a Fraction.
     """
-    import numpy as np
     deg = phi(n)
     reduced = rows[:, :deg] + rows[:, deg:] @ _power_table(n, rows.dtype)
     total = as_scalar(CycElem._make(n, reduced.sum(axis=0).tolist(), den))
     irrational = reduced[:, 1:].any(axis=1)
     if irrational.any():
-        if reduced.dtype == np.int64 and den < 2 ** 63:
-            g = np.gcd(np.gcd.reduce(reduced, axis=1), den)
-            nums, dens = (reduced // g[:, None]).tolist(), (den // g).tolist()
-        else:
-            nums, dens = [], []
-            for r in reduced.tolist():
+        scalars = []
+        for r, irr in zip(reduced.tolist(), irrational.tolist()):
+            if irr:
                 g = math.gcd(den, *r)
-                nums.append([a // g for a in r])
-                dens.append(den // g)
-        return ([CycElem._coprime(n, tuple(r), d) if irr else
-                 _fraction(r[0], d)
-                 for r, d, irr in zip(nums, dens, irrational.tolist())],
-                total, None)
+                scalars.append(CycElem._coprime(
+                    n, tuple(a // g for a in r), den // g))
+            else:
+                scalars.append(_fraction(r[0], den))
+        return scalars, total, None
     nums = reduced[:, 0].tolist()
     g = math.gcd(den, *nums)
     nums, den = tuple(a // g for a in nums), den // g

@@ -17,13 +17,11 @@ give the same pair, so its search is symmetric.  The census runs in stages:
    The surviving leaves come out as one integer array per chunk of the
    search (:func:`_pruned_splits`);
 2. pass each chunk through :func:`_point_filter`, one numpy float product
-   per chunk with an error bound derived in advance (both dice stacked in
-   one product when k = k', so both have degree k - 1; one product per
-   die otherwise), which gives every coefficient of every candidate die a
-   status: certified positive (above its bound), certified negative (below
-   minus its bound), or unresolved.  One mask drops the fair split and
-   each pair with a certified negative coefficient, before any
-   per-candidate work;
+   per die with an error bound derived in advance, which gives every
+   coefficient of every candidate die a status: certified positive (above
+   its bound), certified negative (below minus its bound), or unresolved.
+   One mask drops the fair split and each pair with a certified negative
+   coefficient, before any per-candidate work;
 3. build exact products from the roots zeta_n^(+-e) with
    :func:`dicecore.root_product` only for the remaining dice with a 0
    status (p(1) > 0, so +1 statuses are signs);
@@ -439,11 +437,7 @@ def _decided_pairs(k: int, kp: int):
     # die 1 of degree exactly k-1, die 2 the rest of the caps
     for rows in _pruned_splits(factors, caps, k - 1, conductor, symmetric):
         dice = (rows, caps - rows)
-        if symmetric:  # both dice of degree k - 1: one filter pass
-            both = _point_filter(factors, np.vstack(dice))
-            statuses = [both[:len(rows)], both[len(rows):]]
-        else:
-            statuses = [_point_filter(factors, die) for die in dice]
+        statuses = [_point_filter(factors, die) for die in dice]
         keep = (rows != fair).any(axis=1)
         for status in statuses:
             keep &= (status >= 0).all(axis=1)
