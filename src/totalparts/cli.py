@@ -1,9 +1,15 @@
 """Command-line surface: exact results on stdout, JSON/CSV/table formats.
 
-The census and scan commands (``exotic``, ``s3scan``, ``s4scan``, ``swaps``,
-``selftest``) import ``exotica``, and with it numpy, when they run, and
-``fair-enum`` loads numpy for its ring pass unless ``--count-only``; the
-other commands never load numpy.
+Importing this module and building the parser load no other module of the
+package: each command imports the layers it uses when it runs, so
+``totalparts --help`` and a usage error load none.  ``craps`` loads
+``crapseval``, ``dicecore`` and ``exactnum``; ``total`` the last two;
+``solve`` adds ``fibers``; ``fair-enum``, ``ramify``, ``coin-die`` and
+``sicherman`` load ``fairlab`` (with ``fibers``).  The census and scan
+commands (``exotic``, ``s3scan``, ``s4scan``, ``swaps``, ``selftest``)
+import ``exotica``, and with it numpy, and ``fair-enum`` loads numpy for
+its ring pass unless ``--count-only``; the other commands never load
+numpy.
 
 Exact scalars are always serialized as strings (``"7/18"``) or cyclotomic
 coordinate objects, never floats; ``--decimal N`` adds a display-only
@@ -20,21 +26,9 @@ import json
 import sys
 from fractions import Fraction
 
-from .exactnum import cyc_embed
-from .dicecore import (DistPoly, Sack, check_workers, parts_to_total,
-                       render_scalar)
-from .fibers import FactorMultiset, enumerate_fiber, fiber_degree
-from .fairlab import (
-    coin_die_fair_check,
-    enumerate_fair_pairs,
-    fair_pair_count,
-    ramification_check,
-    sicherman_search,
-)
-from .crapseval import WIN_TOTALS, CrapsTotals, craps_evaluate, craps_from_sack
-
 
 def _decimal(x, places):
+    from .exactnum import cyc_embed
     lo, hi = cyc_embed(x, 64)
     return round((float(lo) + float(hi)) / 2, places)
 
@@ -72,6 +66,7 @@ def _emit(text):
 
 
 def _die_row(die, decimal):
+    from .dicecore import render_scalar
     row = [render_scalar(p) for p in die.probs]
     if decimal is not None:
         row += [str(_decimal(p, decimal)) for p in die.probs]
@@ -79,6 +74,7 @@ def _die_row(die, decimal):
 
 
 def _cmd_total(args):
+    from .dicecore import Sack, parts_to_total, render_scalar
     sack = Sack.from_json(_load_json_arg(args.sack))
     total = parts_to_total(sack)
     if args.format == "table":
@@ -93,6 +89,8 @@ def _cmd_total(args):
 
 
 def _cmd_solve(args):
+    from .dicecore import DistPoly
+    from .fibers import FactorMultiset, enumerate_fiber
     factors = FactorMultiset.from_json(_load_json_arg(args.factors))
     total = DistPoly.from_json(_load_json_arg(args.total))
     if factors.total_degree != len(total.coeffs) - 1:
@@ -109,6 +107,7 @@ def _cmd_solve(args):
 
 
 def _cmd_fair_enum(args):
+    from .fairlab import enumerate_fair_pairs, fair_pair_count
     if args.count_only:
         _emit(str(fair_pair_count(args.order)))
         return 0
@@ -130,6 +129,7 @@ def _cmd_fair_enum(args):
 
 
 def _cmd_ramify(args):
+    from .fairlab import ramification_check
     lhs, rhs = ramification_check(args.order)
     _emit(json.dumps({"weighted_pairs": lhs, "fiber_degree": rhs,
                       "equal": lhs == rhs}))
@@ -137,6 +137,7 @@ def _cmd_ramify(args):
 
 
 def _cmd_coin_die(args):
+    from .fairlab import coin_die_fair_check
     report = coin_die_fair_check(args.order)
     _emit(json.dumps({
         "order": report.order,
@@ -192,12 +193,14 @@ def _cmd_swaps(args):
 
 
 def _cmd_craps(args):
-    if args.totals:
+    from .crapseval import (WIN_TOTALS, CrapsTotals, craps_evaluate,
+                            craps_from_sack)
+    from .dicecore import Sack
+    # the parser admits exactly one of --totals and --sack
+    if args.totals is not None:
         report = craps_evaluate(CrapsTotals(args.totals))
-    elif args.sack:
-        report = craps_from_sack(Sack.from_json(_load_json_arg(args.sack)))
     else:
-        raise ValueError("craps needs --totals or --sack")
+        report = craps_from_sack(Sack.from_json(_load_json_arg(args.sack)))
     t_row = list(range(2, 13))
     _emit("t        " + " ".join(f"{t:>8}" for t in t_row))
     _emit("P(t)     " + " ".join(f"{str(report.totals[t]):>8}" for t in t_row))
@@ -213,13 +216,17 @@ def _cmd_craps(args):
 
 
 def _cmd_sicherman(args):
+    from .fairlab import sicherman_search
     pairs = sicherman_search(args.order, args.label_min)
     _emit(json.dumps([[list(a), list(b)] for a, b in pairs]))
     return 0
 
 
 def _cmd_selftest(args):
+    from .crapseval import CrapsTotals, craps_evaluate
     from .exotica import exotic_search, s_scan, verify_tridecahedral
+    from .fairlab import fair_pair_count, ramification_check
+    from .fibers import fiber_degree
     checks = []
     checks.append(("fair_pair_count(6) == 51", fair_pair_count(6) == 51))
     checks.append(("fiber_degree((6,6)) == 252", fiber_degree((6, 6)) == 252))
@@ -296,9 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_swaps)
 
     p = sub.add_parser("craps", help="exact craps evaluation")
-    p.add_argument("--totals", type=_number_list(Fraction), default=None,
-                   help="11 comma-separated rationals for totals 2..12")
-    p.add_argument("--sack", default=None)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--totals", type=_number_list(Fraction),
+                        help="11 comma-separated rationals for totals 2..12")
+    source.add_argument("--sack")
     p.set_defaults(func=_cmd_craps)
 
     p = sub.add_parser("sicherman", help="uniform relabeled dice pairs")
@@ -316,6 +324,8 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.decimal is not None and args.decimal < 0:
         parser.error(f"--decimal must be at least 0, got {args.decimal}")
+    # after parsing, so that a usage error loads no layer
+    from .dicecore import check_workers
     try:
         check_workers(args.workers)
     except ValueError as exc:

@@ -49,11 +49,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from multiprocessing import Pool
 
-import numpy as np
-
+# The package's modules before numpy: where no .pyc files are written, a
+# module compiled after numpy is loaded raises the process's peak memory.
 from .exactnum import CycElem, cyc_embed, cyc_sign, two_cos
 from .dicecore import (Die, Sack, check_workers, fair_total, normalize_to_die,
                        poly_mul, root_pair, root_product)
+
+import numpy as np
 
 M3_RATIO_BOUND = Fraction(60, 143)
 
@@ -228,20 +230,26 @@ def _prune_error(n: int) -> tuple[Fraction, Fraction]:
     e = 2d(1 + u) + 2u lam of its exact value.
 
     s is bounded below by x - x^3/6 at x = 3.14159/(4n) <= pi/(4n), and lam
-    above by ln 2 < 0.6932 times the bit length of ceil(2/g); all in
-    Fractions.  A conductor too large for g > 0 and rho1 <= 1/4 (above
-    22 474 148) is refused.
+    above by ln 2 < 0.6932 times the bit length of ceil(2/g); all exact.
+    A conductor too large for g > 0 and rho1 <= 1/4 (above 22 474 148) is
+    refused.
     """
-    u = Fraction(1, 2 ** 53)
-    x = Fraction(314159, 400000 * n)
-    g = 2 * (x - x ** 3 / 6) ** 2 - 18 * u
-    rho1 = (u + Fraction(1, 2 ** 66)) * (1 + u) / g + u if g > 0 else 1
-    if rho1 > Fraction(1, 4):
+    # Each quantity is an unreduced integer pair, and e is reduced once:
+    # with x = X/Y and w = 6 X Y^2 - X^3, x - x^3/6 = w/(6 Y^3), so
+    # g = gn/gd; rho1 = rn/rd, as u + 2^-66 = (2^13 + 1)/2^66; d = dn/t.
+    big = 2 ** 53  # 1/u
+    X, Y = 314159, 400000 * n
+    w = 6 * X * Y ** 2 - X ** 3
+    gn, gd = big * w * w - 324 * Y ** 6, 18 * big * Y ** 6
+    rn, rd = (2 ** 13 + 1) * (big + 1) * gd + (gn << 66), gn << 119
+    if gn <= 0 or 4 * rn > rd:
         raise ValueError("the census prune's bound holds for conductors "
                          "up to 22474148")
-    lam = math.ceil(2 / g).bit_length() * Fraction(6932, 10000)
-    d = 2 * rho1 + 8 * u * lam + Fraction(1, 2 ** 1072)
-    return 2 * d * (1 + u) + 2 * u * lam, lam
+    bits = (-(-2 * gd // gn)).bit_length()  # of ceil(2/g); lam = 0.6932 bits
+    t = 10000 * rd << 1072
+    dn = (20000 * rn << 1072) + (8 * 6932 * bits * rd << 1019) + 10000 * rd
+    e = Fraction(2 * (big + 1) * dn + (2 * 6932 * bits * rd << 1072), big * t)
+    return e, Fraction(6932 * bits, 10000)
 
 
 @functools.lru_cache(maxsize=None)
@@ -260,13 +268,17 @@ def _prune_tolerance(n: int, degree: int, terms: int) -> float:
     The greedy completion of the computed values has a sum no larger than
     that of any other completion, so if a completion to a die exists, its
     exact value is <= 0 and the computed bound is at most
-    tol = degree (e + gamma_terms (lam + e)), computed in Fractions and
-    rounded up as in _error_bounds.
+    tol = degree (e + gamma_terms (lam + e)), computed exactly and rounded
+    up as in _error_bounds.
     """
-    u = Fraction(1, 2 ** 53)
+    # with M = 1/u, e + gamma (lam + e) = (M e + terms lam)/(M - terms), and
+    # 1 + 2u = (2^52 + 1)/2^52; one correctly rounded int division
+    big = 2 ** 53
     e, lam = _prune_error(n)
-    gamma = terms * u / (1 - terms * u)
-    return float(degree * (e + gamma * (lam + e)) * (1 + 2 * u))
+    num = (big * e.numerator * lam.denominator
+           + terms * lam.numerator * e.denominator)
+    den = (big - terms) * e.denominator * lam.denominator
+    return degree * num * (2 ** 52 + 1) / (den << 52)
 
 
 def _split_search(ell, factors, caps, degree, tol, symmetric=False):

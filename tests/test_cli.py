@@ -244,6 +244,37 @@ def test_craps_from_sack(capsys):
     assert "p_win = 244/495" in out
 
 
+# --totals and --sack are one required choice: both, in either order and
+# whether or not the sack is valid, or neither is a usage error.
+CRAPS_SOURCES = {
+    "totals_then_sack": (("--totals", "T"), ("--sack", FAIR_66)),
+    "sack_then_totals": (("--sack", FAIR_66), ("--totals", "T")),
+    "totals_then_bad_sack": (("--totals", "T"), ("--sack", '{"dice":[]}')),
+    "bad_sack_then_totals": (("--sack", '{"dice":[]}'), ("--totals", "T")),
+    "neither": (),
+}
+
+
+@pytest.mark.parametrize("options", CRAPS_SOURCES.values(),
+                         ids=CRAPS_SOURCES.keys())
+def test_craps_takes_exactly_one_of_totals_and_sack(options, capsys):
+    fair = ",".join(str(F(6 - abs(t - 7), 36)) for t in range(2, 13))
+    argv = ["craps"] + [fair if arg == "T" else arg
+                        for option in options for arg in option]
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if options:
+        second, first = options[1][0], options[0][0]
+        assert (f"error: argument {second}: not allowed with argument "
+                f"{first}\n") in captured.err
+    else:
+        assert ("error: one of the arguments --totals --sack is required\n"
+                in captured.err)
+
+
 @pytest.mark.parametrize("command", [
     ["s3scan", "--kmax", "20"],
     ["s4scan", "--kmax", "20"],

@@ -1,6 +1,7 @@
 """Exotic sacks: censuses, published tables, scans, and their oracles."""
 
 import dataclasses
+import functools
 import itertools
 import math
 import os
@@ -619,28 +620,67 @@ def test_prefix_bounds_are_within_the_tolerance(key):
     assert nodes > 0
 
 
+@functools.cache
+def _prune_in_fractions(n):
+    # (x, g, rho1, lam, e) of _prune_error's derivation at conductor n, each
+    # step in Fraction arithmetic
+    u = F(1, 2 ** 53)
+    x = F(314159, 400000 * n)
+    g = 2 * (x - x ** 3 / 6) ** 2 - 18 * u
+    rho = (u + F(1, 2 ** 66)) * (1 + u) / g + u
+    lam = math.ceil(2 / g).bit_length() * F(6932, 10000)
+    d = 2 * rho + 8 * u * lam + F(1, 2 ** 1072)
+    return x, g, rho, lam, 2 * d * (1 + u) + 2 * u * lam
+
+
+def _tolerance_in_fractions(n, degree, terms):
+    # _prune_tolerance's exact bound, before its rounding
+    u = F(1, 2 ** 53)
+    *_, lam, e = _prune_in_fractions(n)
+    return degree * (e + terms * u / (1 - terms * u) * (lam + e))
+
+
 def test_prune_tolerance_is_the_derived_bound():
     u = F(1, 2 ** 53)
     for n in (3, 12, 29, 84, 1000, 10 ** 6):
-        x = F(314159, 400000 * n)
-        g = 2 * (x - x ** 3 / 6) ** 2 - 18 * u
+        x, g, rho, lam, e = _prune_in_fractions(n)
         with mpmath.workdps(60):
             assert _mp(x) <= mpmath.pi / (4 * n)
             assert _mp(g) <= 2 * mpmath.sin(mpmath.pi / (4 * n)) ** 2 - 18 * u
-            lam = math.ceil(2 / g).bit_length() * F(6932, 10000)
             assert _mp(lam) >= mpmath.log(2 / _mp(g))
-        rho = (u + F(1, 2 ** 66)) * (1 + u) / g + u
         assert rho <= F(1, 4) and g <= F(1, 2)
-        d = 2 * rho + 8 * u * lam + F(1, 2 ** 1072)
-        e = 2 * d * (1 + u) + 2 * u * lam
         assert _prune_error(n) == (e, lam)
         for degree, terms in ((n - 1, n + 3), (2 * n, 3 * n + 1)):
-            exact = degree * (e + terms * u / (1 - terms * u) * (lam + e))
+            exact = _tolerance_in_fractions(n, degree, terms)
             tol = F(_prune_tolerance(n, degree, terms))
             assert exact <= tol <= exact * (1 + 4 * u)
     _prune_error(22_474_148)
     with pytest.raises(ValueError, match="up to 22474148$"):
         _prune_error(22_474_149)
+
+
+def _census_prune_args(k, kp):
+    # (conductor, degree, terms) of the _prune_tolerance call that the
+    # census of type (k, kp) makes through _pruned_splits
+    chis, x1 = _merged_factor_multiset(k, kp)
+    caps = [*chis.values(), x1]
+    total = 2 * sum(chis.values()) + x1
+    return math.lcm(k, kp), max(k - 1, total - (k - 1)), len(caps) + sum(caps)
+
+
+def test_prune_bounds_equal_their_fraction_form():
+    # the integer-pair arithmetic of _prune_error and _prune_tolerance gives
+    # the Fractions and, bit for bit, the float of the Fraction arithmetic
+    u = F(1, 2 ** 53)
+    for n in range(2, 501):
+        *_, lam, e = _prune_in_fractions(n)
+        assert _prune_error(n) == (e, lam), n
+    types = [(k, k) for k in range(2, 501)] + list(
+        itertools.combinations(range(2, 25), 2))
+    for k, kp in types:
+        n, degree, terms = _census_prune_args(k, kp)
+        want = float(_tolerance_in_fractions(n, degree, terms) * (1 + 2 * u))
+        assert _prune_tolerance(n, degree, terms).hex() == want.hex(), (k, kp)
 
 
 def test_prune_keeps_exactly_the_splits_within_the_tolerance(monkeypatch):

@@ -2,8 +2,9 @@
 private module-level function and every method is referenced somewhere,
 no module reaches into exactnum's private number format or decides a
 scalar's stored form, only dicecore builds a die or a total unchecked,
-only exactnum sets a Fraction's slots, the package runs without mpmath,
-and README's command examples parse."""
+only exactnum sets a Fraction's slots, the package and its CLI import no
+layer at load, the package runs without mpmath, and README's command
+examples parse."""
 
 import ast
 import collections
@@ -187,6 +188,37 @@ def test_only_exactnum_builds_a_fraction_from_its_slots():
         "exactnum")
     leaked = {stem: sorted(names) for stem, names in found.items() if names}
     assert not leaked, f"Fraction slots touched outside exactnum: {leaked}"
+
+
+def _top_level_package_imports(tree):
+    # every import of a package module outside all function bodies: a
+    # relative import, or an absolute one of totalparts
+    in_functions = {id(sub) for node in ast.walk(tree)
+                    if isinstance(node, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef))
+                    for sub in ast.walk(node)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            package = (node.level > 0
+                       or (node.module or "").split(".")[0] == "totalparts")
+        elif isinstance(node, ast.Import):
+            package = any(alias.name.split(".")[0] == "totalparts"
+                          for alias in node.names)
+        else:
+            continue
+        if package and id(node) not in in_functions:
+            found.append(ast.unparse(node))
+    return found
+
+
+@pytest.mark.parametrize("name", ["__init__.py", "cli.py"])
+def test_the_entry_modules_import_no_layer_at_the_top(name):
+    # import totalparts, import totalparts.cli and build_parser load no
+    # other module of the package: each layer is imported where it is used
+    path = SRC / name
+    found = _top_level_package_imports(ast.parse(path.read_text()))
+    assert not found, f"{name} imports package modules at load: {found}"
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),

@@ -1,5 +1,6 @@
-"""The import contract: the package and its CLI start without numpy and
-multiprocessing, and exotica's names are served on first access."""
+"""The import contract: the package and its CLI start without numpy,
+multiprocessing or any layer of the package; each CLI command loads only
+the layers it uses, and every public name is served on first access."""
 
 import json
 import os
@@ -39,26 +40,30 @@ SOLVE = ["solve", "--type", "2,3", "--total", '["1/6","1/3","1/3","1/6"]',
          "--factors", '[{"type":"linear","root":"-1"},'
                       '{"type":"chi","m":1,"k":3}]']
 
-# Runs each argv of sys.argv[1] through cli.run in this fresh interpreter,
-# after importing the package and building the parser, and prints each exit
-# code (a usage error's SystemExit included) with the heavy modules loaded
-# after it.
+# Runs the argv of sys.argv[1] through cli.run in this fresh interpreter,
+# after importing the package and building the parser, and prints its exit
+# code (a usage error's SystemExit included), the heavy modules and the
+# package's modules loaded after it.
 PROBE = """\
 import contextlib, io, json, sys
 import totalparts
 import totalparts.cli as cli
 cli.build_parser()
-out = []
-for argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()), \\
-            contextlib.redirect_stderr(io.StringIO()):
-        try:
-            code = cli.run(argv)
-        except SystemExit as exc:
-            code = exc.code
-    out.append([code, sorted({"numpy", "multiprocessing"} & set(sys.modules))])
-print(json.dumps(out))
+with contextlib.redirect_stdout(io.StringIO()), \\
+        contextlib.redirect_stderr(io.StringIO()):
+    try:
+        code = cli.run(json.loads(sys.argv[1]))
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps([code, sorted({"numpy", "multiprocessing"} & set(sys.modules)),
+                  sorted(m for m in sys.modules if m.startswith("totalparts"))]))
 """
+
+# the package's modules that import totalparts and build_parser load
+ENTRY = ["totalparts", "totalparts.cli"]
+CRAPS = ENTRY + ["totalparts.crapseval", "totalparts.dicecore",
+                 "totalparts.exactnum"]
+DICE = ENTRY + ["totalparts.dicecore", "totalparts.exactnum"]
 
 
 def _fresh(code, *args):
@@ -74,19 +79,48 @@ def _fresh(code, *args):
 
 
 def test_the_cli_starts_and_answers_craps_without_numpy():
-    argvs = [
-        [],  # no command: a usage error, once the parser is built
-        ["craps", "--totals", FAIR_TOTALS],
-        ["total", "--sack", FAIR_SACK],
-        SOLVE,
-        ["--workers", "0", "craps", "--totals", FAIR_TOTALS],
-        ["swaps", "--order", "12"],
+    # each command in its own interpreter: its exit code, the heavy modules
+    # and the package's modules it loaded
+    runs = [
+        ([], [2, [], ENTRY]),  # no command: a usage error
+        (["--help"], [0, [], ENTRY]),
+        (["craps", "--totals", FAIR_TOTALS], [0, [], CRAPS]),
+        (["craps", "--sack", FAIR_SACK], [0, [], CRAPS]),
+        (["total", "--sack", FAIR_SACK], [0, [], DICE]),
+        (SOLVE, [0, [], sorted(DICE + ["totalparts.fibers"])]),
+        # --workers is refused for every command, by dicecore's check
+        (["--workers", "0", "craps", "--totals", FAIR_TOTALS],
+         [2, [], DICE]),
+        (["swaps", "--order", "12"],
+         [0, ["multiprocessing", "numpy"],
+          sorted(DICE + ["totalparts.exotica"])]),
     ]
-    assert _fresh(PROBE, json.dumps(argvs)) == [
-        [2, []], [0, []], [0, []], [0, []],
-        [2, []],  # --workers is refused for every command
-        [0, ["multiprocessing", "numpy"]],
-    ]
+    assert [_fresh(PROBE, json.dumps(argv)) for argv, _ in runs] == [
+        want for _, want in runs]
+
+
+def test_importing_the_package_and_building_the_parser_load_no_layer():
+    assert _fresh("""\
+import json, sys
+loaded = lambda: sorted(m for m in sys.modules if m.startswith("totalparts"))
+import totalparts
+package = loaded()
+import totalparts.cli as cli
+cli.build_parser()
+print(json.dumps([package, loaded()]))
+""") == [["totalparts"], ENTRY]
+
+
+def test_a_name_once_read_is_bound_in_the_package():
+    assert _fresh("""\
+import json, sys
+import totalparts
+before = ["Die" in vars(totalparts), "dicecore" in vars(totalparts)]
+die = totalparts.Die
+print(json.dumps(before + [vars(totalparts)["Die"] is die,
+                           die is sys.modules["totalparts.dicecore"].Die,
+                           "fibers" in vars(totalparts)]))
+""") == [False, False, True, True, False]
 
 
 def test_all_keeps_every_public_name():
