@@ -9,9 +9,14 @@ that are neither t nor 7.
 A rational total is played on integers: numerators n_2..n_12 over one
 positive denominator D.  :func:`craps_from_sack` reads them from the
 ``DistPoly`` that :func:`parts_to_total` built from the dice's own stored
-numerators, so no probability is converted on that path.  A
-:class:`CrapsTotals` built from ``Fraction``s converts them twice: once when
-it is built, for its checks, and again in :func:`craps_evaluate`.  The checks
+numerators, so no probability is converted on that path.  A member of
+a fiber from ``fibers.enumerate_fiber`` carries the fiber's one total,
+which is its own, so on a member :func:`parts_to_total` returns that total
+and the dice are not multiplied again.  The :class:`CrapsReport` is still
+built per call: its dicts are mutable, so one shared report would let one
+caller change another's.  A :class:`CrapsTotals` built from ``Fraction``s
+converts them twice: once when it is built, for its checks, and again in
+:func:`craps_evaluate`.  The checks
 that they are nonnegative and sum to 1 read n_t >= 0 and sum n_t = D, and
 the game is P(win | point t) = n_t/(n_t + n_7), P(come-out t and win) =
 n_t^2/(D (n_t + n_7)), and p_win is one integer numerator over

@@ -35,8 +35,11 @@ and craps reads the total's pair.  No rational die or total converts its
 scalars again.  A die of :func:`root_pair` has one more private
 constructor, ``Die._from_ring``, which takes ``exactnum.ring_scalars``'
 scalars, their exact sum and, for a rational die, their pair as they
-come.  These constructors live here alone.  How a ``CycElem`` stores its
-coordinates is known only to ``exactnum``.
+come.  These constructors live here alone, as does
+:func:`_with_total`, the one writer of a :class:`Sack`'s stored total:
+a fiber's members share their one total, and :func:`parts_to_total`
+returns it.  How a ``CycElem`` stores its coordinates is known only to
+``exactnum``.
 
 A product of roots of unity, prod (x - zeta_n^e) * (x+1)^x1, is one ring
 pass: a numpy array with one row per coefficient in x, each row an integer
@@ -386,16 +389,27 @@ class Die:
         return Die(tuple(probs))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Sack:
-    """An ordered, nonempty list of dice."""
+    """An ordered, nonempty list of dice; an entry that is not a
+    :class:`Die` raises TypeError before anything else is checked."""
 
     dice: tuple
+    # The sack's total when its builder vouched for it, set only by
+    # _with_total; no dataclass field, so equality, hashing, repr, JSON and
+    # dataclasses.replace never see it, and a sack without one stores
+    # nothing.
+    _total = None
 
-    def __post_init__(self):
-        if not self.dice:
+    def __init__(self, dice):
+        # written out, so the one field is set once
+        dice = tuple(dice)
+        for d in dice:
+            if not isinstance(d, Die):
+                raise TypeError(f"a sack holds dice, not {d!r}")
+        if not dice:
             raise ValueError("a sack needs at least one die")
-        object.__setattr__(self, "dice", tuple(self.dice))
+        object.__setattr__(self, "dice", dice)
 
     @property
     def type_vector(self) -> tuple[int, ...]:
@@ -461,12 +475,37 @@ class DistPoly:
 def parts_to_total(sack: Sack) -> DistPoly:
     """Total distribution of a sack: the product of its dice polynomials,
     of length T + 1 as each die's has length k.  Rational dice multiply
-    their stored numerators, over the product of their denominators."""
+    their stored numerators, over the product of their denominators.
+
+    A member of :func:`fibers.enumerate_fiber` carries its fiber's one
+    total, stored by :func:`_with_total`, and gets it back: it equals the
+    total computed here.  The member's slot products p_j multiply to F,
+    the product of the fiber's factor multiset, and its dice are
+    p_j / p_j(1), so its total is F / F(1), the same for every member.
+    Each coefficient's stored form is decided by its value
+    (``as_scalar``), and for a rational total the pair ``_ints`` is unique
+    too: each die's numerators are primitive, so by Gauss's lemma (a
+    product of primitive polynomials is primitive) their product is, and
+    the pair is the primitive numerators of F over their sum.  So the
+    shared total equals a recomputed one in ``coeffs`` and ``_ints``
+    (cyclotomic coefficients equal in value, ``_ints`` None on both).  A
+    sack with no stored total is computed here, and nothing is written
+    back.
+    """
+    if sack._total is not None:
+        return sack._total
     pairs = [die._ints for die in sack.dice]
     if None in pairs:
         return DistPoly(tuple(poly_mul(*(die.probs for die in sack.dice))))
     return DistPoly._from_ints(_conv_all([xs for xs, _ in pairs]),
                                math.prod(d for _, d in pairs))
+
+
+def _with_total(sack: Sack, total: DistPoly) -> Sack:
+    # sack, carrying total as its stored total, which the caller vouches is
+    # parts_to_total(sack); the one writer of a sack's total.
+    object.__setattr__(sack, "_total", total)
+    return sack
 
 
 def normalize_to_die(p, order: int | None = None) -> Die:

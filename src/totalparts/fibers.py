@@ -29,8 +29,10 @@ from .dicecore import (
     ZeroSum,
     _json_field,
     _json_shaped,
+    _with_total,
     as_scalar,
     normalize_to_die,
+    parts_to_total,
     poly_gcd,
     poly_mul,
     poly_trim,
@@ -220,6 +222,17 @@ def enumerate_fiber(factors: FactorMultiset, sack_type):
     leaf keyed on its :meth:`Sack.canonical_key`.  A type with an entry
     that is not an int, or below 2, is refused before anything is
     enumerated.
+
+    Every member carries the fiber's one total, built once per call by
+    :func:`parts_to_total` on the first member, so ``parts_to_total``
+    of a member (and craps on it) returns it instead of multiplying again.
+    It is every member's own total: a member's slot products p_j multiply
+    to F, the product of the factor multiset, and its dice are
+    p_j / p_j(1), so its total is F / F(1).  For a rational total the
+    stored pair is unique as well: each die's numerators are primitive, so
+    by Gauss's lemma their product is, and the pair is the primitive
+    numerators of F over their sum.  The shared ``DistPoly`` therefore
+    equals, in ``coeffs`` and ``_ints``, the one built for each member.
     """
     ks = _sack_type(sack_type)
     caps = [k - 1 for k in ks]
@@ -272,7 +285,9 @@ def enumerate_fiber(factors: FactorMultiset, sack_type):
 
     assign(0, caps, [[1]] * len(ks))
     results.sort(key=lambda r: r[0])
-    return [sack for _, sack in results]
+    sacks = [sack for _, sack in results]
+    total = parts_to_total(sacks[0]) if sacks else None
+    return [_with_total(sack, total) for sack in sacks]
 
 
 def total_is_squarefree(total: DistPoly) -> bool:

@@ -54,6 +54,16 @@ def test_die_validation():
     assert d.order == 3 and d.is_strict()
 
 
+@pytest.mark.parametrize("dice", [
+    (1, 2), (Die.fair(2), F(1, 2)), [Die.fair(2), (F(1, 2), F(1, 2))],
+    (Die.fair(2), None), ("ab",), (Sack((Die.fair(2),)),),
+], ids=["ints", "fraction", "tuple", "none", "str", "sack"])
+def test_a_sack_holds_only_dice(dice):
+    # refused when built, not later when parts_to_total reads each _ints
+    with pytest.raises(TypeError, match="a sack holds dice, not "):
+        Sack(dice)
+
+
 def test_pseudodie_entries_may_be_negative_or_complex():
     d = Die((F(3, 2), F(-1, 2)))
     assert d.is_real() and not d.is_strict()

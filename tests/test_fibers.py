@@ -1,6 +1,8 @@
 """Inverse problem: fiber enumeration, coin solutions, elimination."""
 
+import dataclasses
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from totalparts import fibers
+from totalparts.crapseval import craps_from_sack
 from totalparts.dicecore import (Die, DistPoly, Sack, ZeroSum,
                                  normalize_to_die,
                                  parts_to_total, poly_gcd, poly_mul,
@@ -207,14 +210,17 @@ FIBER_FACTORS = {
 
 # each id is the case's name and type, e.g. rational_chi-3-3, so adding a
 # case renames no other
-@pytest.mark.parametrize("dedupe", [True, False])
-@pytest.mark.parametrize("name, sack_type", [
+FIBER_CASES = [
     pytest.param(name, sack_type,
                  id="-".join([name, *map(str, sack_type)]))
     for sack_type in [(2, 3), (3, 3), (2, 2, 3), (6, 6)]
     for name, entries in sorted(FIBER_FACTORS.items())
     if FactorMultiset(entries).total_degree <= sum(k - 1 for k in sack_type)
-])
+]
+
+
+@pytest.mark.parametrize("dedupe", [True, False])
+@pytest.mark.parametrize("name, sack_type", FIBER_CASES)
 def test_fiber_matches_the_leaf_rebuild_reference(name, sack_type, dedupe,
                                                  monkeypatch):
     # dedupe=False compares the tree's leaves, duplicates included, as
@@ -254,6 +260,59 @@ def test_each_distinct_die_is_built_and_rendered_once(monkeypatch):
     assert len(sacks) == fiber_degree((6, 6)) == 252
     assert len(built) == 252 and len(rendered) == 6 * 252
     assert len({id(d) for s in sacks for d in s.dice}) == 252
+
+
+@pytest.mark.parametrize("name, sack_type", FIBER_CASES)
+def test_each_member_carries_its_own_total(name, sack_type):
+    # the one stored total equals each member's total recomputed from its
+    # dice, scalar types and integer pair included, on the rational, the
+    # cyclotomic and the dedupe paths
+    members = enumerate_fiber(FactorMultiset(FIBER_FACTORS[name]), sack_type)
+    for member in members:
+        stored = parts_to_total(member)
+        fresh = parts_to_total(Sack(member.dice))
+        assert stored is parts_to_total(members[0]) and stored is not fresh
+        assert stored.coeffs == fresh.coeffs and stored._ints == fresh._ints
+        assert list(map(type, stored.coeffs)) == list(map(type, fresh.coeffs))
+
+
+def test_a_stored_total_stays_with_its_member():
+    member = enumerate_fiber(FactorMultiset(TEN_ROOTS), (6, 6))[7]
+    plain = Sack(member.dice)
+    fresh = parts_to_total(plain)
+    assert plain._total is None  # nothing is written back
+    assert [f.name for f in dataclasses.fields(Sack)] == ["dice"]
+    assert member == plain and hash(member) == hash(plain)
+    assert repr(member) == repr(plain)
+    assert member.to_json() == plain.to_json()
+    assert member.canonical_key() == plain.canonical_key()
+    assert member._total is not None
+    for other in (member.reverse(),
+                  dataclasses.replace(member, dice=member.dice),
+                  dataclasses.replace(member, dice=member.dice[::-1]),
+                  Sack.from_json(member.to_json())):
+        assert other._total is None
+    kept = pickle.loads(pickle.dumps(member))
+    assert kept == member and kept._total is not None
+    assert kept._total.coeffs == fresh.coeffs
+    assert kept._total._ints == fresh._ints
+
+
+def test_a_fiber_and_craps_on_all_its_members_build_one_total(monkeypatch):
+    # the fiber's total is built once, for its first member; craps on each
+    # of the 252 members reads it
+    built = []
+    build = DistPoly._from_ints
+
+    def count(cls, nums, den):
+        built.append(den)
+        return build(nums, den)
+
+    monkeypatch.setattr(DistPoly, "_from_ints", classmethod(count))
+    members = enumerate_fiber(FactorMultiset(TEN_ROOTS), (6, 6))
+    reports = [craps_from_sack(member) for member in members]
+    assert len(members) == 252 and len(built) == 1
+    assert len({report.p_win for report in reports}) == 1
 
 
 def test_chi_factor_canonicalization():

@@ -1,10 +1,10 @@
 """Source hygiene: every name a package module imports is used, every
 private module-level function and every method is referenced somewhere,
 no module reaches into exactnum's private number format or decides a
-scalar's stored form, only dicecore builds a die or a total unchecked,
-only exactnum sets a Fraction's slots, the package and its CLI import no
-layer at load, the package runs without mpmath, and README's command
-examples parse."""
+scalar's stored form, only dicecore builds a die or a total unchecked or
+writes a sack's total, only exactnum sets a Fraction's slots, the package
+and its CLI import no layer at load, the package runs without mpmath, and
+README's command examples parse."""
 
 import ast
 import collections
@@ -173,6 +173,32 @@ def test_only_dicecore_builds_an_unchecked_die():
     assert TRUSTED_CONSTRUCTORS <= found.pop("dicecore")
     leaked = {stem: sorted(names) for stem, names in found.items() if names}
     assert not leaked, f"unchecked Die or DistPoly builds: {leaked}"
+
+
+# A sack's stored total, which parts_to_total returns unchecked: named, and
+# a Sack allocated bare, only inside dicecore, where _with_total alone
+# writes it; fibers, which builds each total from a member of its fiber,
+# alone imports that writer.
+SACK_TOTAL = {"_total"}
+
+
+def test_only_dicecore_writes_a_sacks_total():
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in SRC.glob("*.py")}
+    found = {stem: _bare_builds(tree, SACK_TOTAL, ("Sack",))
+             for stem, tree in trees.items()}
+    assert SACK_TOTAL <= found.pop("dicecore")
+    leaked = {stem: sorted(names) for stem, names in found.items() if names}
+    assert not leaked, f"a sack's total named outside dicecore: {leaked}"
+    writers = {node.name for node in ast.walk(trees["dicecore"])
+               if isinstance(node, ast.FunctionDef)
+               for sub in ast.walk(node)
+               if isinstance(sub, ast.Constant) and sub.value == "_total"}
+    assert writers == {"_with_total"}
+    importers = {stem for stem, tree in trees.items()
+                 for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                 for alias in node.names if alias.name == "_with_total"}
+    assert importers == {"fibers"}
 
 
 # The slots of a Fraction, set directly by exactnum's one lowest-terms
