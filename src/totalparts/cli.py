@@ -20,11 +20,7 @@ names the failing invariant), 2 on a usage error.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import csv
-import json
 import sys
-from fractions import Fraction
 
 
 def _decimal(x, places):
@@ -34,6 +30,7 @@ def _decimal(x, places):
 
 
 def _load_json_arg(value):
+    import json
     value = value.strip()
     if value.startswith("{") or value.startswith("["):
         return json.loads(value)
@@ -41,14 +38,17 @@ def _load_json_arg(value):
         return json.load(handle)
 
 
-def _number_list(kind, size=None):
-    """An argparse ``type=``: comma-separated integers (``kind`` int) or
-    rationals (``kind`` Fraction), exactly ``size`` of them when it is
-    given, as a tuple; anything else, a zero denominator included, is a
-    usage error."""
-    what = "integers" if kind is int else "rationals"
+def _number_list(rational=False, size=None):
+    """An argparse ``type=``: comma-separated integers or, with
+    ``rational``, Fractions, exactly ``size`` of them when it is given, as a
+    tuple; anything else, a zero denominator included, is a usage error."""
+    what = "rationals" if rational else "integers"
 
     def parse(text):
+        if rational:
+            from fractions import Fraction as kind
+        else:
+            kind = int
         try:
             values = tuple(kind(x) for x in text.split(","))
         except (ValueError, ZeroDivisionError):
@@ -63,6 +63,11 @@ def _number_list(kind, size=None):
 
 def _emit(text):
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
+
+
+def _emit_json(obj):
+    import json
+    _emit(json.dumps(obj))
 
 
 def _die_row(die, decimal):
@@ -84,7 +89,7 @@ def _cmd_total(args):
                 line += f"\t{_decimal(c, args.decimal)}"
             _emit(line)
     else:
-        _emit(json.dumps(total.to_json()))
+        _emit_json(total.to_json())
     return 0
 
 
@@ -102,7 +107,7 @@ def _cmd_solve(args):
     if not s or any(a != b * s for a, b in zip(product, total.coeffs)):
         raise ValueError("factor multiset product does not match the total")
     sacks = enumerate_fiber(factors, args.type)
-    _emit(json.dumps([s.to_json() for s in sacks]))
+    _emit_json([s.to_json() for s in sacks])
     return 0
 
 
@@ -118,32 +123,32 @@ def _cmd_fair_enum(args):
                   + "  d=[" + " ".join(_die_row(p.d, args.decimal)) + "]"
                   + "  dhat=[" + " ".join(_die_row(p.dhat, args.decimal)) + "]")
     else:
-        _emit(json.dumps([{
+        _emit_json([{
             "r": list(p.r),
             "d": p.d.to_json(),
             "dhat": p.dhat.to_json(),
             "strict": p.is_strict(),
             "real": p.is_real(),
-        } for p in pairs]))
+        } for p in pairs])
     return 0
 
 
 def _cmd_ramify(args):
     from .fairlab import ramification_check
     lhs, rhs = ramification_check(args.order)
-    _emit(json.dumps({"weighted_pairs": lhs, "fiber_degree": rhs,
-                      "equal": lhs == rhs}))
+    _emit_json({"weighted_pairs": lhs, "fiber_degree": rhs,
+                "equal": lhs == rhs})
     return 0
 
 
 def _cmd_coin_die(args):
     from .fairlab import coin_die_fair_check
     report = coin_die_fair_check(args.order)
-    _emit(json.dumps({
+    _emit_json({
         "order": report.order,
         "strict_sacks": [s.to_json() for s in report.strict_sacks],
         "only_fair_is_strict": report.only_fair_is_strict,
-    }))
+    })
     return 0
 
 
@@ -156,15 +161,17 @@ def _cmd_exotic(args):
             for die in sack.dice:
                 _emit("  [" + " ".join(_die_row(die, args.decimal)) + "]")
     else:
-        _emit(json.dumps([{
+        _emit_json([{
             "swap": spec.render(),
             "sack": sack.to_json(),
-        } for sack, spec in census.sacks]))
+        } for sack, spec in census.sacks])
     return 0
 
 
 def _cmd_scan(args):
     # one row per record, as it arrives; R rounds to --decimal places, else 7
+    import contextlib
+    import csv
     from .exotica import M3_RATIO_BOUND, scan_table
     records = scan_table(args.ell, args.kmax, args.workers)
     places = 7 if args.decimal is None else args.decimal
@@ -193,6 +200,7 @@ def _cmd_swaps(args):
 
 
 def _cmd_craps(args):
+    from fractions import Fraction
     from .crapseval import (WIN_TOTALS, CrapsTotals, craps_evaluate,
                             craps_from_sack)
     from .dicecore import Sack
@@ -218,7 +226,7 @@ def _cmd_craps(args):
 def _cmd_sicherman(args):
     from .fairlab import sicherman_search
     pairs = sicherman_search(args.order, args.label_min)
-    _emit(json.dumps([[list(a), list(b)] for a, b in pairs]))
+    _emit_json([[list(a), list(b)] for a, b in pairs])
     return 0
 
 
@@ -266,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="enumerate the fiber over a total")
     p.add_argument("--total", required=True)
-    p.add_argument("--type", type=_number_list(int), required=True)
+    p.add_argument("--type", type=_number_list(), required=True)
     p.add_argument("--factors", required=True)
     p.set_defaults(func=_cmd_solve)
 
@@ -284,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_coin_die)
 
     p = sub.add_parser("exotic", help="exotic sacks of a pair of orders")
-    p.add_argument("--orders", type=_number_list(int, 2), required=True)
+    p.add_argument("--orders", type=_number_list(size=2), required=True)
     p.set_defaults(func=_cmd_exotic)
 
     p = sub.add_parser("s3scan", aliases=["scatter"],
@@ -304,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("craps", help="exact craps evaluation")
     source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--totals", type=_number_list(Fraction),
+    source.add_argument("--totals", type=_number_list(rational=True),
                         help="11 comma-separated rationals for totals 2..12")
     source.add_argument("--sack")
     p.set_defaults(func=_cmd_craps)
@@ -330,10 +338,10 @@ def run(argv=None) -> int:
         check_workers(args.workers)
     except ValueError as exc:
         parser.error(f"--{exc}")
+    # a json.JSONDecodeError is a ValueError
     try:
         return args.func(args)
-    except (ValueError, ArithmeticError, OSError, KeyError,
-            json.JSONDecodeError) as exc:
+    except (ValueError, ArithmeticError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -115,7 +115,10 @@ def _json_field(obj: dict, key: str, what: str, kind: type | None = None):
 
 
 def check_workers(workers: int) -> None:
-    """Refuse a worker count outside [1, os.cpu_count()] with ValueError."""
+    """Refuse a worker count that is not an int, a bool or a float
+    included, or lies outside [1, os.cpu_count()], with ValueError."""
+    if type(workers) is not int:
+        raise ValueError(f"workers must be an integer, not {workers!r}")
     cpus = os.cpu_count() or 1
     if not 1 <= workers <= cpus:
         raise ValueError(f"workers must lie in [1, {cpus}], got {workers}")

@@ -2,11 +2,12 @@
 
 Rationals are plain ``fractions.Fraction`` (always in lowest terms, exact).
 Every rational the library builds from an integer pair n/d -- a die's or a
-total's entries, a rational ring scalar, ``CycElem.coords``, the craps
-report, the monic squarefree gcd -- comes from one constructor,
-:func:`_fraction`: one gcd, a sign fix, ``object.__new__(Fraction)``, and
-its two slots ``_numerator`` and ``_denominator`` set directly, the same
-assignment CPython 3.12+ makes in ``Fraction._from_coprime_ints``.
+total's entries, a rational ring scalar, ``CycElem.coords``, the endpoints
+of :func:`cyc_embed`, the craps report, the monic squarefree gcd -- comes
+from one constructor, :func:`_fraction`: one gcd, a sign fix,
+``object.__new__(Fraction)``, and its two slots ``_numerator`` and
+``_denominator`` set directly, the same assignment CPython 3.12+ makes in
+``Fraction._from_coprime_ints``.
 ``Fraction(n, d)`` takes the same gcd behind a dispatch on its argument
 types that costs more than the gcd itself, and its ``_normalize=False``
 shortcut is gone from Python 3.12.  The slot names are those of CPython
@@ -625,8 +626,16 @@ def as_scalar(x):
 
 
 def two_cos(m: int, k: int) -> CycElem:
-    """2*cos(2*pi*m/k) as the real cyclotomic element zeta_k^m + zeta_k^-m."""
-    return CycElem.zeta(k, m) + CycElem.zeta(k, -m)
+    """2*cos(2*pi*m/k) as the real cyclotomic element zeta_k^m + zeta_k^-m,
+    built from one coefficient list with one reduction.  As for
+    :meth:`CycElem.zeta`, an m that is not an int, a bool included, raises
+    ValueError."""
+    if type(m) is not int:
+        raise ValueError(f"power must be an integer, not {m!r}")
+    coeffs = [0] * _conductor(k)
+    coeffs[m % k] += 1
+    coeffs[-m % k] += 1
+    return CycElem._make(k, coeffs, 1)
 
 
 def _atan_inv(m: int, scale: int) -> tuple[int, int]:
@@ -735,8 +744,8 @@ def cyc_embed(e, bits: int) -> tuple[Fraction, Fraction]:
         c, r = fixed_cos(j, e.n, w)
         total += s * c
         radius += a * r
-    return (Fraction(total - radius, d << w),
-            Fraction(total + radius, d << w))
+    return (_fraction(total - radius, d << w),
+            _fraction(total + radius, d << w))
 
 
 NEGATIVE, ZERO, POSITIVE = -1, 0, 1

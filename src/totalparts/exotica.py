@@ -17,11 +17,12 @@ give the same pair, so its search is symmetric.  The census runs in stages:
    The surviving leaves come out as one integer array per chunk of the
    search (:func:`_pruned_splits`);
 2. pass each chunk through :func:`_point_filter`, one numpy float product
-   per die with an error bound derived in advance, which gives every
-   coefficient of every candidate die a status: certified positive (above
-   its bound), certified negative (below minus its bound), or unresolved.
-   One mask drops the fair split and each pair with a certified negative
-   coefficient, before any per-candidate work;
+   for both dice of a diagonal type (each has degree k - 1) and one per die
+   of a mixed type, with an error bound derived in advance, which gives
+   every coefficient of every candidate die a status: certified positive
+   (above its bound), certified negative (below minus its bound), or
+   unresolved.  One mask drops the fair split and each pair with a
+   certified negative coefficient, before any per-candidate work;
 3. build exact products from the roots zeta_n^(+-e) with
    :func:`dicecore.root_product` only for the remaining dice with a 0
    status (p(1) > 0, so +1 statuses are signs);
@@ -108,7 +109,16 @@ def _point_product(factors, mults) -> np.ndarray:
     becomes (p_j + a1 p_(j-1)) + a2 p_(j-2).  The other rows take the same
     step with a1 = a2 = 0, which leaves them as they are: no entry is ever
     -0 (it starts at +0 or 1, and a sum is -0 only when both terms are),
-    and p_j + +-0 = p_j for every other float.
+    and p_j + +-0 = p_j for every other float.  For the same reason a
+    linear factor (a2 = 0) takes no x^2 update at all: it would add
+    (0 * on) p_(j-2) = +-0.
+
+    Every step's coefficients come from one comparison and one product,
+    coef[c-1, f, d, r] = a_d(f) * [mults[r, f] >= c], the same floats the
+    step would form from its own mask; so each step adds the same values
+    in the same order, and the result does not depend on how they were
+    gathered.  That table costs rows x factors x 2 x (largest mult) floats
+    per call, rows x factors x 4 in a census, where every mult is at most 2.
     """
     mults = np.asarray(mults, dtype=np.int64).reshape(len(mults),
                                                       len(factors))
@@ -116,14 +126,20 @@ def _point_product(factors, mults) -> np.ndarray:
     degree = degrees.max(initial=0)
     if (degrees != degree).any():
         raise ValueError("every row must have the same degree")
+    steps = np.arange(1, mults.max(initial=0) + 1)[:, None, None, None, None]
+    coef = ((mults.T[:, None, :, None] >= steps)
+            * np.array(factors, dtype=float).reshape(-1, 2, 1, 1))
     p = np.zeros((len(mults), degree + 1))
     p[:, 0] = 1.0
-    for (a1, a2), column in zip(factors, mults.T):
-        for c in range(1, column.max(initial=0) + 1):
-            on = (column >= c)[:, None]
-            by_x2 = (a2 * on) * p[:, :-2]  # from p before the step
-            p[:, 1:] += (a1 * on) * p[:, :-1]
-            p[:, 2:] += by_x2
+    for f, ((_, a2), top) in enumerate(
+            zip(factors, mults.max(axis=0, initial=0).tolist())):
+        for a1_on, a2_on in coef[:top, f]:
+            if a2:
+                by_x2 = a2_on * p[:, :-2]  # from p before the step
+                p[:, 1:] += a1_on * p[:, :-1]
+                p[:, 2:] += by_x2
+            else:
+                p[:, 1:] += a1_on * p[:, :-1]
     return p
 
 
@@ -306,6 +322,16 @@ def _split_search(ell, factors, caps, degree, tol, symmetric=False):
     angles.  A node survives when both dice's bounds are at most ``tol`` at
     every angle (:func:`_prune_tolerance`).
 
+    Every depth's cumulative sums come from one sort: a depths x slots x
+    angles array of the slot values in which the slots already fixed at
+    depth j are +inf, sorted and summed along the slots.  The first S_j + 1
+    prefix sums of depth j, S_j its remaining slots, are then those of its
+    remaining values in ascending order, the same floats summed in the same
+    order as a sort of those values alone would give: equal values are
+    equal floats but for +-0, and a prefix sum starts at +0 and so is never
+    -0, which makes adding +0 and -0 alike.  So the floors, and with them
+    every bound, do not depend on how they were gathered.
+
     Yields ``(depth, rows, bounds, keep)`` for every chunk of nodes it
     evaluates: die-1 rows with the first ``depth`` columns fixed (the rest
     0), each die's largest bound over the angles, and the survivors; at
@@ -318,15 +344,23 @@ def _split_search(ell, factors, caps, degree, tol, symmetric=False):
         raise ValueError("one linear factor at most, and caps at most 2")
     # slots[j] remaining chi slots once the columns order[:j] are fixed
     # (j >= 1), and floors[j][R, d, i] at angle i the least sum of R of them
-    # (d = 0) or of all but R (d = 1)
-    slots, floors = [None], [None]
-    for j in range(1, len(order) + 1):
-        values = np.repeat(ell[:, order[j:]], caps[order[j:]], axis=1)
-        slots.append(values.shape[1])
-        floor = np.cumsum(np.hstack([np.zeros((len(ell), 1)),
-                                     np.sort(values, axis=1)]), axis=1).T
-        # C order, so that each gathered row is contiguous along the angles
-        floors.append(np.ascontiguousarray(np.stack([floor, floor[::-1]], 1)))
+    # (d = 0) or of all but R (d = 1); every slot belongs to order[1:]
+    rest = order[1:]
+    fixed_at = np.repeat(np.arange(1, len(order)), caps[rest])  # per slot
+    depths = np.arange(1, len(order) + 1)[:, None]
+    unfixed = fixed_at >= depths  # depths x slots
+    sums = np.zeros((len(order), len(fixed_at) + 1, len(ell)))
+    sums[:, 1:] = np.sort(np.where(
+        unfixed[:, :, None], np.repeat(ell[:, rest].T, caps[rest], axis=0),
+        np.inf), axis=1)
+    np.cumsum(sums, axis=1, out=sums)
+    left = unfixed.sum(axis=1)
+    # each depth's sums and, at R <= left, their reverse, in C order, so
+    # that each gathered row is contiguous along the angles
+    reverse = np.maximum(left[:, None] - np.arange(len(fixed_at) + 1), 0)
+    table = np.stack([sums, sums[depths - 1, reverse]], 2)
+    slots = [None] + left.tolist()
+    floors = [None] + [table[j, :s + 1] for j, s in enumerate(slots[1:])]
     # a node: rows, the two dice's part sums, die-1 degree left, and
     # whether the row still equals its complement
     stack = [(0, (np.zeros((1, len(factors)), dtype=np.int64),
@@ -449,7 +483,10 @@ def _decided_pairs(k: int, kp: int):
     # die 1 of degree exactly k-1, die 2 the rest of the caps
     for rows in _pruned_splits(factors, caps, k - 1, conductor, symmetric):
         dice = (rows, caps - rows)
-        statuses = [_point_filter(factors, die) for die in dice]
+        # when k = kp both dice have degree k - 1, so one pass takes both
+        statuses = (np.split(_point_filter(factors, np.concatenate(dice)), 2)
+                    if symmetric else
+                    [_point_filter(factors, die) for die in dice])
         keep = (rows != fair).any(axis=1)
         for status in statuses:
             keep &= (status >= 0).all(axis=1)

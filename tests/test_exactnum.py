@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraction_checks import check_pair, check_refusals
+from fraction_checks import check_pair, check_refusals, is_canonical
 from totalparts import exactnum
 from totalparts.exactnum import (
     CycElem,
@@ -326,6 +326,22 @@ def test_two_cos_values():
     assert t * t + t - 1 == 0
 
 
+def test_two_cos_is_the_sum_of_the_two_powers():
+    for k in range(1, 61):
+        for m in range(-k, 2 * k):
+            assert two_cos(m, k) == CycElem.zeta(k, m) + CycElem.zeta(k, -m)
+
+
+@pytest.mark.parametrize("m", [True, False, 1.0, 0.5],
+                         ids=["true", "false", "one-float", "float"])
+def test_two_cos_refuses_a_power_as_zeta_does(m):
+    with pytest.raises(ValueError) as want:
+        CycElem.zeta(5, m)
+    with pytest.raises(ValueError) as got:
+        two_cos(m, 5)
+    assert str(got.value) == str(want.value)
+
+
 def test_cyc_sign_certificates():
     assert cyc_sign(Fraction(3, 7)).sign == 1
     assert cyc_sign(Fraction(0)).sign == 0
@@ -383,7 +399,9 @@ def test_cyc_embed_takes_one_cosine_per_pair(n, data):
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(exactnum, "fixed_cos", counted)
-        assert cyc_embed(e, bits) == want
+        got = cyc_embed(e, bits)
+    # the endpoints are Fractions in lowest terms, equal to the reference's
+    assert got == want and all(map(is_canonical, got))
     assert len(calls) == len({min(i, n - i)
                               for i, x in enumerate(e.nums) if i and x})
 

@@ -18,6 +18,7 @@ from totalparts.dicecore import (
     Die,
     Sack,
     as_scalar,
+    check_workers,
     fair_total,
     normalize_to_die,
     parts_to_total,
@@ -25,7 +26,8 @@ from totalparts.dicecore import (
     psi,
     root_product,
 )
-from totalparts.exactnum import CycElem, cyc_sign, ring_dtype, two_cos
+from totalparts.exactnum import (CycElem, cyc_embed, cyc_sign, ring_dtype,
+                                 two_cos)
 from totalparts import exotica
 from totalparts.exotica import (
     ScanRecord,
@@ -57,6 +59,7 @@ from totalparts.exotica import (
 )
 
 from reference_division import poly_divide_exact
+from reference_point_product import point_product as ref_point_product
 from reference_split_search import split_search as ref_split_search
 
 F = Fraction
@@ -489,6 +492,39 @@ def test_split_search_equals_the_per_value_reference(rows, monkeypatch):
             for a, b in zip(arrays, want_arrays):
                 assert (a.dtype, a.shape) == (b.dtype, b.shape), key
                 assert a.tobytes() == b.tobytes(), key
+
+
+def test_point_product_equals_the_per_step_reference():
+    # every leaf chunk's dice, and for a diagonal key the two stacked as the
+    # census stacks them, against the product that formed each step's mask
+    # and coefficients apart: same dtype, shape and bytes; and the stacked
+    # pass's statuses are the two per-die passes'
+    for key in LEAVES:
+        _, factors, caps, n, degree, symmetric = _prune_case(key)
+        for rows in _pruned_splits(factors, caps, degree, n, symmetric):
+            dice = [rows, np.asarray(caps) - rows]
+            for mults in dice + [np.concatenate(dice)] * symmetric:
+                got = _point_product(factors, mults)
+                want = ref_point_product(factors, mults)
+                assert (got.dtype, got.shape) == (want.dtype, want.shape), key
+                assert got.tobytes() == want.tobytes(), key
+            if symmetric:
+                stacked = _point_filter(factors, np.concatenate(dice))
+                apart = np.concatenate([_point_filter(factors, die)
+                                        for die in dice])
+                assert stacked.tobytes() == apart.tobytes(), key
+
+
+def test_chi_factor_equals_its_definition_up_to_order_300():
+    # tau~ from the enclosure of zeta_k^m + zeta_k^-m, built here from the
+    # two powers, for every census key m/k in lowest terms with k <= 300
+    for k in range(2, 301):
+        for m in range(1, (k + 1) // 2):
+            if math.gcd(m, k) == 1:
+                lo, hi = cyc_embed(CycElem.zeta(k, m) + CycElem.zeta(k, -m),
+                                   64)
+                want = (-float((lo + hi) / 2), 1.0)
+                assert _chi_factor.__wrapped__(m, k) == want, (m, k)
 
 
 def _accepted_by_full_pipeline(key):
@@ -1064,6 +1100,22 @@ def test_worker_count_is_refused_before_any_scan(name, workers, monkeypatch):
     monkeypatch.setattr(exotica, "s_scan", no_work)
     with pytest.raises(ValueError, match=r"workers must lie in \[1, "):
         SCANS_WITH_WORKERS[name](workers)
+    assert RecordingPool.started == []
+
+
+@pytest.mark.parametrize("workers", [True, 1.0, 2.0, "2"],
+                         ids=["true", "one-float", "two-float", "string"])
+def test_a_worker_count_that_is_no_int_is_refused(workers, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a scan was started")
+
+    monkeypatch.setattr(RecordingPool, "started", [])
+    monkeypatch.setattr(exotica, "Pool", RecordingPool)
+    monkeypatch.setattr(exotica, "s_scan", no_work)
+    for refuse in (check_workers,
+                   lambda w: exotica.scan_table(3, 20, workers=w)):
+        with pytest.raises(ValueError, match="workers must be an integer"):
+            refuse(workers)
     assert RecordingPool.started == []
 
 

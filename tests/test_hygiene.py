@@ -3,8 +3,9 @@ private module-level function and every method is referenced somewhere,
 no module reaches into exactnum's private number format or decides a
 scalar's stored form, only dicecore builds a die or a total unchecked or
 writes a sack's total, only exactnum sets a Fraction's slots, the package
-and its CLI import no layer at load, the package runs without mpmath, and
-README's command examples parse."""
+and its CLI import no layer at load, the CLI imports only argparse and sys
+at load, the package runs without mpmath, and README's command examples
+parse."""
 
 import ast
 import collections
@@ -245,6 +246,24 @@ def test_the_entry_modules_import_no_layer_at_the_top(name):
     path = SRC / name
     found = _top_level_package_imports(ast.parse(path.read_text()))
     assert not found, f"{name} imports package modules at load: {found}"
+
+
+def test_the_cli_imports_only_argparse_and_sys_at_the_top():
+    # json, csv, fractions and contextlib are imported by the commands
+    # that use them, so building the parser loads none of them
+    tree = ast.parse((SRC / "cli.py").read_text())
+    in_functions = {id(sub) for node in ast.walk(tree)
+                    if isinstance(node, ast.FunctionDef)
+                    for sub in ast.walk(node)}
+    modules = set()
+    for node in ast.walk(tree):
+        if id(node) in in_functions:
+            continue
+        if isinstance(node, ast.Import):
+            modules |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            modules.add(node.module)
+    assert modules == {"__future__", "argparse", "sys"}
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),

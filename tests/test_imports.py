@@ -111,6 +111,16 @@ print(json.dumps([package, loaded()]))
 """) == [["totalparts"], ENTRY]
 
 
+def test_building_the_parser_loads_neither_json_nor_csv():
+    # the probe imports no json itself: it writes its JSON list by hand
+    assert _fresh("""\
+import sys
+import totalparts.cli as cli
+cli.build_parser()
+print(str(sorted({"json", "csv"} & set(sys.modules))).replace("'", '"'))
+""") == []
+
+
 def test_a_name_once_read_is_bound_in_the_package():
     assert _fresh("""\
 import json, sys
