@@ -32,7 +32,7 @@ integers, and has one private constructor ``_from_ints`` that builds its
 normalizer, makes a die straight from a rational list's numerators,
 :func:`parts_to_total` convolves the stored numerators of rational dice,
 and craps reads the total's pair.  No rational die or total converts its
-scalars again.  A die of :func:`root_pair` has one more private
+scalars again.  A die of :func:`root_pairs` has one more private
 constructor, ``Die._from_ring``, which takes ``exactnum.ring_scalars``'
 scalars, their exact sum and, for a rational die, their pair as they
 come.  These constructors live here alone, as does
@@ -43,18 +43,24 @@ returns it.  How a ``CycElem`` stores its coordinates is known only to
 
 A product of roots of unity, prod (x - zeta_n^e) * (x+1)^x1, is one ring
 pass: a numpy array with one row per coefficient in x, each row an integer
-n-vector over Z[x]/(x^n - 1).  Multiplying by x - zeta^e is one rotation,
-by slicing, and one subtraction; by x + 1, one shift and one addition.  One
-matrix product against the table of x^i mod Phi_n then reduces every
-coefficient at once (``exactnum.ring_scalars``).  The array is int64 where
-``exactnum.ring_dtype`` proves every entry fits and Python ints otherwise,
-on the same code.  :func:`root_product` starts the pass from 1.
-:func:`root_pair` builds the two dice of a pair whose products multiply to
-psi_k * psi_k': each die's pass starts from its partner's value at 1 and
-is divided once by k*k', so no inverse is taken, and each die's sum,
-read off the column sums of its reduced rows, certifies the premise that
-the two products multiply to psi_k * psi_k'.  The pass stays apart
-from :func:`poly_mul`, which multiplies dense coefficient lists.
+n-vector over Z[x]/(x^n - 1).  Multiplying by x - zeta^e is one rotation
+and one subtraction; by x + 1, one shift and one addition.  The passes of
+one call that share a shape are one stack, dice x rows x n, and each step
+takes every die's rotation in one gather, from the stack concatenated with
+itself.  One matrix product against the table of x^i mod Phi_n then
+reduces every coefficient of the stack at once, and one ``np.gcd`` pass
+gives every stored form (``exactnum.ring_scalars``).  A stack is int64
+where ``exactnum.ring_dtype`` proves every entry fits and Python ints
+otherwise, on the same code, and holds at most ``_RING_ELEMENTS`` entries
+(one die at least).  :func:`root_products` starts each pass from 1.
+:func:`root_pairs` builds the two dice of each pair whose products
+multiply to psi_k * psi_k': each die's pass starts from its partner's
+value at 1 and is divided once by k*k', so no inverse is taken, and each
+die's sum, read off the column sums of its reduced rows, certifies the
+premise that the two products multiply to psi_k * psi_k'.
+:func:`root_pair` and :func:`root_product` are their one-entry calls.  The
+pass stays apart from :func:`poly_mul`, which multiplies dense coefficient
+lists.
 """
 
 from __future__ import annotations
@@ -175,6 +181,11 @@ def poly_mul(*polys):
             for c in _conv_all([[Fraction(1)], *polys])]
 
 
+# The element budget of one stacked ring pass: the dice of one shape are
+# built in stacks of at most this many array entries (one die at least).
+_RING_ELEMENTS = 1 << 16
+
+
 def _ring_factors(exponents, x1_count) -> list[int]:
     # The exponents as a list, once every exponent is an int and x1_count
     # an int >= 0, a bool refused as in CycElem.zeta; before any work.
@@ -188,49 +199,86 @@ def _ring_factors(exponents, x1_count) -> list[int]:
     return exponents
 
 
-def _ring_pass(n: int, exponents, x1_count: int, partner, partner_x1: int,
-               den: int) -> tuple[list, object, tuple | None]:
-    # exactnum.ring_scalars' (scalars, total, ints) of
+def _ring_passes(n: int, passes) -> list[tuple[list, object, tuple | None]]:
+    # exactnum.ring_scalars' (scalars, total, ints) of each pass
+    # (exponents, x1_count, partner, partner_x1, den), in order: the die
     # c * prod_e (x - zeta_n^e) * (x+1)^x1_count / den, where
     # c = prod_{e in partner} (1 - zeta^e) * 2^partner_x1 is the partner's
-    # value at 1 (1 for no partner).  One numpy array over Z[x]/(x^n - 1),
-    # one row per coefficient in x, constant term first: x shifts the rows
-    # down by one, and zeta^e * v is the rotation v[cut:] + v[:cut].  The
-    # dtype is proven for all the linear factors of both.  numpy is imported
-    # here, by the package rule (see totalparts/__init__.py).
+    # value at 1 (1 for no partner).  The passes of one shape (the four
+    # counts and den) are stacks of at most _RING_ELEMENTS entries, each a
+    # numpy array over Z[x]/(x^n - 1), dice x rows x n, one row per
+    # coefficient in x, constant term first: x shifts the rows down by
+    # one, and zeta^e * v is v[(j - e) mod n], the window of length n at
+    # (-e) mod n along v concatenated with itself, so one gather per factor
+    # takes every die's own rotation.  The dtype is proven for all the
+    # linear factors of both dice.  numpy is imported here, by the package
+    # rule (see totalparts/__init__.py).
     import numpy as np
-    poly = np.zeros((1, n), ring_dtype(n, len(exponents) + x1_count
-                                       + len(partner) + partner_x1))
-    poly[0, 0] = 1
-    for e in partner:
-        cut = n - e % n
-        poly = poly - np.concatenate((poly[:, cut:], poly[:, :cut]), axis=1)
-    poly = poly * 2 ** partner_x1
-    for e in exponents:
-        cut = n - e % n
-        out = np.zeros((len(poly) + 1, n), poly.dtype)
-        out[1:] = poly
-        out[:-1] -= np.concatenate((poly[:, cut:], poly[:, :cut]), axis=1)
-        poly = out
-    for _ in range(x1_count):
-        out = np.zeros((len(poly) + 1, n), poly.dtype)
-        out[1:] = poly
-        out[:-1] += poly
-        poly = out
-    return ring_scalars(poly, n, den)
+    from numpy.lib.stride_tricks import as_strided
+
+    def rotated(poly, cuts):
+        # die b's rows, each its window cuts[b] along the doubled rows, read
+        # through a strided view of every window
+        doubled = np.concatenate((poly, poly), axis=2)
+        strides = doubled.strides
+        return as_strided(doubled, (*poly.shape, n), strides + strides[2:],
+                          writeable=False)[np.arange(len(poly)), :, cuts]
+
+    shapes = {}
+    for i, (exps, x1, partner, partner_x1, den) in enumerate(passes):
+        shapes.setdefault((len(exps), x1, len(partner), partner_x1, den),
+                          []).append(i)
+    out = [None] * len(passes)
+    for (m, x1, pm, px1, den), members in shapes.items():
+        dtype = ring_dtype(n, m + x1 + pm + px1)
+        per_stack = max(1, _RING_ELEMENTS // ((m + x1 + 1) * n))
+        for start in range(0, len(members), per_stack):
+            stack = members[start:start + per_stack]
+            # each die's window (-e) mod n for each of its own factors and
+            # its partner's, one column per factor
+            own_cuts, partner_cuts = (np.array(
+                [[-e % n for e in passes[i][j]] for i in stack],
+                np.intp).reshape(len(stack), count)
+                for j, count in ((0, m), (2, pm)))
+            poly = np.zeros((len(stack), 1, n), dtype)
+            poly[:, 0, 0] = 1
+            for cut in partner_cuts.T:
+                poly = poly - rotated(poly, cut)
+            poly = poly * 2 ** px1
+            for cut in own_cuts.T:
+                step = np.zeros((len(stack), poly.shape[1] + 1, n), dtype)
+                step[:, 1:] = poly
+                step[:, :-1] -= rotated(poly, cut)
+                poly = step
+            for _ in range(x1):
+                step = np.zeros((len(stack), poly.shape[1] + 1, n), dtype)
+                step[:, 1:] = poly
+                step[:, :-1] += poly
+                poly = step
+            for i, scalars in zip(stack, ring_scalars(poly, n, den)):
+                out[i] = scalars
+    return out
+
+
+def root_products(n: int, dice) -> list[list]:
+    """Exact coefficients of prod_e (x - zeta_n^e) * (x+1)^x1_count for each
+    (exponents, x1_count) of ``dice``, constant term first, as Fractions or
+    elements of Q(zeta_n); one list per entry, in order.
+
+    Every product is a ring pass started from 1, and the products of one
+    shape (exponent count, x1_count) are built in one stacked pass, in the
+    dtype :func:`exactnum.ring_dtype` proves exact for their
+    len(exponents) + x1_count factors.  An exponent that is not an int, or
+    an x1_count that is not an int >= 0, a bool included, raises ValueError
+    before any work.
+    """
+    passes = [(_ring_factors(exps, x1), x1, (), 0, 1) for exps, x1 in dice]
+    return [scalars for scalars, _, _ in _ring_passes(n, passes)]
 
 
 def root_product(n: int, exponents, x1_count: int = 0):
-    """Exact coefficients of prod_e (x - zeta_n^e) * (x+1)^x1_count, constant
-    term first, as Fractions or elements of Q(zeta_n).
-
-    The ring pass started from 1, in the dtype :func:`exactnum.ring_dtype`
-    proves exact for its len(exponents) + x1_count factors.  An exponent
-    that is not an int, or an x1_count that is not an int >= 0, a bool
-    included, raises ValueError before any work.
-    """
-    return _ring_pass(n, _ring_factors(exponents, x1_count), x1_count,
-                      (), 0, 1)[0]
+    """The one product of :func:`root_products`."""
+    return root_products(n, [(exponents, x1_count)])[0]
 
 
 def poly_trim(p):
@@ -543,27 +591,41 @@ def normalize_to_die(p, order: int | None = None) -> Die:
     return Die._from_ints((*coeffs, *[0] * (k - len(coeffs))), den)
 
 
-def root_pair(n: int, exps_p, x1_p: int, exps_q,
-              x1_q: int) -> tuple[Die, Die]:
-    """The dice p/p(1) and q/q(1) of the root products
+def root_pairs(n: int, pairs) -> list[tuple[Die, Die]]:
+    """The dice (p/p(1), q/q(1)) of each (exps_p, x1_p, exps_q, x1_q) of
+    ``pairs``, in order: the root products
     p = prod_{e in exps_p} (x - zeta_n^e) * (x+1)^x1_p and q likewise, of
     orders k = deg p + 1 and k' = deg q + 1, when p*q = psi_k * psi_k'.
 
     p(1) q(1) = psi_k(1) psi_k'(1) = k k', so p/p(1) = p q(1)/(k k'): each
     die's ring pass starts from its partner's value at 1,
     prod (1 - zeta^e) * 2^x1, and is divided once by k k', with no
-    inverse.  Each die's exact sum, taken by :func:`exactnum.ring_scalars`
-    on the column sums of its reduced integer rows with no scalar added,
-    certifies the premise: a die whose sum is not 1 raises ValueError, as
-    ``Die(...)`` does.  The two passes apply all L = (k - 1) + (k' - 1)
-    linear factors of both dice to 1, so :func:`exactnum.ring_dtype`
-    chooses their dtype for L.  Exponents and counts are checked as in
-    :func:`root_product`.
+    inverse.  The passes of every pair at conductor n are built together,
+    one stacked pass per shape (the die's two counts, its partner's two
+    and k k').  Each die's exact sum, taken by
+    :func:`exactnum.ring_scalars` on the column sums of its reduced integer
+    rows with no scalar added, certifies the premise: a die whose sum is
+    not 1 raises ValueError, as ``Die(...)`` does.  The two passes of a pair
+    apply all L = (k - 1) + (k' - 1) linear factors of both dice to 1, so
+    :func:`exactnum.ring_dtype` chooses their dtype for L.  Exponents and
+    counts are checked as in :func:`root_products`, for every pair before
+    any work.
     """
-    exps_p, exps_q = _ring_factors(exps_p, x1_p), _ring_factors(exps_q, x1_q)
-    kk = (len(exps_p) + x1_p + 1) * (len(exps_q) + x1_q + 1)
-    return (Die._from_ring(*_ring_pass(n, exps_p, x1_p, exps_q, x1_q, kk)),
-            Die._from_ring(*_ring_pass(n, exps_q, x1_q, exps_p, x1_p, kk)))
+    passes = []
+    for exps_p, x1_p, exps_q, x1_q in pairs:
+        exps_p = _ring_factors(exps_p, x1_p)
+        exps_q = _ring_factors(exps_q, x1_q)
+        kk = (len(exps_p) + x1_p + 1) * (len(exps_q) + x1_q + 1)
+        passes += [(exps_p, x1_p, exps_q, x1_q, kk),
+                   (exps_q, x1_q, exps_p, x1_p, kk)]
+    dice = [Die._from_ring(*die) for die in _ring_passes(n, passes)]
+    return list(zip(dice[::2], dice[1::2]))
+
+
+def root_pair(n: int, exps_p, x1_p: int, exps_q,
+              x1_q: int) -> tuple[Die, Die]:
+    """The one pair of :func:`root_pairs`."""
+    return root_pairs(n, [(exps_p, x1_p, exps_q, x1_q)])[0]
 
 
 def psi(k: int):

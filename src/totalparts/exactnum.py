@@ -301,46 +301,66 @@ def ring_dtype(n: int, factors: int) -> str:
     return "int64" if factors + bits <= 62 else "object"
 
 
-def ring_scalars(rows, n: int, den: int) -> tuple[list, object, tuple | None]:
-    """(scalars, total, ints) for an integer numpy array of n-vectors over
-    Z[x]/(x^n - 1) and den > 0: ``scalars`` the :func:`as_scalar` of
-    r(zeta_n) / den for each row r, ``total`` the :func:`as_scalar` of
-    their sum, and ``ints`` = (nums, d) with scalars == nums/d, d the least
-    common denominator, when every scalar is rational, else None.
+def ring_scalars(rows, n: int,
+                 den: int) -> list[tuple[list, object, tuple | None]]:
+    """One (scalars, total, ints) per die of a stack: ``rows`` an integer
+    numpy array dice x rows x n, each row an n-vector over Z[x]/(x^n - 1),
+    and den > 0.  For each die, ``scalars`` is the :func:`as_scalar` of
+    r(zeta_n) / den for each of its rows r, ``total`` the :func:`as_scalar`
+    of their sum, and ``ints`` = (nums, d) with scalars == nums/d, d the
+    least common denominator, when every scalar is rational, else None.
 
     One matrix product against the table of x^i mod Phi_n reduces every
-    row at once, in the array's dtype: int64 only where :func:`ring_dtype`
-    proves it exact, Python ints otherwise.  The table's first phi(n) rows
-    are the identity, so only the columns phi(n) .. n - 1 are multiplied
-    (its terms are a subset of the full product's, inside the same bound).
-    The reduced rows are the power-basis numerators over den, so ``total``
-    is their column sums over den, with no scalar added, and the rows are
-    all rational exactly when every column but the first is zero.
+    row of the stack at once, in the array's dtype: int64 only where
+    :func:`ring_dtype` proves it exact, Python ints otherwise.  The table's
+    first phi(n) rows are the identity, so only the columns phi(n) .. n - 1
+    are multiplied (its terms are a subset of the full product's, inside
+    the same bound).  The reduced rows are the power-basis numerators over
+    den, so each die's ``total`` is its rows' column sums over den, one
+    sum for the stack, with no scalar added, and a die is rational exactly
+    when every column of its rows but the first is zero.
 
-    When some row is irrational, the rational-row test is read off the
-    array, and each irrational row over its gcd with den (one ``math.gcd``
-    per row) is already the stored form of its :class:`CycElem` (reduced
-    mod Phi_n, coprime to its denominator), built by ``CycElem._coprime``
-    with no second reduction; a rational row is a Fraction.
+    The stored forms' gcds are taken for the whole stack at once: one
+    ``np.gcd`` reduction along the rows' entries, each row's gcd with den,
+    and each die's gcd over its rows, which for a rational die is
+    gcd(den, *nums).  An irrational row over its gcd with den is already
+    the stored form of its :class:`CycElem` (reduced mod Phi_n, coprime to
+    its denominator), built by ``CycElem._coprime`` with no second
+    reduction; a rational row of an irrational die is a Fraction.  The
+    gcds only divide, so the stored forms are those a per-row ``math.gcd``
+    gives, in int64 as on Python ints.
     """
+    import numpy as np  # loaded by _power_table already
     deg = phi(n)
-    reduced = rows[:, :deg] + rows[:, deg:] @ _power_table(n, rows.dtype)
-    total = as_scalar(CycElem._make(n, reduced.sum(axis=0).tolist(), den))
-    irrational = reduced[:, 1:].any(axis=1)
-    if irrational.any():
-        scalars = []
-        for r, irr in zip(reduced.tolist(), irrational.tolist()):
-            if irr:
-                g = math.gcd(den, *r)
-                scalars.append(CycElem._coprime(
-                    n, tuple(a // g for a in r), den // g))
-            else:
-                scalars.append(_fraction(r[0], den))
-        return scalars, total, None
-    nums = reduced[:, 0].tolist()
-    g = math.gcd(den, *nums)
-    nums, den = tuple(a // g for a in nums), den // g
-    return list(_fractions(nums, den)), total, (nums, den)
+    reduced = rows[..., :deg] + rows[..., deg:] @ _power_table(n, rows.dtype)
+    sums = reduced.sum(axis=1).tolist()
+    irrational = reduced[..., 1:].any(axis=2)
+    row_gcds = np.gcd(np.gcd.reduce(reduced, axis=2), den)
+    rational = (~irrational.any(axis=1)).tolist()
+    if not all(rational):
+        # every row over its gcd with den, and that denominator
+        quotients = (reduced // row_gcds[..., None]).tolist()
+        row_dens = (den // row_gcds).tolist()
+        irrational = irrational.tolist()
+    if any(rational):
+        # every die's first column over its gcd, and that denominator
+        die_gcds = np.gcd.reduce(row_gcds, axis=1)
+        nums = (reduced[..., 0] // die_gcds[:, None]).tolist()
+        die_dens = (den // die_gcds).tolist()
+    out = []
+    for d, total in enumerate(sums):
+        total = as_scalar(CycElem._make(n, total, den))
+        if rational[d]:
+            ints = tuple(nums[d]), die_dens[d]
+            out.append((list(_fractions(*ints)), total, ints))
+        else:
+            # a rational row a/den is the Fraction of its first entry over
+            # its denominator, the two coprime already
+            out.append(([CycElem._coprime(n, tuple(r), g) if irr
+                         else _fraction(r[0], g) for r, g, irr in zip(
+                             quotients[d], row_dens[d], irrational[d])],
+                        total, None))
+    return out
 
 
 @functools.lru_cache(maxsize=None)

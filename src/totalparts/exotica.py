@@ -23,18 +23,18 @@ give the same pair, so its search is symmetric.  The census runs in stages:
    (above its bound), certified negative (below minus its bound), or
    unresolved.  One mask drops the fair split and each pair with a
    certified negative coefficient, before any per-candidate work;
-3. build exact products from the roots zeta_n^(+-e) with
-   :func:`dicecore.root_product` only for the remaining dice with a 0
-   status (p(1) > 0, so +1 statuses are signs);
+3. build exact products from the roots zeta_n^(+-e) only for the
+   remaining dice with a 0 status (p(1) > 0, so +1 statuses are signs),
+   every such die of a chunk in one :func:`dicecore.root_products` call;
 4. decide each unresolved coefficient with :func:`cyc_sign` (an exact
    zero is read from the canonical coordinates, never assumed; any other
    coefficient gets one integer enclosure excluding zero, at a precision
    derived in advance from a separation bound);
-5. in :func:`exotic_search` only, build each pair's dice with one
-   :func:`dicecore.root_pair` call (stage 3's products serve only the
-   sign checks): the two products multiply to psi_k * psi_k', so each
-   die's ring pass starts from its partner's value at 1 and is divided
-   once by k*k'; no inverse.
+5. in :func:`exotic_search` only, build the dice of every accepted pair
+   with one :func:`dicecore.root_pairs` call (stage 3's products serve
+   only the sign checks): each pair's two products multiply to
+   psi_k * psi_k', so each die's ring pass starts from its partner's value
+   at 1 and is divided once by k*k'; no inverse.
 
 A prune rejects only what the derived bound excludes, so every die that
 the point filter and the exact stage would accept reaches them.  No pair
@@ -54,7 +54,7 @@ from multiprocessing import Pool
 # module compiled after numpy is loaded raises the process's peak memory.
 from .exactnum import CycElem, cyc_embed, cyc_sign, two_cos
 from .dicecore import (Die, Sack, check_workers, fair_total, normalize_to_die,
-                       poly_mul, root_pair, root_product)
+                       poly_mul, root_pairs, root_products)
 
 import numpy as np
 
@@ -421,7 +421,8 @@ def _chi_exponents(chis, conductor):
 def _chi_product_exact(chis, x1_count, conductor):
     """Exact coefficients of prod chi_{m,k}^mult * (x+1)^x1_count, as
     Fractions or elements of Q(zeta_conductor)."""
-    return root_product(conductor, _chi_exponents(chis, conductor), x1_count)
+    return root_products(conductor,
+                         [(_chi_exponents(chis, conductor), x1_count)])[0]
 
 
 # -- swap specifications and censuses ---------------------------------------
@@ -490,22 +491,29 @@ def _decided_pairs(k: int, kp: int):
         keep = (rows != fair).any(axis=1)
         for status in statuses:
             keep &= (status >= 0).all(axis=1)
-        for r in np.flatnonzero(keep).tolist():
-            pair = [die[r].tolist() for die in dice]
-            roots = [(_chi_exponents([(q.numerator, q.denominator, v)
-                                      for q, v in zip(keys, row) if v],
-                                     conductor), row[-1]) for row in pair]
-            polys = [None if status[r].all() else root_product(conductor, *a)
-                     for a, status in zip(roots, statuses)]
+        # per kept pair: its two dice's rows, their statuses and roots
+        kept = np.flatnonzero(keep)
+        pairs = list(zip(*(die[kept].tolist() for die in dice)))
+        signs = list(zip(*(status[kept].tolist() for status in statuses)))
+        roots = [[(_chi_exponents([(q.numerator, q.denominator, v)
+                                   for q, v in zip(keys, row) if v],
+                                  conductor), row[-1]) for row in pair]
+                 for pair in pairs]
+        # stage 3: the products of every die with a 0 status, in one call
+        polys = iter(root_products(conductor, [
+            a for pair, status in zip(roots, signs)
+            for a, s in zip(pair, status) if 0 in s]))
+        for pair, pair_roots, pair_signs in zip(pairs, roots, signs):
+            products = [next(polys) if 0 in s else None for s in pair_signs]
             if any(s == 0 and cyc_sign(c).sign < 0
-                   for poly, status in zip(polys, statuses) if poly
-                   for c, s in zip(poly, status[r].tolist())):
+                   for poly, status in zip(products, pair_signs) if poly
+                   for c, s in zip(poly, status)):
                 continue
             d1 = list(zip(labels, pair[0], fair))
             spec = SwapSpec(tuple(q for q, v, f in d1 if v < f),
                             tuple(q for q, v, f in d1 if v > f))
             accepted.append((spec.canonical() if symmetric else spec,
-                             roots))
+                             pair_roots))
     yield from sorted(accepted, key=lambda e: (
         len(e[0].give) if symmetric else 0, e[0].give, e[0].take))
 
@@ -518,16 +526,17 @@ def exotic_search(k: int, kp: int) -> ExoticCensus:
     the fair split's, and ``take`` those where it exceeds it.  When k = kp a
     split and its swap are one pair: the search is symmetric, a key m/k is
     written as the integer m, each spec is canonical, and the sacks are
-    ordered first by the number of factors swapped.  Each pair accepted by
-    :func:`_decided_pairs` is built by one :func:`dicecore.root_pair` call,
-    after every pair is decided.
+    ordered first by the number of factors swapped.  The pairs accepted by
+    :func:`_decided_pairs` are built together by one
+    :func:`dicecore.root_pairs` call, after every pair is decided.
     """
     if not 2 <= k <= kp:
         raise ValueError("orders must satisfy 2 <= k <= k'")
-    conductor = math.lcm(k, kp)
-    return ExoticCensus(tuple(
-        (Sack(root_pair(conductor, *roots[0], *roots[1])), spec)
-        for spec, roots in _decided_pairs(k, kp)))
+    decided = list(_decided_pairs(k, kp))
+    pairs = root_pairs(math.lcm(k, kp), [(*roots[0], *roots[1])
+                                         for _, roots in decided])
+    return ExoticCensus(tuple((Sack(pair), spec)
+                              for pair, (spec, _) in zip(pairs, decided)))
 
 
 def swap_census(k: int) -> list[SwapSpec]:

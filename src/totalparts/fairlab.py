@@ -21,7 +21,7 @@ from .dicecore import (
     normalize_to_die,
     poly_mul,
     poly_trim,
-    root_pair,
+    root_pairs,
 )
 from .fibers import (ChiFactor, FactorMultiset, LinearFactor, _compositions,
                      enumerate_fiber, fiber_degree)
@@ -70,26 +70,32 @@ def multiplicity_vectors(k: int):
     return _compositions(k - 1, (2,) * (k - 1))
 
 
+def _roots(r) -> list[int]:
+    # the exponents m of zeta_k^m, each r_m times
+    return [m for m, rm in enumerate(r, start=1) for _ in range(rm)]
+
+
 def enumerate_fair_pairs(k: int):
     """All fair pairs of order k, one per multiplicity vector, in the
     canonical order: by ell, then lexicographically on r.
 
-    The root products of r and 2 - r multiply to psi_k^2, so one
-    :func:`dicecore.root_pair` call builds both dice, each from its
-    partner's value at 1 with no inverse, and serves r and 2 - r.
+    The root products of r and 2 - r multiply to psi_k^2, so a pair's
+    two dice are built each from its partner's value at 1 with no inverse,
+    and serve r and 2 - r.  One :func:`dicecore.root_pairs` call builds
+    the pairs of every r, once for r and 2 - r.
     """
     _check_order(k)
     rs = sorted(multiplicity_vectors(k),
                 key=lambda r: (sum(1 for x in r if x == 2), r))
-    pairs, dice = [], {}
-    for r in rs:
-        comp = tuple(2 - rm for rm in r)
-        if r not in dice:
-            roots = [[m for m, rm in enumerate(v, start=1) for _ in range(rm)]
-                     for v in (r, comp)]
-            dice[r], dice[comp] = root_pair(k, roots[0], 0, roots[1], 0)
-        pairs.append(FairPair(dice[r], dice[comp], r))
-    return pairs
+    comps = {r: tuple(2 - rm for rm in r) for r in rs}
+    # one build serves r and 2 - r
+    firsts = [r for r in rs if r <= comps[r]]
+    built = root_pairs(k, [(_roots(r), 0, _roots(comps[r]), 0)
+                           for r in firsts])
+    dice = {}
+    for r, pair in zip(firsts, built):
+        dice[r], dice[comps[r]] = pair
+    return [FairPair(dice[r], dice[comps[r]], r) for r in rs]
 
 
 def ramification_check(k: int) -> tuple[int, int]:

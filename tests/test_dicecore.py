@@ -23,7 +23,9 @@ from totalparts.dicecore import (
     poly_mul,
     psi,
     root_pair,
+    root_pairs,
     root_product,
+    root_products,
     scalar_from_json,
 )
 from totalparts.crapseval import CrapsTotals
@@ -128,25 +130,28 @@ def test_root_pair_equals_normalize_to_die(k, data):
                 min_size=2, max_size=2),
        st.lists(st.integers(0, 3), min_size=2, max_size=2))
 def test_ring_pass_stays_within_its_derived_bound(n, exps, x1s):
-    # Both passes of a pair, run on Python ints: every entry is at most 2^L
-    # and every reduced entry and column sum at most 2^L max|T|, L counting
-    # the linear factors of both dice, as exactnum.ring_dtype derives; the
-    # pass in the dtype that ring_dtype chooses gives the same scalars, sum
-    # and integer pair
+    # Both passes of a pair, stacked and run on Python ints: every entry is
+    # at most 2^L and every reduced entry and column sum at most
+    # 2^L max|T|, L counting the linear factors of both dice, as
+    # exactnum.ring_dtype derives; the pass in the dtype that ring_dtype
+    # chooses gives the same scalars, sum and integer pair
     table = exactnum._power_rows(n)[0]
     big = max(abs(c) for row in table for c in row)
     L = sum(map(len, exps)) + sum(x1s)
     assert ring_dtype(n, L) == (
         "int64" if L + big.bit_length() <= 62 else "object")
-    for die in (0, 1):
-        args = (n, exps[die], x1s[die], exps[1 - die], x1s[1 - die], 1)
-        polys = []
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(dicecore, "ring_dtype", lambda n, L: "object")
-            patch.setattr(dicecore, "ring_scalars", lambda poly, n, den:
-                          polys.append(poly) or ring_scalars(poly, n, den))
-            exact = dicecore._ring_pass(*args)
-        [poly] = polys
+    passes = [(exps[die], x1s[die], exps[1 - die], x1s[1 - die], 1)
+              for die in (0, 1)]
+    stacks = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dicecore, "ring_dtype", lambda n, L: "object")
+        patch.setattr(dicecore, "ring_scalars", lambda rows, n, den:
+                      stacks.append(rows) or ring_scalars(rows, n, den))
+        exacts = dicecore._ring_passes(n, passes)
+    # one stack when the two dice have one shape, else one each, in order
+    polys = [poly for stack in stacks for poly in stack]
+    assert len(polys) == 2
+    for poly, exact in zip(polys, exacts):
         assert poly.dtype == object
         assert sum(abs(a) for a in poly.flat) <= 2 ** L
         reduced = [[sum(a * row[c] for a, row in zip(coeff, table))
@@ -161,7 +166,105 @@ def test_ring_pass_stays_within_its_derived_bound(n, exps, x1s):
             ints = (tuple(c.numerator * (den // c.denominator)
                           for c in scalars), den)
         assert exact == (scalars, as_scalar(CycElem(n, sums)), ints)
-        assert dicecore._ring_pass(*args) == exact
+    assert dicecore._ring_passes(n, passes) == exacts
+
+
+def _stored(x):
+    # a scalar's stored form, with the type of every integer in it
+    if isinstance(x, CycElem):
+        parts = (x.n, *x.nums, x.den)
+    else:
+        parts = (x.numerator, x.denominator)
+    return type(x).__name__, parts, tuple(type(a).__name__ for a in parts)
+
+
+def _same_pass(got, want):
+    # ring_scalars' (scalars, total, ints) in the same stored forms
+    (scalars, total, ints), (ref_scalars, ref_total, ref_ints) = got, want
+    assert list(map(_stored, scalars)) == list(map(_stored, ref_scalars))
+    assert _stored(total) == _stored(ref_total)
+    assert ints == ref_ints
+    if ints is not None:
+        assert {type(a) for a in (*ints[0], ints[1])} == {int}
+
+
+@st.composite
+def ring_shapes(draw, n):
+    # a pass's shape: its exponent and x + 1 counts, its partner's and den
+    return (draw(st.integers(0, 6)), draw(st.integers(0, 2)),
+            draw(st.integers(0, 6)), draw(st.integers(0, 2)),
+            draw(st.sampled_from([1, 2, 6, n, 12 * n + 1])))
+
+
+@st.composite
+def ring_passes(draw, n):
+    # passes of a few shapes at conductor n, mixed in one list, so a stack
+    # may hold several dice and a call several stacks
+    shapes = draw(st.lists(ring_shapes(n), min_size=1, max_size=3))
+    exponents = lambda count: draw(st.lists(
+        st.integers(-3 * n - 5, 3 * n + 5), min_size=count, max_size=count))
+    return [(exponents(m), x1, exponents(pm), px1, den)
+            for m, x1, pm, px1, den in draw(st.lists(
+                st.sampled_from(shapes), min_size=1, max_size=6))]
+
+
+@st.composite
+def psi_pairs(draw, n):
+    # a pair whose products multiply to psi_k * psi_k' for k, k' dividing n:
+    # their roots zeta_n^e shuffled, k - 1 to the first die, each exponent
+    # moved by a multiple of n, and a die's roots -1 written as x + 1 or not
+    orders = [k for k in exactnum.divisors(n) if 2 <= k <= 20]
+    k, kp = draw(st.sampled_from(orders)), draw(st.sampled_from(orders))
+    roots = draw(st.permutations(
+        [m * (n // k) for m in range(1, k)]
+        + [m * (n // kp) for m in range(1, kp)]))
+    pair = []
+    for exps in (roots[:k - 1], roots[k - 1:]):
+        x1 = exps.count(n // 2) if n % 2 == 0 and draw(st.booleans()) else 0
+        pair += [[e + n * draw(st.integers(-2, 2)) for e in exps
+                  if not (x1 and e == n // 2)], x1]
+    return tuple(pair)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.integers(1, 40), st.sampled_from([84, 105, 247])),
+       st.sampled_from(["int64", "object"]), st.sampled_from([1, 3, None]),
+       st.data())
+def test_stacked_ring_passes_equal_the_one_die_reference(n, dtype, budget,
+                                                         data):
+    # every die of one call, mixed shapes and stacks split at an element
+    # budget of 1, 3 or the library's, equals the one-die pass with the
+    # per-row reduction in scalars, total and integer pair, in the dtype
+    # given (int64 is proven exact at these sizes)
+    import reference_ring_pass as ref
+    passes = data.draw(ring_passes(n))
+    products = [(exps, x1) for exps, x1, *_ in passes]
+    # pairs where some order 2..20 divides n: int64 holds them exactly
+    pairs = (data.draw(st.lists(psi_pairs(n), min_size=1, max_size=3))
+             if any(2 <= k <= 20 for k in exactnum.divisors(n)) else [])
+    for exps, x1, partner, px1, _ in passes:
+        assert ring_dtype(n, len(exps) + x1 + len(partner) + px1) == "int64"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dicecore, "ring_dtype", lambda n, L: dtype)
+        if budget is not None:
+            patch.setattr(dicecore, "_RING_ELEMENTS", budget)
+        got = dicecore._ring_passes(n, passes)
+        got_products = root_products(n, products)
+        got_pairs = root_pairs(n, pairs)
+    for args, triple in zip(passes, got):
+        _same_pass(triple, ref.ring_pass(n, *args, dtype=dtype))
+    for (exps, x1), scalars in zip(products, got_products):
+        want = ref.ring_pass(n, exps, x1, (), 0, 1, dtype=dtype)[0]
+        assert list(map(_stored, scalars)) == list(map(_stored, want))
+    for (exps_p, x1_p, exps_q, x1_q), dice in zip(pairs, got_pairs):
+        kk = (len(exps_p) + x1_p + 1) * (len(exps_q) + x1_q + 1)
+        for die, args in zip(dice, ((exps_p, x1_p, exps_q, x1_q),
+                                    (exps_q, x1_q, exps_p, x1_p))):
+            want = ref.ring_pass(n, *args, kk, dtype=dtype)
+            assert want[1] == 1
+            _same_pass((die.probs, want[1], die._ints), want)
+    assert (len(got), len(got_products), len(got_pairs)) == (
+        len(passes), len(products), len(pairs))
 
 
 def test_root_pair_of_mixed_orders_and_a_false_premise():
@@ -193,10 +296,20 @@ def test_root_pair_of_mixed_orders_and_a_false_premise():
 def test_root_pair_refuses_a_false_premise_on_every_branch(
         args, message, dtype, monkeypatch):
     # the sum read off the reduced rows refuses what Die(...) refuses, in
-    # int64 and on Python ints
+    # int64 and on Python ints, alone and second among valid pairs: the
+    # fair pair of order n, whose products multiply to psi_n^2
     monkeypatch.setattr(dicecore, "ring_dtype", lambda n, L: dtype)
     with pytest.raises(ValueError, match=message):
         root_pair(*args)
+    n, pair = args[0], args[1:]
+    fair = (list(range(1, n)), 0, list(range(1, n)), 0)
+    assert root_pairs(n, [fair]) == [(Die.fair(n), Die.fair(n))]
+    with pytest.raises(ValueError, match=message):
+        root_pairs(n, [fair, pair, fair])
+
+
+def test_no_pairs_and_no_products_build_nothing():
+    assert root_pairs(12, []) == [] and root_products(12, []) == []
 
 
 def test_root_pair_adds_no_scalars(monkeypatch):

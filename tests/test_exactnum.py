@@ -656,23 +656,44 @@ RING_ROWS_12 = [[0] * 12,
 @pytest.mark.parametrize("dtype", ["int64", "object"])
 def test_ring_scalars_equal_the_per_row_path(dtype, den):
     # each row over its gcd with den, built with no second reduction, gives
-    # the same scalar, in the same stored form, as _make and as_scalar
-    rows = np.array(RING_ROWS_12, dtype=dtype)
-    scalars, total, ints = ring_scalars(rows, 12, den)
-    want = _ring_scalars_by_row(rows, 12, den)
-    _same_scalars(scalars, want)
-    assert ints is None
+    # the same scalar, in the same stored form, as _make and as_scalar; the
+    # die sits in a stack between its reverse and a rational die, each
+    # reduced as if alone
+    stack = np.array([RING_ROWS_12[::-1], RING_ROWS_12,
+                      [[a if i % 4 == 0 else 0 for i, a in enumerate(row)]
+                       for row in RING_ROWS_12]], dtype=dtype)
+    out = ring_scalars(stack, 12, den)
+    assert len(out) == 3
+    for rows, (scalars, total, ints) in zip(stack, out[:2]):
+        want = _ring_scalars_by_row(rows, 12, den)
+        _same_scalars(scalars, want)
+        assert ints is None and total == sum(want, Fraction(0))
+    scalars, total, ints = out[1]
     assert isinstance(scalars[2], CycElem) and scalars[1] == -Fraction(1, den)
     assert scalars[0] == 0 and total == sum(want, Fraction(0))
+    # the rational die: its integer pair over the least common denominator
+    scalars, total, ints = out[2]
+    want = _ring_scalars_by_row(stack[2], 12, den)
+    _same_scalars(scalars, want)
+    lcd = math.lcm(*(c.denominator for c in want))
+    assert ints == (tuple(c.numerator * (lcd // c.denominator)
+                          for c in want), lcd)
+    assert total == sum(want, Fraction(0))
 
 
 def test_ring_scalars_past_int64_take_python_ints():
-    # entries and dens past 2^63: an object array, all Python ints
+    # entries and dens past 2^63: an object array, all Python ints, in a
+    # stack with a rational die
     big = 3 ** 45
-    rows = np.array([[big * 2 ** 30, big, 0, 0, 0],
-                     [0, 0, 0, 0, 0],
-                     [big * 7, 0, 0, 0, 0]], dtype=object)
+    stack = np.array([[[big * 2 ** 30, big, 0, 0, 0],
+                       [0, 0, 0, 0, 0],
+                       [big * 7, 0, 0, 0, 0]],
+                      [[big * 2 ** 30, 0, 0, 0, 0],
+                       [0, 0, 0, 0, 0],
+                       [big * 7, 0, 0, 0, 0]]], dtype=object)
     for den in (3 ** 50, 2 ** 64 * 3):
-        scalars, _, ints = ring_scalars(rows, 5, den)
+        (scalars, _, ints), (rational, _, pair) = ring_scalars(stack, 5, den)
         assert ints is None
-        _same_scalars(scalars, _ring_scalars_by_row(rows, 5, den))
+        _same_scalars(scalars, _ring_scalars_by_row(stack[0], 5, den))
+        _same_scalars(rational, _ring_scalars_by_row(stack[1], 5, den))
+        assert {type(a) for a in (*pair[0], pair[1])} == {int}

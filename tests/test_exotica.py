@@ -779,21 +779,16 @@ def test_census_counts_past_the_published_range(k, count):
 ZERO_STATUS_DICE = {10: 1, 12: 2, 18: 2, 20: 3, 21: 2, 24: 7, 26: 4}
 
 
-def _count_root_products(monkeypatch):
-    calls = []
-    product = exotica.root_product
-    monkeypatch.setattr(exotica, "root_product",
-                        lambda *args: calls.append(args) or product(*args))
-    return calls
-
-
 def _count_builds(monkeypatch):
-    # one log of the product calls ("product") and pair builds ("pair")
+    # one log of the builds, by die: "product" for each product a
+    # root_products call makes, and ("pairs", count) for each root_pairs
+    # call, however many pairs it holds
     log = []
-    for name, tag in (("root_product", "product"), ("root_pair", "pair")):
-        fn = getattr(exotica, name)
-        monkeypatch.setattr(exotica, name, lambda *args, fn=fn, tag=tag:
-                            log.append(tag) or fn(*args))
+    products, pairs = exotica.root_products, exotica.root_pairs
+    monkeypatch.setattr(exotica, "root_products", lambda n, dice: log.extend(
+        ["product"] * len(dice)) or products(n, dice))
+    monkeypatch.setattr(exotica, "root_pairs", lambda n, args: log.append(
+        ("pairs", len(args))) or pairs(n, args))
     return log
 
 
@@ -811,11 +806,11 @@ def test_exact_products_only_where_a_status_is_0(monkeypatch):
         del log[:]
         specs = swap_census(k)
         assert log == ["product"] * zero_dice, k
-        # building takes one pair build per sack, and no product is made
-        # after the pairs are decided
+        # building takes one pair build holding every sack, and no product
+        # is made after the pairs are decided
         del log[:]
         census = exotic_search(k, k)
-        assert log == ["product"] * zero_dice + ["pair"] * census.count, k
+        assert log == ["product"] * zero_dice + [("pairs", census.count)], k
         assert [spec for _, spec in census.sacks] == specs, k
 
 
@@ -834,11 +829,11 @@ def test_the_exact_rejection_at_37_is_decided_by_cyc_sign(monkeypatch):
     assert [cyc_sign(poly[j]).sign for j in (13, 23)] == [-1, -1]
     # the decision loop, given this leaf alone, makes die 2's product only
     # and drops the pair
-    calls = _count_root_products(monkeypatch)
+    log = _count_builds(monkeypatch)
     monkeypatch.setattr(exotica, "_pruned_splits",
                         lambda *args: iter([np.array([die1])]))
     assert list(exotica._decided_pairs(k, k)) == []
-    assert len(calls) == 1
+    assert log == ["product"]
 
 
 # -- scans -------------------------------------------------------------------

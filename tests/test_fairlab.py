@@ -3,6 +3,7 @@ coin+die fairness, and Sicherman dice."""
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -122,6 +123,24 @@ def test_each_pair_has_fair_total():
     for p in enumerate_fair_pairs(6)[:10]:
         total = parts_to_total(Sack((p.d, p.dhat)))
         assert total.coeffs == fair
+
+
+@pytest.mark.parametrize("k, count", [(7, 141), (8, 393)])
+def test_fair_pairs_past_order_6(k, count):
+    # every multiplicity vector once, in the canonical order, and a seeded
+    # sample of pairs whose total, by the forward map, is psi_k^2 / k^2
+    pairs = enumerate_fair_pairs(k)
+    assert len(pairs) == fair_pair_count(k) == count
+    rs = [p.r for p in pairs]
+    assert rs == sorted(multiplicity_vectors(k),
+                        key=lambda r: (r.count(2), r))
+    assert len(set(rs)) == count
+    fair = tuple(F(c, k * k) for c in
+                 [min(i + 1, 2 * k - 1 - i) for i in range(2 * k - 1)])
+    for p in random.Random(k).sample(pairs, 6):
+        assert parts_to_total(Sack((p.d, p.dhat))).coeffs == fair
+        assert (p.d._ints is None) == (not all(
+            isinstance(c, F) for c in p.d.probs))
 
 
 def test_strict_and_real_counts_order_6():

@@ -2,10 +2,11 @@
 private module-level function and every method is referenced somewhere,
 no module reaches into exactnum's private number format or decides a
 scalar's stored form, only dicecore builds a die or a total unchecked or
-writes a sack's total, only exactnum sets a Fraction's slots, the package
-and its CLI import no layer at load, the CLI imports only argparse and sys
-at load, the package runs without mpmath, and README's command examples
-parse."""
+writes a sack's total, only dicecore runs the ring pass and the searches
+build dice through its list forms, outside any per-die loop, only exactnum
+sets a Fraction's slots, the package and its CLI import no layer at load,
+the CLI imports only argparse and sys at load, the package runs without
+mpmath, and README's command examples parse."""
 
 import ast
 import collections
@@ -200,6 +201,68 @@ def test_only_dicecore_writes_a_sacks_total():
                  for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                  for alias in node.names if alias.name == "_with_total"}
     assert importers == {"fibers"}
+
+
+# The ring pass builds every die of a call in stacks: named only in
+# dicecore, its home, and in exactnum, which holds its dtype rule and its
+# reduction.  The searches build dice only through the list forms, each
+# call outside every loop but the census's loop over its leaf chunks, so a
+# per-die or per-pair build loop cannot come back.
+RING_PASS = {"_ring_passes", "ring_scalars", "ring_dtype"}
+PER_DIE_BUILDS = {"root_pair", "root_product"}
+LIST_BUILDS = {"root_pairs", "root_products"}
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+         ast.GeneratorExp, ast.Lambda)
+
+
+def _builds_in_loops(tree):
+    # each list-form build call with a loop around it other than a for
+    # over _pruned_splits(...), the census's leaf chunks
+    found = []
+
+    def visit(node, loops):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in LIST_BUILDS and any(
+                    not (isinstance(loop, ast.For)
+                         and ast.unparse(loop.iter).startswith(
+                             "_pruned_splits("))
+                    for loop in loops)):
+            found.append(ast.unparse(node.func))
+        if isinstance(node, LOOPS):
+            loops = loops + [node]
+        for child in ast.iter_child_nodes(node):
+            visit(child, loops)
+
+    visit(tree, [])
+    return found
+
+
+def test_only_dicecore_runs_the_ring_pass():
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in SRC.glob("*.py")}
+    assert RING_PASS <= set(_identifiers(trees["dicecore"]))
+    leaked = {stem: sorted(set(_identifiers(tree)) & RING_PASS)
+              for stem, tree in trees.items()
+              if stem not in ("dicecore", "exactnum")}
+    assert not any(leaked.values()), f"ring pass named: {leaked}"
+    for stem in ("exotica", "fairlab"):
+        names = set(_identifiers(trees[stem]))
+        assert names & LIST_BUILDS and not names & PER_DIE_BUILDS, stem
+        assert not _builds_in_loops(trees[stem]), stem
+
+
+def test_the_loop_rule_sees_a_per_pair_build():
+    # the rule refuses a build in a comprehension or a loop, and passes one
+    # in the census's chunk loop
+    assert _builds_in_loops(ast.parse(
+        "[root_pairs(n, [p]) for p in pairs]")) == ["root_pairs"]
+    assert _builds_in_loops(ast.parse(
+        "for rows in _pruned_splits(f):\n"
+        "    for r in rows:\n"
+        "        root_products(n, [r])")) == ["root_products"]
+    assert _builds_in_loops(ast.parse(
+        "for rows in _pruned_splits(f):\n"
+        "    root_products(n, [r for r in rows])")) == []
 
 
 # The slots of a Fraction, set directly by exactnum's one lowest-terms
