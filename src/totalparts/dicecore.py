@@ -210,19 +210,22 @@ def _ring_passes(n: int, passes) -> list[tuple[list, object, tuple | None]]:
     # coefficient in x, constant term first: x shifts the rows down by
     # one, and zeta^e * v is v[(j - e) mod n], the window of length n at
     # (-e) mod n along v concatenated with itself, so one gather per factor
-    # takes every die's own rotation.  The dtype is proven for all the
+    # takes every die's own rotation from one view of every window; a step
+    # calls only numpy's C entry points.  The dtype is proven for all the
     # linear factors of both dice.  numpy is imported here, by the package
     # rule (see totalparts/__init__.py).
     import numpy as np
-    from numpy.lib.stride_tricks import as_strided
 
     def rotated(poly, cuts):
         # die b's rows, each its window cuts[b] along the doubled rows, read
-        # through a strided view of every window
+        # through a view of every window: the doubled array's buffer with
+        # its last stride repeated, made by the ndarray constructor (for
+        # int64 and object stacks alike) and only read by the gather
         doubled = np.concatenate((poly, poly), axis=2)
         strides = doubled.strides
-        return as_strided(doubled, (*poly.shape, n), strides + strides[2:],
-                          writeable=False)[np.arange(len(poly)), :, cuts]
+        windows = np.ndarray((*poly.shape, n), doubled.dtype, buffer=doubled,
+                             offset=0, strides=strides + strides[2:])
+        return windows[np.arange(len(poly)), :, cuts]
 
     shapes = {}
     for i, (exps, x1, partner, partner_x1, den) in enumerate(passes):

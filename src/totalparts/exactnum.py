@@ -55,12 +55,13 @@ integer numerators when all are rational.
 Sign determination for real elements (fixed by complex conjugation) first
 tests for exact zero.  A nonzero real e = xs/d is then at least
 2^-B away from zero, with B derived in advance from d, the 1-norm of xs and
-phi(n) (a Liouville-type separation bound, :func:`cyc_sign`), and one
-fixed-point integer enclosure of width at most 2^-B (:func:`cyc_embed`)
-decides the sign.  Its cosines come from Taylor series with a proven
-remainder and counted truncation errors (:func:`fixed_cos`), and pi from
-Machin's formula in integers (:func:`fixed_pi`).  The result is wrapped in
-a :class:`SignCertificate`.
+phi(n) (a Liouville-type separation bound, :func:`cyc_sign`), and a
+fixed-point integer enclosure (:func:`cyc_embed`) at 64, 128, ... bits,
+capped at B, decides the sign at the first precision where it excludes
+zero; at B, width at most 2^-B, one always does.  Its cosines come from
+Taylor series with a proven remainder and counted truncation errors
+(:func:`fixed_cos`), and pi from Machin's formula in integers
+(:func:`fixed_pi`).  The result is wrapped in a :class:`SignCertificate`.
 """
 
 from __future__ import annotations
@@ -776,9 +777,11 @@ class SignCertificate:
     """Certified sign of a real cyclotomic (or rational) value.
 
     ``sign`` is -1, 0 or +1.  Zero is decided exactly from canonical
-    coordinates, never by tolerance; a nonzero sign is certified by one
-    enclosure excluding zero, at the ``precision_bits`` B of the separation
-    bound in :func:`cyc_sign` (0 for a rational value).
+    coordinates, never by tolerance; a nonzero sign is certified by an
+    enclosure excluding zero, and ``precision_bits`` is the precision of
+    that enclosure, the first of :func:`cyc_sign`'s doubling precisions
+    at which one excluded zero, never above the separation bound B
+    (0 for a rational value).
     """
 
     value: object
@@ -796,9 +799,13 @@ def cyc_sign(e) -> SignCertificate:
     its phi(n)/2 real conjugates sum_i x_i sigma(zeta)^i, is a
     nonzero integer, and every factor is at most L in absolute value.
     Hence |e| >= 1/(d L^(phi(n)/2 - 1)) > 2^-B with
-    B = bitlen(d) + (phi(n)/2 - 1) bitlen(L), and one :func:`cyc_embed`
-    enclosure at B bits, narrower than |e|, excludes zero.  If it does not,
-    the code is wrong: UnresolvedSign.
+    B = bitlen(d) + (phi(n)/2 - 1) bitlen(L), and a :func:`cyc_embed`
+    enclosure at B bits, narrower than |e|, excludes zero.  Enclosures are
+    taken at 64, 128, 256, ... bits, capped at B, and the first that
+    excludes zero gives the sign: any enclosure of e that excludes zero
+    has the sign of e, so stopping early certifies it as well, and only a
+    value near zero pays for the full B.  If the enclosure at B does not
+    exclude zero, the code is wrong: UnresolvedSign.
     """
     e = as_scalar(e)
     if isinstance(e, Fraction):  # zero included
@@ -806,12 +813,17 @@ def cyc_sign(e) -> SignCertificate:
     if not e.is_real():
         raise NotReal(f"element {e.render()} is not fixed by conjugation")
     xs, d = e.nums, e.den
-    bits = (d.bit_length()
-            + (phi(e.n) // 2 - 1) * sum(map(abs, xs)).bit_length())
-    lo, hi = cyc_embed(e, bits)
-    if lo > 0:
-        return SignCertificate(e, POSITIVE, bits)
-    if hi < 0:
-        return SignCertificate(e, NEGATIVE, bits)
-    raise UnresolvedSign(f"sign of nonzero element {e.render()} unresolved "
-                         f"at its separation bound of {bits} bits")
+    bound = (d.bit_length()
+             + (phi(e.n) // 2 - 1) * sum(map(abs, xs)).bit_length())
+    bits = min(64, bound)
+    while True:
+        lo, hi = cyc_embed(e, bits)
+        if lo > 0:
+            return SignCertificate(e, POSITIVE, bits)
+        if hi < 0:
+            return SignCertificate(e, NEGATIVE, bits)
+        if bits == bound:
+            raise UnresolvedSign(
+                f"sign of nonzero element {e.render()} unresolved at its "
+                f"separation bound of {bound} bits")
+        bits = min(2 * bits, bound)

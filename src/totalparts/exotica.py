@@ -4,9 +4,12 @@ and verification harnesses for the tridecahedral example.
 Candidate dice are products of the real irreducible factors (x+1) and
 chi_{m,k}(x) = x^2 - 2cos(2*pi*m/k)x + 1.  One census,
 :func:`exotic_search`, serves every type (k, k'): its factors are those of
-psi_k * psi_k', merged by angle, and the diagonal type k = k' (the count
-E(k), listed by :func:`swap_census`) is the case where a split and its swap
-give the same pair, so its search is symmetric.  The census runs in stages:
+psi_k * psi_k', each chi keyed by the int root exponent e of its roots
+zeta^(+-e) at the conductor L = lcm(k, k'), so that equal factors of the two
+orders merge and no stage needs the angle e/L as a Fraction.  The diagonal
+type k = k' (the count E(k), listed by :func:`swap_census`) is the case
+where a split and its swap give the same pair, so its search is symmetric.
+The census runs in stages:
 
 1. search the splits of the factor multiset between the two dice, one
    factor column at a time, each chunk of nodes in one array step per
@@ -28,8 +31,8 @@ give the same pair, so its search is symmetric.  The census runs in stages:
    every such die of a chunk in one :func:`dicecore.root_products` call;
 4. decide each unresolved coefficient with :func:`cyc_sign` (an exact
    zero is read from the canonical coordinates, never assumed; any other
-   coefficient gets one integer enclosure excluding zero, at a precision
-   derived in advance from a separation bound);
+   coefficient gets an integer enclosure excluding zero, at a precision
+   capped by one derived in advance from a separation bound);
 5. in :func:`exotic_search` only, build the dice of every accepted pair
    with one :func:`dicecore.root_pairs` call (stage 3's products serve
    only the sign checks): each pair's two products multiply to
@@ -44,7 +47,6 @@ is admitted or rejected from an unresolved float status.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -68,8 +70,11 @@ def _chi_factor(m: int, k: int) -> tuple[float, float]:
     # (-tau~, 1.0) for chi_{m,k}, where tau~ is the float nearest the midpoint
     # of a 2^-64-wide enclosure of tau = 2cos(2*pi*m/k): within 2^-52 + 2^-65
     # of tau, and at most 2 in absolute value, because 2 and -2 are floats.
+    # The midpoint is one correctly rounded int division, (lo + hi)/2 over
+    # the common denominator, with no Fraction arithmetic.
     lo, hi = cyc_embed(two_cos(m, k), 64)
-    return (-float((lo + hi) / 2), 1.0)
+    return (-((lo.numerator * hi.denominator + hi.numerator * lo.denominator)
+              / (2 * lo.denominator * hi.denominator)), 1.0)
 
 
 _X_PLUS_1 = (1.0, 0.0)
@@ -386,11 +391,15 @@ def _split_search(ell, factors, caps, degree, tol, symmetric=False):
         if symmetric and j + 1 == len(order):
             keep &= ~tied
         yield j + 1, rows, bounds, keep
-        i = np.flatnonzero(keep)
-        if j + 1 < len(order) and len(i):
-            stack.extend((j + 1, (rows[c], parts[c], left[c], tied[c]))
-                         for c in reversed(np.array_split(
-                             i, -(-len(i) // _SEARCH_ROWS))))
+        i = keep.nonzero()[0]
+        if j + 1 == len(order) or not len(i):
+            continue
+        # survivors that fit one chunk are that chunk; more are cut where
+        # np.array_split cuts them
+        chunks = ([i] if len(i) <= _SEARCH_ROWS else
+                  reversed(np.array_split(i, -(-len(i) // _SEARCH_ROWS))))
+        stack.extend((j + 1, (rows[c], parts[c], left[c], tied[c]))
+                     for c in chunks)
 
 
 def _pruned_splits(factors, caps, degree, conductor, symmetric=False):
@@ -453,13 +462,17 @@ class ExoticCensus:
 
 
 def _merged_factor_multiset(k: int, kp: int):
-    # Real irreducible factors of psi_k * psi_kp keyed by the angle fraction
-    # m/k in lowest terms; equal factors from the two orders merge.
-    chis: dict[Fraction, int] = {}
+    """(chis, x1): the real irreducible factors of psi_k * psi_kp.  chis maps
+    the root exponent e of each chi, chi = (x - zeta^e)(x - zeta^-e) at the
+    conductor L = lcm(k, kp), to its multiplicity: chi_{m,order} has
+    e = m * (L / order), so equal factors from the two orders share one key
+    and merge.  x1 counts the x + 1 factors."""
+    conductor = math.lcm(k, kp)
+    chis: dict[int, int] = {}
     for order in (k, kp):
-        for m in range(1, (order + 1) // 2):
-            key = Fraction(m, order)
-            chis[key] = chis.get(key, 0) + 1
+        step = conductor // order
+        for e in range(step, (order + 1) // 2 * step, step):
+            chis[e] = chis.get(e, 0) + 1
     x1 = (1 if k % 2 == 0 else 0) + (1 if kp % 2 == 0 else 0)
     return chis, x1
 
@@ -467,38 +480,45 @@ def _merged_factor_multiset(k: int, kp: int):
 def _decided_pairs(k: int, kp: int):
     """Stages 1-4: yields each accepted pair of type (k, kp), in the census's
     order, as (spec, roots): per die its exponents e of zeta^e at conductor
-    lcm(k, kp) and its count of x + 1 factors.  A die's product is made
-    only when a status is 0, for its sign checks, and is not kept."""
+    L = lcm(k, kp) and its count of x + 1 factors.  A die's product is made
+    only when a status is 0, for its sign checks, and is not kept.
+
+    Every key is a chi's root exponent e at L, an int (see
+    :func:`_merged_factor_multiset`): e sorts as the angle e/L does, the
+    chi's float factor is keyed by e/L in lowest terms, the chi belongs to
+    psi_k when L/k divides e, and a spec's label is e itself when k = kp
+    (there L = k, so e is m) and the angle Fraction(e, L) otherwise."""
     symmetric = k == kp
     chis, x1_total = _merged_factor_multiset(k, kp)
     keys = sorted(chis)
     conductor = math.lcm(k, kp)
-    factors = ([_chi_factor(key.numerator, key.denominator) for key in keys]
-               + [_X_PLUS_1])
-    caps = [chis[key] for key in keys] + [x1_total]
-    # die 1 of the fair split: the chis m/k of psi_k, and x+1 when k is even
-    fair = (tuple(int((key * k).denominator == 1) for key in keys)
-            + (1 - k % 2,))
-    labels = [int(key * k) if symmetric else key for key in keys]
+    factors = [_chi_factor(e // g, conductor // g)
+               for e in keys for g in [math.gcd(e, conductor)]] + [_X_PLUS_1]
+    caps = [chis[e] for e in keys] + [x1_total]
+    # die 1 of the fair split: the chis of psi_k, and x+1 when k is even
+    step = conductor // k
+    fair = tuple(int(e % step == 0) for e in keys) + (1 - k % 2,)
+    labels = keys if symmetric else [Fraction(e, conductor) for e in keys]
+    signed = [(e, -e) for e in keys]  # a chi's two roots, once per copy
     accepted = []
     # die 1 of degree exactly k-1, die 2 the rest of the caps
     for rows in _pruned_splits(factors, caps, k - 1, conductor, symmetric):
         dice = (rows, caps - rows)
         # when k = kp both dice have degree k - 1, so one pass takes both
-        statuses = (np.split(_point_filter(factors, np.concatenate(dice)), 2)
-                    if symmetric else
-                    [_point_filter(factors, die) for die in dice])
+        if symmetric:
+            status = _point_filter(factors, np.concatenate(dice))
+            statuses = (status[:len(rows)], status[len(rows):])
+        else:
+            statuses = [_point_filter(factors, die) for die in dice]
         keep = (rows != fair).any(axis=1)
         for status in statuses:
             keep &= (status >= 0).all(axis=1)
         # per kept pair: its two dice's rows, their statuses and roots
-        kept = np.flatnonzero(keep)
+        kept = keep.nonzero()[0]
         pairs = list(zip(*(die[kept].tolist() for die in dice)))
         signs = list(zip(*(status[kept].tolist() for status in statuses)))
-        roots = [[(_chi_exponents([(q.numerator, q.denominator, v)
-                                   for q, v in zip(keys, row) if v],
-                                  conductor), row[-1]) for row in pair]
-                 for pair in pairs]
+        roots = [[([x for pm, v in zip(signed, row) for x in pm * v],
+                   row[-1]) for row in pair] for pair in pairs]
         # stage 3: the products of every die with a 0 status, in one call
         polys = iter(root_products(conductor, [
             a for pair, status in zip(roots, signs)
@@ -813,12 +833,12 @@ def s_scan(ell: int, k: int) -> ScanRecord:
     lattice, v = _scan_row_pass(ell, k, np.arange(ms.start, ms.stop))
     ok = (v >= -_SCAN_MARGIN).all(axis=1)
     unclear = v <= _SCAN_MARGIN
-    for row in np.flatnonzero(ok & unclear.any(axis=1)):
+    for row in (ok & unclear.any(axis=1)).nonzero()[0]:
         m, kr = ms[row], k // math.gcd(ms[row], k)
         # j = k-1-N, N = i / m' mod k' for each unclear index i, m' = m/g
         js = k - 1 - lattice[row][unclear[row]] * pow(m * kr // k, -1, kr) % kr
         ok[row] = all(_scan_coeff_sign(ell, k, m, j) >= 0 for j in js.tolist())
-    return ScanRecord(k, tuple(itertools.compress(ms, ok)))
+    return ScanRecord(k, tuple((ok.nonzero()[0] + ms.start).tolist()))
 
 
 def scan_table(ell: int, k_max: int, workers: int = 1):

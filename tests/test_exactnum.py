@@ -550,7 +550,11 @@ def _check_certificate(e):
         assert cert.sign == (1 if v > 0 else -1)
         assert abs(v) * d * mpmath.mpf(L) ** (h - 1) >= 1
         if not e.is_rational():
-            assert cert.precision_bits == bits
+            # the sign is read from the first enclosure, at a precision
+            # not above the separation bound, that excludes zero
+            assert 0 < cert.precision_bits <= bits
+            lo, hi = cyc_embed(e, cert.precision_bits)
+            assert (lo > 0) if cert.sign > 0 else (hi < 0)
         for b in (64, 256):
             lo, hi = cyc_embed(e, b)
             assert hi - lo <= Fraction(1, 2 ** b)
@@ -563,6 +567,17 @@ def _check_certificate(e):
     lambda a: st.integers(1, 10 ** 6).map(lambda s: s * (a + a.conj()))))
 def test_cyc_sign_matches_a_200_digit_oracle(e):
     _check_certificate(e)
+
+
+def test_cyc_sign_far_from_zero_stops_below_the_separation_bound():
+    # a + conj(a) in Q(zeta_83) with 256-bit coordinates: B is over 10 000
+    # bits, but the value is far from zero and a 64-bit enclosure decides
+    rng = random.Random(83)
+    a = CycElem(83, [rng.getrandbits(256) - 2 ** 255 for _ in range(phi(83))])
+    e = a + a.conj()
+    assert _separation(e)[0] > 10_000
+    _check_certificate(e)
+    assert cyc_sign(e).precision_bits <= 128
 
 
 def _convergents(x, q_max):

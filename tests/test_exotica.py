@@ -235,10 +235,11 @@ def _mixed_candidates(k, kp):
     # The factors of exotic_search(k, kp) and every split of them into a
     # (k-1)-die and a (kp-1)-die, as (row_d1, row_d2) multiplicity rows.
     chis, x1 = _merged_factor_multiset(k, kp)
-    keys = sorted(chis)
+    n = math.lcm(k, kp)
+    keys = [F(e, n) for e in sorted(chis)]
     factors = ([_chi_factor(q.numerator, q.denominator) for q in keys]
                + [_X_PLUS_1])
-    caps = [chis[q] for q in keys] + [x1]
+    caps = [chis[e] for e in sorted(chis)] + [x1]
     rows = []
     for row in itertools.product(*(range(c + 1) for c in caps)):
         if 2 * sum(row[:-1]) + row[-1] == k - 1:
@@ -355,7 +356,8 @@ UNRESOLVED = {**{k: 0 for k in range(10, 26)},
 def _mixed_fair_row(k, kp):
     # die 1 of the fair split: the chis of psi_k, and x+1 when k is even
     fair_d1 = {F(m, k) for m in range(1, (k + 1) // 2)}
-    keys = sorted(_merged_factor_multiset(k, kp)[0])
+    n = math.lcm(k, kp)
+    keys = [F(e, n) for e in sorted(_merged_factor_multiset(k, kp)[0])]
     return (tuple(1 if q in fair_d1 else 0 for q in keys)
             + (1 if k % 2 == 0 else 0,))
 
@@ -447,11 +449,12 @@ def _prune_case(key):
         caps = [2] * len(angles) + [2 * (1 - key % 2)]
         return angles, _census_factors(key), caps, key, key - 1, True
     chis, x1 = _merged_factor_multiset(*key)
-    angles = sorted(chis)
+    n = math.lcm(*key)
+    angles = [F(e, n) for e in sorted(chis)]
     factors = ([_chi_factor(q.numerator, q.denominator) for q in angles]
                + [_X_PLUS_1])
-    return (angles, factors, [chis[q] for q in angles] + [x1],
-            math.lcm(*key), key[0] - 1, False)
+    return (angles, factors, [chis[e] for e in sorted(chis)] + [x1],
+            n, key[0] - 1, False)
 
 
 def _leaves(key):
@@ -517,14 +520,37 @@ def test_point_product_equals_the_per_step_reference():
 
 def test_chi_factor_equals_its_definition_up_to_order_300():
     # tau~ from the enclosure of zeta_k^m + zeta_k^-m, built here from the
-    # two powers, for every census key m/k in lowest terms with k <= 300
+    # two powers, for every census key m/k in lowest terms with k <= 300:
+    # the library's one int division gives the float of -(lo + hi)/2
+    # computed in Fractions, bit for bit (the sign of a zero included)
     for k in range(2, 301):
         for m in range(1, (k + 1) // 2):
             if math.gcd(m, k) == 1:
                 lo, hi = cyc_embed(CycElem.zeta(k, m) + CycElem.zeta(k, -m),
                                    64)
-                want = (-float((lo + hi) / 2), 1.0)
-                assert _chi_factor.__wrapped__(m, k) == want, (m, k)
+                neg_tau, one = _chi_factor.__wrapped__(m, k)
+                assert neg_tau.hex() == (-float((lo + hi) / 2)).hex(), (m, k)
+                assert one == 1.0
+
+
+def test_merged_factor_multiset_keys_are_root_exponents():
+    # chi_{m,order} is keyed by e = m * lcm / order; equal roots merge
+    assert _merged_factor_multiset(6, 12) == (
+        {1: 1, 2: 2, 3: 1, 4: 2, 5: 1}, 2)
+    assert _merged_factor_multiset(7, 12) == (
+        {12: 1, 24: 1, 36: 1, 7: 1, 14: 1, 21: 1, 28: 1, 35: 1}, 1)
+    assert _merged_factor_multiset(13, 13) == ({m: 2 for m in range(1, 7)}, 0)
+    chis, _ = _merged_factor_multiset(7, 12)
+    assert all(type(e) is int for e in chis)
+
+
+def test_spec_labels_are_angles_when_mixed_and_ints_on_the_diagonal():
+    labels = [q for _, spec in exotic_search(7, 12).sacks
+              for q in spec.give + spec.take]
+    assert labels and all(type(q) is Fraction for q in labels)
+    assert all(0 < q < F(1, 2) and (q * 84).denominator == 1 for q in labels)
+    labels = [m for spec in swap_census(13) for m in spec.give + spec.take]
+    assert labels and all(type(m) is int for m in labels)
 
 
 def _accepted_by_full_pipeline(key):

@@ -6,7 +6,9 @@ writes a sack's total, only dicecore runs the ring pass and the searches
 build dice through its list forms, outside any per-die loop, only exactnum
 sets a Fraction's slots, the package and its CLI import no layer at load,
 the CLI imports only argparse and sys at load, the package runs without
-mpmath, and README's command examples parse."""
+mpmath, exotica and dicecore name none of numpy's Python-level wrappers
+that would cost a Python call per loop step, and README's command examples
+parse."""
 
 import ast
 import collections
@@ -339,6 +341,20 @@ def test_no_module_imports_mpmath(path):
         elif isinstance(node, ast.ImportFrom) and node.module:
             modules.add(node.module.split(".")[0])
     assert "mpmath" not in modules
+
+
+# Python-level numpy and itertools helpers, each a Python call per search
+# depth, leaf chunk, ring-pass step or scan; the census and the scans use
+# numpy's C entry points (the ndarray constructor, nonzero, slicing).
+LOOP_WRAPPERS = ("as_strided", "np.split(", "np.flatnonzero(",
+                 "itertools.compress")
+
+
+@pytest.mark.parametrize("name", ["exotica.py", "dicecore.py"])
+def test_no_python_level_wrapper_in_the_census_loops(name):
+    text = (SRC / name).read_text()
+    named = [w for w in LOOP_WRAPPERS if w in text]
+    assert not named, f"{name} names {named}"
 
 
 def test_mpmath_is_not_a_runtime_dependency():
