@@ -41,11 +41,12 @@ a fiber's members share their one total, and :func:`parts_to_total`
 returns it.  How a ``CycElem`` stores its coordinates is known only to
 ``exactnum``.
 
-A product of roots of unity, prod (x - zeta_n^e) * (x+1)^x1, is one ring
-pass: a numpy array with one row per coefficient in x, each row an integer
-n-vector over Z[x]/(x^n - 1).  Multiplying by x - zeta^e is one rotation
-and one subtraction; by x + 1, one shift and one addition.  The passes of
-one call that share a shape are one stack, dice x rows x n, and each step
+A product of roots of unity, prod (x - zeta_n^e), is one ring pass: a
+numpy array with one row per coefficient in x, each row an integer
+n-vector over Z[x]/(x^n - 1).  A die is its list of exponents e; x + 1 is
+the root zeta_n^(n/2) of an even n, so it is one more exponent.
+Multiplying by x - zeta^e is one rotation and one subtraction.  The passes
+of one call that share a shape are one stack, dice x rows x n, and each step
 takes every die's rotation in one gather, from the stack concatenated with
 itself.  One matrix product against the table of x^i mod Phi_n then
 reduces every coefficient of the stack at once, and one ``np.gcd`` pass
@@ -57,10 +58,8 @@ otherwise, on the same code, and holds at most ``_RING_ELEMENTS`` entries
 multiply to psi_k * psi_k': each die's pass starts from its partner's
 value at 1 and is divided once by k*k', so no inverse is taken, and each
 die's sum, read off the column sums of its reduced rows, certifies the
-premise that the two products multiply to psi_k * psi_k'.
-:func:`root_pair` and :func:`root_product` are their one-entry calls.  The
-pass stays apart from :func:`poly_mul`, which multiplies dense coefficient
-lists.
+premise that the two products multiply to psi_k * psi_k'.  The pass stays
+apart from :func:`poly_mul`, which multiplies dense coefficient lists.
 """
 
 from __future__ import annotations
@@ -120,11 +119,21 @@ def _json_field(obj: dict, key: str, what: str, kind: type | None = None):
     return obj[key] if kind is None else _json_shaped(obj[key], kind, key)
 
 
+def _integers(values, what: str) -> list:
+    # values as a list once each is an int, or ValueError "{what}, not v"
+    # for the first that is not, a bool or a float included: the one gate
+    # of exponents, sack types, orders and worker counts, before any work.
+    values = list(values)
+    for v in values:
+        if type(v) is not int:
+            raise ValueError(f"{what}, not {v!r}")
+    return values
+
+
 def check_workers(workers: int) -> None:
     """Refuse a worker count that is not an int, a bool or a float
     included, or lies outside [1, os.cpu_count()], with ValueError."""
-    if type(workers) is not int:
-        raise ValueError(f"workers must be an integer, not {workers!r}")
+    _integers((workers,), "workers must be an integer")
     cpus = os.cpu_count() or 1
     if not 1 <= workers <= cpus:
         raise ValueError(f"workers must lie in [1, {cpus}], got {workers}")
@@ -186,25 +195,11 @@ def poly_mul(*polys):
 _RING_ELEMENTS = 1 << 16
 
 
-def _ring_factors(exponents, x1_count) -> list[int]:
-    # The exponents as a list, once every exponent is an int and x1_count
-    # an int >= 0, a bool refused as in CycElem.zeta; before any work.
-    exponents = list(exponents)
-    for e in exponents:
-        if type(e) is not int:
-            raise ValueError(f"exponent must be an integer, not {e!r}")
-    if type(x1_count) is not int or x1_count < 0:
-        raise ValueError(
-            f"x1_count must be an integer >= 0, not {x1_count!r}")
-    return exponents
-
-
 def _ring_passes(n: int, passes) -> list[tuple[list, object, tuple | None]]:
     # exactnum.ring_scalars' (scalars, total, ints) of each pass
-    # (exponents, x1_count, partner, partner_x1, den), in order: the die
-    # c * prod_e (x - zeta_n^e) * (x+1)^x1_count / den, where
-    # c = prod_{e in partner} (1 - zeta^e) * 2^partner_x1 is the partner's
-    # value at 1 (1 for no partner).  The passes of one shape (the four
+    # (exponents, partner, den), in order: the die c * prod_e (x - zeta_n^e)
+    # / den, where c = prod_{e in partner} (1 - zeta^e) is the partner's
+    # value at 1 (1 for no partner).  The passes of one shape (the two
     # counts and den) are stacks of at most _RING_ELEMENTS entries, each a
     # numpy array over Z[x]/(x^n - 1), dice x rows x n, one row per
     # coefficient in x, constant term first: x shifts the rows down by
@@ -220,43 +215,38 @@ def _ring_passes(n: int, passes) -> list[tuple[list, object, tuple | None]]:
         # die b's rows, each its window cuts[b] along the doubled rows, read
         # through a view of every window: the doubled array's buffer with
         # its last stride repeated, made by the ndarray constructor (for
-        # int64 and object stacks alike) and only read by the gather
+        # int64 and object stacks alike) and only read by the gather, whose
+        # die indices each stack makes once
         doubled = np.concatenate((poly, poly), axis=2)
         strides = doubled.strides
         windows = np.ndarray((*poly.shape, n), doubled.dtype, buffer=doubled,
                              offset=0, strides=strides + strides[2:])
-        return windows[np.arange(len(poly)), :, cuts]
+        return windows[dice, :, cuts]
 
     shapes = {}
-    for i, (exps, x1, partner, partner_x1, den) in enumerate(passes):
-        shapes.setdefault((len(exps), x1, len(partner), partner_x1, den),
-                          []).append(i)
+    for i, (exps, partner, den) in enumerate(passes):
+        shapes.setdefault((len(exps), len(partner), den), []).append(i)
     out = [None] * len(passes)
-    for (m, x1, pm, px1, den), members in shapes.items():
-        dtype = ring_dtype(n, m + x1 + pm + px1)
-        per_stack = max(1, _RING_ELEMENTS // ((m + x1 + 1) * n))
+    for (m, pm, den), members in shapes.items():
+        dtype = ring_dtype(n, m + pm)
+        per_stack = max(1, _RING_ELEMENTS // ((m + 1) * n))
         for start in range(0, len(members), per_stack):
             stack = members[start:start + per_stack]
+            dice = np.arange(len(stack))
             # each die's window (-e) mod n for each of its own factors and
-            # its partner's, one column per factor
+            # its partner's, one column per factor (the passes of a stack
+            # have one shape, so each array is dice x factors)
             own_cuts, partner_cuts = (np.array(
-                [[-e % n for e in passes[i][j]] for i in stack],
-                np.intp).reshape(len(stack), count)
-                for j, count in ((0, m), (2, pm)))
+                [[-e % n for e in passes[i][j]] for i in stack], np.intp)
+                for j in (0, 1))
             poly = np.zeros((len(stack), 1, n), dtype)
             poly[:, 0, 0] = 1
             for cut in partner_cuts.T:
                 poly = poly - rotated(poly, cut)
-            poly = poly * 2 ** px1
             for cut in own_cuts.T:
                 step = np.zeros((len(stack), poly.shape[1] + 1, n), dtype)
                 step[:, 1:] = poly
                 step[:, :-1] -= rotated(poly, cut)
-                poly = step
-            for _ in range(x1):
-                step = np.zeros((len(stack), poly.shape[1] + 1, n), dtype)
-                step[:, 1:] = poly
-                step[:, :-1] += poly
                 poly = step
             for i, scalars in zip(stack, ring_scalars(poly, n, den)):
                 out[i] = scalars
@@ -264,24 +254,20 @@ def _ring_passes(n: int, passes) -> list[tuple[list, object, tuple | None]]:
 
 
 def root_products(n: int, dice) -> list[list]:
-    """Exact coefficients of prod_e (x - zeta_n^e) * (x+1)^x1_count for each
-    (exponents, x1_count) of ``dice``, constant term first, as Fractions or
-    elements of Q(zeta_n); one list per entry, in order.
+    """Exact coefficients of prod_e (x - zeta_n^e) for each exponent list
+    of ``dice``, constant term first, as Fractions or elements of
+    Q(zeta_n); one list per entry, in order.  x + 1 is the root
+    zeta_n^(n/2), at an even n.
 
-    Every product is a ring pass started from 1, and the products of one
-    shape (exponent count, x1_count) are built in one stacked pass, in the
-    dtype :func:`exactnum.ring_dtype` proves exact for their
-    len(exponents) + x1_count factors.  An exponent that is not an int, or
-    an x1_count that is not an int >= 0, a bool included, raises ValueError
-    before any work.
+    Every product is a ring pass started from 1, and the products with
+    one exponent count are built in one stacked pass, in the dtype
+    :func:`exactnum.ring_dtype` proves exact for their len(exponents)
+    factors.  An exponent that is not an int, a bool included, raises
+    ValueError before any work.
     """
-    passes = [(_ring_factors(exps, x1), x1, (), 0, 1) for exps, x1 in dice]
+    passes = [(_integers(exps, "exponent must be an integer"), (), 1)
+              for exps in dice]
     return [scalars for scalars, _, _ in _ring_passes(n, passes)]
-
-
-def root_product(n: int, exponents, x1_count: int = 0):
-    """The one product of :func:`root_products`."""
-    return root_products(n, [(exponents, x1_count)])[0]
 
 
 def poly_trim(p):
@@ -595,40 +581,32 @@ def normalize_to_die(p, order: int | None = None) -> Die:
 
 
 def root_pairs(n: int, pairs) -> list[tuple[Die, Die]]:
-    """The dice (p/p(1), q/q(1)) of each (exps_p, x1_p, exps_q, x1_q) of
-    ``pairs``, in order: the root products
-    p = prod_{e in exps_p} (x - zeta_n^e) * (x+1)^x1_p and q likewise, of
-    orders k = deg p + 1 and k' = deg q + 1, when p*q = psi_k * psi_k'.
+    """The dice (p/p(1), q/q(1)) of each (exps_p, exps_q) of ``pairs``, in
+    order: the root products p = prod_{e in exps_p} (x - zeta_n^e) and q
+    likewise, of orders k = deg p + 1 and k' = deg q + 1, when
+    p*q = psi_k * psi_k'.
 
     p(1) q(1) = psi_k(1) psi_k'(1) = k k', so p/p(1) = p q(1)/(k k'): each
-    die's ring pass starts from its partner's value at 1,
-    prod (1 - zeta^e) * 2^x1, and is divided once by k k', with no
-    inverse.  The passes of every pair at conductor n are built together,
-    one stacked pass per shape (the die's two counts, its partner's two
-    and k k').  Each die's exact sum, taken by
-    :func:`exactnum.ring_scalars` on the column sums of its reduced integer
-    rows with no scalar added, certifies the premise: a die whose sum is
-    not 1 raises ValueError, as ``Die(...)`` does.  The two passes of a pair
-    apply all L = (k - 1) + (k' - 1) linear factors of both dice to 1, so
-    :func:`exactnum.ring_dtype` chooses their dtype for L.  Exponents and
-    counts are checked as in :func:`root_products`, for every pair before
-    any work.
+    die's ring pass starts from its partner's value at 1, prod (1 - zeta^e),
+    and is divided once by k k', with no inverse.  The passes of every pair
+    at conductor n are built together, one stacked pass per shape (the
+    die's exponent count, its partner's and k k').  Each die's exact sum,
+    taken by :func:`exactnum.ring_scalars` on the column sums of its
+    reduced integer rows with no scalar added, certifies the premise: a die
+    whose sum is not 1 raises ValueError, as ``Die(...)`` does.  The two
+    passes of a pair apply all L = (k - 1) + (k' - 1) linear factors of
+    both dice to 1, so :func:`exactnum.ring_dtype` chooses their dtype for
+    L.  Exponents are checked as in :func:`root_products`, for every pair
+    before any work.
     """
     passes = []
-    for exps_p, x1_p, exps_q, x1_q in pairs:
-        exps_p = _ring_factors(exps_p, x1_p)
-        exps_q = _ring_factors(exps_q, x1_q)
-        kk = (len(exps_p) + x1_p + 1) * (len(exps_q) + x1_q + 1)
-        passes += [(exps_p, x1_p, exps_q, x1_q, kk),
-                   (exps_q, x1_q, exps_p, x1_p, kk)]
+    for pair in pairs:
+        exps_p, exps_q = (_integers(exps, "exponent must be an integer")
+                          for exps in pair)
+        kk = (len(exps_p) + 1) * (len(exps_q) + 1)
+        passes += [(exps_p, exps_q, kk), (exps_q, exps_p, kk)]
     dice = [Die._from_ring(*die) for die in _ring_passes(n, passes)]
     return list(zip(dice[::2], dice[1::2]))
-
-
-def root_pair(n: int, exps_p, x1_p: int, exps_q,
-              x1_q: int) -> tuple[Die, Die]:
-    """The one pair of :func:`root_pairs`."""
-    return root_pairs(n, [(exps_p, x1_p, exps_q, x1_q)])[0]
 
 
 def psi(k: int):
@@ -636,6 +614,16 @@ def psi(k: int):
     return [Fraction(1)] * k
 
 
+def _sack_type(sack_type) -> tuple:
+    # The orders as a tuple, once every entry is an int >= 2; before any
+    # work.
+    ks = _integers(sack_type, "sack type entries must be integers")
+    if not ks or min(ks) < 2:
+        raise ValueError("sack type entries must be >= 2")
+    return tuple(ks)
+
+
 def fair_total(sack_type):
-    """The fair total polynomial prod (1/k_j) psi_{k_j} for the given type."""
-    return poly_mul(*([Fraction(1, k)] * k for k in sack_type))
+    """The fair total polynomial prod (1/k_j) psi_{k_j} for the given type,
+    checked as :func:`fibers.fiber_degree` checks it."""
+    return poly_mul(*([Fraction(1, k)] * k for k in _sack_type(sack_type)))

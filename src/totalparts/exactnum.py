@@ -121,7 +121,7 @@ def phi(n: int) -> int:
     return math.prod(p ** (e - 1) * (p - 1) for p, e in _factor(n))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
     """Coefficients (constant first) of the n-th cyclotomic polynomial Phi_n.
 
@@ -130,10 +130,11 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     sum_{d|n} mu(n/d) = 0.  Phi_n has degree phi(n), so the product is taken
     as a power series mod x^(phi(n)+1): a factor 1 - x^d is one subtraction
     per coefficient, and its inverse 1 + x^d + x^2d + ... one running
-    addition.  Cached per conductor; the lru_cache gives safe concurrent
-    read with one-time insertion.
+    addition.  Cached per conductor, typed so that True is not read as 1;
+    the lru_cache gives safe concurrent read with one-time insertion.  A
+    conductor that is not an int >= 1, a bool included, raises ValueError.
     """
-    if n == 1:
+    if _conductor(n) == 1:
         return (-1, 1)
     size = phi(n) + 1
     c = [1] + [0] * (size - 1)
@@ -283,10 +284,10 @@ def ring_dtype(n: int, factors: int) -> str:
     are Python ints, when it may not.
 
     The array holds one n-vector per coefficient in x.  Multiplying it by
-    x - zeta^e (or by x + 1) adds the array shifted by one row to the array
-    with its columns rotated by e (or unrotated), and a rotation keeps each
-    absolute value, so each factor at most doubles the array's L1 norm, the
-    sum of all its absolute entries, as does the scalar 1 - zeta^e or 2.
+    x - zeta^e adds the array shifted by one row to the array with its
+    columns rotated by e, and a rotation keeps each absolute value, so each
+    factor at most doubles the array's L1 norm, the sum of all its absolute
+    entries, as does the scalar 1 - zeta^e.
     So after L factors, each entry of every array on the way is at most
     2^L in absolute value.  The reduction is one matrix product
     against the table T whose row i is x^i mod Phi_n: an output entry and
@@ -744,8 +745,8 @@ def cyc_embed(e, bits: int) -> tuple[Fraction, Fraction]:
     w - g - 3 >= bits + bitlen(L) and the width is below 2^-bits.
     A rational e is its own enclosure; a bool or a float raises TypeError.
     """
-    if bits < 0:
-        raise ValueError("bits must be at least 0")
+    if type(bits) is not int or bits < 0:
+        raise ValueError(f"bits must be an integer >= 0, not {bits!r}")
     e = as_scalar(e)
     if isinstance(e, Fraction):
         return e, e

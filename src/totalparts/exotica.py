@@ -26,18 +26,24 @@ The census runs in stages:
    (above its bound), certified negative (below minus its bound), or
    unresolved.  One mask drops the fair split and each pair with a
    certified negative coefficient, before any per-candidate work;
-3. build exact products from the roots zeta_n^(+-e) only for the
-   remaining dice with a 0 status (p(1) > 0, so +1 statuses are signs),
-   every such die of a chunk in one :func:`dicecore.root_products` call;
+3. build exact products only for the remaining dice with a 0 status
+   (p(1) > 0, so +1 statuses are signs), every such die of a chunk in one
+   :func:`dicecore.root_products` call.  A die is its list of exponents at
+   L: e and -e for each copy of a chi, and L/2 for each x + 1, whose root
+   is -1 = zeta^(L/2) (x + 1 divides psi_k * psi_k' only when k or k' is
+   even, and then L is even);
 4. decide each unresolved coefficient with :func:`cyc_sign` (an exact
    zero is read from the canonical coordinates, never assumed; any other
    coefficient gets an integer enclosure excluding zero, at a precision
    capped by one derived in advance from a separation bound);
 5. in :func:`exotic_search` only, build the dice of every accepted pair
-   with one :func:`dicecore.root_pairs` call (stage 3's products serve
-   only the sign checks): each pair's two products multiply to
-   psi_k * psi_k', so each die's ring pass starts from its partner's value
-   at 1 and is divided once by k*k'; no inverse.
+   from the same exponent lists with one :func:`dicecore.root_pairs` call
+   (stage 3's products serve only the sign checks): each pair's two
+   products multiply to psi_k * psi_k', so each die's ring pass starts
+   from its partner's value at 1 and is divided once by k*k'; no inverse.
+
+The float stages (the prune and the point filter) keep x + 1 as its own
+linear column, as its degree and its bounds differ from a chi's.
 
 A prune rejects only what the derived bound excludes, so every die that
 the point filter and the exact stage would accept reaches them.  No pair
@@ -55,8 +61,8 @@ from multiprocessing import Pool
 # The package's modules before numpy: where no .pyc files are written, a
 # module compiled after numpy is loaded raises the process's peak memory.
 from .exactnum import CycElem, cyc_embed, cyc_sign, two_cos
-from .dicecore import (Die, Sack, check_workers, fair_total, normalize_to_die,
-                       poly_mul, root_pairs, root_products)
+from .dicecore import (Die, Sack, _integers, check_workers, fair_total,
+                       normalize_to_die, poly_mul, root_pairs, root_products)
 
 import numpy as np
 
@@ -418,22 +424,6 @@ def _pruned_splits(factors, caps, degree, conductor, symmetric=False):
             yield rows[keep]
 
 
-# -- exact factor products ---------------------------------------------------
-
-def _chi_exponents(chis, conductor):
-    # the roots zeta^e of prod chi_{m,k}^mult: chi_{m,k} is
-    # (x - zeta^e)(x - zeta^-e) with e = m*conductor/k
-    return [sign * (m * conductor // k) for m, k, mult in chis
-            for _ in range(mult) for sign in (1, -1)]
-
-
-def _chi_product_exact(chis, x1_count, conductor):
-    """Exact coefficients of prod chi_{m,k}^mult * (x+1)^x1_count, as
-    Fractions or elements of Q(zeta_conductor)."""
-    return root_products(conductor,
-                         [(_chi_exponents(chis, conductor), x1_count)])[0]
-
-
 # -- swap specifications and censuses ---------------------------------------
 
 @dataclass(frozen=True)
@@ -480,8 +470,8 @@ def _merged_factor_multiset(k: int, kp: int):
 def _decided_pairs(k: int, kp: int):
     """Stages 1-4: yields each accepted pair of type (k, kp), in the census's
     order, as (spec, roots): per die its exponents e of zeta^e at conductor
-    L = lcm(k, kp) and its count of x + 1 factors.  A die's product is made
-    only when a status is 0, for its sign checks, and is not kept.
+    L = lcm(k, kp), x + 1 as e = L/2.  A die's product is made only when a
+    status is 0, for its sign checks, and is not kept.
 
     Every key is a chi's root exponent e at L, an int (see
     :func:`_merged_factor_multiset`): e sorts as the angle e/L does, the
@@ -499,7 +489,9 @@ def _decided_pairs(k: int, kp: int):
     step = conductor // k
     fair = tuple(int(e % step == 0) for e in keys) + (1 - k % 2,)
     labels = keys if symmetric else [Fraction(e, conductor) for e in keys]
-    signed = [(e, -e) for e in keys]  # a chi's two roots, once per copy
+    # a chi's two roots once per copy, and x + 1's root zeta^(L/2): x1_total
+    # is nonzero only when k or kp is even, and then L is even
+    signed = [(e, -e) for e in keys] + [(conductor // 2,)]
     accepted = []
     # die 1 of degree exactly k-1, die 2 the rest of the caps
     for rows in _pruned_splits(factors, caps, k - 1, conductor, symmetric):
@@ -517,8 +509,8 @@ def _decided_pairs(k: int, kp: int):
         kept = keep.nonzero()[0]
         pairs = list(zip(*(die[kept].tolist() for die in dice)))
         signs = list(zip(*(status[kept].tolist() for status in statuses)))
-        roots = [[([x for pm, v in zip(signed, row) for x in pm * v],
-                   row[-1]) for row in pair] for pair in pairs]
+        roots = [[[x for pm, v in zip(signed, row) for x in pm * v]
+                  for row in pair] for pair in pairs]
         # stage 3: the products of every die with a 0 status, in one call
         polys = iter(root_products(conductor, [
             a for pair, status in zip(roots, signs)
@@ -550,11 +542,11 @@ def exotic_search(k: int, kp: int) -> ExoticCensus:
     :func:`_decided_pairs` are built together by one
     :func:`dicecore.root_pairs` call, after every pair is decided.
     """
+    _integers((k, kp), "orders must be integers")
     if not 2 <= k <= kp:
         raise ValueError("orders must satisfy 2 <= k <= k'")
     decided = list(_decided_pairs(k, kp))
-    pairs = root_pairs(math.lcm(k, kp), [(*roots[0], *roots[1])
-                                         for _, roots in decided])
+    pairs = root_pairs(math.lcm(k, kp), [roots for _, roots in decided])
     return ExoticCensus(tuple((Sack(pair), spec)
                               for pair, (spec, _) in zip(pairs, decided)))
 
@@ -562,6 +554,7 @@ def exotic_search(k: int, kp: int) -> ExoticCensus:
 def swap_census(k: int) -> list[SwapSpec]:
     """Strict exotic pairs of k-dice as give/take swap lists (no dice are
     built), by the number of factors swapped, then lexicographically."""
+    _integers((k,), "orders must be integers")
     if k < 2:
         raise ValueError("order must satisfy k >= 2")
     return [spec for spec, _ in _decided_pairs(k, k)]
@@ -596,10 +589,11 @@ def verify_tridecahedral() -> TridecahedralReport:
     chi_4 and chi_5 factors of a fair pair; the published 7-place table
     values must match to within 5e-8."""
     k = 13
-    d = normalize_to_die(_chi_product_exact(
-        [(1, k, 1), (2, k, 1), (3, k, 1), (4, k, 2), (6, k, 1)], 0, k), order=k)
-    dhat = normalize_to_die(_chi_product_exact(
-        [(1, k, 1), (2, k, 1), (3, k, 1), (5, k, 2), (6, k, 1)], 0, k), order=k)
+    # chi_m = (x - zeta^m)(x - zeta^-m): each die has chi_1, chi_2, chi_3
+    # and chi_6, and d chi_4 twice where dhat has chi_5 twice
+    polys = root_products(k, [[s * m for m in (1, 2, 3, c, c, 6)
+                               for s in (1, -1)] for c in (4, 5)])
+    d, dhat = (normalize_to_die(p, order=k) for p in polys)
     strict = d.is_strict() and dhat.is_strict()
     palindromic = d.is_palindromic() and dhat.is_palindromic()
     total = poly_mul(d.probs, dhat.probs)
@@ -803,6 +797,7 @@ def _scan_coeff_sign(ell: int, k: int, m: int, j: int) -> int:
 
 def _check_scan(ell: int, k: int) -> None:
     """Refuse an ell other than 3 or 4, or a k past the proven bracket."""
+    _integers((ell, k), "orders must be integers")
     if ell not in (3, 4):
         raise ValueError("only the order-3 and order-4 scans are supported")
     if not 2 <= k <= _SCAN_K_MAX:

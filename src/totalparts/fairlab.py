@@ -18,6 +18,7 @@ from fractions import Fraction
 from .exactnum import cyclotomic_poly, divisors
 from .dicecore import (
     Die,
+    _integers,
     normalize_to_die,
     poly_mul,
     poly_trim,
@@ -46,6 +47,7 @@ class FairPair:
 
 
 def _check_order(k: int) -> None:
+    _integers((k,), "order must be an integer")
     if k < 2:
         raise ValueError("order must be >= 2")
 
@@ -90,8 +92,7 @@ def enumerate_fair_pairs(k: int):
     comps = {r: tuple(2 - rm for rm in r) for r in rs}
     # one build serves r and 2 - r
     firsts = [r for r in rs if r <= comps[r]]
-    built = root_pairs(k, [(_roots(r), 0, _roots(comps[r]), 0)
-                           for r in firsts])
+    built = root_pairs(k, [(_roots(r), _roots(comps[r])) for r in firsts])
     dice = {}
     for r, pair in zip(firsts, built):
         dice[r], dice[comps[r]] = pair

@@ -27,8 +27,10 @@ from .dicecore import (
     DistPoly,
     Sack,
     ZeroSum,
+    _integers,
     _json_field,
     _json_shaped,
+    _sack_type,
     _with_total,
     as_scalar,
     normalize_to_die,
@@ -81,18 +83,21 @@ class ChiFactor:
     """The real irreducible quadratic x^2 - 2cos(2*pi*m/k)x + 1.
 
     (m, k) is stored in lowest terms with 0 < m/k < 1/2, so equal factors
-    arising from different orders compare equal.
+    arising from different orders compare equal; an m or a k that is not
+    an int, a bool included, or a pair outside that range raises
+    ValueError.
     """
 
     m: int
     k: int
 
     def __post_init__(self):
-        if not 0 < Fraction(self.m, self.k) < Fraction(1, 2):
+        m, k = _integers((self.m, self.k), "chi factor needs integers")
+        if not 0 < 2 * m < k:
             raise ValueError("chi factor needs 0 < m/k < 1/2")
-        g = math.gcd(self.m, self.k)
-        object.__setattr__(self, "m", self.m // g)
-        object.__setattr__(self, "k", self.k // g)
+        g = math.gcd(m, k)
+        object.__setattr__(self, "m", m // g)
+        object.__setattr__(self, "k", k // g)
 
     degree = 2
 
@@ -153,18 +158,6 @@ class FactorMultiset:
 
 
 # -- operations --------------------------------------------------------------
-
-def _sack_type(sack_type) -> tuple:
-    # The orders as a tuple, once every entry is an int >= 2, a bool
-    # refused as in dicecore._ring_factors; before any work.
-    ks = tuple(sack_type)
-    for k in ks:
-        if type(k) is not int:
-            raise ValueError(f"sack type entries must be integers, not {k!r}")
-    if not ks or min(ks) < 2:
-        raise ValueError("sack type entries must be >= 2")
-    return ks
-
 
 def fiber_degree(sack_type) -> int:
     """Degree of the part-to-total map: T!/prod((k_j-1)!)."""

@@ -22,9 +22,7 @@ from totalparts.dicecore import (
     poly_gcd,
     poly_mul,
     psi,
-    root_pair,
     root_pairs,
-    root_product,
     root_products,
     scalar_from_json,
 )
@@ -119,9 +117,9 @@ def test_root_pair_equals_normalize_to_die(k, data):
     r = data.draw(st.sampled_from(list(multiplicity_vectors(k))))
     roots = [[m for m, rm in enumerate(v, start=1) for _ in range(rm)]
              for v in (r, [2 - rm for rm in r])]
-    p, q = (root_product(k, exps) for exps in roots)
-    assert (root_pair(k, roots[0], 0, roots[1], 0)
-            == (normalize_to_die(p), normalize_to_die(q)))
+    p, q = root_products(k, roots)
+    assert root_pairs(k, [roots]) == [(normalize_to_die(p),
+                                       normalize_to_die(q))]
 
 
 @settings(max_examples=40, deadline=None)
@@ -134,14 +132,18 @@ def test_ring_pass_stays_within_its_derived_bound(n, exps, x1s):
     # at most 2^L and every reduced entry and column sum at most
     # 2^L max|T|, L counting the linear factors of both dice, as
     # exactnum.ring_dtype derives; the pass in the dtype that ring_dtype
-    # chooses gives the same scalars, sum and integer pair
+    # chooses gives the same scalars, sum and integer pair.  Each x + 1 is
+    # the root zeta^(n/2), so an odd n with one moves to 2n, where the
+    # same roots zeta_n^e are zeta_2n^2e
+    if n % 2 and any(x1s):
+        n, exps = 2 * n, [[2 * e for e in die] for die in exps]
+    exps = [die + [n // 2] * x1 for die, x1 in zip(exps, x1s)]
     table = exactnum._power_rows(n)[0]
     big = max(abs(c) for row in table for c in row)
-    L = sum(map(len, exps)) + sum(x1s)
+    L = sum(map(len, exps))
     assert ring_dtype(n, L) == (
         "int64" if L + big.bit_length() <= 62 else "object")
-    passes = [(exps[die], x1s[die], exps[1 - die], x1s[1 - die], 1)
-              for die in (0, 1)]
+    passes = [(exps[die], exps[1 - die], 1) for die in (0, 1)]
     stacks = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dicecore, "ring_dtype", lambda n, L: "object")
@@ -189,18 +191,19 @@ def _same_pass(got, want):
 
 
 @st.composite
-def ring_shapes(draw, n):
-    # a pass's shape: its exponent and x + 1 counts, its partner's and den
-    return (draw(st.integers(0, 6)), draw(st.integers(0, 2)),
-            draw(st.integers(0, 6)), draw(st.integers(0, 2)),
-            draw(st.sampled_from([1, 2, 6, n, 12 * n + 1])))
+def ring_shapes(draw, n, x1_max):
+    # a pass's shape as the reference takes it: its exponent and x + 1
+    # counts, its partner's and den
+    x1s = st.integers(0, x1_max)
+    return (draw(st.integers(0, 6)), draw(x1s), draw(st.integers(0, 6)),
+            draw(x1s), draw(st.sampled_from([1, 2, 6, n, 12 * n + 1])))
 
 
 @st.composite
-def ring_passes(draw, n):
+def ring_passes(draw, n, x1_max=0):
     # passes of a few shapes at conductor n, mixed in one list, so a stack
     # may hold several dice and a call several stacks
-    shapes = draw(st.lists(ring_shapes(n), min_size=1, max_size=3))
+    shapes = draw(st.lists(ring_shapes(n, x1_max), min_size=1, max_size=3))
     exponents = lambda count: draw(st.lists(
         st.integers(-3 * n - 5, 3 * n + 5), min_size=count, max_size=count))
     return [(exponents(m), x1, exponents(pm), px1, den)
@@ -226,34 +229,27 @@ def psi_pairs(draw, n):
     return tuple(pair)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.one_of(st.integers(1, 40), st.sampled_from([84, 105, 247])),
-       st.sampled_from(["int64", "object"]), st.sampled_from([1, 3, None]),
-       st.data())
-def test_stacked_ring_passes_equal_the_one_die_reference(n, dtype, budget,
-                                                         data):
-    # every die of one call, mixed shapes and stacks split at an element
-    # budget of 1, 3 or the library's, equals the one-die pass with the
-    # per-row reduction in scalars, total and integer pair, in the dtype
-    # given (int64 is proven exact at these sizes)
+def _folded(n, exps, x1, partner=(), partner_x1=0, den=1):
+    # a pass as the reference takes it, as the library takes it: each
+    # x + 1 is the root zeta^(n/2) of an even n
+    half = [n // 2]
+    return [*exps, *half * x1], [*partner, *half * partner_x1], den
+
+
+def _same_as_the_reference(n, passes, pairs, dtype):
+    # every pass, the product from 1 of each pass's own roots and every
+    # pair, each kind built in one call, equal the one-die reference die by
+    # die in scalars, total and integer pair, in the dtype given
     import reference_ring_pass as ref
-    passes = data.draw(ring_passes(n))
-    products = [(exps, x1) for exps, x1, *_ in passes]
-    # pairs where some order 2..20 divides n: int64 holds them exactly
-    pairs = (data.draw(st.lists(psi_pairs(n), min_size=1, max_size=3))
-             if any(2 <= k <= 20 for k in exactnum.divisors(n)) else [])
     for exps, x1, partner, px1, _ in passes:
         assert ring_dtype(n, len(exps) + x1 + len(partner) + px1) == "int64"
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dicecore, "ring_dtype", lambda n, L: dtype)
-        if budget is not None:
-            patch.setattr(dicecore, "_RING_ELEMENTS", budget)
-        got = dicecore._ring_passes(n, passes)
-        got_products = root_products(n, products)
-        got_pairs = root_pairs(n, pairs)
+    got = dicecore._ring_passes(n, [_folded(n, *args) for args in passes])
+    got_products = root_products(n, [_folded(n, exps, x1)[0]
+                                     for exps, x1, *_ in passes])
+    got_pairs = root_pairs(n, [_folded(n, *pair)[:2] for pair in pairs])
     for args, triple in zip(passes, got):
         _same_pass(triple, ref.ring_pass(n, *args, dtype=dtype))
-    for (exps, x1), scalars in zip(products, got_products):
+    for (exps, x1, *_), scalars in zip(passes, got_products):
         want = ref.ring_pass(n, exps, x1, (), 0, 1, dtype=dtype)[0]
         assert list(map(_stored, scalars)) == list(map(_stored, want))
     for (exps_p, x1_p, exps_q, x1_q), dice in zip(pairs, got_pairs):
@@ -264,34 +260,73 @@ def test_stacked_ring_passes_equal_the_one_die_reference(n, dtype, budget,
             assert want[1] == 1
             _same_pass((die.probs, want[1], die._ints), want)
     assert (len(got), len(got_products), len(got_pairs)) == (
-        len(passes), len(products), len(pairs))
+        len(passes), len(passes), len(pairs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.integers(1, 40), st.sampled_from([84, 105, 247])),
+       st.sampled_from(["int64", "object"]), st.sampled_from([1, 3, None]),
+       st.data())
+def test_stacked_ring_passes_equal_the_one_die_reference(n, dtype, budget,
+                                                         data):
+    # every die of one call, mixed shapes and stacks split at an element
+    # budget of 1, 3 or the library's, equals the one-die pass with the
+    # per-row reduction in scalars, total and integer pair, in the dtype
+    # given (int64 is proven exact at these sizes)
+    passes = data.draw(ring_passes(n))
+    # pairs where some order 2..20 divides n: int64 holds them exactly
+    pairs = (data.draw(st.lists(psi_pairs(n), min_size=1, max_size=3))
+             if any(2 <= k <= 20 for k in exactnum.divisors(n)) else [])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dicecore, "ring_dtype", lambda n, L: dtype)
+        if budget is not None:
+            patch.setattr(dicecore, "_RING_ELEMENTS", budget)
+        _same_as_the_reference(n, passes, pairs, dtype)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.integers(1, 20).map(lambda h: 2 * h),
+                 st.sampled_from([84, 210, 494])),
+       st.sampled_from(["int64", "object"]), st.data())
+def test_x_plus_1_as_the_root_at_half_a_turn_equals_the_reference(
+        n, dtype, data):
+    # x + 1 = x - zeta^(n/2) at an even n: passes, products and pairs given
+    # each x + 1 as the exponent n/2 equal the reference's own x + 1 path,
+    # a shift and an addition, and its partner's 2 per x + 1, die by die.
+    # 210 and 494 hold the x + 1 cases of the odd conductors 105 and 247
+    passes = data.draw(ring_passes(n, x1_max=3))
+    pairs = data.draw(st.lists(psi_pairs(n), min_size=1, max_size=3))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dicecore, "ring_dtype", lambda n, L: dtype)
+        _same_as_the_reference(n, passes, pairs, dtype)
 
 
 def test_root_pair_of_mixed_orders_and_a_false_premise():
     # psi_3 * psi_4 at conductor 12: x^2 + 1 (roots zeta^3, zeta^9) and
-    # (x^2 + x + 1)(x + 1) (roots zeta^4, zeta^8 and x + 1)
-    p, q = root_product(12, [3, 9]), root_product(12, [4, 8], 1)
-    assert root_pair(12, [3, 9], 0, [4, 8], 1) == (
-        normalize_to_die(p), normalize_to_die(q))
+    # (x^2 + x + 1)(x + 1) (roots zeta^4, zeta^8 and x + 1 = x - zeta^6)
+    p, q = root_products(12, [[3, 9], [4, 8, 6]])
+    assert root_pairs(12, [([3, 9], [4, 8, 6])]) == [(
+        normalize_to_die(p), normalize_to_die(q))]
     assert (normalize_to_die(p), normalize_to_die(q)) == (
         Die((F(1, 2), F(0), F(1, 2))),
         Die((F(1, 6), F(1, 3), F(1, 3), F(1, 6))))
-    # psi_2 * psi_3 at conductor 6: x + 1 and the roots zeta^2, zeta^4
-    assert root_pair(6, [], 1, [2, 4], 0) == (Die.fair(2), Die.fair(3))
+    # psi_2 * psi_3 at conductor 6: x + 1 = x - zeta^3 and the roots
+    # zeta^2, zeta^4
+    assert root_pairs(6, [([3], [2, 4])]) == [(Die.fair(2), Die.fair(3))]
     # (x + 1)(x - zeta_6)(x - zeta_6^5) is not psi_2 * psi_3: no die sums
     # to 1
     with pytest.raises(ValueError, match="must sum to 1 exactly"):
-        root_pair(6, [], 1, [1, 5], 0)
+        root_pairs(6, [([3], [1, 5])])
 
 
 @pytest.mark.parametrize("dtype", ["int64", "object"])
 @pytest.mark.parametrize("args, message", [
     # (x + 1)(x - zeta_6)(x - zeta_6^5): rational dice that do not sum to 1
-    ((6, [], 1, [1, 5], 0), "must sum to 1 exactly"),
+    ((6, [3], [1, 5]), "must sum to 1 exactly"),
     # (x - zeta_7)(x - zeta_7^2) is not psi_k * psi_k' for any k, k': the
     # dice are irrational and sum to (1 - zeta)(1 - zeta^2)/4
-    ((7, [1], 0, [2], 0), "must sum to 1 exactly"),
-    ((7, [], 0, [1, 2], 0), "order at least 2"),
+    ((7, [1], [2]), "must sum to 1 exactly"),
+    ((7, [], [1, 2]), "order at least 2"),
 ], ids=["rational", "irrational", "order_1"])
 def test_root_pair_refuses_a_false_premise_on_every_branch(
         args, message, dtype, monkeypatch):
@@ -299,10 +334,10 @@ def test_root_pair_refuses_a_false_premise_on_every_branch(
     # int64 and on Python ints, alone and second among valid pairs: the
     # fair pair of order n, whose products multiply to psi_n^2
     monkeypatch.setattr(dicecore, "ring_dtype", lambda n, L: dtype)
-    with pytest.raises(ValueError, match=message):
-        root_pair(*args)
     n, pair = args[0], args[1:]
-    fair = (list(range(1, n)), 0, list(range(1, n)), 0)
+    with pytest.raises(ValueError, match=message):
+        root_pairs(n, [pair])
+    fair = (list(range(1, n)), list(range(1, n)))
     assert root_pairs(n, [fair]) == [(Die.fair(n), Die.fair(n))]
     with pytest.raises(ValueError, match=message):
         root_pairs(n, [fair, pair, fair])
@@ -422,7 +457,7 @@ STORING = {
     "scalar_from_json": lambda x: [scalar_from_json(
         {"conductor": x.n, "coords": [str(c) for c in x.coords]})],
     # t^n - 1, the product over every n-th root of unity
-    "root_product": lambda x: root_product(x.n, range(x.n)),
+    "root_product": lambda x: root_products(x.n, [range(x.n)])[0],
     "normalize_poly": lambda x: normalize_to_die([x, 2]).probs,
     "cyc_sign": lambda x: [cyc_sign(x).value],
     "cyc_embed": lambda x: cyc_embed(x, 8),
@@ -488,21 +523,17 @@ def test_bools_and_floats_are_refused_wherever_they_stand(call):
         call()
 
 
-# The root products' gate: an exponent that is not an int and an x1_count
-# that is not an int >= 0, a bool included, for both dice of a pair.
+# The root products' gate: an exponent that is not an int, a bool
+# included, for both dice of a pair.
 RING_REFUSALS = {
-    "product_negative_x1": (lambda: root_product(5, [1], -3), "x1_count"),
-    "product_bool_exponent": (lambda: root_product(5, [True]), "exponent"),
-    "product_bool_x1": (lambda: root_product(5, [1], True), "x1_count"),
-    "product_float_exponent": (lambda: root_product(5, [0.5]), "exponent"),
-    "product_float_x1": (lambda: root_product(5, [1], 1.0), "x1_count"),
-    "pair_negative_x1": (lambda: root_pair(5, [1], 0, [2], -1), "x1_count"),
-    "pair_bool_exponent": (lambda: root_pair(5, [False], 0, [2], 0),
+    "product_bool_exponent": (lambda: root_products(5, [[True]]),
+                              "exponent"),
+    "product_float_exponent": (lambda: root_products(5, [[0.5]]),
+                               "exponent"),
+    "pair_bool_exponent": (lambda: root_pairs(5, [([False], [2])]),
                            "exponent"),
-    "pair_bool_x1": (lambda: root_pair(5, [1], True, [2], 0), "x1_count"),
-    "pair_float_exponent": (lambda: root_pair(5, [1], 0, [2.0], 0),
+    "pair_float_exponent": (lambda: root_pairs(5, [([1], [2.0])]),
                             "exponent"),
-    "pair_float_x1": (lambda: root_pair(5, [1], 0, [2], 0.5), "x1_count"),
 }
 
 

@@ -415,6 +415,9 @@ def test_cyc_embed_encloses_true_value():
     assert float(hi - lo) < 1e-15
     lo2, hi2 = cyc_embed(t, 128)
     assert hi2 - lo2 < hi - lo
+    for bits in (2.5, True, -1):
+        with pytest.raises(ValueError, match="^bits must be an integer >= 0"):
+            cyc_embed(t, bits)
 
 
 def test_render_and_rationality():
@@ -461,7 +464,8 @@ def test_bad_conductors_are_refused_by_both_constructors(n):
             make(n, [1, 2])
 
 
-@pytest.mark.parametrize("make", [CycElem.zeta], ids=["zeta"])
+@pytest.mark.parametrize("make", [CycElem.zeta, cyclotomic_poly],
+                         ids=["zeta", "cyclotomic_poly"])
 @pytest.mark.parametrize("n", [0, 2.5, -3, True],
                          ids=["zero", "float", "negative", "true"])
 def test_bad_conductors_are_refused_by_zeta_and_from_rational(make, n):

@@ -24,7 +24,7 @@ from totalparts.dicecore import (
     parts_to_total,
     poly_mul,
     psi,
-    root_product,
+    root_products,
 )
 from totalparts.exactnum import (CycElem, cyc_embed, cyc_sign, ring_dtype,
                                  two_cos)
@@ -35,7 +35,6 @@ from totalparts.exotica import (
     _SCAN_MARGIN,
     _X_PLUS_1,
     _chi_factor,
-    _chi_product_exact,
     _error_bounds,
     _log_ratios,
     _merged_factor_multiset,
@@ -212,6 +211,22 @@ def _poly_mul_chain(chis, x1_count, conductor, exponents=()):
     return [as_scalar(c) for c in poly]
 
 
+def _chi_product(chis, x1_count, conductor):
+    # prod chi_{m,k}^mult * (x+1)^x1_count, by one root_products call:
+    # chi_{m,k} has the roots zeta^(+-e), e = m*conductor/k, once per copy,
+    # and x + 1 the root zeta^(conductor/2), so it needs an even conductor
+    assert conductor % 2 == 0 or not x1_count
+    exponents = [s * (m * conductor // k) for m, k, mult in chis
+                 for _ in range(mult) for s in (1, -1)]
+    return root_products(conductor,
+                         [exponents + [conductor // 2] * x1_count])[0]
+
+
+def _even_for_x1(n, x1_count):
+    # the conductor n, or 2n when n is odd and an x + 1 must be a root
+    return 2 * n if x1_count and n % 2 else n
+
+
 @st.composite
 def _multiplicities(draw):
     k = draw(st.integers(3, 20))
@@ -256,7 +271,8 @@ def _mixed_candidates(k, kp):
 def test_point_filter_signs_agree_with_exact_signs(case):
     k, ms, r, x1 = case
     status = _point_filter(_census_factors(k), [r + (x1,)])[0]
-    poly = _chi_product_exact([(m, k, v) for m, v in zip(ms, r) if v], x1, k)
+    poly = _chi_product([(m, k, v) for m, v in zip(ms, r) if v], x1,
+                        _even_for_x1(k, x1))
     assert len(status) == len(poly)
     for s, c in zip(status.tolist(), poly):
         if s:
@@ -294,7 +310,7 @@ def test_every_certified_status_is_the_exact_sign():
         rows = list(_candidate_rows(k))
         statuses = _point_filter(_census_factors(k), rows).tolist()
         for row, status in zip(rows, statuses):
-            poly = _chi_product_exact(
+            poly = _chi_product(
                 [(m, k, v) for m, v in zip(ms, row) if v], row[-1], k)
             for j, (s, c) in enumerate(zip(status, poly)):
                 if s:
@@ -393,32 +409,33 @@ def test_unresolved_counts_match_the_interval_filter():
 def test_rotation_product_equals_poly_mul_chain(case, lift, fair_r):
     k, ms, r, x1 = case
     chis = [(m, k, v) for m, v in zip(ms, r) if v]
-    assert (_chi_product_exact(chis, x1, k * lift)
-            == _poly_mul_chain(chis, x1, k * lift))
+    conductor = _even_for_x1(k * lift, x1)
+    assert (_chi_product(chis, x1, conductor)
+            == _poly_mul_chain(chis, x1, conductor))
     # the linear roots zeta^m, with multiplicity fair_r[m-1], of a (complex)
-    # die of a totally fair pair of order len(fair_r) + 1
-    n = (len(fair_r) + 1) * lift
-    exponents = [m * lift for m, rm in enumerate(fair_r, start=1)
-                 for _ in range(rm)]
-    assert (root_product(n, exponents, x1)
+    # die of a totally fair pair of order len(fair_r) + 1, and x1 roots -1
+    n = _even_for_x1((len(fair_r) + 1) * lift, x1)
+    exponents = [m * n // (len(fair_r) + 1)
+                 for m, rm in enumerate(fair_r, start=1) for _ in range(rm)]
+    assert (root_products(n, [exponents + [n // 2] * x1])[0]
             == _poly_mul_chain([], x1, n, exponents))
 
 
 def test_rotation_product_mixed_orders():
     # the factor shapes of exotic_search(7, 12), at conductor 84
     chis = [(1, 7, 1), (1, 12, 2), (2, 7, 1), (5, 12, 1)]
-    assert (_chi_product_exact(chis, 2, 84)
+    assert (_chi_product(chis, 2, 84)
             == _poly_mul_chain(chis, 2, 84))
 
 
 def test_root_product_past_the_int64_bound_takes_python_ints():
-    # 71 linear factors at conductor 5, whose table holds only 0s and +-1s:
-    # past the bound, so the pass runs on Python ints, and its coefficients
-    # overflow int64
-    assert ring_dtype(5, 71) == "object" and ring_dtype(5, 61) == "int64"
-    assert (root_product(5, [1], 70)
-            == _poly_mul_chain([], 70, 5, [1]))
-    rational = root_product(5, [0], 70)
+    # 71 linear factors at conductor 10, whose table holds only 0s and
+    # +-1s, x + 1 the root zeta^5: past the bound, so the pass runs on
+    # Python ints, and its coefficients overflow int64
+    assert ring_dtype(10, 71) == "object" and ring_dtype(10, 61) == "int64"
+    assert (root_products(10, [[2] + [5] * 70])[0]
+            == _poly_mul_chain([], 70, 10, [2]))
+    rational = root_products(10, [[0] + [5] * 70])[0]
     assert rational == poly_mul([-1, 1], *[[1, 1]] * 70)
     assert max(map(abs, rational)) > 2 ** 63
 
@@ -567,9 +584,9 @@ def _accepted_by_full_pipeline(key):
     for pair, *statuses in zip(pairs, *per_die):
         if -1 in statuses[0] + statuses[1]:
             continue
-        polys = [_chi_product_exact([(q.numerator, q.denominator, c)
-                                     for q, c in zip(keys, row) if c],
-                                    row[-1], conductor) for row in pair]
+        polys = [_chi_product([(q.numerator, q.denominator, c)
+                               for q, c in zip(keys, row) if c],
+                              row[-1], conductor) for row in pair]
         if all(s or cyc_sign(c).sign >= 0
                for poly, status in zip(polys, statuses)
                for c, s in zip(poly, status)):
@@ -850,7 +867,7 @@ def test_the_exact_rejection_at_37_is_decided_by_cyc_sign(monkeypatch):
     assert (status1 == 1).all()
     assert (status2 >= 0).all()
     assert np.flatnonzero(status2 == 0).tolist() == [13, 23]
-    poly = _chi_product_exact(
+    poly = _chi_product(
         [(m, k, v) for m, v in enumerate(die2[:-1], start=1) if v], 0, k)
     assert [cyc_sign(poly[j]).sign for j in (13, 23)] == [-1, -1]
     # the decision loop, given this leaf alone, makes die 2's product only
@@ -1074,6 +1091,29 @@ def test_unsupported_ell_is_refused_before_any_scan(monkeypatch):
         with pytest.raises(ValueError, match="^only the order-3 and order-4 "
                                              "scans are supported$"):
             exotica.scan_table(5, 20, workers=workers)
+    # an ell or a k that is not an int, a float or a bool, as in s_scan(3.0,
+    # 12), is refused by the scan and the table alike
+    monkeypatch.setattr(exotica, "_scan_ms", no_work)
+    for ell, k in ((3.0, 12), (4, 12.0), (True, 12), (3, False)):
+        for scan in (s_scan, exotica.scan_table):
+            with pytest.raises(ValueError,
+                               match="^orders must be integers, not "):
+                scan(ell, k)
+
+
+@pytest.mark.parametrize("search, orders", [
+    (exotic_search, (2.0, 3)), (exotic_search, (3, 4.0)),
+    (exotic_search, (True, 3)), (swap_census, (4.0,)),
+    (swap_census, (True,))], ids=["exotic-k", "exotic-kp", "exotic-bool",
+                                  "swaps-float", "swaps-bool"])
+def test_orders_that_are_not_ints_are_refused_before_any_search(
+        search, orders, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a search was started")
+
+    monkeypatch.setattr(exotica, "_merged_factor_multiset", no_work)
+    with pytest.raises(ValueError, match="^orders must be integers, not "):
+        search(*orders)
 
 
 def test_scan_table_scans_each_k_when_it_is_read(monkeypatch):

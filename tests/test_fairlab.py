@@ -163,16 +163,22 @@ def test_ramification_6_reproduces_the_published_sum():
     assert ramification_check(6) == (252, 252)
 
 
+def _order_refusal(k):
+    # the message refusing order k: an int below 2, or anything but an int
+    return ("^order must be >= 2$" if type(k) is int
+            else f"^order must be an integer, not {k!r}$")
+
+
 @pytest.mark.parametrize("check", [ramification_check, coin_die_fair_check,
                                    multiplicity_vectors])
-@pytest.mark.parametrize("k", [1, 0, -2])
+@pytest.mark.parametrize("k", [1, 0, -2, 4.0, True])
 def test_order_below_2_is_refused_before_any_work(check, k, monkeypatch):
     def no_work(*args):
         raise AssertionError("work was started")
 
     monkeypatch.setattr(fairlab, "fiber_degree", no_work)
     monkeypatch.setattr(fairlab, "enumerate_fiber", no_work)
-    with pytest.raises(ValueError, match="^order must be >= 2$"):
+    with pytest.raises(ValueError, match=_order_refusal(k)):
         check(k)
 
 
@@ -210,15 +216,15 @@ def test_sicherman_other_orders():
     assert sicherman_search(5) == [((1, 2, 3, 4, 5), (1, 2, 3, 4, 5))]
 
 
-@pytest.mark.parametrize("k", [1, 0, -3])
+@pytest.mark.parametrize("k", [1, 0, -3, 4.0, True])
 def test_sicherman_below_order_2_is_refused(k):
-    with pytest.raises(ValueError, match="^order must be >= 2$"):
+    with pytest.raises(ValueError, match=_order_refusal(k)):
         sicherman_search(k)
 
 
-@pytest.mark.parametrize("k", [1, 0, -2])
+@pytest.mark.parametrize("k", [1, 0, -2, 2.0, True])
 def test_fair_pairs_below_order_2_are_refused(k):
-    with pytest.raises(ValueError, match="^order must be >= 2$"):
+    with pytest.raises(ValueError, match=_order_refusal(k)):
         enumerate_fair_pairs(k)
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from totalparts import fibers
 from totalparts.crapseval import craps_from_sack
-from totalparts.dicecore import (Die, DistPoly, Sack, ZeroSum,
+from totalparts.dicecore import (Die, DistPoly, Sack, ZeroSum, fair_total,
                                  normalize_to_die,
                                  parts_to_total, poly_gcd, poly_mul,
                                  poly_trim, render_scalar)
@@ -76,15 +76,17 @@ def test_orders_below_2_are_refused_before_enumerating(sack_type,
 
     monkeypatch.setattr(fibers, "_slot_powers", no_work)
     for refused in (lambda: enumerate_fiber(WORKED, sack_type),
-                    lambda: fiber_degree(sack_type)):
+                    lambda: fiber_degree(sack_type),
+                    lambda: fair_total(sack_type)):
         with pytest.raises(ValueError,
                            match="^sack type entries must be >= 2$"):
             refused()
 
 
 @pytest.mark.parametrize("sack_type", [(6.0, 6), (3.0, 3), (6, "6"),
-                                       (True, 3), (3, False)],
-                         ids=["float", "float-3", "str", "true", "false"])
+                                       (True, 3), (3, False), (6, True)],
+                         ids=["float", "float-3", "str", "true", "false",
+                              "true-6"])
 def test_entries_that_are_not_ints_are_refused_before_enumerating(
         sack_type, monkeypatch):
     def no_work(*args):
@@ -92,7 +94,8 @@ def test_entries_that_are_not_ints_are_refused_before_enumerating(
 
     monkeypatch.setattr(fibers, "_slot_powers", no_work)
     for refused in (lambda: enumerate_fiber(WORKED, sack_type),
-                    lambda: fiber_degree(sack_type)):
+                    lambda: fiber_degree(sack_type),
+                    lambda: fair_total(sack_type)):
         with pytest.raises(ValueError,
                            match="^sack type entries must be integers, not "):
             refused()
@@ -320,6 +323,12 @@ def test_chi_factor_canonicalization():
     assert ChiFactor(1, 6).coeffs() == [F(1), F(-1), F(1)]
     with pytest.raises(ValueError):
         ChiFactor(3, 6)  # m/k = 1/2 is not allowed
+    for m, k in ((True, 3), (1.0, 3), (1, 3.0)):
+        with pytest.raises(ValueError, match="^chi factor needs integers, "):
+            ChiFactor(m, k)
+    for m, k in ((1, 0), (1, -3), (-1, -3)):
+        with pytest.raises(ValueError, match=r"^chi factor needs 0 < m/k < "):
+            ChiFactor(m, k)
 
 
 def test_squarefree_detection():
