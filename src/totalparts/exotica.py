@@ -648,6 +648,12 @@ def _scan_ms(ell: int, k: int) -> range:
     return range(-(-k // (4 if ell == 3 else 6)), (k + 1) // 2)
 
 
+# the multiples m, 2m, 3m of _scan_row_pass's stage 1, and its lattice
+# pair i, i + 1
+_SCAN_STEPS = np.array([1, 2, 3], dtype=np.int64)
+_SCAN_PAIR = np.array([0, 1], dtype=np.int64)
+
+
 def _scan_row_pass(ell: int, k: int, ms):
     """The float values that decide each candidate row m of a scan.
 
@@ -721,24 +727,37 @@ def _scan_row_pass(ell: int, k: int, ms):
     refuse larger k.
 
     The tests check (b) and (c) against a 60-digit evaluation.
+
+    Two stacked trig passes compute it.  Stage 1 takes one cos and one sin
+    of the residues m, 2m and 3m of every row, stacked; 0 < m < k/2 puts
+    each below 2k, so no reduction is needed.  Stage 2 stacks the residues
+    r + 3m, r and r + 2m of both lattice indices, reduces them mod 2k once,
+    and takes one cos of the first block and one sin of the other two.
+    Each angle is fl(fl(pi*r)/k) and the trig functions act elementwise, so
+    stacking changes no float: every value is the one (b) bounds, and (b)
+    holds unchanged.  The tests pin the values bit for bit against the
+    closed form evaluated angle by angle.
     """
     c, a, b = _scan_params(ell)
     m = np.asarray(ms, dtype=np.int64)[:, None]  # one row per m
+    rows = len(m)
     g = np.gcd(m, k)
-
-    def angle(r):  # pi*r/k, for integer residues r
-        return np.pi * (r % (2 * k)) / k
-
-    # cos and sin of t/2, t and 3t/2
-    (ch, sh), (c2, s2), (c3, s3) = ((np.cos(x), np.sin(x)) for x in
-                                    map(angle, (m, 2 * m, 3 * m)))
-    w_re = c * c3 / (2 * sh) + b * s2
-    w_im = c * s3 / (2 * sh) - a - b * c2
-    p = k // g * -np.arctan2(w_im, w_re) / (2 * np.pi)
-    lattice = (np.floor(p).astype(np.int64) + [0, 1]) % (k // g)
+    # stage 1: cos and sin of t/2, t and 3t/2
+    res = np.multiply.outer(_SCAN_STEPS, m)  # m, 2m, 3m
+    angles = np.pi * res / k
+    (ch, c2, c3), (sh, s2, s3) = np.cos(angles), np.sin(angles)
+    twice_sh, kr = 2 * sh, k // g
+    w_re = c * c3 / twice_sh + b * s2
+    w_im = c * s3 / twice_sh - a - b * c2
+    p = kr * -np.arctan2(w_im, w_re) / (2 * np.pi)
+    lattice = (np.floor(p).astype(np.int64) + _SCAN_PAIR) % kr
+    # stage 2: the residues r + 3m, r and r + 2m at both lattice indices
     r = 2 * g * lattice
-    v = (c * (ch - np.cos(angle(r + 3 * m))) / (2 * sh)
-         - a * np.sin(angle(r)) - b * np.sin(angle(r + 2 * m)))
+    angles = np.pi * (np.concatenate((r + res[2], r, r + res[1]))
+                      % (2 * k)) / k
+    cos_3m = np.cos(angles[:rows])
+    sin_r, sin_2m = np.sin(angles[rows:]).reshape(2, rows, 2)
+    v = c * (ch - cos_3m) / twice_sh - a * sin_r - b * sin_2m
     return lattice, v
 
 
@@ -826,12 +845,13 @@ def s_scan(ell: int, k: int) -> ScanRecord:
     _check_scan(ell, k)
     ms = _scan_ms(ell, k)
     lattice, v = _scan_row_pass(ell, k, np.arange(ms.start, ms.stop))
-    ok = (v >= -_SCAN_MARGIN).all(axis=1)
-    unclear = v <= _SCAN_MARGIN
-    for row in (ok & unclear.any(axis=1)).nonzero()[0]:
+    lo = np.minimum(v[:, 0], v[:, 1])
+    ok = lo >= -_SCAN_MARGIN
+    for row in (ok & (lo <= _SCAN_MARGIN)).nonzero()[0]:
         m, kr = ms[row], k // math.gcd(ms[row], k)
         # j = k-1-N, N = i / m' mod k' for each unclear index i, m' = m/g
-        js = k - 1 - lattice[row][unclear[row]] * pow(m * kr // k, -1, kr) % kr
+        unclear = lattice[row][v[row] <= _SCAN_MARGIN]
+        js = k - 1 - unclear * pow(m * kr // k, -1, kr) % kr
         ok[row] = all(_scan_coeff_sign(ell, k, m, j) >= 0 for j in js.tolist())
     return ScanRecord(k, tuple((ok.nonzero()[0] + ms.start).tolist()))
 

@@ -8,7 +8,7 @@ Usage (from the repository root):
 Each S is stored as runs of consecutive members, ``[[first, last], ...]``,
 under ``table[str(ell)][str(k)]``: the format of
 ``perfbench/reference_scans.json``.  Serially the two tables take about
-ten seconds on one core.
+three seconds on one core (2 shared vCPUs, Python 3.11.7, numpy 2.4.6).
 """
 
 import argparse

@@ -5,17 +5,13 @@ failed exactness assertion aborts before the line is printed, so a silent
 criterion is a failed one.
 """
 
-import math
 import random
 import time
 from collections import Counter
 from fractions import Fraction
 
-import pytest
-
 from totalparts.crapseval import CrapsTotals, craps_evaluate, geometric_tree_check
 from totalparts.dicecore import (
-    Die,
     DistPoly,
     Sack,
     normalize_to_die,

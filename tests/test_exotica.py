@@ -15,7 +15,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from totalparts.dicecore import (
-    Die,
     Sack,
     as_scalar,
     check_workers,
@@ -23,7 +22,6 @@ from totalparts.dicecore import (
     normalize_to_die,
     parts_to_total,
     poly_mul,
-    psi,
     root_products,
 )
 from totalparts.exactnum import (CycElem, cyc_embed, cyc_sign, ring_dtype,
@@ -959,6 +957,25 @@ def test_table_pass_is_bit_identical_to_closed_form(k):
         full = _closed_form_pass(ell, k, ms)
         cols = _lattice_columns(k, ms, lattice)
         assert np.array_equal(v, np.take_along_axis(full, cols, axis=1))
+
+
+def test_row_pass_is_bit_identical_to_closed_form_for_every_k_to_400():
+    # every row of every k: the stacked trig passes give the closed form's
+    # floats at the lattice columns, the same bytes from a range or a list;
+    # k = 2 has no row for either ell, so its arrays are (0, 2)
+    assert not _scan_ms(3, 2) and not _scan_ms(4, 2)
+    for k, ell in itertools.product(range(2, 401), (3, 4)):
+        ms = _scan_ms(ell, k)
+        lattice, v = _scan_row_pass(ell, k, ms)
+        assert (lattice.dtype, v.dtype) == (np.int64, np.float64)
+        assert lattice.shape == v.shape == (len(ms), 2)
+        listed = _scan_row_pass(ell, k, list(ms))
+        assert [x.tobytes() for x in listed] == [lattice.tobytes(),
+                                                 v.tobytes()]
+        full = _closed_form_pass(ell, k, ms)
+        cols = _lattice_columns(k, ms, lattice)
+        expected = np.take_along_axis(full, cols, axis=1)
+        assert v.tobytes() == expected.tobytes(), (ell, k)
 
 
 @pytest.mark.parametrize("k", _PASS_KS)

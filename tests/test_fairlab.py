@@ -2,14 +2,13 @@
 coin+die fairness, and Sicherman dice."""
 
 import itertools
-import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from totalparts import fairlab
-from totalparts.dicecore import Die, Sack, fair_total, parts_to_total, psi
+from totalparts.dicecore import Die, Sack, fair_total, parts_to_total
 from totalparts.exactnum import CycElem, cyclotomic_poly
 from totalparts.fairlab import (
     coin_die_fair_check,

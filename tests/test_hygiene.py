@@ -7,13 +7,15 @@ build dice through its list forms, outside any per-die loop, only exactnum
 sets a Fraction's slots, the package and its CLI import no layer at load,
 the CLI imports only argparse and sys at load, the package runs without
 mpmath, exotica and dicecore name none of numpy's Python-level wrappers
-that would cost a Python call per loop step, and README's command examples
+that would cost a Python call per loop step, nor does the scan name the
+array methods numpy forwards to them, and README's command examples
 parse."""
 
 import ast
 import collections
 import functools
 import importlib
+import inspect
 import pathlib
 import re
 import shlex
@@ -39,15 +41,18 @@ def _imported_names(tree):
 def _unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    # a package re-exports what it imports through __all__
-    module = importlib.import_module(
-        "totalparts" if path.stem == "__init__" else f"totalparts.{path.stem}")
-    used |= set(getattr(module, "__all__", ()))
+    if path.parent == SRC:
+        # a package re-exports what it imports through __all__
+        module = importlib.import_module(
+            "totalparts" if path.stem == "__init__"
+            else f"totalparts.{path.stem}")
+        used |= set(getattr(module, "__all__", ()))
     return _imported_names(tree) - used
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py")),
+    ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}")
 def test_no_unused_imports(path):
     unused = _unused_imports(path)
     assert not unused, f"{path.name} imports but never uses {sorted(unused)}"
@@ -355,6 +360,21 @@ def test_no_python_level_wrapper_in_the_census_loops(name):
     text = (SRC / name).read_text()
     named = [w for w in LOOP_WRAPPERS if w in text]
     assert not named, f"{name} names {named}"
+
+
+# Names the scan's row pass and decision must not use: numpy's Python-level
+# helpers, and the array methods numpy forwards to its Python _methods
+# wrappers, each a Python call per scan.
+SCAN_WRAPPERS = ("np.outer(", "np.stack(", ".all(", ".any(",
+                 "np.flatnonzero(", "np.array_split(")
+
+
+def test_no_python_level_wrapper_in_the_scan():
+    exotica = importlib.import_module("totalparts.exotica")
+    text = "".join(inspect.getsource(f)
+                   for f in (exotica.s_scan, exotica._scan_row_pass))
+    named = [w for w in SCAN_WRAPPERS if w in text]
+    assert not named, f"the scan names {named}"
 
 
 def test_mpmath_is_not_a_runtime_dependency():
